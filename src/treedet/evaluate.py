@@ -85,11 +85,14 @@ class MessageLaw:
             raise InvalidParams("law arrays must share a length")
         if self.values.size == 0:
             raise InvalidParams("law must have at least one atom")
+        if not np.all(np.isfinite(self.values)):
+            raise InvalidParams("law atoms must be finite")
         if np.any(np.diff(self.values) <= 0):
             raise InvalidParams("law atoms must be strictly increasing")
         for logs in (self.logp0, self.logp1):
             total = _logsumexp(logs)
-            if abs(math.expm1(total)) > _MASS_TOL:
+            # written so that a NaN total fails too
+            if not abs(math.expm1(total)) <= _MASS_TOL:
                 raise InvalidParams(f"law mass {math.exp(total)} is not 1")
 
     @property
@@ -404,34 +407,28 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     """
     ctx = _context_for(strategy, pair)
     tree = ctx.tree
-    shape = tree.shape_ids
-    lcount = tree.subtree_leaf_count
-    pcount = tree.subtree_node_count
-    rows = []
-    cache: dict[tuple[int, int], tuple[float, float]] = {}
-    for v in np.flatnonzero(~tree.is_leaf):
-        level = int(tree.level[v])
-        key = (level, int(shape[v]))
-        if key not in cache:
-            law = ctx.sum_by_key.get(key)
-            if law is None:
-                # gate level: tails of a gate are not threshold tails
-                continue
+    nodes = np.flatnonzero(~tree.is_leaf)
+    levels = tree.level[nodes]
+    shapes = tree.shape_ids[nodes]
+    lcount = tree.subtree_leaf_count[nodes]
+    # one (miss, fa) pair per distinct (level, shape), expanded per node
+    key = levels * (int(shapes.max()) + 1) + shapes
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    tails = np.empty((first.size, 2))
+    kept = np.ones(first.size, dtype=bool)
+    for j, i in enumerate(first.tolist()):
+        level, l_v = int(levels[i]), int(lcount[i])
+        law = ctx.sum_by_key.get((level, int(shapes[i])))
+        # no sum law at a gate level: tails of a gate are not threshold tails
+        kept[j] = law is not None
+        if kept[j]:
             t = strategy.threshold_at_level(level)
-            low0, low1, high0, high1 = _split_log_mass(law, int(lcount[v]), t)
-            cache[key] = (low1 / int(lcount[v]), high0 / int(lcount[v]))
-        miss, fa = cache[key]
-        rows.append(
-            TailRow(
-                node=int(v),
-                level=level,
-                leaf_count=int(lcount[v]),
-                pred_count=int(pcount[v]),
-                log_miss_per_leaf=miss,
-                log_fa_per_leaf=fa,
-            )
-        )
-    return tuple(rows)
+            _, low1, high0, _ = _split_log_mass(law, l_v, t)
+            tails[j] = low1 / l_v, high0 / l_v
+    rows = kept[inverse]
+    pcount = tree.subtree_node_count[nodes[rows]]
+    cols = (nodes[rows], levels[rows], lcount[rows], pcount, *tails[inverse[rows]].T)
+    return tuple(map(TailRow, *(c.tolist() for c in cols)))
 
 
 def fringe_message_laws(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,11 +68,6 @@ class Strategy:
             if any(a.symbols != out for a in gate.input_alphabets):
                 raise InvalidParams("gate inputs must match the leaf message alphabet")
 
-    @property
-    def is_relay_strategy(self) -> bool:
-        """No internal node reads an observation of its own."""
-        return True
-
     def threshold_at_level(self, k: int) -> float:
         return self.thresholds[k - 1]
 
@@ -120,7 +115,7 @@ class SimpleStrategyResult:
     strategy: Strategy
     gamma: TransmissionFunction
     threshold: float
-    node_map: dict[int, int] = field(repr=False)
+    node_map: Mapping[int, int] = field(repr=False)
     parallel_exponent: float
 
 
@@ -191,7 +186,7 @@ def np_calibrate_root(
     above = np.full(values.size, -np.inf)
     if values.size > 1:
         above[:-1] = np.logaddexp.accumulate(logp0[::-1])[::-1][1:]
-    for i, s in enumerate(values):
-        if np.exp(above[i]) <= alpha:
-            return replace(strategy, root_threshold=float(s) / l_f)
-    raise Unachievable("no admissible root threshold found")
+    admissible = np.flatnonzero(np.exp(above) <= alpha)
+    if admissible.size == 0:
+        raise Unachievable("no admissible root threshold found")
+    return replace(strategy, root_threshold=float(values[admissible[0]]) / l_f)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,12 +24,15 @@ from .errors import (
 
 
 class Tree:
-    """Rooted directed in-tree over dense integer node ids."""
+    """Rooted directed in-tree over dense integer node ids.
 
-    def __init__(self, parents: Sequence[int | None], root: int | None = None):
-        arr = np.asarray(
-            [-1 if p is None else int(p) for p in parents], dtype=np.int64
-        )
+    The root's parent is ``None`` or negative; an integer ndarray is copied whole.
+    """
+
+    def __init__(self, parents: Sequence[int | None] | np.ndarray, root: int | None = None):
+        if not (isinstance(parents, np.ndarray) and parents.dtype.kind in "iu"):
+            parents = [-1 if p is None else int(p) for p in parents]
+        arr = np.array(parents, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("parents must be a non-empty 1-d sequence")
         roots = np.flatnonzero(arr < 0)
@@ -41,9 +44,7 @@ class Tree:
             raise InputError(
                 f"declared root {root} but the parentless node is {self._root}"
             )
-        n = arr.size
-        others = np.flatnonzero(arr >= 0)
-        if np.any(arr[others] >= n):
+        if np.any(arr >= arr.size):
             raise InputError("parent id out of range")
         arr.setflags(write=False)
         if np.any(self.depth < 0):
@@ -178,20 +179,35 @@ class Tree:
 
     @cached_property
     def shape_ids(self) -> np.ndarray:
-        """Interned structural fingerprints: equal ids iff isomorphic subtrees."""
+        """Interned structural fingerprints: equal ids iff isomorphic subtrees.
+
+        AHU labelling depth by depth, keys grouped by degree; each distinct
+        key is interned at its first node in id order, as a per-node scan would.
+        """
         shape = np.zeros(self.n, dtype=np.int64)
+        offsets, flat = self._children_csr
         interned: dict[tuple[int, ...], int] = {}
         for d in range(self.height - 1, -1, -1):
-            for v in self.nodes_at_depth(d):
-                kids = self.children(v)
-                if kids.size == 0:
-                    continue
-                key = tuple(sorted(shape[kids].tolist()))
-                sid = interned.get(key)
-                if sid is None:
-                    sid = len(interned) + 1
-                    interned[key] = sid
-                shape[v] = sid
+            nodes = self.nodes_at_depth(d)
+            nodes = nodes[self.n_children[nodes] > 0]
+            degrees = self.n_children[nodes]
+            keys, firsts = [], []
+            labels = np.empty(nodes.size, dtype=np.int64)
+            for k in np.unique(degrees):
+                at = np.flatnonzero(degrees == k)
+                rows = shape[flat[offsets[nodes[at]][:, None] + np.arange(k)]]
+                rows.sort(axis=1)
+                # stable, so each run of equal rows starts at its first node
+                order = np.lexsort(rows.T[::-1])
+                ranked = rows[order]
+                new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+                labels[at[order]] = len(keys) + np.cumsum(new) - 1
+                keys += rows[order[new]].tolist()
+                firsts += at[order[new]].tolist()
+            sids = np.empty(len(keys), dtype=np.int64)
+            for j in np.argsort(firsts).tolist():
+                sids[j] = interned.setdefault(tuple(keys[j]), len(interned) + 1)
+            shape[nodes] = sids[labels]
         shape.setflags(write=False)
         return shape
 
@@ -317,10 +333,30 @@ def estimate_z(
     )
 
 
+class _IdentityMap(Mapping[int, int]):
+    """Read-only identity map over range(n), held in constant memory."""
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __getitem__(self, key: int) -> int:
+        if isinstance(key, (int, np.integer)) and 0 <= key < self._n:
+            return int(key)
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._n))
+
+    def __len__(self) -> int:
+        return self._n
+
+
 @dataclass(frozen=True)
 class UniformizeResult:
     tree: Tree
-    node_map: dict[int, int]
+    node_map: Mapping[int, int]
 
 
 def uniformize(tree: Tree) -> UniformizeResult:
@@ -333,7 +369,7 @@ def uniformize(tree: Tree) -> UniformizeResult:
     take fresh ids at the end.
     """
     if tree.is_uniform:
-        return UniformizeResult(tree, {i: i for i in range(tree.n)})
+        return UniformizeResult(tree, _IdentityMap(tree.n))
     h = tree.height
     parents = tree.parents.tolist()
     depth = tree.depth
@@ -353,16 +389,15 @@ def uniformize(tree: Tree) -> UniformizeResult:
         for c in leaf_kids:
             parents[int(c)] = chain_top
     out = Tree(parents)
-    return UniformizeResult(out, {i: i for i in range(tree.n)})
+    return UniformizeResult(out, _IdentityMap(tree.n))
 
 
 def _relabel(tree: Tree, keep: np.ndarray) -> Tree:
     ids = np.flatnonzero(keep)
-    new_id = np.full(tree.n, -1, dtype=np.int64)
+    # the extra last slot maps the root's parent, -1, to itself
+    new_id = np.full(tree.n + 1, -1, dtype=np.int64)
     new_id[ids] = np.arange(ids.size)
-    parents = tree.parents[ids]
-    remapped = np.where(parents >= 0, new_id[np.clip(parents, 0, None)], -1)
-    return Tree(remapped.tolist())
+    return Tree(new_id[tree.parents[ids]])
 
 
 def prune_small(tree: Tree, small_cap: int) -> Tree:
@@ -444,25 +479,16 @@ def _gen_wide_uniform(params: Mapping[str, object], size: int) -> Tree:
         m, relays = size, int(params["n_relays"])
     if m < 1 or relays < 1:
         raise InvalidParams("leaves per relay and relay count must be >= 1")
-    parents = np.empty(1 + relays + relays * m, dtype=np.int64)
-    parents[0] = -1
-    parents[1 : relays + 1] = 0
-    parents[relays + 1 :] = np.repeat(np.arange(1, relays + 1), m)
-    return Tree(parents.tolist())
+    leaf_parents = np.repeat(np.arange(1, relays + 1), m)
+    return Tree(np.concatenate(([-1], np.zeros(relays, np.int64), leaf_parents)))
 
 
 def _gen_increasing_leaves(params: Mapping[str, object], size: int) -> Tree:
     if size < 1:
         raise InvalidParams("need at least one relay")
     relay_ids = np.arange(1, size + 1)
-    parents = np.concatenate(
-        [
-            np.array([-1], dtype=np.int64),
-            np.zeros(size, dtype=np.int64),
-            np.repeat(relay_ids, relay_ids + 1),
-        ]
-    )
-    return Tree(parents.tolist())
+    leaf_parents = np.repeat(relay_ids, relay_ids + 1)
+    return Tree(np.concatenate(([-1], np.zeros(size, np.int64), leaf_parents)))
 
 
 def _gen_explicit(params: Mapping[str, object], size: int) -> Tree:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -60,6 +61,24 @@ class TestMessageLaw:
         )
         assert law.n_atoms == 3
         assert law.p0[1] == 0.0 and law.p1[2] == 0.0
+
+    def test_nan_mass_is_rejected(self):
+        with pytest.raises(InvalidParams):
+            MessageLaw(
+                np.array([0.0, 1.0]),
+                np.array([np.nan, 0.0]),
+                np.log([0.5, 0.5]),
+            )
+
+    # each of these is strictly increasing, so only finiteness rejects it
+    @pytest.mark.parametrize("values", [(0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_atoms_must_be_finite(self, values):
+        with pytest.raises(InvalidParams):
+            MessageLaw(
+                np.array(values),
+                np.log([0.5, 0.5]),
+                np.log([0.5, 0.5]),
+            )
 
     def test_lengths_must_agree(self):
         with pytest.raises(InvalidParams):
@@ -132,7 +151,40 @@ class TestExactErrors:
         assert est.type_ii == pytest.approx(0.12109375, abs=1e-12)
 
 
+def tail_rows_by_node(strategy, pair):
+    """Reference tail report: one node at a time, in node-id order."""
+    ctx = ev._context_for(strategy, pair)
+    tree = ctx.tree
+    rows = []
+    for v in np.flatnonzero(~tree.is_leaf):
+        level = int(tree.level[v])
+        law = ctx.sum_by_key.get((level, int(tree.shape_ids[v])))
+        if law is None:
+            continue
+        l_v = int(tree.subtree_leaf_count[v])
+        t = strategy.threshold_at_level(level)
+        _, low1, high0, _ = ev._split_log_mass(law, l_v, t)
+        p_v = int(tree.subtree_node_count[v])
+        rows.append(ev.TailRow(int(v), level, l_v, p_v, low1 / l_v, high0 / l_v))
+    return tuple(rows)
+
+
 class TestTailReport:
+    def test_matches_node_by_node_rows(
+        self, pair75, ident, leaf_family, make_rugged_tree
+    ):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            tree = make_rugged_tree(rng, int(rng.integers(2, 5)))
+            s = simple_strategy(tree, pair75, leaf_family, 0.2).strategy
+            rows = tail_report(s, pair75)
+            assert rows == tail_rows_by_node(s, pair75)
+            # plain Python scalars, as the node-by-node rows held
+            assert {type(x) for r in rows for x in astuple(r)} == {int, float}
+        tree = TreeFamily("wide_uniform", {"m": 2}).generate(3)
+        s = build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
+        assert tail_report(s, pair75) == tail_rows_by_node(s, pair75)
+
     def test_two_relay_rows(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(3)
         s = build_relay_strategy(tree, ident, (0.0, 0.0), pair=pair75)

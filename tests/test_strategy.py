@@ -18,6 +18,7 @@ from treedet import (
     exact_error_probs,
     np_calibrate_root,
     or_gate,
+    root_sum_law,
     simple_strategy,
 )
 
@@ -104,7 +105,41 @@ class TestSimpleStrategy:
             simple_strategy(tree, pair75, leaf_family, -0.1)
 
 
+def first_admissible_by_scan(strategy, pair, alpha):
+    """Reference calibration: scan the root atoms upward, one at a time."""
+    values, logp0, _ = root_sum_law(strategy, pair)
+    l_f = int(strategy.tree.subtree_leaf_count[strategy.tree.root])
+    above = np.full(values.size, -np.inf)
+    if values.size > 1:
+        above[:-1] = np.logaddexp.accumulate(logp0[::-1])[::-1][1:]
+    for i, s in enumerate(values):
+        if np.exp(above[i]) <= alpha:
+            return float(s) / l_f
+    raise AssertionError("no admissible atom")
+
+
 class TestCalibration:
+    @pytest.mark.parametrize(
+        "kind, params, size",
+        [
+            ("wide_uniform", {"m": 20}, 300),
+            ("wide_uniform", {"m": 3}, 40),
+            ("increasing_leaves", {}, 9),
+            ("increasing_leaves", {}, 14),
+        ],
+    )
+    def test_threshold_matches_atom_scan(self, pair75, leaf_family, kind, params, size):
+        tree = TreeFamily(kind, params).generate(size)
+        s = simple_strategy(tree, pair75, leaf_family, 0.1).strategy
+        # alphas equal to an atom's null tail mass sit exactly on the boundary
+        _, logp0, _ = root_sum_law(s, pair75)
+        tails = np.exp(np.logaddexp.accumulate(logp0[::-1])[::-1][1:])
+        on_atoms = tails[(tails > 0.0) & (tails < 1.0)]
+        on_atoms = on_atoms[:: max(1, on_atoms.size // 20)].tolist()
+        for alpha in [1e-9, 1e-4, 0.01, 0.05, 0.25, 0.5, 0.9, 0.999] + on_atoms:
+            cal = np_calibrate_root(s, pair75, alpha)
+            assert cal.root_threshold == first_admissible_by_scan(s, pair75, alpha)
+
     def test_two_leaf_star(self, pair75, ident):
         tree = TreeFamily("parallel").generate(3)
         s = build_relay_strategy(tree, ident, (0.0,))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from treedet import (
@@ -16,6 +18,13 @@ from treedet import (
     prune_small,
     uniformize,
 )
+
+BAD_PARENTS = {
+    "no_root": [1, 0],
+    "two_roots": [-1, -1, 0],
+    "out_of_range": [-1, 5],
+    "cycle": [-1, 2, 1],
+}
 
 
 class TestTreeValidation:
@@ -36,6 +45,26 @@ class TestTreeValidation:
     def test_declared_root_must_match(self):
         with pytest.raises(InputError):
             Tree([-1, 0], root=1)
+        with pytest.raises(InputError):
+            Tree(np.array([-1, 0]), root=1)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("parents", BAD_PARENTS.values(), ids=BAD_PARENTS)
+    def test_ndarray_rejects_what_lists_reject(self, parents, dtype):
+        with pytest.raises(InputError):
+            Tree(parents)
+        with pytest.raises(InputError):
+            Tree(np.array(parents, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_ndarray_input_is_copied(self, dtype):
+        parents = np.array([-1, 0, 0, 1], dtype=dtype)
+        t = Tree(parents)
+        parents[3] = 2
+        assert t.parents.tolist() == [-1, 0, 0, 1]
+        assert t.parents.dtype == np.int64
+        assert not np.shares_memory(t.parents, parents)
+        assert np.array_equal(t.parents, Tree([None, 0, 0, 1]).parents)
 
 
 class TestTreeStructure:
@@ -82,6 +111,62 @@ class TestTreeStructure:
     def test_from_json_rejects_bad_docs(self):
         with pytest.raises(InputError):
             Tree.from_json('{"n": 3, "parents": [null, 0]}')
+
+
+def shape_ids_by_node(tree):
+    """Reference AHU interning: one node at a time, depth by depth from the
+    bottom, in node-id order within a depth."""
+    shape = np.zeros(tree.n, dtype=np.int64)
+    interned = {}
+    for d in range(tree.height - 1, -1, -1):
+        for v in tree.nodes_at_depth(d):
+            kids = tree.children(v)
+            if kids.size == 0:
+                continue
+            key = tuple(sorted(shape[kids].tolist()))
+            shape[v] = interned.setdefault(key, len(interned) + 1)
+    return shape
+
+
+# parents[i] < i, so every list drawn here is a valid tree
+recursive_trees = st.lists(st.integers(0, 10**6), max_size=80).map(
+    lambda xs: Tree([-1] + [x % (i + 1) for i, x in enumerate(xs)])
+)
+
+
+class TestShapeIds:
+    def test_rugged_trees(self, make_rugged_tree):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            t = make_rugged_tree(rng, int(rng.integers(1, 6)))
+            assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+
+    @pytest.mark.parametrize("n", range(1, 22))
+    def test_increasing_leaves(self, n):
+        t = TreeFamily("increasing_leaves").generate(n)
+        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+
+    @pytest.mark.parametrize("m, relays", [(1, 1), (1, 7), (3, 5), (20, 300)])
+    def test_wide_uniform(self, m, relays):
+        t = TreeFamily("wide_uniform", {"m": m}).generate(relays)
+        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+
+    def test_root_with_mixed_degree_children(self):
+        # root children 1..6 of degrees 3, 1, 0, 2, 1, 3; children 2 and 5
+        # are both two-edge chains, children 1 and 6 differ one level down
+        t = Tree(
+            [-1, 0, 0, 0, 0, 0, 0]
+            + [1, 1, 1, 2, 4, 4, 5, 6, 6, 6]
+            + [7, 7, 10, 13]
+        )
+        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+        assert t.shape_ids[2] == t.shape_ids[5]
+        assert t.shape_ids[1] != t.shape_ids[6]
+
+    @settings(max_examples=200, deadline=None)
+    @given(recursive_trees)
+    def test_random_recursive_trees(self, t):
+        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
 
 
 class TestGenerators:
@@ -187,6 +272,17 @@ class TestUniformize:
         res = uniformize(t)
         assert res.tree.n == t.n
         assert np.array_equal(res.tree.parents, t.parents)
+
+    def test_node_map_is_the_identity(self):
+        t = TreeFamily("two_relay").generate(4)
+        node_map = uniformize(t).node_map
+        assert len(node_map) == t.n
+        assert node_map == {i: i for i in range(t.n)}
+        assert node_map[np.int64(3)] == 3 and type(node_map[np.int64(3)]) is int
+        assert 0 in node_map and t.n not in node_map and -1 not in node_map
+        for bad in (t.n, -1, "0"):
+            with pytest.raises(KeyError):
+                node_map[bad]
 
 
 class TestPruneCollapse:
