@@ -4,7 +4,7 @@ A transmission function is a total deterministic map from a node's inputs to
 one outgoing message symbol.  Leaves map their own observation (arity 0);
 relays map the tuple of incoming messages (arity d).  The one-bit normalized
 log-likelihood-ratio quantizer used at relays is parametric in a real
-threshold, so it is provided as a function rather than a table.
+threshold, so it is not a table here; the evaluator applies it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .hypotheses import (
     DistributionPair,
     Symbol,
     kl_divergence,
-    product_pair,
 )
 
 ENUMERATION_CAP = 10**6
@@ -151,15 +150,9 @@ def forward_first_gate() -> TransmissionFunction:
 
 @dataclass(frozen=True)
 class QuantizerFamily:
-    """Finite menus of candidate maps, per arity.
-
-    Relay nodes may always fall back to the parametric one-bit quantizer
-    (``apply_llrq``); ``relay`` lists explicit gates used when exploring
-    fixed fusion rules.
-    """
+    """Finite menu of candidate leaf maps."""
 
     leaf: tuple[TransmissionFunction, ...]
-    relay: Mapping[int, tuple[TransmissionFunction, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.leaf:
@@ -167,10 +160,6 @@ class QuantizerFamily:
         for gamma in self.leaf:
             if gamma.arity != 0:
                 raise InvalidParams("leaf family entries must have arity 0")
-        object.__setattr__(self, "relay", dict(self.relay))
-
-    def gates(self, arity: int) -> tuple[TransmissionFunction, ...]:
-        return tuple(self.relay.get(arity, ()))
 
 
 def all_binary_leaf_family(alphabet: Alphabet) -> QuantizerFamily:
@@ -251,21 +240,6 @@ def fused_pair(
     keep = ~dead
     symbols = tuple(s for s, k_ in zip(gate.output_alphabet, keep) if k_)
     return DistributionPair(Alphabet(symbols), q0[keep], q1[keep])
-
-
-def apply_llrq(
-    d: int, t: float, incoming_llrs: Sequence[float], subtree_leaf_count: int
-) -> int:
-    """One-bit quantizer on the leaf-normalized sum of incoming LLRs.
-
-    Sends 0 iff the normalized sum is <= t; ties go to 0.
-    """
-    if len(incoming_llrs) != d:
-        raise InvalidParams(f"expected {d} incoming values, got {len(incoming_llrs)}")
-    if subtree_leaf_count <= 0:
-        raise InvalidParams("subtree leaf count must be positive")
-    x = math.fsum(incoming_llrs) / subtree_leaf_count
-    return 0 if x <= t else 1
 
 
 def enumerate_quantizers(

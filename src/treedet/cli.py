@@ -14,10 +14,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .channels import (
     TransmissionFunction,
@@ -34,6 +34,7 @@ from .channels import (
 )
 from .errors import InfeasibilityError, InputError, InvalidParams, NotUniform
 from .evaluate import (
+    ErrorEstimate,
     empirical_exponent,
     exact_error_probs,
     fringe_message_laws,
@@ -58,7 +59,7 @@ from .strategy import (
     np_calibrate_root,
     simple_strategy,
 )
-from .topology import Tree, TreeFamily, analyze_tree, estimate_z, uniformize
+from .topology import GrowthReport, Tree, TreeFamily, analyze_tree, estimate_z, uniformize
 
 _GATES: dict[str, Callable[[], TransmissionFunction]] = {
     "or": or_gate,
@@ -66,6 +67,8 @@ _GATES: dict[str, Callable[[], TransmissionFunction]] = {
     "xor": xor_gate,
     "forward": forward_first_gate,
 }
+
+T = TypeVar("T")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,51 +82,58 @@ class _Parser(argparse.ArgumentParser):
 # -- input loading -----------------------------------------------------------
 
 
-def _load_pair(spec: str) -> DistributionPair:
-    if spec == "bern75":
-        return bernoulli_pair(0.75)
-    if spec.startswith("bernoulli:"):
-        return bernoulli_pair(float(spec.split(":", 1)[1]))
+def _load_spec(
+    spec: str, builtins: Mapping[str, Callable[[], T]], parse: Callable[[str], T], missing: str
+) -> T:
+    """A builtin name, else an existing file read through ``parse``, else
+    InputError with the ``missing`` message."""
+    if spec in builtins:
+        return builtins[spec]()
     path = Path(spec)
     if not path.exists():
-        raise InputError(
-            f"pair spec {spec!r} is neither a file nor 'bern75'/'bernoulli:p'"
-        )
-    return DistributionPair.from_json(path.read_text())
+        raise InputError(missing)
+    return parse(path.read_text())
+
+
+def _load_pair(spec: str) -> DistributionPair:
+    if spec.startswith("bernoulli:"):
+        try:
+            p = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise InputError(f"pair spec {spec!r}: {exc}") from None
+        return bernoulli_pair(p)
+    return _load_spec(
+        spec, {"bern75": lambda: bernoulli_pair(0.75)}, DistributionPair.from_json,
+        f"pair spec {spec!r} is neither a file nor 'bern75'/'bernoulli:p'",
+    )
 
 
 def _load_gamma(spec: str, pair: DistributionPair) -> TransmissionFunction | None:
-    if spec == "none":
-        return None
-    if spec == "identity":
-        return identity_map(pair.alphabet)
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"leaf map spec {spec!r} is neither a file nor 'identity'")
-    return TransmissionFunction.from_json(path.read_text())
+    builtins = {"none": lambda: None, "identity": lambda: identity_map(pair.alphabet)}
+    return _load_spec(
+        spec, builtins, TransmissionFunction.from_json,
+        f"leaf map spec {spec!r} is neither a file nor 'identity'",
+    )
 
 
 def _load_gate(spec: str | None) -> TransmissionFunction | None:
     if spec is None:
         return None
-    if spec in _GATES:
-        return _GATES[spec]()
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(
-            f"gate spec {spec!r} is neither a file nor one of {sorted(_GATES)}"
-        )
-    return TransmissionFunction.from_json(path.read_text())
+    return _load_spec(
+        spec, _GATES, TransmissionFunction.from_json,
+        f"gate spec {spec!r} is neither a file nor one of {sorted(_GATES)}",
+    )
+
+
+def _load_tree_file(spec: str) -> Tree:
+    return _load_spec(spec, {}, Tree.from_json, f"tree file {spec!r} does not exist")
 
 
 def _load_tree(args: argparse.Namespace) -> Tree:
-    if getattr(args, "tree", None):
-        path = Path(args.tree)
-        if not path.exists():
-            raise InputError(f"tree file {args.tree!r} does not exist")
-        return Tree.from_json(path.read_text())
-    if getattr(args, "family", None):
-        if getattr(args, "size", None) is None:
+    if args.tree:
+        return _load_tree_file(args.tree)
+    if args.family:
+        if args.size is None:
             raise InputError("--family needs --size")
         return _family_from_args(args).generate(args.size)
     raise InputError("provide --tree or --family/--size")
@@ -131,7 +141,7 @@ def _load_tree(args: argparse.Namespace) -> Tree:
 
 def _family_from_args(args: argparse.Namespace) -> TreeFamily:
     params: Mapping[str, object] = {}
-    if getattr(args, "params", None):
+    if args.params:
         try:
             params = json.loads(args.params)
         except json.JSONDecodeError as exc:
@@ -141,19 +151,9 @@ def _family_from_args(args: argparse.Namespace) -> TreeFamily:
     return TreeFamily(args.family, params)
 
 
-def _parse_float_list(text: str, label: str) -> tuple[float, ...]:
+def _parse_list(text: str, label: str, cast: Callable[[str], T]) -> tuple[T, ...]:
     try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise InputError(f"{label}: {exc}") from None
-    if not values:
-        raise InputError(f"{label} must list at least one value")
-    return values
-
-
-def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(x) for x in text.split(",") if x.strip())
+        values = tuple(cast(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise InputError(f"{label}: {exc}") from None
     if not values:
@@ -201,24 +201,26 @@ def _write_json(path: Path, doc: object) -> None:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _estimate_doc(est) -> dict:
-    doc = {
-        "method": est.method,
-        "type_i": est.type_i,
-        "type_ii": est.type_ii,
-        "log_type_i": est.log_type_i,
-        "log_type_ii": est.log_type_ii,
-    }
-    if est.trials is not None:
-        doc["trials"] = est.trials
-        doc["std_error_i"] = est.std_error_i
-        doc["std_error_ii"] = est.std_error_ii
-    return doc
+def _emit_growth(out: Path, growth: GrowthReport, caps: Sequence[int], stamp: bool) -> None:
+    header = ["size", "leaf_count", "leaf_fraction"] + [
+        f"small_leaf_fraction_{c}" for c in caps
+    ]
+    rows = [
+        [s, growth.leaf_counts[i], growth.leaf_fractions[i]]
+        + [growth.small_fraction_curves[c][i] for c in caps]
+        for i, s in enumerate(growth.sizes)
+    ]
+    _write_csv(out / "growth.csv", header, rows, stamp)
+
+
+def _estimate_doc(est: ErrorEstimate) -> dict:
+    # only Monte Carlo estimates carry trials and standard errors
+    return {k: v for k, v in asdict(est).items() if v is not None}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -233,7 +235,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
         "best_leaf_map": json.loads(best.to_json()),
         "fusion": [],
     }
-    for k in _parse_int_list(args.fusion_arity, "--fusion-arity"):
+    for k in _parse_list(args.fusion_arity, "--fusion-arity", int):
         gates = enumerate_quantizers((BINARY,) * k, BINARY)
         rep = fusion_loss_constant(pair, family, gates, k)
         doc["fusion"].append(
@@ -263,7 +265,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
 def cmd_rates(args: argparse.Namespace) -> int:
     pair = _load_pair(args.pair)
     gamma = _load_gamma(args.gamma, pair)
-    thresholds = _parse_float_list(args.thresholds, "--thresholds")
+    thresholds = _parse_list(args.thresholds, "--thresholds", float)
     table = rate_table(pair, gamma, thresholds)
     out = _out_dir(args)
     stamp = not args.no_timestamp
@@ -279,11 +281,13 @@ def cmd_rates(args: argparse.Namespace) -> int:
             feasible_threshold_interval(pair, gamma, table)
         ),
     }
-    if getattr(args, "tree", None) or getattr(args, "family", None):
+    if args.tree or args.family:
         tree = _load_tree(args)
         if len(tree.fringe) == 0:
             raise InvalidParams("tree has no fringe nodes")
-        n_floor = args.n_floor or int(tree.subtree_leaf_count[tree.fringe].min())
+        n_floor = args.n_floor
+        if n_floor is None:
+            n_floor = int(tree.subtree_leaf_count[tree.fringe].min())
         report = chernoff_bound_report(tree, table, n_floor)
         _write_csv(
             out / "bounds.csv",
@@ -307,10 +311,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    caps = _parse_int_list(args.small_caps, "--small-caps")
+    caps = _parse_list(args.small_caps, "--small-caps", int)
     out = _out_dir(args)
     doc: dict = {}
-    if getattr(args, "tree", None) or getattr(args, "size", None) is not None:
+    if args.tree or args.size is not None:
         tree = _load_tree(args)
         base = analyze_tree(tree, caps[0])
         doc["stats"] = {
@@ -329,20 +333,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "fraction": stats.small_leaf_fraction,
                 "n_small_fringe": len(stats.small_fringe),
             }
-    if getattr(args, "sizes", None):
-        if not getattr(args, "family", None):
+    if args.sizes:
+        if not args.family:
             raise InputError("--sizes needs --family")
-        sizes = _parse_int_list(args.sizes, "--sizes")
+        sizes = _parse_list(args.sizes, "--sizes", int)
         growth = estimate_z(_family_from_args(args), sizes, caps)
-        header = ["size", "leaf_count", "leaf_fraction"] + [
-            f"small_leaf_fraction_{c}" for c in caps
-        ]
-        rows = [
-            [s, growth.leaf_counts[i], growth.leaf_fractions[i]]
-            + [growth.small_fraction_curves[c][i] for c in caps]
-            for i, s in enumerate(growth.sizes)
-        ]
-        _write_csv(out / "growth.csv", header, rows, not args.no_timestamp)
+        _emit_growth(out, growth, caps, not args.no_timestamp)
         doc["growth"] = {
             "z_estimate": growth.z_estimate,
             "consistent": growth.consistent,
@@ -356,10 +352,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_uniformize(args: argparse.Namespace) -> int:
-    path = Path(args.tree)
-    if not path.exists():
-        raise InputError(f"tree file {args.tree!r} does not exist")
-    tree = Tree.from_json(path.read_text())
+    tree = _load_tree_file(args.tree)
     result = uniformize(tree)
     out = _out_dir(args)
     tree_path = out / args.out_tree
@@ -390,23 +383,23 @@ def cmd_uniformize(args: argparse.Namespace) -> int:
 def _strategy_from_args(
     args: argparse.Namespace, tree: Tree, pair: DistributionPair
 ) -> Strategy:
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         family = all_binary_leaf_family(pair.alphabet)
         return simple_strategy(tree, pair, family, args.epsilon).strategy
-    if not getattr(args, "gamma", None) or not getattr(args, "thresholds", None):
+    if not args.gamma or not args.thresholds:
         raise InputError("provide --epsilon, or --gamma with --thresholds")
     gamma = _load_gamma(args.gamma, pair)
     if gamma is None:
         raise InputError("strategies need an explicit leaf map, not 'none'")
-    gate = _load_gate(getattr(args, "gate", None))
+    gate = _load_gate(args.gate)
     if not tree.is_uniform:
-        if getattr(args, "uniformize", False):
+        if args.uniformize:
             tree = uniformize(tree).tree
         else:
             raise NotUniform(
                 "tree is not height-uniform; pass --uniformize or run uniformize"
             )
-    ts = _parse_float_list(args.thresholds, "--thresholds")
+    ts = _parse_list(args.thresholds, "--thresholds", float)
     if len(ts) == 1 and tree.height > 1:
         ts = ts * tree.height
     return build_relay_strategy(
@@ -447,13 +440,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _emit_fit(
-    out: Path,
-    name: str,
-    fit,
-    stamp: bool,
-    target: float | None,
-    tolerance: float,
+    out: Path, name: str, stamp: bool, target: float | None, tolerance: float, *args, **kwargs
 ) -> dict:
+    """Runs ``empirical_exponent(*args, **kwargs)`` on TREEDET_THREADS threads
+    and writes the fit to ``name``.csv and ``name``.json."""
+    fit = empirical_exponent(*args, max_workers=_thread_count(), **kwargs)
     rows = [
         (
             fit.sizes[i],
@@ -492,26 +483,19 @@ def _emit_fit(
 def cmd_fit(args: argparse.Namespace) -> int:
     pair = _load_pair(args.pair)
     family = _family_from_args(args)
-    sizes = _parse_int_list(args.sizes, "--sizes")
+    sizes = _parse_list(args.sizes, "--sizes", int)
 
     def factory(tree: Tree) -> Strategy:
         return _strategy_from_args(args, tree, pair)
 
-    fit = empirical_exponent(
-        family,
-        pair,
-        sizes,
-        factory,
-        alpha=args.alpha,
-        regress_on=args.regress_on,
-        max_workers=_thread_count(),
-    )
     out = _out_dir(args)
     summary = _emit_fit(
-        out, "fit", fit, not args.no_timestamp, args.target, args.tolerance
+        out, "fit", not args.no_timestamp, args.target, args.tolerance, family, pair, sizes,
+        factory, alpha=args.alpha, regress_on=args.regress_on,
     )
     print(
-        f"slope {fit.slope:.6f} (r^2 {fit.r_squared:.6f}) over sizes {list(sizes)}"
+        f"slope {summary['slope']:.6f} (r^2 {summary['r_squared']:.6f})"
+        f" over sizes {list(sizes)}"
     )
     if summary["verdict"] is not None:
         print(
@@ -560,10 +544,7 @@ def _reproduce_two_relay(out: Path, stamp: bool) -> ReportBundle:
     def factory(tree: Tree) -> Strategy:
         return simple_strategy(tree, pair, family, 0.02).strategy
 
-    fit = empirical_exponent(
-        fam, pair, sizes, factory, alpha=0.25, max_workers=_thread_count()
-    )
-    summary = _emit_fit(out, "fit", fit, stamp, target, 0.05)
+    summary = _emit_fit(out, "fit", stamp, target, 0.05, fam, pair, sizes, factory)
     verdicts = {"slope_matches_parallel_exponent": bool(summary["verdict"])}
     return ReportBundle(
         example=1,
@@ -710,11 +691,8 @@ def _reproduce_gate_table(out: Path, stamp: bool) -> ReportBundle:
             tree, ident, (0.0, 0.0), level1_gate=or_gate()
         )
 
-    fit = empirical_exponent(
-        fam, pair, sizes, factory, alpha=0.25, max_workers=_thread_count()
-    )
     or_rate = rows[1][1]
-    fit_summary = _emit_fit(out, "or_fit", fit, stamp, or_rate, 0.05)
+    fit_summary = _emit_fit(out, "or_fit", stamp, or_rate, 0.05, fam, pair, sizes, factory)
     verdicts = {
         "per_leaf_rates_match_closed_forms": all(matches),
         "every_gate_above_parallel_exponent": all(above_parallel),
@@ -741,15 +719,7 @@ def _reproduce_increasing_leaves(out: Path, stamp: bool) -> ReportBundle:
     caps = (2, 5, 10)
     q_sizes = (25, 50, 100, 200)
     growth = estimate_z(fam, q_sizes, caps)
-    header = ["size", "leaf_count", "leaf_fraction"] + [
-        f"small_leaf_fraction_{c}" for c in caps
-    ]
-    q_rows = [
-        [s, growth.leaf_counts[i], growth.leaf_fractions[i]]
-        + [growth.small_fraction_curves[c][i] for c in caps]
-        for i, s in enumerate(growth.sizes)
-    ]
-    _write_csv(out / "growth.csv", header, q_rows, stamp)
+    _emit_growth(out, growth, caps, stamp)
     curves = growth.small_fraction_curves
     vanishing = all(
         all(b < a for a, b in zip(curves[c], curves[c][1:]))
@@ -765,10 +735,7 @@ def _reproduce_increasing_leaves(out: Path, stamp: bool) -> ReportBundle:
     def factory(tree: Tree) -> Strategy:
         return simple_strategy(tree, pair, family, 0.4).strategy
 
-    fit = empirical_exponent(
-        fam, pair, sizes, factory, alpha=0.25, max_workers=_thread_count()
-    )
-    fit_summary = _emit_fit(out, "fit", fit, stamp, target, 0.05)
+    fit_summary = _emit_fit(out, "fit", stamp, target, 0.05, fam, pair, sizes, factory)
     verdicts = {
         "small_fringe_fraction_vanishes": bool(vanishing),
         "slope_matches_parallel_exponent": bool(fit_summary["verdict"]),
@@ -834,111 +801,85 @@ def _build_parser() -> _Parser:
             "exponents, threshold design, and exact or simulated evaluation."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
+
+    # flag groups shared between subcommands, each declared once as a parent
+    def flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    common = flags()
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp header line from CSV files",
+        "--no-timestamp", action="store_true", help="omit the timestamp header line from CSV files"
     )
+    pair = flags()
+    pair.add_argument("--pair", required=True, help="pair JSON file, 'bern75', or 'bernoulli:p'")
+
+    def family(required: bool) -> argparse.ArgumentParser:
+        group = flags()
+        group.add_argument("--family", required=required, help="tree family kind")
+        group.add_argument("--params", help="family parameters as JSON")
+        return group
+
+    tree = flags(family(False))
+    tree.add_argument("--tree", help="tree JSON file instead of --family")
+    tree.add_argument("--size", type=int, help="family size argument")
+    strategy = flags()
+    strategy.add_argument("--epsilon", type=float, help="use the recipe strategy with this slack")
+    strategy.add_argument("--gamma", help="leaf map for an explicit strategy")
+    strategy.add_argument("--thresholds", help="comma list (a single value repeats per level)")
+    strategy.add_argument("--gate", help="fringe gate: or/and/xor/forward or a map JSON file")
+    strategy.add_argument("--uniformize", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "exponent",
-        parents=[common],
-        help="parallel error exponent and bounded fan-in fusion constants",
-    )
-    p.add_argument("--pair", required=True, help="pair JSON file, 'bern75', or 'bernoulli:p'")
-    p.add_argument("--fusion-arity", default="2", help="comma list of fan-ins")
-    p.set_defaults(func=cmd_exponent)
+    def command(name: str, func: Callable, about: str, *groups: argparse.ArgumentParser):
+        p = sub.add_parser(name, parents=[common, *groups], help=about)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
-        "rates",
-        parents=[common],
-        help="per-level tail rates and per-node exponential bounds",
+    p = command(
+        "exponent", cmd_exponent, "parallel error exponent and bounded fan-in fusion constants", pair
     )
-    p.add_argument("--pair", required=True)
+    p.add_argument("--fusion-arity", default="2", help="comma list of fan-ins")
+
+    p = command("rates", cmd_rates, "per-level tail rates and per-node exponential bounds", pair, tree)
     p.add_argument("--gamma", default="none", help="'identity', 'none', or a map JSON file")
     p.add_argument("--thresholds", required=True, help="comma list, one per level")
-    p.add_argument("--tree", help="tree JSON file for per-node bounds")
-    p.add_argument("--family", help="tree family kind instead of --tree")
-    p.add_argument("--params", help="family parameters as JSON")
-    p.add_argument("--size", type=int, help="family size argument")
     p.add_argument("--n-floor", type=int, default=None, help="fringe size floor")
-    p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser(
-        "analyze",
-        parents=[common],
-        help="structural statistics and leaf-dominance diagnostics",
-    )
-    p.add_argument("--tree")
-    p.add_argument("--family")
-    p.add_argument("--params")
-    p.add_argument("--size", type=int)
+    p = command("analyze", cmd_analyze, "structural statistics and leaf-dominance diagnostics", tree)
     p.add_argument("--sizes", help="comma list for growth curves (needs --family)")
     p.add_argument("--small-caps", default="2,5,10")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser(
-        "uniformize",
-        parents=[common],
-        help="re-attach shallow leaves so all leaves sit at full height",
+    p = command(
+        "uniformize", cmd_uniformize, "re-attach shallow leaves so all leaves sit at full height"
     )
     p.add_argument("--tree", required=True)
     p.add_argument("--out-tree", default="uniform_tree.json")
-    p.set_defaults(func=cmd_uniformize)
 
-    p = sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="exact and Monte Carlo error probabilities of one strategy",
+    p = command(
+        "simulate", cmd_simulate, "exact and Monte Carlo error probabilities of one strategy",
+        pair, tree, strategy,
     )
-    p.add_argument("--pair", required=True)
-    p.add_argument("--tree")
-    p.add_argument("--family")
-    p.add_argument("--params")
-    p.add_argument("--size", type=int)
-    p.add_argument("--epsilon", type=float, help="use the recipe strategy with this slack")
-    p.add_argument("--gamma", help="leaf map for an explicit strategy")
-    p.add_argument("--thresholds", help="comma list (a single value repeats per level)")
-    p.add_argument("--gate", help="fringe gate: or/and/xor/forward or a map JSON file")
-    p.add_argument("--uniformize", action="store_true")
     p.add_argument("--alpha", type=float, default=None, help="calibrate the root to this level")
     p.add_argument("--root-threshold", type=float, default=None)
     p.add_argument("--method", choices=("exact", "mc", "both"), default="exact")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
-        "fit",
-        parents=[common],
-        help="decay-slope fit of exact miss probabilities along a size grid",
+    p = command(
+        "fit", cmd_fit, "decay-slope fit of exact miss probabilities along a size grid",
+        pair, family(True), strategy,
     )
-    p.add_argument("--pair", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--params")
     p.add_argument("--sizes", required=True)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--gamma")
-    p.add_argument("--thresholds")
-    p.add_argument("--gate")
-    p.add_argument("--uniformize", action="store_true")
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--regress-on", choices=("leaves", "nodes"), default="leaves")
     p.add_argument("--target", type=float, default=None)
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser(
-        "reproduce",
-        parents=[common],
-        help="run one of the four worked scenarios and check its verdicts",
+    p = command(
+        "reproduce", cmd_reproduce, "run one of the four worked scenarios and check its verdicts"
     )
     p.add_argument("--example", type=int, required=True, choices=(1, 2, 3, 4))
-    p.set_defaults(func=cmd_reproduce)
-
     return parser
 
 

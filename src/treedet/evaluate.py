@@ -163,12 +163,19 @@ def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
     return result
 
 
+def _sends_low(sums: np.ndarray, leaf_count: int, threshold: float) -> np.ndarray:
+    """The relay rule: a node sends low iff its incoming sum over its leaf
+    count is at most the threshold, so ties go low.  The root declares the
+    alternative on the complement."""
+    return sums / leaf_count <= threshold
+
+
 def _split_log_mass(
     law: MessageLaw, leaf_count: int, threshold: float
 ) -> tuple[float, float, float, float]:
     """Log masses of the low side (normalized value <= threshold) and high
     side, under both hypotheses."""
-    low = law.values / leaf_count <= threshold
+    low = _sends_low(law.values, leaf_count, threshold)
     return (
         _logsumexp(law.logp0[low]),
         _logsumexp(law.logp1[low]),
@@ -515,7 +522,7 @@ def _simulate_error_count(
             if d == 0:
                 atoms = ctx.root_sum.values
                 snapped = _snap_to_atoms(sums[0], atoms)
-                decide_1 = snapped / root_l > strategy.root_threshold
+                decide_1 = ~_sends_low(snapped, root_l, strategy.root_threshold)
                 errors += int(np.count_nonzero(decide_1 == (wrong_bit == 1)))
                 state = sums
                 continue
@@ -529,7 +536,7 @@ def _simulate_error_count(
                 snapped = _snap_to_atoms(sums[mask], law.values)
                 l_v = int(lcount[nodes[mask][0]])
                 v_low, v_high = ctx.bit_values[key]
-                out[mask] = np.where(snapped / l_v <= t, v_low, v_high)
+                out[mask] = np.where(_sends_low(snapped, l_v, t), v_low, v_high)
             state = out
     return errors
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -155,32 +155,18 @@ def simple_strategy(
     )
 
 
-RootLawFn = Callable[["Strategy", DistributionPair], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-def np_calibrate_root(
-    strategy: Strategy,
-    pair: DistributionPair,
-    alpha: float,
-    evaluator: RootLawFn | None = None,
-) -> Strategy:
+def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
     """Smallest root threshold whose exact false-alarm rate is within alpha.
 
     Candidate thresholds are the achievable atoms of the root's normalized
     incoming sum, so the result is the most powerful root-threshold variant
-    of the given strategy among deterministic tests.  ``evaluator`` maps
-    (strategy, pair) to (raw-sum atoms, log null masses, log alt masses) and
-    defaults to the exact law computed by the evaluation module.
+    of the given strategy among deterministic tests.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
-    if evaluator is None:
-        from .evaluate import root_sum_law
+    from .evaluate import root_sum_law
 
-        evaluator = root_sum_law
-    values, logp0, _ = evaluator(strategy, pair)
-    if values.size == 0:
-        raise Unachievable("root sum law has no atoms")
+    values, logp0, _ = root_sum_law(strategy, pair)
     l_f = int(strategy.tree.subtree_leaf_count[strategy.tree.root])
     # log of the null mass strictly above each atom
     above = np.full(values.size, -np.inf)

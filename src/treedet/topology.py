@@ -155,19 +155,20 @@ class Tree:
         return counts
 
     @cached_property
+    def _leaf_child_count(self) -> np.ndarray:
+        return np.bincount(self._parents[self.is_leaf], minlength=self.n)
+
+    @cached_property
     def leaf_parents(self) -> np.ndarray:
         """Nodes with at least one leaf child."""
-        out = np.unique(self._parents[self.is_leaf])
+        out = np.flatnonzero(self._leaf_child_count)
         out.setflags(write=False)
         return out
 
     @cached_property
     def fringe(self) -> np.ndarray:
         """Non-leaf nodes all of whose children are leaves."""
-        leaf_child_count = np.bincount(
-            self._parents[self.is_leaf], minlength=self.n
-        )
-        mask = (self.n_children > 0) & (leaf_child_count == self.n_children)
+        mask = (self.n_children > 0) & (self._leaf_child_count == self.n_children)
         out = np.flatnonzero(mask)
         out.setflags(write=False)
         return out
@@ -539,7 +540,3 @@ class TreeFamily:
             return _GENERATORS[self.kind](self.params, int(size))
         except KeyError as exc:
             raise InvalidParams(f"family {self.kind!r} missing parameter {exc}") from None
-
-
-def generate_family(kind: str, params: Mapping[str, object] | None, size: int) -> Tree:
-    return TreeFamily(kind, params or {}).generate(size)

@@ -13,7 +13,6 @@ from treedet import (
     TransmissionFunction,
     all_binary_leaf_family,
     and_gate,
-    apply_llrq,
     bernoulli_pair,
     enumerate_quantizers,
     forward_first_gate,
@@ -27,6 +26,7 @@ from treedet import (
 )
 from treedet.channels import constant_map
 from treedet.errors import DegenerateFamily
+from treedet.evaluate import _sends_low
 
 LOG3 = math.log(3.0)
 G_PARALLEL = -0.5493061443340548
@@ -114,21 +114,21 @@ class TestInducedLaws:
 
 
 class TestLlrQuantizer:
+    # the relay quantizer is one threshold rule, applied by the evaluator
+
     def test_ties_go_low(self):
-        assert apply_llrq(2, 0.0, [LOG3, -LOG3], 2) == 0
+        assert _sends_low(np.array([LOG3 - LOG3]), 2, 0.0).tolist() == [True]
+        # a normalized sum exactly at the threshold
+        assert _sends_low(np.array([0.8, 0.8 + 1e-12]), 2, 0.4).tolist() == [True, False]
 
     def test_strictly_above_sends_one(self):
-        assert apply_llrq(2, 0.0, [LOG3, LOG3], 2) == 1
+        assert _sends_low(np.array([LOG3 + LOG3]), 2, 0.0).tolist() == [False]
 
     def test_normalization_uses_leaf_count(self):
         # sum is 2 log 3 over 6 leaves, below a threshold of 0.4
-        assert apply_llrq(2, 0.4, [LOG3, LOG3], 6) == 0
-
-    def test_input_validation(self):
-        with pytest.raises(InvalidParams):
-            apply_llrq(2, 0.0, [1.0], 2)
-        with pytest.raises(InvalidParams):
-            apply_llrq(1, 0.0, [1.0], 0)
+        sums = np.array([2 * LOG3])
+        assert _sends_low(sums, 6, 0.4).tolist() == [True]
+        assert _sends_low(sums, 2, 0.4).tolist() == [False]
 
 
 class TestParallelExponent:

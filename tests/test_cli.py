@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import pytest
 
 from treedet import TreeFamily
-from treedet.cli import main
+from treedet.cli import _build_parser, main
 
 
 def run(*argv):
@@ -270,3 +271,210 @@ class TestUsageErrors:
             "--alpha", "0.25", "--out", tmp_path,
         )
         assert code == 1
+
+
+def _subparsers():
+    (action,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+COMMON = {"-h", "--help", "--out", "--no-timestamp"}
+TREE_SOURCE = {"--tree", "--family", "--params", "--size"}
+STRATEGY = {"--epsilon", "--gamma", "--thresholds", "--gate", "--uniformize"}
+
+OPTIONS = {
+    "exponent": COMMON | {"--pair", "--fusion-arity"},
+    "rates": COMMON | TREE_SOURCE | {"--pair", "--gamma", "--thresholds", "--n-floor"},
+    "analyze": COMMON | TREE_SOURCE | {"--sizes", "--small-caps"},
+    "uniformize": COMMON | {"--tree", "--out-tree"},
+    "simulate": COMMON | TREE_SOURCE | STRATEGY | {
+        "--pair", "--alpha", "--root-threshold", "--method", "--trials", "--seed",
+    },
+    "fit": COMMON | STRATEGY | {
+        "--pair", "--family", "--params", "--sizes", "--alpha", "--regress-on",
+        "--target", "--tolerance",
+    },
+    "reproduce": COMMON | {"--example"},
+}
+
+REQUIRED = {
+    "exponent": {"--pair"},
+    "rates": {"--pair", "--thresholds"},
+    "analyze": set(),
+    "uniformize": {"--tree"},
+    "simulate": {"--pair"},
+    "fit": {"--pair", "--family", "--sizes"},
+    "reproduce": {"--example"},
+}
+
+
+class TestParserSurface:
+    def test_subcommands(self):
+        assert set(_subparsers()) == set(OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_strings(self, command):
+        sub = _subparsers()[command]
+        assert {s for a in sub._actions for s in a.option_strings} == OPTIONS[command]
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_required_options(self, command):
+        sub = _subparsers()[command]
+        required = {a.option_strings[0] for a in sub._actions if a.required}
+        assert required == REQUIRED[command]
+
+    def test_defaults_that_differ_between_commands(self):
+        subs = _subparsers()
+        parse = {name: sub.parse_args for name, sub in subs.items()}
+        rates = parse["rates"](["--pair", "p", "--thresholds", "0"])
+        assert rates.gamma == "none" and rates.n_floor is None
+        sim = parse["simulate"](["--pair", "p"])
+        assert sim.gamma is None and sim.alpha is None and sim.uniformize is False
+        fit = parse["fit"](["--pair", "p", "--family", "f", "--sizes", "1"])
+        assert fit.alpha == 0.25 and fit.gamma is None and fit.tolerance == 0.05
+
+
+def _error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err, "expected a message on stderr"
+    return err[-1]
+
+
+RATES = ("rates", "--pair", "bern75", "--gamma", "identity", "--thresholds", "0,0")
+SIMULATE = ("simulate", "--pair", "bern75", "--gamma", "identity", "--thresholds", "0")
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("exponent", "--pair", "missing.json"),
+                "error: pair spec 'missing.json' is neither a file nor 'bern75'/'bernoulli:p'",
+            ),
+            (
+                ("rates", "--pair", "bern75", "--gamma", "missing.json", "--thresholds", "0"),
+                "error: leaf map spec 'missing.json' is neither a file nor 'identity'",
+            ),
+            (RATES + ("--tree", "missing.json"), "error: tree file 'missing.json' does not exist"),
+            (
+                ("analyze", "--tree", "missing.json"),
+                "error: tree file 'missing.json' does not exist",
+            ),
+            (SIMULATE + ("--tree", "missing.json"), "error: tree file 'missing.json' does not exist"),
+            (
+                ("uniformize", "--tree", "missing.json"),
+                "error: tree file 'missing.json' does not exist",
+            ),
+            (
+                SIMULATE + ("--family", "two_relay", "--size", "3", "--gate", "missing.json"),
+                "error: gate spec 'missing.json' is neither a file nor one of "
+                "['and', 'forward', 'or', 'xor']",
+            ),
+            (RATES + ("--family", "two_relay"), "error: --family needs --size"),
+            (("analyze", "--family", "two_relay"), "error: provide --tree, --family/--size, "
+             "or --family/--sizes"),
+            (SIMULATE + ("--family", "two_relay"), "error: --family needs --size"),
+            (
+                RATES + ("--family", "two_relay", "--size", "3", "--params", "{bad"),
+                "error: --params is not valid JSON: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)",
+            ),
+            (
+                ("analyze", "--family", "two_relay", "--size", "3", "--params", "[1]"),
+                "error: --params must be a JSON object",
+            ),
+            (
+                ("fit", "--pair", "bern75", "--family", "parallel", "--sizes", "5",
+                 "--epsilon", "0.1", "--params", "3"),
+                "error: --params must be a JSON object",
+            ),
+            (("analyze",), "error: provide --tree, --family/--size, or --family/--sizes"),
+            (("analyze", "--sizes", "10,20"), "error: --sizes needs --family"),
+            (("simulate", "--pair", "bern75"), "error: provide --tree or --family/--size"),
+            (
+                ("simulate", "--pair", "bern75", "--family", "two_relay", "--size", "3",
+                 "--gamma", "none", "--thresholds", "0"),
+                "error: strategies need an explicit leaf map, not 'none'",
+            ),
+            (
+                SIMULATE[:5] + ("--family", "two_relay", "--size", "3"),
+                "error: provide --epsilon, or --gamma with --thresholds",
+            ),
+            (
+                ("exponent", "--pair", "bern75", "--fusion-arity", ","),
+                "error: --fusion-arity must list at least one value",
+            ),
+            (
+                RATES[:5] + ("--thresholds", "0,x"),
+                "error: --thresholds: could not convert string to float: 'x'",
+            ),
+        ],
+    )
+    def test_exit_one_with_message(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        assert _error_line(capsys) == message
+
+    def test_non_uniform_tree_exits_two(self, tmp_path, capsys):
+        tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)
+        src = tmp_path / "tree.json"
+        src.write_text(tree.to_json())
+        assert run(*SIMULATE, "--tree", src, "--out", tmp_path) == 2
+        assert _error_line(capsys).startswith("infeasible: tree is not height-uniform")
+
+
+class TestSpecFiles:
+    def test_leaf_map_and_gate_files_match_builtins(self, tmp_path):
+        from treedet import BINARY, identity_map, or_gate
+
+        gamma = tmp_path / "gamma.json"
+        gamma.write_text(identity_map(BINARY).to_json())
+        gate = tmp_path / "gate.json"
+        gate.write_text(or_gate().to_json())
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"alphabet": [0, 1], "p0": [0.75, 0.25], "p1": [0.25, 0.75]}')
+        docs = []
+        for label, specs in (
+            ("names", ("bern75", "identity", "or")),
+            ("files", (pair, gamma, gate)),
+        ):
+            out = tmp_path / label
+            code = run(
+                "simulate", "--pair", specs[0], "--family", "wide_uniform",
+                "--params", '{"m": 2}', "--size", "6", "--gamma", specs[1],
+                "--thresholds", "0", "--gate", specs[2], "--alpha", "0.25",
+                "--method", "both", "--trials", "2000", "--out", out,
+            )
+            assert code == 0
+            docs.append((out / "simulate.json").read_bytes())
+        assert docs[0] == docs[1]
+
+    def test_tree_file_matches_family(self, tmp_path):
+        tree = TreeFamily("two_relay").generate(5)
+        src = tmp_path / "tree.json"
+        src.write_text(tree.to_json())
+        outs = []
+        for label, source in (("file", ("--tree", src)), ("family", ("--family", "two_relay",
+                                                                          "--size", "5"))):
+            out = tmp_path / label
+            assert run(*RATES, *source, "--out", out, "--no-timestamp") == 0
+            outs.append(((out / "rates.json").read_bytes(), (out / "bounds.csv").read_bytes()))
+        assert outs[0] == outs[1]
+
+
+class TestFixedInputErrors:
+    def test_malformed_bernoulli_parameter(self, tmp_path, capsys):
+        assert run("exponent", "--pair", "bernoulli:abc", "--out", tmp_path) == 1
+        assert _error_line(capsys).startswith("error: ")
+
+    @pytest.mark.parametrize("floor", ["0", "-3"])
+    def test_non_positive_n_floor(self, tmp_path, capsys, floor):
+        code = run(
+            *RATES, "--family", "two_relay", "--size", "4",
+            "--n-floor", floor, "--out", tmp_path,
+        )
+        assert code == 1
+        assert _error_line(capsys) == "error: n_floor must be >= 1"

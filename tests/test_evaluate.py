@@ -83,6 +83,9 @@ class TestMessageLaw:
     def test_lengths_must_agree(self):
         with pytest.raises(InvalidParams):
             MessageLaw(np.array([0.0]), np.log([1.0]), np.log([0.5, 0.5]))
+        # so a root law, and np_calibrate_root's candidate set, is never empty
+        with pytest.raises(InvalidParams, match="at least one atom"):
+            MessageLaw(np.array([]), np.array([]), np.array([]))
 
 
 class TestRootSumLaw:

@@ -12,7 +12,6 @@ from treedet import (
     NotUniform,
     Strategy,
     TreeFamily,
-    Unachievable,
     and_gate,
     build_relay_strategy,
     exact_error_probs,
@@ -195,14 +194,3 @@ class TestCalibration:
             np_calibrate_root(s, pair75, 0.0)
         with pytest.raises(InvalidParams):
             np_calibrate_root(s, pair75, 1.0)
-
-    def test_unachievable_on_empty_law(self, pair75, ident):
-        tree = TreeFamily("parallel").generate(3)
-        s = build_relay_strategy(tree, ident, (0.0,))
-
-        def empty_law(strategy, pair):
-            z = np.array([])
-            return z, z, z
-
-        with pytest.raises(Unachievable):
-            np_calibrate_root(s, pair75, 0.25, evaluator=empty_law)

@@ -14,7 +14,6 @@ from treedet import (
     analyze_tree,
     collapse_leaves,
     estimate_z,
-    generate_family,
     prune_small,
     uniformize,
 )
@@ -101,6 +100,18 @@ class TestTreeStructure:
             assert int(t.is_leaf.sum()) == len(t.leaves)
             # every leaf has a parent in leaf_parents
             assert set(t.parents[t.leaves]) == set(t.leaf_parents)
+
+    def test_leaf_parents_and_fringe_match_sorting(self, make_rugged_tree):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            t = make_rugged_tree(rng, int(rng.integers(1, 6)))
+            expected = np.unique(t.parents[t.is_leaf])
+            assert t.leaf_parents.dtype == expected.dtype
+            assert np.array_equal(t.leaf_parents, expected)
+            fringe = [v for v in range(t.n) if t.n_children[v] and t.is_leaf[t.children(v)].all()]
+            assert np.array_equal(t.fringe, fringe)
+        single = Tree([None])
+        assert single.leaf_parents.size == 0 and single.fringe.size == 0
 
     def test_json_round_trip(self):
         t = TreeFamily("increasing_leaves").generate(4)
@@ -208,11 +219,11 @@ class TestGenerators:
 
     def test_explicit_family(self, tmp_path):
         base = TreeFamily("parallel").generate(4)
-        t = generate_family("explicit", {"tree": base}, 0)
+        t = TreeFamily("explicit", {"tree": base}).generate(0)
         assert np.array_equal(t.parents, base.parents)
         path = tmp_path / "tree.json"
         path.write_text(base.to_json())
-        u = generate_family("explicit", {"path": str(path)}, 0)
+        u = TreeFamily("explicit", {"path": str(path)}).generate(0)
         assert np.array_equal(u.parents, base.parents)
 
     def test_unknown_kind(self):
