@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -39,6 +40,7 @@ from .evaluate import (
     exact_error_probs,
     fringe_message_laws,
     monte_carlo_error,
+    np_calibrate_root,
 )
 from .hypotheses import (
     BINARY,
@@ -53,12 +55,7 @@ from .rates import (
     feasible_threshold_interval,
     rate_table,
 )
-from .strategy import (
-    Strategy,
-    build_relay_strategy,
-    np_calibrate_root,
-    simple_strategy,
-)
+from .strategy import Strategy, build_relay_strategy, simple_strategy
 from .topology import GrowthReport, Tree, TreeFamily, analyze_tree, estimate_z, uniformize
 
 _GATES: dict[str, Callable[[], TransmissionFunction]] = {
@@ -72,6 +69,12 @@ T = TypeVar("T")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # a word like -0.2,-0.1 is a comma list's value, not an option;
+        # argparse's own pattern accepts only a single negative number
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

@@ -53,10 +53,6 @@ class StateSpaceTooLarge(InfeasibilityError):
     """Exact evaluation would materialize too many atoms."""
 
 
-class Unachievable(InfeasibilityError):
-    """No admissible configuration exists for the request."""
-
-
 class InfeasibleThreshold(InfeasibilityError):
     """A quantizer threshold lies outside its feasible open interval."""
 

@@ -6,7 +6,9 @@ scales on wide trees, far below what linear doubles can hold.  Sums of
 identical child laws use closed binomial forms; distinct laws are combined
 by pairwise convolution with atom merging.  Laws are computed once per
 structurally distinct subtree, so trees with millions of isomorphic
-branches cost no more than their distinct shapes.
+branches cost no more than their distinct shapes.  They are memoized on
+the strategy, one set per pair: calibrating the root threshold hands them to
+the calibrated copy, and they are freed with the strategy.
 
 Monte Carlo draws leaf messages from counter-based substreams and reuses
 the exact laws for every deterministic step, snapping simulated sums onto
@@ -17,10 +19,8 @@ flip on rounding noise.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +28,8 @@ from scipy.special import gammaln
 
 from .channels import _pushforward, fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
-from .hypotheses import DistributionPair, _logsumexp
-from .strategy import Strategy, np_calibrate_root
+from .hypotheses import DistributionPair, _logsumexp, validate_assumptions
+from .strategy import Strategy
 from .topology import Tree, TreeFamily
 
 STATE_SPACE_CAP = 10**7
@@ -190,10 +190,7 @@ def _bit_law(
     """One-bit output law of thresholding the normalized sum; also returns
     the (low, high) output values for simulation lookups."""
     low0, low1, high0, high1 = _split_log_mass(sum_law, leaf_count, threshold)
-    if low0 == -np.inf and low1 == -np.inf:
-        law = MessageLaw(np.zeros(1), np.zeros(1), np.zeros(1))
-        return law, (0.0, 0.0)
-    if high0 == -np.inf and high1 == -np.inf:
+    if (low0 == low1 == -np.inf) or (high0 == high1 == -np.inf):
         law = MessageLaw(np.zeros(1), np.zeros(1), np.zeros(1))
         return law, (0.0, 0.0)
     v_low = low1 - low0
@@ -216,7 +213,6 @@ class _GateInfo:
 
 @dataclass(frozen=True, eq=False)
 class _LawContext:
-    tree: Tree
     leaf_law: MessageLaw
     out_by_key: dict
     sum_by_key: dict
@@ -305,7 +301,6 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
                 bit_values[key] = pair_vals
     assert root_sum is not None
     return _LawContext(
-        tree=tree,
         leaf_law=leaf_law,
         out_by_key=out_by_key,
         sum_by_key=sum_by_key,
@@ -315,37 +310,12 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     )
 
 
-_CTX_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
-_CTX_CACHE_SIZE = 8
-_CTX_LOCK = threading.Lock()
-
-
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
-    # the context never depends on the root threshold, so calibration and
-    # evaluation of the same strategy share one build
-    key = (
-        id(strategy.tree),
-        id(strategy.gamma),
-        strategy.thresholds[:-1],
-        id(strategy.level1_gate),
-        id(pair),
-    )
-    with _CTX_LOCK:
-        hit = _CTX_CACHE.get(key)
-        if hit is not None:
-            _CTX_CACHE.move_to_end(key)
-            return hit[-1]
-    ctx = _build_context(strategy, pair)
-    with _CTX_LOCK:
-        _CTX_CACHE[key] = (
-            strategy.tree,
-            strategy.gamma,
-            strategy.level1_gate,
-            pair,
-            ctx,
-        )
-        while len(_CTX_CACHE) > _CTX_CACHE_SIZE:
-            _CTX_CACHE.popitem(last=False)
+    # memoized on the strategy, so the laws are freed with it; a race on one
+    # shared strategy at worst builds the same law twice
+    ctx = strategy._laws.get(pair)
+    if ctx is None:
+        ctx = strategy._laws[pair] = _build_context(strategy, pair)
     return ctx
 
 
@@ -356,6 +326,28 @@ def root_sum_law(
     log masses under both hypotheses."""
     law = _context_for(strategy, pair).root_sum
     return law.values, law.logp0, law.logp1
+
+
+def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
+    """Smallest root threshold whose exact false-alarm rate is within alpha.
+
+    Candidate thresholds are the achievable atoms of the root's normalized
+    incoming sum, so the result is the most powerful root-threshold variant
+    of the given strategy among deterministic tests.  The laws do not depend
+    on the root threshold, so the calibrated copy shares the strategy's.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParams("alpha must lie in (0, 1)")
+    values, logp0, _ = root_sum_law(strategy, pair)
+    l_f = int(strategy.tree.subtree_leaf_count[strategy.tree.root])
+    # log of the null mass strictly above each atom; the top atom's is -inf,
+    # so it is admissible at every alpha
+    above = np.full(values.size, -np.inf)
+    above[:-1] = np.logaddexp.accumulate(logp0[::-1])[::-1][1:]
+    first = np.flatnonzero(np.exp(above) <= alpha)[0]
+    calibrated = replace(strategy, root_threshold=float(values[first]) / l_f)
+    calibrated._laws.update(strategy._laws)
+    return calibrated
 
 
 @dataclass(frozen=True)
@@ -379,7 +371,8 @@ class ErrorEstimate:
 def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstimate:
     """False-alarm and miss probabilities of the strategy, exactly."""
     ctx = _context_for(strategy, pair)
-    l_f = int(ctx.tree.subtree_leaf_count[ctx.tree.root])
+    tree = strategy.tree
+    l_f = int(tree.subtree_leaf_count[tree.root])
     low0, low1, high0, high1 = _split_log_mass(
         ctx.root_sum, l_f, strategy.root_threshold
     )
@@ -413,7 +406,7 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     level-h threshold, not the calibrated root threshold.
     """
     ctx = _context_for(strategy, pair)
-    tree = ctx.tree
+    tree = strategy.tree
     nodes = np.flatnonzero(~tree.is_leaf)
     levels = tree.level[nodes]
     shapes = tree.shape_ids[nodes]
@@ -443,7 +436,7 @@ def fringe_message_laws(
 ) -> list[tuple[MessageLaw, int]]:
     """Distinct outgoing-message laws of fringe nodes with multiplicities."""
     ctx = _context_for(strategy, pair)
-    tree = ctx.tree
+    tree = strategy.tree
     fringe = tree.fringe
     shapes, counts = np.unique(tree.shape_ids[fringe], return_counts=True)
     level = int(tree.level[fringe[0]]) if len(fringe) else 1
@@ -467,7 +460,7 @@ def _snap_to_atoms(sums: np.ndarray, atoms: np.ndarray) -> np.ndarray:
 def _simulate_error_count(
     ctx: _LawContext, strategy: Strategy, hypothesis: int, trials: int, seed: int
 ) -> int:
-    tree = ctx.tree
+    tree = strategy.tree
     h = tree.height
     shape = tree.shape_ids
     lcount = tree.subtree_leaf_count
@@ -682,8 +675,6 @@ def chebyshev_variance_check(
     lcount = tree.subtree_leaf_count
     if np.any(lcount[tree.fringe] > small_cap):
         raise InvalidParams("every fringe node must hold at most small_cap leaves")
-    from .hypotheses import validate_assumptions
-
     report = validate_assumptions(pair, [strategy.gamma])
     law = _context_for(strategy, pair).root_sum
     l_f = int(lcount[tree.root])

@@ -9,18 +9,13 @@ fan-in fusion rules are compared against threshold rules.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channels import TransmissionFunction, parallel_exponent
-from .errors import (
-    EpsilonTooLarge,
-    InvalidParams,
-    NotUniform,
-    Unachievable,
-)
+from .errors import EpsilonTooLarge, InvalidParams, NotUniform
 from .hypotheses import DistributionPair
 from .rates import rate_table, recipe_threshold
 from .topology import Tree, uniformize
@@ -42,6 +37,8 @@ class Strategy:
     thresholds: tuple[float, ...]
     root_threshold: float
     level1_gate: TransmissionFunction | None = None
+    # exact laws by pair, kept by ``evaluate``; every ``replace`` starts empty
+    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.gamma.arity != 0:
@@ -153,26 +150,3 @@ def simple_strategy(
         node_map=uni.node_map,
         parallel_exponent=g_p,
     )
-
-
-def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
-    """Smallest root threshold whose exact false-alarm rate is within alpha.
-
-    Candidate thresholds are the achievable atoms of the root's normalized
-    incoming sum, so the result is the most powerful root-threshold variant
-    of the given strategy among deterministic tests.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParams("alpha must lie in (0, 1)")
-    from .evaluate import root_sum_law
-
-    values, logp0, _ = root_sum_law(strategy, pair)
-    l_f = int(strategy.tree.subtree_leaf_count[strategy.tree.root])
-    # log of the null mass strictly above each atom
-    above = np.full(values.size, -np.inf)
-    if values.size > 1:
-        above[:-1] = np.logaddexp.accumulate(logp0[::-1])[::-1][1:]
-    admissible = np.flatnonzero(np.exp(above) <= alpha)
-    if admissible.size == 0:
-        raise Unachievable("no admissible root threshold found")
-    return replace(strategy, root_threshold=float(values[admissible[0]]) / l_f)

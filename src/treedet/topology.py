@@ -89,16 +89,18 @@ class Tree:
     @cached_property
     def depth(self) -> np.ndarray:
         """Path length to the root; -1 marks unreachable nodes."""
-        n = self.n
-        depth = np.full(n, -1, dtype=np.int64)
-        depth[self._root] = 0
-        safe_parents = np.where(self._parents >= 0, self._parents, self._root)
-        while True:
-            pending = depth < 0
-            ready = pending & (depth[safe_parents] >= 0)
-            if not ready.any():
+        # pointer doubling: after k rounds each node points 2^k steps up (the
+        # root stops the jump) and knows how far it went
+        root = self._root
+        up = np.where(self._parents >= 0, self._parents, root)
+        dist = (self._parents >= 0).astype(np.int64)
+        for _ in range(self.n.bit_length()):
+            nxt = up[up]
+            if np.array_equal(nxt, up):
                 break
-            depth[ready] = depth[safe_parents[ready]] + 1
+            dist += dist[up]
+            up = nxt
+        depth = np.where(up == root, dist, -1)
         depth.setflags(write=False)
         return depth
 

@@ -465,7 +465,38 @@ class TestSpecFiles:
         assert outs[0] == outs[1]
 
 
+# each comma-list flag, after what its command needs to parse
+LIST_FLAGS = {
+    "exponent --fusion-arity": ("exponent", "--pair", "p", "--fusion-arity"),
+    "rates --thresholds": ("rates", "--pair", "p", "--thresholds"),
+    "analyze --sizes": ("analyze", "--sizes"),
+    "analyze --small-caps": ("analyze", "--small-caps"),
+    "simulate --thresholds": ("simulate", "--pair", "p", "--thresholds"),
+    "fit --sizes": ("fit", "--pair", "p", "--family", "f", "--sizes"),
+    "fit --thresholds": ("fit", "--pair", "p", "--family", "f", "--sizes", "1", "--thresholds"),
+}
+
+
 class TestFixedInputErrors:
+    @pytest.mark.parametrize("value", ["-0.2,-0.1", "-3,4", "-.5,1e-3", "-1"])
+    @pytest.mark.parametrize("argv", LIST_FLAGS.values(), ids=LIST_FLAGS)
+    def test_leading_minus_list_as_separate_word(self, argv, value):
+        *head, flag = argv
+        parse = _build_parser().parse_args
+        spaced = parse([*head, flag, value])
+        assert vars(spaced) == vars(parse([*head, f"{flag}={value}"]))
+        assert getattr(spaced, flag[2:].replace("-", "_")) == value
+
+    def test_rates_with_negative_thresholds(self, tmp_path):
+        tree = ("--family", "wide_uniform", "--params", '{"m": 4}', "--size", "50")
+        forms = {"spaced": ("--thresholds", "-0.2,-0.1"), "joined": ("--thresholds=-0.2,-0.1",)}
+        for out, form in forms.items():
+            args = ("rates", "--pair", "bern75", *form, *tree, "--no-timestamp")
+            assert run(*args, "--out", tmp_path / out) == 0
+        for name in ("rates.csv", "bounds.csv"):
+            spaced = (tmp_path / "spaced" / name).read_text()
+            assert spaced == (tmp_path / "joined" / name).read_text()
+
     def test_malformed_bernoulli_parameter(self, tmp_path, capsys):
         assert run("exponent", "--pair", "bernoulli:abc", "--out", tmp_path) == 1
         assert _error_line(capsys).startswith("error: ")

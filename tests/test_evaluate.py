@@ -1,9 +1,13 @@
+import gc
 import math
-from dataclasses import astuple
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from treedet import (
     InvalidParams,
@@ -113,6 +117,51 @@ class TestRootSumLaw:
         v2, _, _ = root_sum_law(cal, pair75)
         assert v1 is v2
 
+    def test_laws_are_freed_with_the_strategy(self, pair75, ident):
+        tree = TreeFamily("two_relay").generate(4)
+        s = build_relay_strategy(tree, ident, (0.0, 0.0))
+        cal = np_calibrate_root(s, pair75, 0.25)
+        exact_error_probs(cal, pair75)
+        dead = weakref.ref(tree)
+        del tree, s, cal
+        gc.collect()
+        assert dead() is None
+
+    def test_threads_sharing_a_strategy_agree(self, pair75, leaf_family):
+        # the memo takes no lock: a race may build a law twice, never a wrong one
+        tree = TreeFamily("increasing_leaves").generate(14)
+
+        def strategy():
+            return simple_strategy(tree, pair75, leaf_family, 0.2).strategy
+
+        def evaluate(s):
+            return exact_error_probs(np_calibrate_root(s, pair75, 0.25), pair75)
+
+        expected = evaluate(strategy())
+        shared = strategy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(evaluate, shared) for _ in range(16)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == expected for r in results)
+        assert list(shared._laws) == [pair75]
+
+    def test_changed_relay_threshold_rebuilds_the_law(self, pair75, ident):
+        # -0.8 and 0.0 split the level-1 atoms differently
+        tree = TreeFamily("two_relay").generate(4)
+        s = build_relay_strategy(tree, ident, (0.0, 0.0))
+        old = root_sum_law(s, pair75)
+        moved = replace(s, thresholds=(-0.8, 0.0))
+        got = root_sum_law(moved, pair75)
+        fresh = root_sum_law(build_relay_strategy(tree, ident, (-0.8, 0.0)), pair75)
+        for a, b in zip(got, fresh):
+            assert_array_equal(a, b)
+        assert got[0].size != old[0].size or np.any(got[0] != old[0])
+
     def test_state_space_cap(self, pair75, ident, monkeypatch):
         monkeypatch.setattr(ev, "STATE_SPACE_CAP", 64)
         tree = TreeFamily("increasing_leaves").generate(8)
@@ -157,7 +206,7 @@ class TestExactErrors:
 def tail_rows_by_node(strategy, pair):
     """Reference tail report: one node at a time, in node-id order."""
     ctx = ev._context_for(strategy, pair)
-    tree = ctx.tree
+    tree = strategy.tree
     rows = []
     for v in np.flatnonzero(~tree.is_leaf):
         level = int(tree.level[v])

@@ -187,6 +187,15 @@ class TestCalibration:
             worse = dataclasses.replace(cal, root_threshold=float(below[-1]))
             assert exact_error_probs(worse, pair75).type_i > alpha
 
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+    def test_tiny_alpha_takes_the_top_atom(self, pair75, ident, alpha):
+        # no null mass lies above the top atom, so it is admissible at any alpha
+        tree = TreeFamily("parallel").generate(5)
+        s = build_relay_strategy(tree, ident, (0.0,))
+        cal = np_calibrate_root(s, pair75, alpha)
+        assert cal.root_threshold == pytest.approx(LOG3, rel=1e-14)
+        assert exact_error_probs(cal, pair75).type_i == 0.0
+
     def test_alpha_range(self, pair75, ident):
         tree = TreeFamily("parallel").generate(3)
         s = build_relay_strategy(tree, ident, (0.0,))

@@ -25,6 +25,38 @@ BAD_PARENTS = {
     "cycle": [-1, 2, 1],
 }
 
+# parents[0] is the root; each list holds a cycle, some with a tail hanging
+# off it, that never reaches the root
+DETACHED_CYCLES = {
+    "self_loop": [-1, 1],
+    "two_cycle_with_tail": [-1, 2, 1, 1, 3],
+    "three_cycle": [-1, 2, 3, 1],
+    "four_cycle": [-1, 2, 3, 4, 1],
+    "eight_cycle_with_long_tail": [-1, *range(2, 9), 1, 8, *range(9, 200)],
+    "beside_a_chain": [-1, *range(0, 99), 101, 100],
+}
+
+
+def depth_by_passes(parents, root):
+    """Reference depths: one pass over all nodes per resolved depth."""
+    parents = np.asarray(parents)
+    depth = np.full(parents.size, -1, dtype=np.int64)
+    depth[root] = 0
+    safe_parents = np.where(parents >= 0, parents, root)
+    while True:
+        ready = (depth < 0) & (depth[safe_parents] >= 0)
+        if not ready.any():
+            return depth
+        depth[ready] = depth[safe_parents[ready]] + 1
+
+
+def unchecked_tree(parents):
+    """A Tree that skips the constructor's checks, to read its depth."""
+    t = Tree.__new__(Tree)
+    t._parents = np.asarray(parents, dtype=np.int64)
+    t._root = 0
+    return t
+
 
 class TestTreeValidation:
     def test_needs_exactly_one_root(self):
@@ -40,6 +72,14 @@ class TestTreeValidation:
     def test_detached_cycle(self):
         with pytest.raises(InputError):
             Tree([-1, 2, 1])
+
+    @pytest.mark.parametrize("parents", DETACHED_CYCLES.values(), ids=DETACHED_CYCLES)
+    def test_detached_cycles_raise(self, parents):
+        with pytest.raises(InputError, match="disconnected or contains a cycle"):
+            Tree(parents)
+        depth = unchecked_tree(parents).depth
+        assert np.array_equal(depth, depth_by_passes(parents, 0))
+        assert (depth < 0).any()
 
     def test_declared_root_must_match(self):
         with pytest.raises(InputError):
@@ -112,6 +152,16 @@ class TestTreeStructure:
             assert np.array_equal(t.fringe, fringe)
         single = Tree([None])
         assert single.leaf_parents.size == 0 and single.fringe.size == 0
+
+    def test_depth_matches_one_pass_per_level(self, make_rugged_tree):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            t = make_rugged_tree(rng, int(rng.integers(1, 6)))
+            assert np.array_equal(t.depth, depth_by_passes(t.parents, t.root))
+        chain = TreeFamily("chain_plus_leaves", {"h": 8000}).generate(8010)
+        assert chain.n == 8010 and chain.height == 8000
+        assert np.array_equal(chain.depth, depth_by_passes(chain.parents, chain.root))
+        assert Tree([None]).depth.tolist() == [0]
 
     def test_json_round_trip(self):
         t = TreeFamily("increasing_leaves").generate(4)
