@@ -10,10 +10,12 @@ branches cost no more than their distinct shapes.  They are memoized on
 the strategy, one set per pair: calibrating the root threshold hands them to
 the calibrated copy, and they are freed with the strategy.
 
-Monte Carlo draws leaf messages from counter-based substreams and reuses
-the exact laws for every deterministic step, snapping simulated sums onto
-the exact atom grid so threshold comparisons at calibrated atoms cannot
-flip on rounding noise.
+Monte Carlo runs in count space on counter-based substreams.  Leaves are
+exchangeable, so each fringe node draws how many of its leaves sent each
+message (one binomial or multinomial draw), and a gated fringe node draws
+its output straight from the gate's law.  Every simulated sum is read as
+the nearest atom of that node's exact sum law, so each relay decides on an
+exact atom and ties fall as in the exact tail split, with no tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .channels import _pushforward, fused_pair, induced_pair
+from .channels import fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
 from .hypotheses import DistributionPair, _logsumexp, validate_assumptions
 from .strategy import Strategy
@@ -37,7 +39,6 @@ STATE_SPACE_CAP = 10**7
 _MERGE_ATOL = 1e-12
 _MERGE_RTOL = 1e-12
 _MASS_TOL = 1e-7
-_SNAP_RTOL = 1e-9
 _MC_BLOCK_FLOATS = 1 << 22
 
 
@@ -184,67 +185,24 @@ def _split_log_mass(
     )
 
 
-def _bit_law(
-    sum_law: MessageLaw, leaf_count: int, threshold: float
-) -> tuple[MessageLaw, tuple[float, float]]:
-    """One-bit output law of thresholding the normalized sum; also returns
-    the (low, high) output values for simulation lookups."""
+def _bit_law(sum_law: MessageLaw, leaf_count: int, threshold: float) -> MessageLaw:
+    """One-bit output law of thresholding the normalized sum; its atoms are
+    the (low, high) output values, or one atom when a side is empty."""
     low0, low1, high0, high1 = _split_log_mass(sum_law, leaf_count, threshold)
     if (low0 == low1 == -np.inf) or (high0 == high1 == -np.inf):
-        law = MessageLaw(np.zeros(1), np.zeros(1), np.zeros(1))
-        return law, (0.0, 0.0)
-    v_low = low1 - low0
-    v_high = high1 - high0
-    law = MessageLaw(
-        np.array([v_low, v_high]),
+        return MessageLaw(np.zeros(1), np.zeros(1), np.zeros(1))
+    return MessageLaw(
+        np.array([low1 - low0, high1 - high0]),
         np.array([low0, high0]),
         np.array([low1, high1]),
     )
-    return law, (v_low, v_high)
-
-
-@dataclass(frozen=True, eq=False)
-class _GateInfo:
-    cdf0: np.ndarray
-    cdf1: np.ndarray
-    lut: np.ndarray
-    out_values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class _LawContext:
-    leaf_law: MessageLaw
     out_by_key: dict
     sum_by_key: dict
-    bit_values: dict
     root_sum: MessageLaw
-    gate: "_GateInfo | None"
-
-
-def _gate_info(strategy: Strategy, pair: DistributionPair) -> _GateInfo:
-    gate = strategy.level1_gate
-    assert gate is not None
-    # full-alphabet masses: a repeated cdf value is never selected by
-    # searchsorted, so dead symbols stay unsampled
-    q0, q1 = _pushforward(pair, strategy.gamma)
-    fused = fused_pair(pair, [strategy.gamma] * gate.arity, gate)
-    out_values = np.full(len(gate.output_alphabet), np.nan)
-    for i, s in enumerate(gate.output_alphabet):
-        if s in fused.alphabet:
-            j = fused.alphabet.index(s)
-            out_values[i] = math.log(fused.p1[j]) - math.log(fused.p0[j])
-    in_alphabet = strategy.gamma.output_alphabet
-    shape = (len(in_alphabet),) * gate.arity
-    lut = np.empty(shape, dtype=np.int64)
-    for idx in np.ndindex(shape):
-        symbols = [in_alphabet.symbols[i] for i in idx]
-        lut[idx] = gate.output_alphabet.index(gate(*symbols))
-    return _GateInfo(
-        cdf0=np.cumsum(q0),
-        cdf1=np.cumsum(q1),
-        lut=lut,
-        out_values=out_values,
-    )
 
 
 def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -254,8 +212,6 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     leaf_law = law_from_pair(induced_pair(pair, strategy.gamma))
     out_by_key: dict[tuple[int, int], MessageLaw] = {(0, 0): leaf_law}
     sum_by_key: dict[tuple[int, int], MessageLaw] = {}
-    bit_values: dict[tuple[int, int], tuple[float, float]] = {}
-    gate = _gate_info(strategy, pair) if strategy.level1_gate is not None else None
     gate_law = (
         law_from_pair(
             fused_pair(
@@ -296,17 +252,12 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
                 root_sum = total
             else:
                 t = strategy.threshold_at_level(level)
-                out, pair_vals = _bit_law(total, int(lcount[v]), t)
-                out_by_key[key] = out
-                bit_values[key] = pair_vals
+                out_by_key[key] = _bit_law(total, int(lcount[v]), t)
     assert root_sum is not None
     return _LawContext(
-        leaf_law=leaf_law,
         out_by_key=out_by_key,
         sum_by_key=sum_by_key,
-        bit_values=bit_values,
         root_sum=root_sum,
-        gate=gate,
     )
 
 
@@ -445,18 +396,6 @@ def fringe_message_laws(
     ]
 
 
-def _snap_to_atoms(sums: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    if atoms.size == 1:
-        near = np.full_like(sums, atoms[0])
-    else:
-        idx = np.clip(np.searchsorted(atoms, sums), 1, atoms.size - 1)
-        left = atoms[idx - 1]
-        right = atoms[idx]
-        near = np.where(np.abs(sums - left) <= np.abs(right - sums), left, right)
-    tol = _SNAP_RTOL * np.maximum(1.0, np.abs(sums))
-    return np.where(np.abs(sums - near) <= tol, near, sums)
-
-
 def _simulate_error_count(
     ctx: _LawContext, strategy: Strategy, hypothesis: int, trials: int, seed: int
 ) -> int:
@@ -464,73 +403,77 @@ def _simulate_error_count(
     h = tree.height
     shape = tree.shape_ids
     lcount = tree.subtree_leaf_count
-    widths = [len(tree.nodes_at_depth(d)) for d in range(h + 1)]
-    block = max(1, min(trials, _MC_BLOCK_FLOATS // max(widths)))
+    fringe = tree.nodes_at_depth(h - 1)
+    m = tree.n_children[fringe][:, None]
+    gated = strategy.level1_gate is not None
+    # a gated fringe node draws its output atom, any other its leaves' counts
+    draw_law = ctx.out_by_key[(1, int(shape[fringe[0]])) if gated else (0, 0)]
+    p = draw_law.p0 if hypothesis == 0 else draw_law.p1
+    p = p / p.sum()
+    # x / x is exactly 1, so no u < 1 searches past the last atom
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
 
-    # per-depth gather info, parent-sorted child rows
-    gather = []
-    for d in range(h):
-        child_nodes = tree.nodes_at_depth(d + 1)
-        order = np.argsort(tree.parents[child_nodes], kind="stable")
-        counts = tree.n_children[tree.nodes_at_depth(d)]
-        starts = np.zeros(counts.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        gather.append((order, starts))
+    # per depth: parent-sorted child rows, then for each shape its rows, the
+    # midpoints of its sum law's atoms and what each atom sends (at the
+    # root: whether deciding on it is an error)
+    stages = []
+    for d in range(h - 1, -1, -1):
+        nodes = tree.nodes_at_depth(d)
+        gather = None
+        if d < h - 1:
+            order = np.argsort(tree.parents[tree.nodes_at_depth(d + 1)], kind="stable")
+            starts = np.zeros(nodes.size, dtype=np.int64)
+            np.cumsum(tree.n_children[nodes][:-1], out=starts[1:])
+            gather = (order, starts)
+        groups = []
+        for sid in np.unique(shape[nodes]):
+            rows = np.flatnonzero(shape[nodes] == sid)
+            key = (h - d, int(sid))
+            if key not in ctx.sum_by_key:  # a gate level
+                continue
+            law = ctx.sum_by_key[key]
+            l_v = int(lcount[nodes[rows[0]]])
+            if d == 0:
+                low = _sends_low(law.values, l_v, strategy.root_threshold)
+                table = low == bool(hypothesis)
+            else:
+                low = _sends_low(law.values, l_v, strategy.threshold_at_level(h - d))
+                out = ctx.out_by_key[key].values
+                table = np.where(low, out[0], out[-1])
+            mids = (law.values[1:] + law.values[:-1]) / 2.0
+            # a level of one shape skips the row gather
+            groups.append((rows if rows.size < nodes.size else slice(None), mids, table))
+        stages.append((d, nodes.size, gather, groups))
 
-    leaf_cdf = (
-        np.cumsum(ctx.leaf_law.p0) if hypothesis == 0 else np.cumsum(ctx.leaf_law.p1)
-    )
+    # multinomial counts hold one column per leaf atom at each fringe node
+    cols = max(fringe.size * draw_law.n_atoms, *(w for _, w, _, _ in stages))
+    block = max(1, min(trials, _MC_BLOCK_FLOATS // cols))
     errors = 0
-    wrong_bit = 1 if hypothesis == 0 else 0
-    root_l = int(lcount[tree.root])
     n_blocks = (trials + block - 1) // block
     for b in range(n_blocks):
         nb = min(block, trials - b * block)
         rng = np.random.Generator(
             np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0])
         )
-        u = rng.random((widths[h], nb))
-        if ctx.gate is not None:
-            cdf = ctx.gate.cdf0 if hypothesis == 0 else ctx.gate.cdf1
-            state: np.ndarray = np.searchsorted(cdf, u, side="right")
-        else:
-            state = ctx.leaf_law.values[np.searchsorted(leaf_cdf, u, side="right")]
-        for d in range(h - 1, -1, -1):
-            order, starts = gather[d]
-            rows = state[order]
-            nodes = tree.nodes_at_depth(d)
-            level = h - d
-            if level == 1 and ctx.gate is not None:
-                arity = ctx.gate.lut.ndim
-                grouped = rows.reshape(len(nodes), arity, nb)
-                flat = np.zeros((len(nodes), nb), dtype=np.int64)
-                stride = 1
-                for a in range(arity - 1, -1, -1):
-                    flat += grouped[:, a, :] * stride
-                    stride *= ctx.gate.lut.shape[a]
-                out_idx = ctx.gate.lut.ravel()[flat]
-                state = ctx.gate.out_values[out_idx]
+        for d, width, gather, groups in stages:
+            if gather is not None:
+                order, starts = gather
+                sums = np.add.reduceat(state[order], starts, axis=0)
+            elif gated:
+                u = rng.random((width, nb))
+                state = draw_law.values[np.searchsorted(cdf, u, side="right")]
                 continue
-            sums = np.add.reduceat(rows, starts, axis=0)
-            if d == 0:
-                atoms = ctx.root_sum.values
-                snapped = _snap_to_atoms(sums[0], atoms)
-                decide_1 = ~_sends_low(snapped, root_l, strategy.root_threshold)
-                errors += int(np.count_nonzero(decide_1 == (wrong_bit == 1)))
-                state = sums
-                continue
-            t = strategy.threshold_at_level(level)
-            out = np.empty((len(nodes), nb))
-            uniq = np.unique(shape[nodes])
-            for sid in uniq:
-                mask = shape[nodes] == sid
-                key = (level, int(sid))
-                law = ctx.sum_by_key[key]
-                snapped = _snap_to_atoms(sums[mask], law.values)
-                l_v = int(lcount[nodes[mask][0]])
-                v_low, v_high = ctx.bit_values[key]
-                out[mask] = np.where(_sends_low(snapped, l_v, t), v_low, v_high)
-            state = out
+            elif draw_law.n_atoms == 2:
+                ones = rng.binomial(m, p[1], size=(width, nb))
+                sums = (m - ones) * draw_law.values[0] + ones * draw_law.values[1]
+            else:
+                counts = rng.multinomial(m, p, size=(width, nb))
+                sums = counts @ draw_law.values
+            state = np.empty((width, nb), dtype=float if d else bool)
+            for rows, mids, table in groups:
+                state[rows] = table[np.searchsorted(mids, sums[rows])]
+        errors += int(np.count_nonzero(state))
     return errors
 
 
@@ -540,10 +483,15 @@ def monte_carlo_error(
     """Simulates both hypotheses with deterministic counter-based streams.
 
     Identical (strategy, pair, trials, seed) always reproduce the same
-    estimate, regardless of call order or chunking internals.
+    estimate, regardless of call order or chunking internals.  ``seed`` must
+    lie in [0, 2**63).
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
+    # numpy casts a key list holding a seed outside this range through
+    # float64, so neighbouring seeds would share one stream
+    if not 0 <= seed < 2**63:
+        raise InvalidParams("seed must lie in [0, 2**63)")
     ctx = _context_for(strategy, pair)
     wrong0 = _simulate_error_count(ctx, strategy, 0, trials, seed)
     wrong1 = _simulate_error_count(ctx, strategy, 1, trials, seed)

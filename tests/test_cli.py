@@ -497,6 +497,14 @@ class TestFixedInputErrors:
             spaced = (tmp_path / "spaced" / name).read_text()
             assert spaced == (tmp_path / "joined" / name).read_text()
 
+    def test_seed_outside_the_key_range(self, tmp_path, capsys):
+        code = run(
+            *SIMULATE, "--family", "two_relay", "--size", "3", "--method", "mc",
+            "--seed", str(2**64), "--out", tmp_path,
+        )
+        assert code == 1
+        assert _error_line(capsys) == "error: seed must lie in [0, 2**63)"
+
     def test_malformed_bernoulli_parameter(self, tmp_path, capsys):
         assert run("exponent", "--pair", "bernoulli:abc", "--out", tmp_path) == 1
         assert _error_line(capsys).startswith("error: ")

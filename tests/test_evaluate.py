@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from treedet import (
+    Alphabet,
+    DistributionPair,
     InvalidParams,
     MessageLaw,
     StateSpaceTooLarge,
@@ -20,6 +22,7 @@ from treedet import (
     empirical_exponent,
     exact_error_probs,
     fringe_message_laws,
+    identity_map,
     law_from_pair,
     monte_carlo_error,
     np_calibrate_root,
@@ -31,6 +34,10 @@ from treedet import (
 from treedet import evaluate as ev
 
 LOG3 = math.log(3.0)
+# leaf log-likelihood ratios -a, 0 and a
+TERNARY = DistributionPair(
+    Alphabet(("a", "b", "c")), np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+)
 
 
 class TestMessageLaw:
@@ -281,12 +288,31 @@ class TestMonteCarlo:
         c = monte_carlo_error(cal, pair75, trials=5000, seed=10)
         assert (a.type_i, a.type_ii) != (c.type_i, c.type_ii)
 
-    def test_matches_exact(self, pair75, ident):
-        tree = TreeFamily("two_relay").generate(6)
-        s = build_relay_strategy(tree, ident, (0.0, 0.0))
-        cal = np_calibrate_root(s, pair75, 0.25)
-        exact = exact_error_probs(cal, pair75)
-        mc = monte_carlo_error(cal, pair75, trials=40000, seed=3)
+    @pytest.mark.parametrize(
+        "ternary, kind, params, size, thresholds",
+        [
+            (False, "two_relay", {}, 6, (0.0, 0.0)),
+            # commensurate leaf atoms, so sums merge onto shared atoms
+            (True, "wide_uniform", {"m": 3}, 6, (0.0, 0.0)),
+            (True, "increasing_leaves", {}, 8, (0.0, 0.0)),
+            # height 1: the root reads the fringe counts directly
+            (False, "parallel", {}, 12, (0.0,)),
+            # even leaf counts put relay sums exactly on the threshold
+            (False, "two_relay", {}, 4, (0.0, 0.0)),
+            # every relay sends high, so the laws above the leaves have one atom
+            (False, "wide_uniform", {"m": 3}, 5, (-5.0, 0.0)),
+        ],
+        ids=["two_relay", "ternary_wide", "ternary_increasing", "star", "relay_ties", "one_atom"],
+    )
+    def test_matches_exact(self, pair75, ternary, kind, params, size, thresholds):
+        pair = TERNARY if ternary else pair75
+        tree = TreeFamily(kind, params).generate(size)
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), thresholds)
+        cal = np_calibrate_root(s, pair, 0.25)
+        exact = exact_error_probs(cal, pair)
+        # the calibrated root threshold is an atom, so this pins ties going low
+        assert exact.type_i <= 0.25
+        mc = monte_carlo_error(cal, pair, trials=40000, seed=3)
         for p, q in ((exact.type_i, mc.type_i), (exact.type_ii, mc.type_ii)):
             se = math.sqrt(p * (1.0 - p) / 40000)
             assert abs(p - q) <= 4.0 * se
@@ -306,6 +332,10 @@ class TestMonteCarlo:
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
         with pytest.raises(InvalidParams):
             monte_carlo_error(s, pair75, trials=0, seed=0)
+        # 2**63 and 2**63 + 1 would share a stream; 2**64 overflows the key
+        for seed in (2**63, 2**64, -1):
+            with pytest.raises(InvalidParams, match=r"seed must lie in \[0, 2\*\*63\)"):
+                monte_carlo_error(s, pair75, trials=10, seed=seed)
 
 
 class TestEmpiricalExponent:
