@@ -3,8 +3,7 @@
 Every command writes its reports into an output directory (CSV for curves,
 JSON for summaries) and prints a short account to stdout.  Reruns with the
 same inputs and seed produce byte-identical files except for the CSV
-timestamp header, which --no-timestamp suppresses.  TREEDET_THREADS bounds
-how many grid points are evaluated concurrently.
+timestamp header, which --no-timestamp suppresses.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -162,16 +160,6 @@ def _parse_list(text: str, label: str, cast: Callable[[str], T]) -> tuple[T, ...
     if not values:
         raise InputError(f"{label} must list at least one value")
     return values
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TREEDET_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"TREEDET_THREADS={raw!r} is not an integer") from None
 
 
 # -- report emission ---------------------------------------------------------
@@ -445,9 +433,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _emit_fit(
     out: Path, name: str, stamp: bool, target: float | None, tolerance: float, *args, **kwargs
 ) -> dict:
-    """Runs ``empirical_exponent(*args, **kwargs)`` on TREEDET_THREADS threads
-    and writes the fit to ``name``.csv and ``name``.json."""
-    fit = empirical_exponent(*args, max_workers=_thread_count(), **kwargs)
+    """Runs ``empirical_exponent(*args, **kwargs)`` and writes the fit to
+    ``name``.csv and ``name``.json."""
+    fit = empirical_exponent(*args, **kwargs)
     rows = [
         (
             fit.sizes[i],

@@ -21,7 +21,6 @@ exact atom and ties fall as in the exact tail split, with no tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -200,65 +199,49 @@ def _bit_law(sum_law: MessageLaw, leaf_count: int, threshold: float) -> MessageL
 
 @dataclass(frozen=True, eq=False)
 class _LawContext:
-    out_by_key: dict
-    sum_by_key: dict
-    root_sum: MessageLaw
+    """Exact laws and counts indexed by shape id.
+
+    ``sums`` is None for the leaf and for gated fringes, ``out`` for the root.
+    """
+
+    out: list
+    sums: list
+    leaf_count: list
+    level: list
+
+    @property
+    def root_sum(self) -> MessageLaw:
+        return self.sums[-1]
 
 
 def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
-    tree = strategy.tree
-    h = tree.height
-    shape = tree.shape_ids
-    leaf_law = law_from_pair(induced_pair(pair, strategy.gamma))
-    out_by_key: dict[tuple[int, int], MessageLaw] = {(0, 0): leaf_law}
-    sum_by_key: dict[tuple[int, int], MessageLaw] = {}
+    table = strategy.tree.shape_children
+    gate = strategy.level1_gate
     gate_law = (
-        law_from_pair(
-            fused_pair(
-                pair,
-                [strategy.gamma] * strategy.level1_gate.arity,
-                strategy.level1_gate,
-            )
-        )
-        if strategy.level1_gate is not None
+        law_from_pair(fused_pair(pair, [strategy.gamma] * gate.arity, gate))
+        if gate is not None
         else None
     )
-    lcount = tree.subtree_leaf_count
-    root_sum: MessageLaw | None = None
-    for d in range(h - 1, -1, -1):
-        level = h - d
-        nodes = tree.nodes_at_depth(d)
-        uniq, first = np.unique(shape[nodes], return_index=True)
-        for sid, rep_idx in zip(uniq, first):
-            key = (level, int(sid))
-            if key in out_by_key or (d == 0 and root_sum is not None):
-                continue
-            v = int(nodes[rep_idx])
-            if level == 1 and gate_law is not None:
-                out_by_key[key] = gate_law
-                continue
-            kids = tree.children(v)
-            kid_level = level - 1
-            kid_shapes, counts = np.unique(shape[kids], return_counts=True)
-            parts = [
-                _conv_power(out_by_key[(kid_level, int(s))], int(c))
-                for s, c in zip(kid_shapes, counts)
-            ]
-            total = parts[0]
-            for part in parts[1:]:
-                total = _conv(total, part)
-            sum_by_key[key] = total
-            if d == 0:
-                root_sum = total
-            else:
-                t = strategy.threshold_at_level(level)
-                out_by_key[key] = _bit_law(total, int(lcount[v]), t)
-    assert root_sum is not None
-    return _LawContext(
-        out_by_key=out_by_key,
-        sum_by_key=sum_by_key,
-        root_sum=root_sum,
-    )
+    out: list = [law_from_pair(induced_pair(pair, strategy.gamma))]
+    sums: list = [None]
+    leaf_count, level = [1], [0]
+    # ascending id order is bottom-up, and the root is the last id
+    for sid in range(1, len(table)):
+        kids, counts = (a.tolist() for a in np.unique(table[sid], return_counts=True))
+        level.append(level[kids[0]] + 1)
+        leaf_count.append(sum(c * leaf_count[k] for k, c in zip(kids, counts)))
+        if level[sid] == 1 and gate_law is not None:
+            sums.append(None)
+            out.append(gate_law)
+            continue
+        parts = [_conv_power(out[k], c) for k, c in zip(kids, counts)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = _conv(total, part)
+        sums.append(total)
+        t = strategy.threshold_at_level(level[sid])
+        out.append(_bit_law(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
+    return _LawContext(out=out, sums=sums, leaf_count=leaf_count, level=level)
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -358,27 +341,21 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     """
     ctx = _context_for(strategy, pair)
     tree = strategy.tree
+    # one (miss, fa) pair per shape, expanded per node; a gate level has no
+    # sum law, and the tails of a gate are not threshold tails
+    tails = np.empty((len(ctx.sums), 2))
+    kept = np.array([law is not None for law in ctx.sums])
+    for sid in np.flatnonzero(kept).tolist():
+        l_v = ctx.leaf_count[sid]
+        t = strategy.threshold_at_level(ctx.level[sid])
+        _, low1, high0, _ = _split_log_mass(ctx.sums[sid], l_v, t)
+        tails[sid] = low1 / l_v, high0 / l_v
     nodes = np.flatnonzero(~tree.is_leaf)
-    levels = tree.level[nodes]
-    shapes = tree.shape_ids[nodes]
-    lcount = tree.subtree_leaf_count[nodes]
-    # one (miss, fa) pair per distinct (level, shape), expanded per node
-    key = levels * (int(shapes.max()) + 1) + shapes
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    tails = np.empty((first.size, 2))
-    kept = np.ones(first.size, dtype=bool)
-    for j, i in enumerate(first.tolist()):
-        level, l_v = int(levels[i]), int(lcount[i])
-        law = ctx.sum_by_key.get((level, int(shapes[i])))
-        # no sum law at a gate level: tails of a gate are not threshold tails
-        kept[j] = law is not None
-        if kept[j]:
-            t = strategy.threshold_at_level(level)
-            _, low1, high0, _ = _split_log_mass(law, l_v, t)
-            tails[j] = low1 / l_v, high0 / l_v
-    rows = kept[inverse]
-    pcount = tree.subtree_node_count[nodes[rows]]
-    cols = (nodes[rows], levels[rows], lcount[rows], pcount, *tails[inverse[rows]].T)
+    nodes = nodes[kept[tree.shape_ids[nodes]]]
+    sids = tree.shape_ids[nodes]
+    level, lcount = np.asarray(ctx.level), np.asarray(ctx.leaf_count)
+    pcount = tree.subtree_node_count[nodes]
+    cols = (nodes, level[sids], lcount[sids], pcount, *tails[sids].T)
     return tuple(map(TailRow, *(c.tolist() for c in cols)))
 
 
@@ -386,14 +363,12 @@ def fringe_message_laws(
     strategy: Strategy, pair: DistributionPair
 ) -> list[tuple[MessageLaw, int]]:
     """Distinct outgoing-message laws of fringe nodes with multiplicities."""
-    ctx = _context_for(strategy, pair)
     tree = strategy.tree
-    fringe = tree.fringe
-    shapes, counts = np.unique(tree.shape_ids[fringe], return_counts=True)
-    level = int(tree.level[fringe[0]]) if len(fringe) else 1
-    return [
-        (ctx.out_by_key[(level, int(s))], int(c)) for s, c in zip(shapes, counts)
-    ]
+    if tree.height < 2:
+        raise InvalidParams("the fringe of a height-1 tree is the root, which sends no message")
+    ctx = _context_for(strategy, pair)
+    shapes, counts = np.unique(tree.shape_ids[tree.fringe], return_counts=True)
+    return [(ctx.out[s], c) for s, c in zip(shapes.tolist(), counts.tolist())]
 
 
 def _simulate_error_count(
@@ -402,12 +377,11 @@ def _simulate_error_count(
     tree = strategy.tree
     h = tree.height
     shape = tree.shape_ids
-    lcount = tree.subtree_leaf_count
     fringe = tree.nodes_at_depth(h - 1)
     m = tree.n_children[fringe][:, None]
     gated = strategy.level1_gate is not None
     # a gated fringe node draws its output atom, any other its leaves' counts
-    draw_law = ctx.out_by_key[(1, int(shape[fringe[0]])) if gated else (0, 0)]
+    draw_law = ctx.out[shape[fringe[0]] if gated else 0]
     p = draw_law.p0 if hypothesis == 0 else draw_law.p1
     p = p / p.sum()
     # x / x is exactly 1, so no u < 1 searches past the last atom
@@ -427,19 +401,18 @@ def _simulate_error_count(
             np.cumsum(tree.n_children[nodes][:-1], out=starts[1:])
             gather = (order, starts)
         groups = []
-        for sid in np.unique(shape[nodes]):
-            rows = np.flatnonzero(shape[nodes] == sid)
-            key = (h - d, int(sid))
-            if key not in ctx.sum_by_key:  # a gate level
+        for sid in np.unique(shape[nodes]).tolist():
+            law = ctx.sums[sid]
+            if law is None:  # a gate level
                 continue
-            law = ctx.sum_by_key[key]
-            l_v = int(lcount[nodes[rows[0]]])
+            rows = np.flatnonzero(shape[nodes] == sid)
+            l_v = ctx.leaf_count[sid]
             if d == 0:
                 low = _sends_low(law.values, l_v, strategy.root_threshold)
                 table = low == bool(hypothesis)
             else:
                 low = _sends_low(law.values, l_v, strategy.threshold_at_level(h - d))
-                out = ctx.out_by_key[key].values
+                out = ctx.out[sid].values
                 table = np.where(low, out[0], out[-1])
             mids = (law.values[1:] + law.values[:-1]) / 2.0
             # a level of one shape skips the row gather
@@ -534,37 +507,27 @@ def empirical_exponent(
     *,
     alpha: float = 0.25,
     regress_on: str = "leaves",
-    max_workers: int = 1,
 ) -> ExponentFit:
     """Calibrates at each size, evaluates exactly, and fits log miss
     probability against leaf count (or node count).
 
     The factory receives each generated tree and returns the strategy to
     calibrate; its tree may be a uniformized copy, which preserves the leaf
-    count.  Grid points are independent; ``max_workers`` bounds how many run
-    concurrently, with results always collected in grid order.
+    count.
     """
     if regress_on not in ("leaves", "nodes"):
         raise InvalidParams("regress_on must be 'leaves' or 'nodes'")
 
-    def one(size: int) -> tuple[int, int, float, float]:
-        tree = family.generate(int(size))
-        strat = strategy_factory(tree)
+    node_counts, leaf_counts, t1s, logb = [], [], [], []
+    for size in sizes:
+        strat = strategy_factory(family.generate(int(size)))
         calibrated = np_calibrate_root(strat, pair, alpha)
         est = exact_error_probs(calibrated, pair)
         stree = calibrated.tree
-        lf = int(stree.subtree_leaf_count[stree.root])
-        return stree.n, lf, est.type_i, est.log_type_ii
-
-    if max_workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, sizes))
-    else:
-        results = [one(s) for s in sizes]
-    node_counts = [r[0] for r in results]
-    leaf_counts = [r[1] for r in results]
-    t1s = [r[2] for r in results]
-    logb = [r[3] for r in results]
+        node_counts.append(stree.n)
+        leaf_counts.append(int(stree.subtree_leaf_count[stree.root]))
+        t1s.append(est.type_i)
+        logb.append(est.log_type_ii)
     xs = [
         float(l if regress_on == "leaves" else n)
         for n, l in zip(node_counts, leaf_counts)

@@ -228,24 +228,14 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
         raise InvalidParams("n_floor must be >= 1")
     lcount = tree.subtree_leaf_count
     pcount = tree.subtree_node_count
-    levels = tree.level
-    rows: list[BoundRow] = []
-    for v in np.flatnonzero(~tree.is_leaf):
-        k = int(levels[v])
-        ratio = pcount[v] / lcount[v]
-        for kind, rate in (("type1", table.level1(k)), ("type0", table.level0(k))):
-            value = -rate + ratio - 1.0
-            rows.append(
-                BoundRow(
-                    node=int(v),
-                    level=k,
-                    leaf_count=int(lcount[v]),
-                    pred_count=int(pcount[v]),
-                    kind=kind,
-                    value=value,
-                    informative=value < 0.0,
-                )
-            )
+    nodes = np.flatnonzero(~tree.is_leaf)
+    levels = tree.level[nodes]
+    # two rows per node, type1 then type0
+    rates = np.column_stack((table.rate1, table.rate0))[levels - 1]
+    values = (-rates + (pcount[nodes] / lcount[nodes])[:, None] - 1.0).ravel()
+    cols = [np.repeat(c, 2).tolist() for c in (nodes, levels, lcount[nodes], pcount[nodes])]
+    kinds = ["type1", "type0"] * nodes.size
+    rows = list(map(BoundRow, *cols, kinds, values.tolist(), (values < 0.0).tolist()))
     fringe_min = int(lcount[tree.fringe].min()) if len(tree.fringe) else 0
     if fringe_min >= n_floor:
         h = tree.height

@@ -23,6 +23,17 @@ from .errors import (
 )
 
 
+def _is_integer_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _integer(value: object, what: str) -> int:
+    """``value`` as an int; floats, strings and bools are refused, not cast."""
+    if not _is_integer_type(type(value)):
+        raise InvalidParams(f"{what} is {value!r}, not an integer")
+    return int(value)
+
+
 class Tree:
     """Rooted directed in-tree over dense integer node ids.
 
@@ -31,7 +42,14 @@ class Tree:
 
     def __init__(self, parents: Sequence[int | None] | np.ndarray, root: int | None = None):
         if not (isinstance(parents, np.ndarray) and parents.dtype.kind in "iu"):
-            parents = [-1 if p is None else int(p) for p in parents]
+            if not isinstance(parents, (Sequence, np.ndarray)):
+                raise InputError("parents must be a non-empty 1-d sequence")
+            parents = [-1 if p is None else p for p in parents]
+            # one check per entry type, not per entry
+            for kind in set(map(type, parents)):
+                if not _is_integer_type(kind):
+                    i = next(i for i, p in enumerate(parents) if type(p) is kind)
+                    raise InputError(f"parent entry {i} is {parents[i]!r}, not an integer")
         arr = np.array(parents, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("parents must be a non-empty 1-d sequence")
@@ -40,7 +58,7 @@ class Tree:
             raise InputError(f"expected exactly one parentless node, found {roots.size}")
         self._parents = arr
         self._root = int(roots[0])
-        if root is not None and int(root) != self._root:
+        if root is not None and _integer(root, "declared root") != self._root:
             raise InputError(
                 f"declared root {root} but the parentless node is {self._root}"
             )
@@ -180,13 +198,25 @@ class Tree:
         """True when every leaf sits at depth equal to the height."""
         return bool(np.all(self.depth[self.leaves] == self.height))
 
-    @cached_property
+    @property
     def shape_ids(self) -> np.ndarray:
         """Interned structural fingerprints: equal ids iff isomorphic subtrees.
 
         AHU labelling depth by depth, keys grouped by degree; each distinct
         key is interned at its first node in id order, as a per-node scan would.
+        Ids are dense from 0 (a leaf), and every shape's id exceeds its
+        children's, so ascending id order is bottom-up and the root's is last.
         """
+        return self._shapes[0]
+
+    @property
+    def shape_children(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted child shape ids of each shape, indexed by shape id; entry 0
+        is the leaf's ``()``."""
+        return self._shapes[1]
+
+    @cached_property
+    def _shapes(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
         shape = np.zeros(self.n, dtype=np.int64)
         offsets, flat = self._children_csr
         interned: dict[tuple[int, ...], int] = {}
@@ -212,7 +242,8 @@ class Tree:
                 sids[j] = interned.setdefault(tuple(keys[j]), len(interned) + 1)
             shape[nodes] = sids[labels]
         shape.setflags(write=False)
-        return shape
+        # a dict keeps insertion order, which is id order
+        return shape, ((),) + tuple(interned)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -228,9 +259,11 @@ class Tree:
         try:
             doc = json.loads(text)
             parents = doc["parents"]
-            n = int(doc["n"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            n = _integer(doc["n"], "declared n")
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InputError(f"malformed tree document: {exc}") from None
+        if not isinstance(parents, list):
+            raise InputError("malformed tree document: 'parents' must be a list")
         if len(parents) != n:
             raise InputError(f"declared n={n} but {len(parents)} parent entries")
         return cls(parents, root=doc.get("root"))
@@ -452,7 +485,7 @@ def _gen_parallel(params: Mapping[str, object], size: int) -> Tree:
 
 
 def _gen_chain_plus_leaves(params: Mapping[str, object], size: int) -> Tree:
-    h = int(params["h"])
+    h = _integer(params["h"], "parameter 'h'")
     if h < 1:
         raise InvalidParams("height must be >= 1")
     if size < h + 2:
@@ -477,9 +510,9 @@ def _gen_wide_uniform(params: Mapping[str, object], size: int) -> Tree:
     if has_m == has_r:
         raise InvalidParams("fix exactly one of 'm' (leaves per relay) or 'n_relays'")
     if has_m:
-        m, relays = int(params["m"]), size
+        m, relays = _integer(params["m"], "parameter 'm'"), size
     else:
-        m, relays = size, int(params["n_relays"])
+        m, relays = size, _integer(params["n_relays"], "parameter 'n_relays'")
     if m < 1 or relays < 1:
         raise InvalidParams("leaves per relay and relay count must be >= 1")
     leaf_parents = np.repeat(np.arange(1, relays + 1), m)

@@ -76,6 +76,8 @@ class TestRatesCommand:
         assert header == [
             "node_id", "level", "leaf_count", "pred_count", "bound_type", "bound_value",
         ]
+        for r in rows:
+            float(r[5])
         root_rows = [r for r in rows if r[4] == "root_type1"]
         assert len(root_rows) == 1
         assert float(root_rows[0][5]) == pytest.approx(-0.05192051811294513, rel=1e-8)
@@ -207,28 +209,6 @@ class TestFitCommand:
         )
         assert code == 1
         assert read_json(tmp_path / "fit.json")["verdict"] is False
-
-    def test_thread_env_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TREEDET_THREADS", "many")
-        code = run(
-            "fit", "--pair", "bern75", "--family", "parallel",
-            "--sizes", "51,101", "--epsilon", "0.1", "--out", tmp_path,
-        )
-        assert code == 1
-
-    def test_threads_preserve_output(self, tmp_path, monkeypatch):
-        outs = {}
-        for label, threads in (("one", "1"), ("two", "2")):
-            monkeypatch.setenv("TREEDET_THREADS", threads)
-            out = tmp_path / label
-            code = run(
-                "fit", "--pair", "bern75", "--family", "two_relay",
-                "--sizes", "50,100", "--epsilon", "0.2",
-                "--out", out, "--no-timestamp",
-            )
-            assert code == 0
-            outs[label] = (out / "fit.csv").read_bytes()
-        assert outs["one"] == outs["two"]
 
 
 class TestReproduceCommand:
@@ -410,6 +390,28 @@ class TestLoaderErrors:
             (
                 RATES[:5] + ("--thresholds", "0,x"),
                 "error: --thresholds: could not convert string to float: 'x'",
+            ),
+            (
+                ("analyze", "--family", "wide_uniform", "--size", "3", "--params", '{"m": "x"}'),
+                "error: parameter 'm' is 'x', not an integer",
+            ),
+            (
+                ("analyze", "--family", "wide_uniform", "--size", "3", "--params", '{"m": null}'),
+                "error: parameter 'm' is None, not an integer",
+            ),
+            (
+                ("analyze", "--family", "wide_uniform", "--size", "3", "--params", '{"m": 2.7}'),
+                "error: parameter 'm' is 2.7, not an integer",
+            ),
+            (
+                ("analyze", "--family", "wide_uniform", "--size", "3",
+                 "--params", '{"n_relays": true}'),
+                "error: parameter 'n_relays' is True, not an integer",
+            ),
+            (
+                ("analyze", "--family", "chain_plus_leaves", "--size", "6",
+                 "--params", '{"h": "3"}'),
+                "error: parameter 'h' is '3', not an integer",
             ),
         ],
     )

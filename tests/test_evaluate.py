@@ -217,7 +217,7 @@ def tail_rows_by_node(strategy, pair):
     rows = []
     for v in np.flatnonzero(~tree.is_leaf):
         level = int(tree.level[v])
-        law = ctx.sum_by_key.get((level, int(tree.shape_ids[v])))
+        law = ctx.sums[int(tree.shape_ids[v])]
         if law is None:
             continue
         l_v = int(tree.subtree_leaf_count[v])
@@ -274,6 +274,9 @@ class TestTailReport:
         assert law.n_atoms == 2
         assert law.p0[1] == pytest.approx(5.0 / 32.0, rel=1e-12)
         assert law.p1[0] == pytest.approx(5.0 / 32.0, rel=1e-12)
+        star = build_relay_strategy(TreeFamily("parallel").generate(4), ident, (0.0,))
+        with pytest.raises(InvalidParams):
+            fringe_message_laws(star, pair75)
 
 
 class TestMonteCarlo:
@@ -359,18 +362,6 @@ class TestEmpiricalExponent:
             assert per_leaf == pytest.approx(logb / lf, rel=1e-12)
         assert fit.slope < 0.0
         assert all(t <= fit.alpha + 1e-12 for t in fit.type_i)
-
-    def test_workers_do_not_change_results(self, pair75, leaf_family):
-        kwargs = dict(
-            family=TreeFamily("two_relay"),
-            pair=pair75,
-            sizes=(50, 100, 150),
-            strategy_factory=self._factory(pair75, leaf_family),
-        )
-        seq = empirical_exponent(**kwargs, max_workers=1)
-        par = empirical_exponent(**kwargs, max_workers=3)
-        assert seq.log_type_ii == par.log_type_ii
-        assert seq.slope == par.slope
 
     def test_regressor_validation(self, pair75, leaf_family):
         with pytest.raises(InvalidParams):

@@ -16,7 +16,9 @@ from treedet import (
     log_mgf,
     rate_table,
     recipe_threshold,
+    uniformize,
 )
+from treedet.rates import BoundRow
 
 D75 = 0.5493061443340549
 RATE_AT_ZERO = 0.14384103622589028
@@ -136,6 +138,23 @@ class TestChernoffBounds:
         table = rate_table(pair75, ident, (0.0, 0.0))
         report = chernoff_bound_report(tree, table, n_floor=101)
         assert report.root_rows() == ()
+
+    def test_rows_match_node_by_node_loop(self, pair75, ident, make_rugged_tree):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            tree = uniformize(make_rugged_tree(rng, int(rng.integers(1, 5)))).tree
+            table = rate_table(pair75, ident, (-0.2,) * tree.height)
+            rows = []
+            for v in np.flatnonzero(~tree.is_leaf):
+                k = int(tree.level[v])
+                ratio = tree.subtree_node_count[v] / tree.subtree_leaf_count[v]
+                for kind, rate in (("type1", table.level1(k)), ("type0", table.level0(k))):
+                    value = float(-rate + ratio - 1.0)
+                    lv, pv = int(tree.subtree_leaf_count[v]), int(tree.subtree_node_count[v])
+                    rows.append(BoundRow(int(v), k, lv, pv, kind, value, value < 0.0))
+            report = chernoff_bound_report(tree, table, n_floor=10**9)
+            assert report.rows == tuple(rows)
+            assert all(type(r.value) is float and type(r.informative) is bool for r in report.rows)
 
     def test_rejects_non_uniform(self, pair75, ident):
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)

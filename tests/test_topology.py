@@ -170,13 +170,24 @@ class TestTreeStructure:
         assert np.array_equal(u.parents, t.parents)
 
     def test_from_json_rejects_bad_docs(self):
-        with pytest.raises(InputError):
-            Tree.from_json('{"n": 3, "parents": [null, 0]}')
+        for doc in (
+            '{"n": 3, "parents": [null, 0]}',
+            '{"n": 2, "parents": [null, "a"]}',
+            '{"n": 2, "parents": 5}',
+            '{"n": 3, "parents": [null, 0.5, 0.9]}',
+            '{"n": 2, "parents": [null, true]}',
+            '{"n": "2", "parents": [null, 0]}',
+            '{"n": 2, "parents": [null, 0], "root": 0.5}',
+            '{"n": 2, "parents": [null, 0], "root": "0"}',
+        ):
+            with pytest.raises(InputError):
+                Tree.from_json(doc)
 
 
 def shape_ids_by_node(tree):
     """Reference AHU interning: one node at a time, depth by depth from the
-    bottom, in node-id order within a depth."""
+    bottom, in node-id order within a depth.  Returns the ids and the
+    interned child keys in id order, led by the leaf's ()."""
     shape = np.zeros(tree.n, dtype=np.int64)
     interned = {}
     for d in range(tree.height - 1, -1, -1):
@@ -186,7 +197,13 @@ def shape_ids_by_node(tree):
                 continue
             key = tuple(sorted(shape[kids].tolist()))
             shape[v] = interned.setdefault(key, len(interned) + 1)
-    return shape
+    return shape, ((),) + tuple(interned)
+
+
+def assert_shapes_match_reference(tree):
+    shape, table = shape_ids_by_node(tree)
+    assert np.array_equal(tree.shape_ids, shape)
+    assert tree.shape_children == table
 
 
 # parents[i] < i, so every list drawn here is a valid tree
@@ -200,17 +217,17 @@ class TestShapeIds:
         rng = np.random.default_rng(5)
         for _ in range(40):
             t = make_rugged_tree(rng, int(rng.integers(1, 6)))
-            assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+            assert_shapes_match_reference(t)
 
     @pytest.mark.parametrize("n", range(1, 22))
     def test_increasing_leaves(self, n):
         t = TreeFamily("increasing_leaves").generate(n)
-        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+        assert_shapes_match_reference(t)
 
     @pytest.mark.parametrize("m, relays", [(1, 1), (1, 7), (3, 5), (20, 300)])
     def test_wide_uniform(self, m, relays):
         t = TreeFamily("wide_uniform", {"m": m}).generate(relays)
-        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+        assert_shapes_match_reference(t)
 
     def test_root_with_mixed_degree_children(self):
         # root children 1..6 of degrees 3, 1, 0, 2, 1, 3; children 2 and 5
@@ -220,14 +237,14 @@ class TestShapeIds:
             + [1, 1, 1, 2, 4, 4, 5, 6, 6, 6]
             + [7, 7, 10, 13]
         )
-        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+        assert_shapes_match_reference(t)
         assert t.shape_ids[2] == t.shape_ids[5]
         assert t.shape_ids[1] != t.shape_ids[6]
 
     @settings(max_examples=200, deadline=None)
     @given(recursive_trees)
     def test_random_recursive_trees(self, t):
-        assert np.array_equal(t.shape_ids, shape_ids_by_node(t))
+        assert_shapes_match_reference(t)
 
 
 class TestGenerators:
