@@ -9,6 +9,7 @@ threshold, so it is not a table here; the evaluator applies it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import (
     DegenerateFamily,
     EnumerationTooLarge,
-    EquivalenceViolation,
     InputError,
     InvalidParams,
 )
@@ -32,6 +32,7 @@ from .hypotheses import (
     Symbol,
     kl_divergence,
 )
+from .topology import _integer
 
 ENUMERATION_CAP = 10**6
 
@@ -95,19 +96,22 @@ class TransmissionFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "TransmissionFunction":
-        doc = json.loads(text)
         try:
+            doc = json.loads(text)
             inputs = tuple(Alphabet(tuple(a)) for a in doc["inputs"])
             output = Alphabet(tuple(doc["output"]))
-            arity = int(doc["arity"])
+            arity = _integer(doc["arity"], "field 'arity'")
+            entries = doc["map"].items()
         except KeyError as exc:
             raise InputError(f"transmission function missing field {exc}") from None
+        except (json.JSONDecodeError, TypeError, AttributeError) as exc:
+            raise InputError(f"malformed transmission function: {exc}") from None
         lookup: dict[str, Symbol] = {}
         for alph in inputs:
             for s in alph:
                 lookup[str(s)] = s
         table = {}
-        for key, out in doc["map"].items():
+        for key, out in entries:
             parts = key.split("|")
             table[tuple(lookup.get(p, p) for p in parts)] = out
         return cls(arity, inputs, output, table, doc.get("name", ""))
@@ -167,42 +171,38 @@ def all_binary_leaf_family(alphabet: Alphabet) -> QuantizerFamily:
     return QuantizerFamily(leaf=enumerate_quantizers(alphabet, BINARY))
 
 
-def _pushforward(pair: DistributionPair, tf: TransmissionFunction) -> tuple[np.ndarray, np.ndarray]:
+def _push(index: Sequence[int], masses: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Both hypotheses' masses summed onto output indices in input order,
+    as a (2, k) array; outputs that receive nothing keep mass 0."""
+    q = np.stack([np.bincount(index, weights=w, minlength=k) for w in masses])
+    # summed masses may overshoot 1 by an ulp, which the pair constructor rejects
+    return np.minimum(q, 1.0)
+
+
+def _pushforward(pair: DistributionPair, tf: TransmissionFunction) -> np.ndarray:
     """Output masses over the full output alphabet (dead symbols kept)."""
     if tf.arity != 0:
         raise InvalidParams("push-forward of an observation needs an arity-0 map")
     if tf.input_alphabets[0].symbols != pair.alphabet.symbols:
         raise InputError("map input alphabet does not match the pair alphabet")
-    k = len(tf.output_alphabet)
-    q0 = np.zeros(k)
-    q1 = np.zeros(k)
-    for i, s in enumerate(pair.alphabet):
-        j = tf.output_alphabet.index(tf(s))
-        q0[j] += pair.p0[i]
-        q1[j] += pair.p1[i]
-    # summed masses may overshoot 1 by an ulp, which the pair constructor rejects
-    return np.minimum(q0, 1.0), np.minimum(q1, 1.0)
+    index = [tf.output_alphabet.index(tf(s)) for s in pair.alphabet]
+    return _push(index, (pair.p0, pair.p1), len(tf.output_alphabet))
+
+
+def _live_pair(output: Alphabet, q: np.ndarray) -> DistributionPair:
+    """The pair over the output symbols live under either hypothesis; the
+    pair constructor rejects a symbol dead under exactly one."""
+    keep = np.any(q > 0.0, axis=0)
+    symbols = tuple(itertools.compress(output, keep))
+    return DistributionPair(Alphabet(symbols), q[0, keep], q[1, keep])
 
 
 def induced_pair(pair: DistributionPair, tf: TransmissionFunction) -> DistributionPair:
     """Distribution pair of the transmitted message for an arity-0 map.
 
-    Output symbols dead under both hypotheses are dropped.  A one-sided zero
-    cannot arise from an equivalent input pair, but the check is kept because
-    the error is unrecoverable downstream.
+    Output symbols dead under both hypotheses are dropped.
     """
-    q0, q1 = _pushforward(pair, tf)
-    dead = (q0 == 0.0) & (q1 == 0.0)
-    if np.any((q0 == 0.0) != (q1 == 0.0)):
-        bad = [
-            s
-            for s, z0, z1 in zip(tf.output_alphabet, q0 == 0.0, q1 == 0.0)
-            if z0 != z1
-        ]
-        raise EquivalenceViolation(f"push-forward kills {bad!r} under one hypothesis only")
-    keep = ~dead
-    symbols = tuple(s for s, k_ in zip(tf.output_alphabet, keep) if k_)
-    return DistributionPair(Alphabet(symbols), q0[keep], q1[keep])
+    return _live_pair(tf.output_alphabet, _pushforward(pair, tf))
 
 
 def fused_pair(
@@ -215,31 +215,14 @@ def fused_pair(
     if gate.arity != k:
         raise InvalidParams(f"gate arity {gate.arity} != {k} quantized inputs")
     margins = [_pushforward(pair, g) for g in leaf_maps]
-    out_n = len(gate.output_alphabet)
-    q0 = np.zeros(out_n)
-    q1 = np.zeros(out_n)
-    supports = [
-        [s for s in g.output_alphabet] for g in leaf_maps
+    # joint masses of the quantized tuples, in itertools.product order
+    joint = [
+        functools.reduce(np.multiply.outer, [q[hyp] for q in margins]).ravel()
+        for hyp in (0, 1)
     ]
-    for combo in itertools.product(*[range(len(s)) for s in supports]):
-        m0 = 1.0
-        m1 = 1.0
-        symbols = []
-        for leaf_idx, sym_idx in enumerate(combo):
-            m0 *= margins[leaf_idx][0][sym_idx]
-            m1 *= margins[leaf_idx][1][sym_idx]
-            symbols.append(supports[leaf_idx][sym_idx])
-        if m0 == 0.0 and m1 == 0.0:
-            continue
-        j = gate.output_alphabet.index(gate(*symbols))
-        q0[j] += m0
-        q1[j] += m1
-    dead = (q0 == 0.0) & (q1 == 0.0)
-    if np.any((q0 == 0.0) != (q1 == 0.0)):
-        raise EquivalenceViolation("fused push-forward breaks equivalence")
-    keep = ~dead
-    symbols = tuple(s for s, k_ in zip(gate.output_alphabet, keep) if k_)
-    return DistributionPair(Alphabet(symbols), q0[keep], q1[keep])
+    inputs = itertools.product(*(g.output_alphabet for g in leaf_maps))
+    index = [gate.output_alphabet.index(gate(*x)) for x in inputs]
+    return _live_pair(gate.output_alphabet, _push(index, joint, len(gate.output_alphabet)))
 
 
 def enumerate_quantizers(

@@ -93,7 +93,11 @@ def _load_spec(
     path = Path(spec)
     if not path.exists():
         raise InputError(missing)
-    return parse(path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {spec!r}: {exc.strerror}") from None
+    return parse(text)
 
 
 def _load_pair(spec: str) -> DistributionPair:

@@ -13,9 +13,11 @@ the calibrated copy, and they are freed with the strategy.
 Monte Carlo runs in count space on counter-based substreams.  Leaves are
 exchangeable, so each fringe node draws how many of its leaves sent each
 message (one binomial or multinomial draw), and a gated fringe node draws
-its output straight from the gate's law.  Every simulated sum is read as
-the nearest atom of that node's exact sum law, so each relay decides on an
-exact atom and ties fall as in the exact tail split, with no tolerance.
+its output straight from the gate's law.  A relay's rule sends a prefix of
+its sorted sum atoms low, so each simulated sum is decided by one
+comparison with the midpoint between the last atom sent low and the first
+sent high: the sum sends what its nearest atom sends, and ties fall as in
+the exact tail split, with no tolerance.
 """
 
 from __future__ import annotations
@@ -388,9 +390,21 @@ def _simulate_error_count(
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
 
-    # per depth: parent-sorted child rows, then for each shape its rows, the
-    # midpoints of its sum law's atoms and what each atom sends (at the
-    # root: whether deciding on it is an error)
+    # per shape (cut, low, high): the rule sends a prefix of the sorted atoms
+    # low, so a sum sends low iff it is at most the midpoint that ends it
+    by_level = (*strategy.thresholds[:-1], strategy.root_threshold)
+    table = np.zeros((len(ctx.sums), 3))
+    for sid, law in enumerate(ctx.sums):
+        if law is None:  # the leaf or a gate level
+            continue
+        t = by_level[ctx.level[sid] - 1]
+        k = np.count_nonzero(_sends_low(law.values, ctx.leaf_count[sid], t))
+        v = np.concatenate(([-np.inf], law.values, [np.inf]))
+        table[sid, 0] = (v[k] + v[k + 1]) / 2.0
+        if ctx.out[sid] is not None:  # the root sends no message
+            table[sid, 1:] = ctx.out[sid].values[[0, -1]]
+
+    # per depth: parent-sorted child rows and the nodes' (cut, low, high)
     stages = []
     for d in range(h - 1, -1, -1):
         nodes = tree.nodes_at_depth(d)
@@ -400,24 +414,7 @@ def _simulate_error_count(
             starts = np.zeros(nodes.size, dtype=np.int64)
             np.cumsum(tree.n_children[nodes][:-1], out=starts[1:])
             gather = (order, starts)
-        groups = []
-        for sid in np.unique(shape[nodes]).tolist():
-            law = ctx.sums[sid]
-            if law is None:  # a gate level
-                continue
-            rows = np.flatnonzero(shape[nodes] == sid)
-            l_v = ctx.leaf_count[sid]
-            if d == 0:
-                low = _sends_low(law.values, l_v, strategy.root_threshold)
-                table = low == bool(hypothesis)
-            else:
-                low = _sends_low(law.values, l_v, strategy.threshold_at_level(h - d))
-                out = ctx.out[sid].values
-                table = np.where(low, out[0], out[-1])
-            mids = (law.values[1:] + law.values[:-1]) / 2.0
-            # a level of one shape skips the row gather
-            groups.append((rows if rows.size < nodes.size else slice(None), mids, table))
-        stages.append((d, nodes.size, gather, groups))
+        stages.append((d, nodes.size, gather, np.split(table[shape[nodes]], 3, axis=1)))
 
     # multinomial counts hold one column per leaf atom at each fringe node
     cols = max(fringe.size * draw_law.n_atoms, *(w for _, w, _, _ in stages))
@@ -429,7 +426,7 @@ def _simulate_error_count(
         rng = np.random.Generator(
             np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0])
         )
-        for d, width, gather, groups in stages:
+        for d, width, gather, (cut, low, high) in stages:
             if gather is not None:
                 order, starts = gather
                 sums = np.add.reduceat(state[order], starts, axis=0)
@@ -443,10 +440,10 @@ def _simulate_error_count(
             else:
                 counts = rng.multinomial(m, p, size=(width, nb))
                 sums = counts @ draw_law.values
-            state = np.empty((width, nb), dtype=float if d else bool)
-            for rows, mids, table in groups:
-                state[rows] = table[np.searchsorted(mids, sums[rows])]
-        errors += int(np.count_nonzero(state))
+            if d:
+                state = np.where(sums <= cut, low, high)
+            else:
+                errors += int(np.count_nonzero((sums > cut) != bool(hypothesis)))
     return errors
 
 

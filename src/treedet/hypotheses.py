@@ -82,7 +82,8 @@ def _as_prob_array(values, size: int, label: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (size,):
         raise InputError(f"{label} must have one probability per symbol")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # written so that NaN fails too
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise InputError(f"{label} entries must lie in [0, 1]")
     if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
         raise InputError(f"{label} must sum to 1 within {PROB_SUM_TOL}")
@@ -135,10 +136,10 @@ class DistributionPair:
             doc = json.loads(text)
             alphabet = Alphabet(tuple(doc["alphabet"]))
             return cls(alphabet, np.asarray(doc["p0"]), np.asarray(doc["p1"]))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed pair document: {exc}") from None
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InputError(f"pair document missing field {exc}") from None
+        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed pair document: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(

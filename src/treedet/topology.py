@@ -536,17 +536,23 @@ def _gen_explicit(params: Mapping[str, object], size: int) -> Tree:
     if "path" in params:
         from pathlib import Path
 
-        return Tree.from_json(Path(str(params["path"])).read_text())
+        path = str(params["path"])
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise InvalidParams(f"cannot read tree file {path!r}: {exc.strerror}") from None
+        return Tree.from_json(text)
     raise InvalidParams("explicit family needs 'tree' or 'path'")
 
 
+# each kind's generator and the parameters it reads
 _GENERATORS = {
-    "parallel": _gen_parallel,
-    "chain_plus_leaves": _gen_chain_plus_leaves,
-    "two_relay": _gen_two_relay,
-    "wide_uniform": _gen_wide_uniform,
-    "increasing_leaves": _gen_increasing_leaves,
-    "explicit": _gen_explicit,
+    "parallel": (_gen_parallel, ()),
+    "chain_plus_leaves": (_gen_chain_plus_leaves, ("h",)),
+    "two_relay": (_gen_two_relay, ()),
+    "wide_uniform": (_gen_wide_uniform, ("m", "n_relays")),
+    "increasing_leaves": (_gen_increasing_leaves, ()),
+    "explicit": (_gen_explicit, ("tree", "path")),
 }
 
 
@@ -569,9 +575,16 @@ class TreeFamily:
                 f"unknown family {self.kind!r}; known: {sorted(_GENERATORS)}"
             )
         object.__setattr__(self, "params", dict(self.params))
+        accepted = _GENERATORS[self.kind][1]
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise InvalidParams(
+                f"family {self.kind!r} does not read {unknown}; "
+                f"it accepts {list(accepted) if accepted else 'no parameters'}"
+            )
 
     def generate(self, size: int) -> Tree:
         try:
-            return _GENERATORS[self.kind](self.params, int(size))
+            return _GENERATORS[self.kind][0](self.params, int(size))
         except KeyError as exc:
             raise InvalidParams(f"family {self.kind!r} missing parameter {exc}") from None

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from treedet import (
     Alphabet,
     DistributionPair,
     EnumerationTooLarge,
+    InputError,
     InvalidParams,
     TransmissionFunction,
     all_binary_leaf_family,
@@ -111,6 +114,84 @@ class TestInducedLaws:
         fused = fused_pair(pair75, (ident, ident), forward_first_gate())
         assert_allclose(fused.p0, pair75.p0)
         assert_allclose(fused.p1, pair75.p1)
+
+
+def _old_loop_pairs(pair, leaf_maps, gate=None):
+    """Reference push-forward by explicit loops: per-symbol sums clamped at
+    1, then mass products accumulated in itertools.product order."""
+
+    def push(g):
+        k = len(g.output_alphabet)
+        q0, q1 = np.zeros(k), np.zeros(k)
+        for i, s in enumerate(pair.alphabet):
+            j = g.output_alphabet.index(g(s))
+            q0[j] += pair.p0[i]
+            q1[j] += pair.p1[i]
+        return np.minimum(q0, 1.0), np.minimum(q1, 1.0)
+
+    if gate is None:
+        (g,) = leaf_maps
+        q0, q1 = push(g)
+        output = g.output_alphabet
+    else:
+        margins = [push(g) for g in leaf_maps]
+        output = gate.output_alphabet
+        q0, q1 = np.zeros(len(output)), np.zeros(len(output))
+        for combo in itertools.product(*[range(len(g.output_alphabet)) for g in leaf_maps]):
+            m0 = m1 = 1.0
+            for (a0, a1), idx in zip(margins, combo):
+                m0 *= a0[idx]
+                m1 *= a1[idx]
+            symbols = [g.output_alphabet.symbols[i] for g, i in zip(leaf_maps, combo)]
+            j = output.index(gate(*symbols))
+            q0[j] += m0
+            q1[j] += m1
+    keep = (q0 > 0.0) | (q1 > 0.0)
+    symbols = tuple(s for s, k in zip(output, keep) if k)
+    return DistributionPair(Alphabet(symbols), q0[keep], q1[keep])
+
+
+class TestPushForward:
+    # p0 and p1 sum to exactly 1, but the fused masses of two leaf maps
+    # overshoot 1 by an ulp on one output, which the pair constructor rejects
+    OVERSHOOT = {"alphabet": [0, 1, 2], "p0": [0.2, 0.2, 0.6], "p1": [0.6, 0.2, 0.2]}
+
+    def test_fused_masses_are_clamped(self):
+        pair = DistributionPair.from_json(json.dumps(self.OVERSHOOT))
+        gates = enumerate_quantizers((BINARY, BINARY), BINARY)
+        rep = fusion_loss_constant(pair, all_binary_leaf_family(pair.alphabet), gates, 2)
+        # leaf maps (0, 1, 1) send 1 w.p. 0.8 / 0.4 and the and-gate fuses two:
+        # D = 0.64 log 4 + 0.36 log(0.36 / 0.84), per observation
+        expected = -(0.64 * math.log(4.0) + 0.36 * math.log(0.36 / 0.84)) / 2
+        assert rep.constant == pytest.approx(expected, rel=1e-12)
+        assert [rep.best_gate(a, b) for a, b in itertools.product((0, 1), repeat=2)] == [0, 0, 0, 1]
+
+    def test_matches_the_loops_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        gates = enumerate_quantizers((BINARY, BINARY), BINARY)
+        answered = 0
+        for trial in range(40):
+            n = int(rng.integers(2, 6))
+            # small integer weights make one-ulp overshoots common
+            w0, w1 = (rng.integers(1, 6, n).astype(float) for _ in range(2))
+            pair = DistributionPair(Alphabet(tuple(range(n))), w0 / w0.sum(), w1 / w1.sum())
+            maps = enumerate_quantizers(pair.alphabet, BINARY)
+            calls = [((g,), None) for g in maps]
+            for gate in gates:
+                a, b = (maps[int(i)] for i in rng.integers(0, len(maps), 2))
+                calls.append(((a, b), gate))
+            for leaf_maps, gate in calls:
+                new = (induced_pair(pair, leaf_maps[0]) if gate is None
+                       else fused_pair(pair, leaf_maps, gate))
+                try:
+                    old = _old_loop_pairs(pair, leaf_maps, gate)
+                except InputError:
+                    continue
+                answered += 1
+                assert new.alphabet == old.alphabet
+                assert new.p0.tobytes() == old.p0.tobytes()
+                assert new.p1.tobytes() == old.p1.tobytes()
+        assert answered > 1000
 
 
 class TestLlrQuantizer:

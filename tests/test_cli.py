@@ -40,6 +40,15 @@ class TestExponentCommand:
     def test_bad_pair_exits_one(self, tmp_path):
         assert run("exponent", "--pair", "bernoulli:1.5", "--out", tmp_path) == 1
 
+    def test_fused_masses_overshooting_one(self, tmp_path):
+        # the and-gate's fused masses sum past 1 by an ulp before clamping
+        path = tmp_path / "pair.json"
+        path.write_text('{"alphabet": [0, 1, 2], "p0": [0.2, 0.2, 0.6], "p1": [0.6, 0.2, 0.2]}')
+        assert run("exponent", "--pair", path, "--out", tmp_path) == 0
+        (fusion,) = read_json(tmp_path / "exponent.json")["fusion"]
+        expected = -(0.64 * math.log(4.0) + 0.36 * math.log(0.36 / 0.84)) / 2
+        assert fusion["constant"] == pytest.approx(expected, rel=1e-12)
+
     def test_enumeration_blowup_exits_two(self, tmp_path):
         doc = {
             "alphabet": list(range(25)),
@@ -212,6 +221,33 @@ class TestFitCommand:
 
 
 class TestReproduceCommand:
+    @pytest.mark.parametrize(
+        "example, headers",
+        [
+            (1, {"fit.csv": "size,n,leaf_count,alpha,type_i,type_ii,log_type_ii_per_leaf"}),
+            (
+                2,
+                {
+                    "simple.csv": "m,n_relays,n,leaf_count,type_i,type_ii,"
+                    "log_type_ii_per_leaf",
+                    "naive.csv": "m,n_relays,relay_fa,naive_type_i,naive_type_i_1e5_relays,"
+                    "capped_relays,naive_type_i_capped,relay_log_miss_per_leaf",
+                },
+            ),
+        ],
+        ids=["two_relay", "wide_uniform"],
+    )
+    def test_passing_bundles(self, tmp_path, example, headers):
+        code = run("reproduce", "--example", example, "--out", tmp_path, "--no-timestamp")
+        assert code == 0
+        bundle = tmp_path / f"example_{example}"
+        doc = read_json(bundle / "bundle.json")
+        assert doc["all_pass"] is True
+        for name in doc["artifacts"]:
+            assert (bundle / name).is_file()
+        for name, header in headers.items():
+            assert ",".join(read_csv(bundle / name)[0]) == header
+
     def test_gate_table_bundle_passes(self, tmp_path):
         code = run("reproduce", "--example", "3", "--out", tmp_path, "--no-timestamp")
         assert code == 0
@@ -324,6 +360,7 @@ def _error_line(capsys):
 
 RATES = ("rates", "--pair", "bern75", "--gamma", "identity", "--thresholds", "0,0")
 SIMULATE = ("simulate", "--pair", "bern75", "--gamma", "identity", "--thresholds", "0")
+GATED = SIMULATE + ("--family", "two_relay", "--size", "3", "--gate")
 
 
 class TestLoaderErrors:
@@ -413,10 +450,78 @@ class TestLoaderErrors:
                  "--params", '{"h": "3"}'),
                 "error: parameter 'h' is '3', not an integer",
             ),
+            (
+                ("analyze", "--family", "wide_uniform", "--size", "3",
+                 "--params", '{"m": 3, "n_relay": 1}'),
+                "error: family 'wide_uniform' does not read ['n_relay']; "
+                "it accepts ['m', 'n_relays']",
+            ),
+            (
+                ("analyze", "--family", "explicit", "--size", "1",
+                 "--params", '{"path": "missing.json"}'),
+                "error: cannot read tree file 'missing.json': No such file or directory",
+            ),
         ],
     )
     def test_exit_one_with_message(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        assert _error_line(capsys) == message
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("exponent", "--pair", "adir"), "error: cannot read 'adir': Is a directory"),
+            (RATES + ("--tree", "adir"), "error: cannot read 'adir': Is a directory"),
+            (("analyze", "--tree", "adir"), "error: cannot read 'adir': Is a directory"),
+            (GATED + ("adir",), "error: cannot read 'adir': Is a directory"),
+            (
+                ("analyze", "--family", "explicit", "--size", "1", "--params", '{"path": "adir"}'),
+                "error: cannot read tree file 'adir': Is a directory",
+            ),
+            (("exponent", "--pair", "pair_text.json"),
+             "error: malformed pair document: Expecting value: line 1 column 1 (char 0)"),
+            (("exponent", "--pair", "pair_alphabet.json"),
+             "error: malformed pair document: 'int' object is not iterable"),
+            (("exponent", "--pair", "pair_null.json"), "error: p0 entries must lie in [0, 1]"),
+            *(
+                (argv + (f"{prefix}{name}.json",), message)
+                for argv, prefix in ((RATES[:3] + ("--thresholds", "0", "--gamma"), "gamma"),
+                                     (GATED, "gate"))
+                for name, message in (
+                    ("_text", "error: malformed transmission function: "
+                     "Expecting value: line 1 column 1 (char 0)"),
+                    ("_list", "error: malformed transmission function: "
+                     "list indices must be integers or slices, not str"),
+                    ("_nomap", "error: transmission function missing field 'map'"),
+                    ("_arity_x", "error: field 'arity' is 'x', not an integer"),
+                    ("_arity_half", "error: field 'arity' is 2.5, not an integer"),
+                    ("_arity_true", "error: field 'arity' is True, not an integer"),
+                )
+            ),
+        ],
+    )
+    def test_malformed_spec_files(self, tmp_path, monkeypatch, capsys, argv, message):
+        from treedet import BINARY, identity_map, or_gate
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "pair_text.json").write_text("not json")
+        (tmp_path / "pair_alphabet.json").write_text('{"alphabet": 5, "p0": [1], "p1": [1]}')
+        (tmp_path / "pair_null.json").write_text(
+            '{"alphabet": [0, 1], "p0": [null, 1.0], "p1": [0.0, 1.0]}'
+        )
+        for prefix, tf in (("gamma", identity_map(BINARY)), ("gate", or_gate())):
+            doc = json.loads(tf.to_json())
+            (tmp_path / f"{prefix}_text.json").write_text("not json")
+            (tmp_path / f"{prefix}_list.json").write_text(json.dumps(list(doc)))
+            (tmp_path / f"{prefix}_nomap.json").write_text(
+                json.dumps({k: v for k, v in doc.items() if k != "map"})
+            )
+            for name, arity in (("x", "x"), ("half", 2.5), ("true", True)):
+                (tmp_path / f"{prefix}_arity_{name}.json").write_text(
+                    json.dumps({**doc, "arity": arity})
+                )
         assert run(*argv, "--out", tmp_path / "out") == 1
         assert _error_line(capsys) == message
 

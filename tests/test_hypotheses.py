@@ -84,6 +84,11 @@ class TestDistributionPair:
         with pytest.raises(InputError):
             DistributionPair(BINARY, np.array([1.2, -0.2]), np.array([0.5, 0.5]))
 
+    def test_nan_mass_rejected(self):
+        # NaN compares false both ways, so it must fail the range check itself
+        with pytest.raises(InputError, match=r"p0 entries must lie in \[0, 1\]"):
+            DistributionPair(BINARY, np.array([np.nan, 1.0]), np.array([0.0, 1.0]))
+
     def test_one_sided_zero_rejected(self):
         with pytest.raises(EquivalenceViolation):
             DistributionPair(BINARY, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
@@ -102,8 +107,13 @@ class TestDistributionPair:
         assert_allclose(again.p1, pair75.p1)
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(InputError):
-            DistributionPair.from_json("{not json")
+        for text in (
+            "{not json",
+            '{"alphabet": [0, 1], "p0": ["a", 0.5], "p1": [0.5, 0.5]}',
+            '{"alphabet": [[0], 1], "p0": [0.5, 0.5], "p1": [0.5, 0.5]}',
+        ):
+            with pytest.raises(InputError, match="malformed pair document"):
+                DistributionPair.from_json(text)
 
 
 class TestDivergences:

@@ -297,6 +297,27 @@ class TestGenerators:
         with pytest.raises(InvalidParams):
             TreeFamily("mystery").generate(3)
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("wide_uniform", {"m": 3, "n_relay": 1}, "['n_relay']; it accepts ['m', 'n_relays']"),
+            ("two_relay", {"m": 3}, "['m']; it accepts no parameters"),
+            ("parallel", {"n": 3}, "['n']; it accepts no parameters"),
+            ("increasing_leaves", {"m": 3}, "['m']; it accepts no parameters"),
+            ("chain_plus_leaves", {"h": 2, "height": 2}, "['height']; it accepts ['h']"),
+            ("explicit", {"path": "t.json", "file": "t.json"}, "['file']; it accepts ['tree', 'path']"),
+        ],
+    )
+    def test_rejects_parameters_its_kind_does_not_read(self, kind, params, message):
+        with pytest.raises(InvalidParams) as exc:
+            TreeFamily(kind, params)
+        assert str(exc.value) == f"family {kind!r} does not read {message}"
+
+    def test_explicit_path_that_cannot_be_read(self, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(InvalidParams, match="cannot read tree file"):
+                TreeFamily("explicit", {"path": str(path)}).generate(0)
+
 
 class TestAnalysis:
     def test_two_relay_stats(self):
