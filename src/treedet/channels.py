@@ -123,12 +123,9 @@ def identity_map(alphabet: Alphabet) -> TransmissionFunction:
     )
 
 
-def constant_map(
-    alphabet: Alphabet, value: Symbol, output: Alphabet | None = None
-) -> TransmissionFunction:
-    out = output if output is not None else alphabet
+def constant_map(alphabet: Alphabet, value: Symbol) -> TransmissionFunction:
     return TransmissionFunction(
-        0, (alphabet,), out, {(s,): value for s in alphabet}, name=f"const-{value}"
+        0, (alphabet,), alphabet, {(s,): value for s in alphabet}, name=f"const-{value}"
     )
 
 
@@ -228,16 +225,10 @@ def fused_pair(
 def enumerate_quantizers(
     inputs: Alphabet | Sequence[Alphabet],
     output: Alphabet,
-    *,
-    canonicalize: bool = False,
-    cap: int = ENUMERATION_CAP,
 ) -> tuple[TransmissionFunction, ...]:
-    """All total deterministic maps from the (product) input to ``output``.
-
-    With ``canonicalize`` set, maps that differ only by a relabeling of
-    output symbols are deduplicated (first representative wins).  Off by
-    default because relabeling changes the message alphabet seen upstream.
-    """
+    """All total deterministic maps from the (product) input to ``output``,
+    relabelings of the output symbols included: a relabeling changes the
+    message alphabet seen upstream."""
     if isinstance(inputs, Alphabet):
         alphabets: tuple[Alphabet, ...] = (inputs,)
         arity = 0
@@ -248,24 +239,12 @@ def enumerate_quantizers(
         arity = len(alphabets)
     domain = list(itertools.product(*[a.symbols for a in alphabets]))
     total = len(output) ** len(domain)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationTooLarge(
-            f"{total} maps exceed the cap of {cap}; restrict the alphabets"
+            f"{total} maps exceed the cap of {ENUMERATION_CAP}; restrict the alphabets"
         )
     out: list[TransmissionFunction] = []
-    seen: set[tuple[int, ...]] = set()
     for assignment in itertools.product(output.symbols, repeat=len(domain)):
-        if canonicalize:
-            relabel: dict[Symbol, int] = {}
-            sig = []
-            for y in assignment:
-                if y not in relabel:
-                    relabel[y] = len(relabel)
-                sig.append(relabel[y])
-            key = tuple(sig)
-            if key in seen:
-                continue
-            seen.add(key)
         table = dict(zip(domain, assignment))
         out.append(TransmissionFunction(arity, alphabets, output, table))
     return tuple(out)
@@ -311,8 +290,6 @@ def fusion_loss_constant(
     leaf_family: QuantizerFamily | Sequence[TransmissionFunction],
     relay_family: Sequence[TransmissionFunction],
     k: int,
-    *,
-    cap: int = ENUMERATION_CAP,
 ) -> FusionLossReport:
     """Infimum over gate-and-leaf-map choices of the per-observation rate
     at which the null law drifts from the alternative after fusing k
@@ -330,8 +307,8 @@ def fusion_loss_constant(
     if not gates:
         raise InvalidParams(f"relay family has no gates of arity {k}")
     combos = len(gates) * len(gammas) ** k
-    if combos > cap:
-        raise EnumerationTooLarge(f"{combos} fused configurations exceed cap {cap}")
+    if combos > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"{combos} fused configurations exceed cap {ENUMERATION_CAP}")
     best = math.inf
     best_xi: tuple[TransmissionFunction, tuple[TransmissionFunction, ...]] | None = None
     for gate in gates:

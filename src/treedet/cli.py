@@ -192,7 +192,8 @@ def _write_csv(
 
 
 def _write_json(path: Path, doc: object) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # standard JSON only: a non-finite float raises instead of writing Infinity
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -214,8 +215,13 @@ def _emit_growth(out: Path, growth: GrowthReport, caps: Sequence[int], stamp: bo
 
 
 def _estimate_doc(est: ErrorEstimate) -> dict:
-    # only Monte Carlo estimates carry trials and standard errors
-    return {k: v for k, v in asdict(est).items() if v is not None}
+    # only Monte Carlo estimates carry trials and standard errors; the log of
+    # a zero probability is written null
+    doc = {k: v for k, v in asdict(est).items() if v is not None}
+    for key in ("log_type_i", "log_type_ii"):
+        if not math.isfinite(doc[key]):
+            doc[key] = None
+    return doc
 
 
 # -- subcommands -------------------------------------------------------------
@@ -415,21 +421,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "n_nodes": strat.tree.n,
         "leaf_count": int(strat.tree.subtree_leaf_count[strat.tree.root]),
     }
+    estimates = {}
     if args.method in ("exact", "both"):
-        doc["exact"] = _estimate_doc(exact_error_probs(strat, pair))
+        estimates["exact"] = exact_error_probs(strat, pair)
     if args.method in ("mc", "both"):
-        mc = monte_carlo_error(strat, pair, args.trials, args.seed)
-        doc["monte_carlo"] = _estimate_doc(mc)
+        estimates["monte_carlo"] = monte_carlo_error(strat, pair, args.trials, args.seed)
         doc["seed"] = args.seed
+    doc.update((key, _estimate_doc(est)) for key, est in estimates.items())
     out = _out_dir(args)
     _write_json(out / "simulate.json", doc)
-    for key in ("exact", "monte_carlo"):
-        if key in doc:
-            print(
-                f"{key}: type I {doc[key]['type_i']:.6g}, "
-                f"type II {doc[key]['type_ii']:.6g} "
-                f"(log {doc[key]['log_type_ii']:.6g})"
-            )
+    for key, est in estimates.items():
+        print(
+            f"{key}: type I {est.type_i:.6g}, type II {est.type_ii:.6g} "
+            f"(log {est.log_type_ii:.6g})"
+        )
     print(f"wrote {out / 'simulate.json'}")
     return 0
 
@@ -855,8 +860,9 @@ def _build_parser() -> _Parser:
         "simulate", cmd_simulate, "exact and Monte Carlo error probabilities of one strategy",
         pair, tree, strategy,
     )
-    p.add_argument("--alpha", type=float, default=None, help="calibrate the root to this level")
-    p.add_argument("--root-threshold", type=float, default=None)
+    root = p.add_mutually_exclusive_group()
+    root.add_argument("--alpha", type=float, default=None, help="calibrate the root to this level")
+    root.add_argument("--root-threshold", type=float, default=None)
     p.add_argument("--method", choices=("exact", "mc", "both"), default="exact")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)

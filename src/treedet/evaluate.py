@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -112,9 +112,7 @@ class MessageLaw:
 
 def law_from_pair(pair: DistributionPair) -> MessageLaw:
     """Law of the log-likelihood ratio of one observation of ``pair``."""
-    support = pair.p0 > 0.0
-    logp0 = np.log(pair.p0[support])
-    logp1 = np.log(pair.p1[support])
+    logp0, logp1 = pair._live_logs
     return MessageLaw(*_merged(logp1 - logp0, logp0, logp1))
 
 
@@ -324,8 +322,7 @@ def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstima
     )
 
 
-@dataclass(frozen=True)
-class TailRow:
+class TailRow(NamedTuple):
     node: int
     level: int
     leaf_count: int

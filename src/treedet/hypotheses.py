@@ -12,7 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -164,6 +165,15 @@ class DistributionPair:
         """Mask of symbols alive under both hypotheses."""
         return self.p0 > 0.0
 
+    @cached_property
+    def _live_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only log masses of the live symbols under each hypothesis."""
+        live = self.support
+        logs = (np.log(self.p0[live]), np.log(self.p1[live]))
+        for arr in logs:
+            arr.flags.writeable = False
+        return logs
+
     def __len__(self) -> int:
         return len(self.alphabet)
 
@@ -196,12 +206,12 @@ def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     Symbols dead under both hypotheses contribute zero.  Equivalence rules
     out one-sided zeros, so the sum is always finite.
     """
+    logp0, logp1 = pair._live_logs
     if direction is Direction.ZERO_ONE:
-        p, q = pair.p0, pair.p1
+        p, logp, logq = pair.p0, logp0, logp1
     else:
-        p, q = pair.p1, pair.p0
-    mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+        p, logp, logq = pair.p1, logp1, logp0
+    return float(np.sum(p[pair.support] * (logp - logq)))
 
 
 def log_likelihood_ratio(pair: DistributionPair, symbol: Symbol) -> float:
@@ -222,24 +232,23 @@ def llr_array(pair: DistributionPair) -> np.ndarray:
     Dead symbols get NaN; callers sampling from the pair can never hit them.
     """
     out = np.full(len(pair.alphabet), np.nan)
-    mask = pair.support
-    out[mask] = np.log(pair.p1[mask]) - np.log(pair.p0[mask])
+    logp0, logp1 = pair._live_logs
+    out[pair.support] = logp1 - logp0
     out.flags.writeable = False
     return out
 
 
 def second_moment_null(pair: DistributionPair) -> float:
     """Second moment of the log-likelihood ratio under the null law."""
-    mask = pair.support
-    llr = np.log(pair.p1[mask]) - np.log(pair.p0[mask])
-    return float(np.sum(pair.p0[mask] * llr * llr))
+    logp0, logp1 = pair._live_logs
+    llr = logp1 - logp0
+    return float(np.sum(pair.p0[pair.support] * llr * llr))
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the standing-assumption checks for a pair and leaf family."""
 
-    equivalent: bool
     informative_exists: bool
     informative_quantizer: object | None
     second_moment: float
@@ -249,8 +258,8 @@ class ValidationReport:
 def validate_assumptions(pair: DistributionPair, leaf_family) -> ValidationReport:
     """Check the standing assumptions used by the asymptotic results.
 
-    Reports whether the pair is equivalent (always true for a constructed
-    pair), whether some leaf quantizer in ``leaf_family`` separates the
+    The pair's equivalence is checked when it is constructed.  Reports
+    whether some leaf quantizer in ``leaf_family`` separates the
     hypotheses with strictly positive divergence both ways, the null second
     moment of the raw log-likelihood ratio, and the variance-bound constant
     (second moment plus two) used by the root concentration check.
@@ -267,7 +276,6 @@ def validate_assumptions(pair: DistributionPair, leaf_family) -> ValidationRepor
             break
     moment = second_moment_null(pair)
     return ValidationReport(
-        equivalent=True,
         informative_exists=informative is not None,
         informative_quantizer=informative,
         second_moment=moment,

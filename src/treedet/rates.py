@@ -10,7 +10,7 @@ numerically at every level as an always-on transcription check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,9 +31,7 @@ def log_mgf(pair: DistributionPair, hypothesis: int, lam: float) -> float:
     """
     if hypothesis not in (0, 1):
         raise InvalidParams("hypothesis must be 0 or 1")
-    support = pair.p0 > 0.0
-    logp0 = np.log(pair.p0[support])
-    logp1 = np.log(pair.p1[support])
+    logp0, logp1 = pair._live_logs
     base = logp1 if hypothesis == 1 else logp0
     return _logsumexp(base + lam * (logp1 - logp0))
 
@@ -78,7 +76,6 @@ class RateTable:
     rate0: tuple[float, ...]
     rate1: tuple[float, ...]
     thresholds: tuple[float, ...]
-    gamma: TransmissionFunction | None = None
 
     @property
     def height(self) -> int:
@@ -184,18 +181,16 @@ def rate_table(
             )
         rate0.append(new0)
         rate1.append(new1)
-    return RateTable(tuple(rate0), tuple(rate1), ts, gamma)
+    return RateTable(tuple(rate0), tuple(rate1), ts)
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     node: int
     level: int
     leaf_count: int
     pred_count: int
     kind: str
     value: float
-    informative: bool
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,7 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
     values = (-rates + (pcount[nodes] / lcount[nodes])[:, None] - 1.0).ravel()
     cols = [np.repeat(c, 2).tolist() for c in (nodes, levels, lcount[nodes], pcount[nodes])]
     kinds = ["type1", "type0"] * nodes.size
-    rows = list(map(BoundRow, *cols, kinds, values.tolist(), (values < 0.0).tolist()))
+    rows = list(map(BoundRow, *cols, kinds, values.tolist()))
     fringe_min = int(lcount[tree.fringe].min()) if len(tree.fringe) else 0
     if fringe_min >= n_floor:
         h = tree.height
@@ -244,7 +239,6 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
             ("root_type1", table.level1(h)),
             ("root_type0", table.level0(h)),
         ):
-            value = -rate + h / n_floor
             rows.append(
                 BoundRow(
                     node=int(root),
@@ -252,8 +246,7 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
                     leaf_count=int(lcount[root]),
                     pred_count=int(pcount[root]),
                     kind=kind,
-                    value=value,
-                    informative=value < 0.0,
+                    value=-rate + h / n_floor,
                 )
             )
     return BoundReport(rows=tuple(rows), n_floor=int(n_floor))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class Strategy:
         if self.gamma.arity != 0:
             raise InvalidParams("leaf map must have arity 0")
         if not self.tree.is_uniform:
-            raise NotUniform("strategies are defined on height-uniform trees")
+            raise NotUniform("uniformize the tree before building a strategy")
         h = self.tree.height
         if h < 1:
             raise InvalidParams("tree must have at least one level")
@@ -93,26 +93,22 @@ def build_relay_strategy(
     the rate recursion (skipped for gate strategies, where the first level is
     not a threshold rule).
     """
-    if not tree.is_uniform:
-        raise NotUniform("uniformize the tree before building a strategy")
     ts = tuple(float(t) for t in thresholds)
-    if pair is not None and level1_gate is None:
-        rate_table(pair, gamma, ts)
-    return Strategy(
+    strategy = Strategy(
         tree=tree,
         gamma=gamma,
         thresholds=ts,
         root_threshold=ts[-1],
         level1_gate=level1_gate,
     )
+    if pair is not None and level1_gate is None:
+        rate_table(pair, gamma, ts)
+    return strategy
 
 
 @dataclass(frozen=True)
 class SimpleStrategyResult:
     strategy: Strategy
-    gamma: TransmissionFunction
-    threshold: float
-    node_map: Mapping[int, int] = field(repr=False)
     parallel_exponent: float
 
 
@@ -129,7 +125,7 @@ def simple_strategy(
     half of ``epsilon``, a choice that stays feasible at every level and
     concedes at most ``epsilon`` of exponent.  Non-uniform input trees are
     uniformized first, so the returned strategy may live on a larger tree
-    (the node map identifies the original ids).
+    in which existing node ids are preserved.
     """
     if epsilon <= 0.0:
         raise InvalidParams("epsilon must be positive")
@@ -139,14 +135,6 @@ def simple_strategy(
             f"epsilon {epsilon:.6g} is not below the exponent magnitude {-g_p:.6g}"
         )
     t = recipe_threshold(pair, best, epsilon)
-    uni = uniformize(tree)
-    strat = build_relay_strategy(
-        uni.tree, best, (t,) * uni.tree.height, pair=pair
-    )
-    return SimpleStrategyResult(
-        strategy=strat,
-        gamma=best,
-        threshold=t,
-        node_map=uni.node_map,
-        parallel_exponent=g_p,
-    )
+    uni = uniformize(tree).tree
+    strat = build_relay_strategy(uni, best, (t,) * uni.height, pair=pair)
+    return SimpleStrategyResult(strategy=strat, parallel_exponent=g_p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -369,30 +369,9 @@ def estimate_z(
     )
 
 
-class _IdentityMap(Mapping[int, int]):
-    """Read-only identity map over range(n), held in constant memory."""
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __getitem__(self, key: int) -> int:
-        if isinstance(key, (int, np.integer)) and 0 <= key < self._n:
-            return int(key)
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._n))
-
-    def __len__(self) -> int:
-        return self._n
-
-
 @dataclass(frozen=True)
 class UniformizeResult:
     tree: Tree
-    node_map: Mapping[int, int]
 
 
 def uniformize(tree: Tree) -> UniformizeResult:
@@ -401,11 +380,10 @@ def uniformize(tree: Tree) -> UniformizeResult:
 
     For each node with leaf children above the bottom level, the whole group
     of its leaf children is moved through a single new chain.  Existing node
-    ids are preserved (the returned map is the identity on them); chain nodes
-    take fresh ids at the end.
+    ids are preserved; chain nodes take fresh ids at the end.
     """
     if tree.is_uniform:
-        return UniformizeResult(tree, _IdentityMap(tree.n))
+        return UniformizeResult(tree)
     h = tree.height
     parents = tree.parents.tolist()
     depth = tree.depth
@@ -425,7 +403,7 @@ def uniformize(tree: Tree) -> UniformizeResult:
         for c in leaf_kids:
             parents[int(c)] = chain_top
     out = Tree(parents)
-    return UniformizeResult(out, _IdentityMap(tree.n))
+    return UniformizeResult(out)
 
 
 def _relabel(tree: Tree, keep: np.ndarray) -> Tree:

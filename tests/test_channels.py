@@ -71,13 +71,10 @@ class TestEnumeration:
         tables = [(f(0), f(1)) for f in maps]
         assert tables == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
-    def test_canonicalize_merges_relabelings(self):
-        maps = enumerate_quantizers(BINARY, BINARY, canonicalize=True)
-        assert len(maps) == 2
-
     def test_cap(self):
+        # 2**32 maps from five binary inputs exceed ENUMERATION_CAP
         with pytest.raises(EnumerationTooLarge):
-            enumerate_quantizers(BINARY, BINARY, cap=3)
+            enumerate_quantizers((BINARY,) * 5, BINARY)
 
     def test_arity_two(self):
         maps = enumerate_quantizers((BINARY, BINARY), BINARY)

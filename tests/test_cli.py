@@ -181,6 +181,25 @@ class TestSimulateCommand:
         doc = read_json(tmp_path / "simulate.json")
         assert doc["strategy"]["thresholds"] == [0.0, 0.0]
 
+    def test_zero_probability_log_is_null(self, tmp_path):
+        # a root threshold above every atom never declares the alternative
+        code = run(
+            "simulate", "--pair", "bern75", "--family", "parallel", "--size", "5",
+            "--epsilon", "0.02", "--root-threshold", "5", "--method", "both",
+            "--trials", "100", "--seed", "1", "--out", tmp_path,
+        )
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "simulate.json").read_text()
+        doc = json.loads(text, parse_constant=refuse)
+        for key in ("exact", "monte_carlo"):
+            assert doc[key]["type_i"] == 0.0
+            assert doc[key]["log_type_i"] is None
+            assert doc[key]["log_type_ii"] == 0.0
+
     def test_state_space_blowup_exits_two(self, tmp_path):
         code = run(
             "simulate", "--pair", "bern75", "--family", "increasing_leaves",
@@ -287,6 +306,17 @@ class TestUsageErrors:
             "--alpha", "0.25", "--out", tmp_path,
         )
         assert code == 1
+
+    def test_alpha_with_root_threshold(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--pair", "bern75", "--family", "two_relay", "--size", "3",
+                "--epsilon", "0.2", "--alpha", "0.25", "--root-threshold", "0.1",
+                "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.json").exists()
 
 
 def _subparsers():

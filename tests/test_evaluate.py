@@ -3,7 +3,7 @@ import math
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,7 +239,7 @@ class TestTailReport:
             rows = tail_report(s, pair75)
             assert rows == tail_rows_by_node(s, pair75)
             # plain Python scalars, as the node-by-node rows held
-            assert {type(x) for r in rows for x in astuple(r)} == {int, float}
+            assert {type(x) for r in rows for x in tuple(r)} == {int, float}
         tree = TreeFamily("wide_uniform", {"m": 2}).generate(3)
         s = build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
         assert tail_report(s, pair75) == tail_rows_by_node(s, pair75)

@@ -151,10 +151,10 @@ class TestChernoffBounds:
                 for kind, rate in (("type1", table.level1(k)), ("type0", table.level0(k))):
                     value = float(-rate + ratio - 1.0)
                     lv, pv = int(tree.subtree_leaf_count[v]), int(tree.subtree_node_count[v])
-                    rows.append(BoundRow(int(v), k, lv, pv, kind, value, value < 0.0))
+                    rows.append(BoundRow(int(v), k, lv, pv, kind, value))
             report = chernoff_bound_report(tree, table, n_floor=10**9)
             assert report.rows == tuple(rows)
-            assert all(type(r.value) is float and type(r.informative) is bool for r in report.rows)
+            assert all(type(r.value) is float for r in report.rows)
 
     def test_rejects_non_uniform(self, pair75, ident):
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)

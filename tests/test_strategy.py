@@ -79,10 +79,11 @@ class TestSimpleStrategy:
     def test_recipe_threshold_everywhere(self, pair75, leaf_family):
         tree = TreeFamily("two_relay").generate(5)
         res = simple_strategy(tree, pair75, leaf_family, 0.2)
-        assert_allclose(res.threshold, -D75 + 0.1, rtol=1e-13)
-        assert res.strategy.thresholds == (res.threshold,) * 2
+        s = res.strategy
+        assert_allclose(s.thresholds[0], -D75 + 0.1, rtol=1e-13)
+        assert s.thresholds == (s.thresholds[0],) * 2
         assert_allclose(res.parallel_exponent, -D75, rtol=1e-13)
-        assert res.gamma(0) == 0 and res.gamma(1) == 1
+        assert s.gamma(0) == 0 and s.gamma(1) == 1
 
     def test_uniformizes_rugged_input(self, pair75, leaf_family):
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(7)
@@ -91,7 +92,7 @@ class TestSimpleStrategy:
         assert int(res.strategy.tree.subtree_leaf_count[res.strategy.tree.root]) == int(
             tree.subtree_leaf_count[tree.root]
         )
-        assert set(res.node_map) == set(range(tree.n))
+        assert np.array_equal(res.strategy.tree.is_leaf[: tree.n], tree.is_leaf)
 
     def test_epsilon_too_large(self, pair75, leaf_family):
         tree = TreeFamily("two_relay").generate(3)

@@ -358,30 +358,19 @@ class TestUniformize:
                 t.subtree_leaf_count[t.root]
             )
 
-    def test_node_map_covers_originals(self):
+    def test_original_ids_keep_leaf_status(self):
         t = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)
-        res = uniformize(t)
-        assert set(res.node_map) == set(range(t.n))
-        u = res.tree
-        for old, new in res.node_map.items():
-            assert t.is_leaf[old] == u.is_leaf[new]
+        u = uniformize(t).tree
+        assert u.n > t.n
+        assert np.array_equal(u.is_leaf[: t.n], t.is_leaf)
+        # chain nodes take the fresh ids at the end, and none is a leaf
+        assert not u.is_leaf[t.n :].any()
 
     def test_already_uniform_is_fixpoint(self):
         t = TreeFamily("two_relay").generate(4)
         res = uniformize(t)
         assert res.tree.n == t.n
         assert np.array_equal(res.tree.parents, t.parents)
-
-    def test_node_map_is_the_identity(self):
-        t = TreeFamily("two_relay").generate(4)
-        node_map = uniformize(t).node_map
-        assert len(node_map) == t.n
-        assert node_map == {i: i for i in range(t.n)}
-        assert node_map[np.int64(3)] == 3 and type(node_map[np.int64(3)]) is int
-        assert 0 in node_map and t.n not in node_map and -1 not in node_map
-        for bad in (t.n, -1, "0"):
-            with pytest.raises(KeyError):
-                node_map[bad]
 
 
 class TestPruneCollapse:
