@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,6 +31,7 @@ from .hypotheses import (
     Direction,
     DistributionPair,
     Symbol,
+    _divergence,
     kl_divergence,
 )
 from .topology import _integer
@@ -64,10 +66,12 @@ class TransmissionFunction:
         missing = [t for t in domain if t not in table]
         if missing:
             raise InvalidParams(f"table not total: missing {missing[:3]!r}...")
-        extra = [t for t in table if t not in set(domain)]
+        inside = set(domain)
+        extra = [t for t in table if t not in inside]
         if extra:
             raise InvalidParams(f"table has entries outside the domain: {extra[:3]!r}")
-        bad = [y for y in table.values() if y not in self.output_alphabet]
+        outputs = set(self.output_alphabet)
+        bad = [y for y in table.values() if not isinstance(y, Hashable) or y not in outputs]
         if bad:
             raise InvalidParams(f"outputs {bad[:3]!r} not in the output alphabet")
         object.__setattr__(self, "table", table)
@@ -264,7 +268,11 @@ def parallel_exponent(
     best_gamma = None
     best_d = 0.0
     for gamma in gammas:
-        d = kl_divergence(induced_pair(pair, gamma), Direction.ZERO_ONE)
+        # kl_divergence's sum over the live push-forward symbols, with no
+        # pair built: a push-forward of a valid pair is valid by construction
+        q0, q1 = _pushforward(pair, gamma)
+        live = q0 > 0.0
+        d = _divergence(q0[live], np.log(q0[live]), np.log(q1[live]))
         if d > best_d:
             best_d = d
             best_gamma = gamma

@@ -200,6 +200,11 @@ def product_pair(pair: DistributionPair, k: int) -> DistributionPair:
     return DistributionPair(Alphabet(tuple(tuples)), q0, q1)
 
 
+def _divergence(p: np.ndarray, logp: np.ndarray, logq: np.ndarray) -> float:
+    # sum of p log(p/q) over live symbols, from their masses and logs
+    return float(np.sum(p * (logp - logq)))
+
+
 def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     """Kullback-Leibler divergence between the two laws, in nats.
 
@@ -211,7 +216,7 @@ def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
         p, logp, logq = pair.p0, logp0, logp1
     else:
         p, logp, logq = pair.p1, logp1, logp0
-    return float(np.sum(p[pair.support] * (logp - logq)))
+    return _divergence(p[pair.support], logp, logq)
 
 
 def log_likelihood_ratio(pair: DistributionPair, symbol: Symbol) -> float:

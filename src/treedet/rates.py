@@ -1,10 +1,13 @@
 """Log-moment generating functions, convex conjugates, and the per-level
 rate recursion behind the relay error bounds.
 
-Level 1 rates come from a numeric conjugate of the quantized observation's
-log-MGF.  Higher levels admit closed forms because a one-bit message's
-log-MGF is the maximum of two lines; the closed forms are re-derived
-numerically at every level as an always-on transcription check.
+Level 1 rates come from the exact conjugate of the quantized observation's
+log-MGF: the log-MGF's derivative is the LLR's mean under the tilted law
+p0^(1-s) p1^s, increasing in s, so Newton's method finds the tilt at which
+that mean equals the threshold.  Higher levels admit closed forms because a
+one-bit message's log-MGF is the maximum of two lines; every such level is
+re-derived as the envelope's exact conjugate, taken at the kink or at an end
+of the domain, as an always-on transcription check.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .topology import Tree
 _LAMBDA_TOL = 1e-10
 _MAX_ITER = 200
 _CROSS_CHECK_TOL = 1e-8
+# a tilt error d moves a level-1 rate by about var * d**2 / 2
+_TILT_TOL = 1e-15
 
 
 def log_mgf(pair: DistributionPair, hypothesis: int, lam: float) -> float:
@@ -42,8 +47,9 @@ def fenchel_legendre(
     """sup over the domain of lam*t - fn(lam), with the maximizing lam.
 
     ``fn`` must be convex on the domain (caller contract), making the
-    objective concave; ternary search needs no derivatives and tolerates the
-    piecewise-linear kinks of higher-level log-MGFs.
+    objective concave; ternary search needs no derivatives and tolerates
+    kinks.  It is a numeric reference for any convex ``fn``; ``rate_table``
+    instead solves level 1 by a Newton tilt and each higher level exactly.
     """
     lo, hi = float(lam_domain[0]), float(lam_domain[1])
     if not lo < hi:
@@ -88,12 +94,55 @@ class RateTable:
         return self.rate1[k - 1]
 
 
-def _one_bit_envelope(r0: float, r1: float, j: int) -> Callable[[float], float]:
-    # log-MGF of a one-bit message whose tail rates are (r0, r1)
-    def fn(lam: float) -> float:
-        return max(-r1 * (j + lam), r0 * (j - 1 + lam))
+def _envelope_conjugate(r0: float, r1: float, j: int, t: float) -> float:
+    """Exact sup over lam in [-j, 1 - j] of lam*t minus the envelope
+    max(-r1 (j + lam), r0 (j - 1 + lam)), the log-MGF under hypothesis j of
+    a one-bit message whose tail rates are (r0, r1).
 
-    return fn
+    The objective is concave and piecewise linear, so the sup is at an end
+    of the domain or at the kink where the envelope's two lines cross.
+    """
+    lams = [float(-j), float(1 - j)]
+    kink = r0 / (r0 + r1) - j
+    if lams[0] < kink < lams[1]:
+        lams.append(kink)
+    return max(lam * t - max(-r1 * (j + lam), r0 * (j - 1 + lam)) for lam in lams)
+
+
+def _closed_step(r0: float, r1: float, t: float) -> tuple[float, float]:
+    # next level's (rate0, rate1) from the previous level's and its threshold
+    denom = r0 + r1
+    return r0 * (r1 + t) / denom, r1 * (r0 - t) / denom
+
+
+def _tilt(message: DistributionPair, t: float) -> float:
+    """The s in [0, 1] at which the LLR's mean under p0^(1-s) p1^s is t.
+
+    That mean is the level-1 log-MGF's derivative, increasing in s with the
+    tilted variance as slope; Newton steps that leave the bracket bisect it.
+    """
+    logp0, logp1 = message._live_logs
+    llr = logp1 - logp0
+    lo, hi, s = 0.0, 1.0, 0.5
+    for _ in range(_MAX_ITER):
+        w = logp0 + s * llr
+        q = np.exp(w - w.max())
+        q /= q.sum()
+        mean = float(q @ llr)
+        if mean < t:
+            lo = s
+        elif mean > t:
+            hi = s
+        dev = llr - mean
+        var = float(q @ (dev * dev))
+        # a variance lost to underflow sends the step to lo, a bisection
+        step = s - (mean - t) / var if var > 0.0 else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - s) <= _TILT_TOL:
+            return step
+        s = step
+    return s
 
 
 def _message_law(
@@ -132,9 +181,11 @@ def rate_table(
 ) -> RateTable:
     """Builds the per-level rates, validating each threshold eagerly.
 
-    Levels above the first follow the closed recursion
+    Level 1 is the log-MGF conjugate at the Newton tilt s of ``_tilt``:
+    r0 = s t - L0(s) and r1 = (s - 1) t - L1(s - 1).  Levels above the
+    first follow the closed recursion
     r1' = r1 (r0 - t) / (r0 + r1),  r0' = r0 (r1 + t) / (r0 + r1),
-    and every such level is cross-computed by a numeric conjugate of the
+    and every such level is cross-computed by the exact conjugate of the
     one-bit envelope; disagreement beyond 1e-8 aborts.
     """
     ts = tuple(float(t) for t in thresholds)
@@ -150,14 +201,9 @@ def rate_table(
         raise InfeasibleThreshold(
             1, f"t_1={ts[0]:.6g} outside ({lo:.6g}, {hi:.6g})"
         )
-    r1, _ = fenchel_legendre(
-        lambda lam: log_mgf(message, 1, lam), ts[0], (-1.0, 0.0)
-    )
-    r0, _ = fenchel_legendre(
-        lambda lam: log_mgf(message, 0, lam), ts[0], (0.0, 1.0)
-    )
-    rate0 = [r0]
-    rate1 = [r1]
+    s = _tilt(message, ts[0])
+    rate0 = [s * ts[0] - log_mgf(message, 0, s)]
+    rate1 = [(s - 1.0) * ts[0] - log_mgf(message, 1, s - 1.0)]
     for k in range(2, len(ts) + 1):
         tk = ts[k - 1]
         prev0, prev1 = rate0[-1], rate1[-1]
@@ -165,18 +211,12 @@ def rate_table(
             raise InfeasibleThreshold(
                 k, f"t_{k}={tk:.6g} outside ({-prev1:.6g}, {prev0:.6g})"
             )
-        denom = prev0 + prev1
-        new1 = prev1 * (prev0 - tk) / denom
-        new0 = prev0 * (prev1 + tk) / denom
-        check1, _ = fenchel_legendre(
-            _one_bit_envelope(prev0, prev1, 1), tk, (-1.0, 0.0)
-        )
-        check0, _ = fenchel_legendre(
-            _one_bit_envelope(prev0, prev1, 0), tk, (0.0, 1.0)
-        )
+        new0, new1 = _closed_step(prev0, prev1, tk)
+        check1 = _envelope_conjugate(prev0, prev1, 1, tk)
+        check0 = _envelope_conjugate(prev0, prev1, 0, tk)
         if abs(check1 - new1) > _CROSS_CHECK_TOL or abs(check0 - new0) > _CROSS_CHECK_TOL:
             raise AssertionError(
-                f"closed-form and numeric rates disagree at level {k}: "
+                f"closed-form and envelope-conjugate rates disagree at level {k}: "
                 f"({new0:.12g}, {new1:.12g}) vs ({check0:.12g}, {check1:.12g})"
             )
         rate0.append(new0)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from treedet import (
     BINARY,
     Alphabet,
+    Direction,
     DistributionPair,
     EnumerationTooLarge,
     InputError,
@@ -23,6 +25,7 @@ from treedet import (
     fusion_loss_constant,
     identity_map,
     induced_pair,
+    kl_divergence,
     or_gate,
     parallel_exponent,
     xor_gate,
@@ -56,6 +59,21 @@ class TestTransmissionFunction:
         g = TransmissionFunction.from_json(f.to_json())
         assert g.arity == 2
         assert all(g(a, b) == f(a, b) for a in (0, 1) for b in (0, 1))
+
+    def test_wide_identity_builds_in_linear_time(self):
+        # the domain and output checks are set lookups, not tuple scans
+        alphabet = Alphabet(tuple(range(4000)))
+        t0 = time.perf_counter()
+        f = identity_map(alphabet)
+        assert time.perf_counter() - t0 < 0.2
+        assert f(3999) == 3999
+
+    def test_out_of_domain_entry_rejected(self):
+        table = {(0,): 0, (1,): 1, (2,): 0}
+        with pytest.raises(
+            InvalidParams, match=r"table has entries outside the domain: \[\(2,\)\]"
+        ):
+            TransmissionFunction(0, (BINARY,), BINARY, table)
 
     def test_wrong_input_count(self):
         from treedet import InputError
@@ -220,6 +238,53 @@ class TestParallelExponent:
     def test_degenerate_family(self, pair75):
         with pytest.raises(DegenerateFamily):
             parallel_exponent(pair75, [constant_map(BINARY, 0)])
+
+
+def _reference_parallel_exponent(pair, gammas):
+    """The search as written before divergences were read off push-forward
+    masses: one induced pair per map, strict improvement over 0.0."""
+    best_gamma, best_d = None, 0.0
+    for gamma in gammas:
+        d = kl_divergence(induced_pair(pair, gamma), Direction.ZERO_ONE)
+        if d > best_d:
+            best_gamma, best_d = gamma, d
+    return -best_d, best_gamma
+
+
+class TestParallelExponentPinned:
+    def test_bit_identical_to_induced_pair_loop(self):
+        rng = np.random.default_rng(40)
+        ternary = Alphabet((0, 1, 2))
+        for _ in range(40):
+            k = int(rng.integers(2, 6))
+            p0 = rng.dirichlet(np.ones(k))
+            p1 = rng.dirichlet(np.ones(k))
+            pair = DistributionPair(Alphabet(tuple(range(k))), p0, p1)
+            families = [all_binary_leaf_family(pair.alphabet).leaf]
+            if k <= 4:
+                families.append(enumerate_quantizers(pair.alphabet, ternary))
+            for family in families:
+                g, gamma = parallel_exponent(pair, family)
+                want_g, want_gamma = _reference_parallel_exponent(pair, family)
+                assert g.hex() == want_g.hex()
+                assert gamma is want_gamma
+
+    def test_tie_keeps_earliest_map(self, pair75):
+        ident = identity_map(BINARY)
+        flip = TransmissionFunction(0, (BINARY,), BINARY, {(0,): 1, (1,): 0})
+        d_ident = kl_divergence(induced_pair(pair75, ident), Direction.ZERO_ONE)
+        d_flip = kl_divergence(induced_pair(pair75, flip), Direction.ZERO_ONE)
+        assert d_ident == d_flip
+        for family in ([flip, ident], [ident, flip]):
+            assert parallel_exponent(pair75, family)[1] is family[0]
+
+    def test_errors_still_raised(self, pair75):
+        with pytest.raises(DegenerateFamily):
+            parallel_exponent(pair75, [constant_map(BINARY, 0), constant_map(BINARY, 1)])
+        with pytest.raises(InputError, match="does not match the pair alphabet"):
+            parallel_exponent(pair75, [identity_map(Alphabet(("a", "b")))])
+        with pytest.raises(InvalidParams, match="arity-0"):
+            parallel_exponent(pair75, [or_gate()])
 
 
 class TestFusionLoss:

@@ -1,10 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from treedet import (
+    Alphabet,
+    DistributionPair,
     InfeasibleThreshold,
     InvalidParams,
     NotUniform,
@@ -18,7 +23,8 @@ from treedet import (
     recipe_threshold,
     uniformize,
 )
-from treedet.rates import BoundRow
+from treedet import rates
+from treedet.rates import BoundRow, _envelope_conjugate
 
 D75 = 0.5493061443340549
 RATE_AT_ZERO = 0.14384103622589028
@@ -110,6 +116,104 @@ class TestRateTable:
     def test_needs_thresholds(self, pair75, ident):
         with pytest.raises(InvalidParams):
             rate_table(pair75, ident, ())
+
+
+def _oracle_rates(p0, p1, t):
+    """Level-1 (rate0, rate1) at threshold t, in 50-digit arithmetic.
+
+    The tilt s solves E_s[llr] = t under p0^(1-s) p1^s by plain bisection;
+    the rates are the conjugates s t - L0(s) and (s - 1) t - L1(s - 1).
+    """
+    with mpmath.workdps(50):
+        q0 = [mpmath.mpf(float(x)) for x in p0]
+        q1 = [mpmath.mpf(float(x)) for x in p1]
+        llr = [mpmath.log(b) - mpmath.log(a) for a, b in zip(q0, q1)]
+        t = mpmath.mpf(float(t))
+
+        def log_mgf_mp(q, lam):
+            return mpmath.log(mpmath.fsum(m * mpmath.exp(lam * x) for m, x in zip(q, llr)))
+
+        def tilted_mean(s):
+            w = [m * mpmath.exp(s * x) for m, x in zip(q0, llr)]
+            return mpmath.fsum(wi * x for wi, x in zip(w, llr)) / mpmath.fsum(w)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(180):
+            mid = (lo + hi) / 2
+            if tilted_mean(mid) < t:
+                lo = mid
+            else:
+                hi = mid
+        s = (lo + hi) / 2
+        return s * t - log_mgf_mp(q0, s), (s - 1) * t - log_mgf_mp(q1, s - 1)
+
+
+# weights spanning nine decades, so normalized masses reach about 1e-9
+WEIGHTS = st.one_of(st.floats(1e-9, 1e-6), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def small_pairs(draw):
+    k = draw(st.integers(2, 6))
+    w0 = np.array(draw(st.lists(WEIGHTS, min_size=k, max_size=k)))
+    w1 = np.array(draw(st.lists(WEIGHTS, min_size=k, max_size=k)))
+    return DistributionPair(Alphabet(tuple(range(k))), w0 / w0.sum(), w1 / w1.sum())
+
+
+class TestLevelOneOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        small_pairs(),
+        st.sampled_from(("low", "inside", "high")),
+        st.floats(1e-9, 1e-6),
+        st.floats(0.01, 0.99),
+    )
+    def test_matches_mpmath_conjugate(self, pair, where, delta, frac):
+        lo, hi = feasible_threshold_interval(pair)
+        assume(lo < -1e-3 and hi > 1e-3)
+        t = {"low": lo + delta, "inside": lo + frac * (hi - lo), "high": hi - delta}[where]
+        table = rate_table(pair, None, (t,))
+        want0, want1 = _oracle_rates(pair.p0, pair.p1, t)
+        # near an end of the interval one rate is about delta**2, far below
+        # the rounding of s t and L(s); errors are relative to the larger rate
+        scale = float(max(want0, want1))
+        assert abs(table.rate0[0] - float(want0)) <= 1e-13 * scale
+        assert abs(table.rate1[0] - float(want1)) <= 1e-13 * scale
+
+
+class TestEnvelopeConjugate:
+    def test_matches_ternary_search(self):
+        # thresholds reach past both ends of (-r1, r0), where the sup sits
+        # at an end of the domain rather than at the kink
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            r0, r1 = rng.uniform(1e-3, 0.5, size=2)
+            t = float(rng.uniform(-r1 - 0.25, r0 + 0.25))
+            j = int(rng.integers(0, 2))
+            envelope = lambda lam: max(-r1 * (j + lam), r0 * (j - 1 + lam))
+            want, _ = fenchel_legendre(envelope, t, (-j, 1 - j))
+            assert abs(_envelope_conjugate(r0, r1, j, t) - want) <= 1e-10
+
+    def test_equals_closed_form_inside_interval(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            r0, r1 = rng.uniform(1e-3, 2.0, size=2)
+            t = float(rng.uniform(-r1, r0))
+            new0, new1 = rates._closed_step(r0, r1, t)
+            assert abs(_envelope_conjugate(r0, r1, 0, t) - new0) <= 1e-14
+            assert abs(_envelope_conjugate(r0, r1, 1, t) - new1) <= 1e-14
+
+    def test_cross_check_catches_wrong_closed_form(self, pair75, ident, monkeypatch):
+        closed = rates._closed_step
+
+        def off(r0, r1, t):
+            new0, new1 = closed(r0, r1, t)
+            return new0, new1 + 1e-6
+
+        monkeypatch.setattr(rates, "_closed_step", off)
+        rate_table(pair75, ident, (0.0,))
+        with pytest.raises(AssertionError, match="level 2"):
+            rate_table(pair75, ident, (0.0, 0.0))
 
 
 class TestChernoffBounds:
