@@ -127,12 +127,6 @@ def identity_map(alphabet: Alphabet) -> TransmissionFunction:
     )
 
 
-def constant_map(alphabet: Alphabet, value: Symbol) -> TransmissionFunction:
-    return TransmissionFunction(
-        0, (alphabet,), alphabet, {(s,): value for s in alphabet}, name=f"const-{value}"
-    )
-
-
 def _binary_gate(table: Mapping[tuple[int, int], int], name: str) -> TransmissionFunction:
     return TransmissionFunction(2, (BINARY, BINARY), BINARY, table, name=name)
 

@@ -37,10 +37,6 @@ class EnumerationTooLarge(InfeasibilityError):
     """A requested exhaustive enumeration exceeds the cap."""
 
 
-class EmptyAfterPrune(InfeasibilityError):
-    """Pruning small subtrees would delete every leaf."""
-
-
 class NotUniform(InfeasibilityError):
     """An operation requires all leaves at the same depth."""
 

@@ -4,20 +4,24 @@ Exact evaluation propagates the discrete law of each node's outgoing
 message bottom-up, in the log domain throughout: tail masses reach e^-1000
 scales on wide trees, far below what linear doubles can hold.  Sums of
 identical child laws use closed binomial forms; distinct laws are combined
-by pairwise convolution with atom merging.  Laws are computed once per
-structurally distinct subtree, so trees with millions of isomorphic
-branches cost no more than their distinct shapes.  They are memoized on
-the strategy, one set per pair: calibrating the root threshold hands them to
-the calibrated copy, and they are freed with the strategy.
+by pairwise convolution with atom merging.  A convolution lays its outer
+sum out as one sorted run of the larger law per atom of the smaller, so the
+stable sort of its atoms only merges runs.  A law over `STATE_SPACE_CAP`
+atoms is refused, naming the level, shape and operand sizes.  Laws are
+computed once per structurally distinct subtree, so trees with millions of
+isomorphic branches cost no more than their distinct shapes.  They are
+memoized on the strategy, one set per pair: calibrating the root threshold
+hands them to the calibrated copy, and they are freed with the strategy.
 
 Monte Carlo runs in count space on counter-based substreams.  Leaves are
 exchangeable, so each fringe node draws how many of its leaves sent each
 message (one binomial or multinomial draw), and a gated fringe node draws
 its output straight from the gate's law.  A relay's rule sends a prefix of
-its sorted sum atoms low, so each simulated sum is decided by one
-comparison with the midpoint between the last atom sent low and the first
-sent high: the sum sends what its nearest atom sends, and ties fall as in
-the exact tail split, with no tolerance.
+its sorted sum atoms low, so the exact tail split cuts a law at one index,
+and each simulated sum is decided by one comparison with the midpoint
+between the last atom sent low and the first sent high: the sum sends what
+its nearest atom sends, and ties fall as in the exact tail split, with no
+tolerance.
 """
 
 from __future__ import annotations
@@ -53,10 +57,12 @@ def _merged(
     if v.size <= 1:
         return v, a, b
     gaps = np.diff(v)
+    # the tolerance grows with |v|, largest at an end of the sorted atoms, so
+    # gaps all wider than that tolerance need no check atom by atom
+    if gaps.min() > _MERGE_ATOL + _MERGE_RTOL * max(-v[0], v[-1]):
+        return v, a, b
     new_group = gaps > (_MERGE_ATOL + _MERGE_RTOL * np.abs(v[1:]))
     starts = np.flatnonzero(np.concatenate(([True], new_group)))
-    if starts.size == v.size:
-        return v, a, b
     return (
         v[starts],
         np.logaddexp.reduceat(a, starts),
@@ -87,9 +93,12 @@ class MessageLaw:
             raise InvalidParams("law arrays must share a length")
         if self.values.size == 0:
             raise InvalidParams("law must have at least one atom")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidParams("law atoms must be finite")
-        if np.any(np.diff(self.values) <= 0):
+        v = self.values
+        # a strictly increasing run between finite ends is finite, and a NaN
+        # fails the comparison; the full scan runs only to name the fault
+        if not (math.isfinite(v[0]) and math.isfinite(v[-1]) and np.all(v[1:] > v[:-1])):
+            if not np.all(np.isfinite(v)):
+                raise InvalidParams("law atoms must be finite")
             raise InvalidParams("law atoms must be strictly increasing")
         for logs in (self.logp0, self.logp1):
             total = _logsumexp(logs)
@@ -119,8 +128,13 @@ def law_from_pair(pair: DistributionPair) -> MessageLaw:
 def _conv(a: MessageLaw, b: MessageLaw) -> MessageLaw:
     if a.n_atoms * b.n_atoms > STATE_SPACE_CAP:
         raise StateSpaceTooLarge(
-            f"convolution would create {a.n_atoms * b.n_atoms} atoms"
+            f"convolving laws of {a.n_atoms} and {b.n_atoms} atoms would create "
+            f"{a.n_atoms * b.n_atoms}, over the cap of {STATE_SPACE_CAP}"
         )
+    # smaller law first: each row of the outer sum is then a sorted run of
+    # the larger law, which the stable sort merges instead of sorting
+    if b.n_atoms < a.n_atoms:
+        a, b = b, a
     values = np.add.outer(a.values, b.values).ravel()
     logp0 = np.add.outer(a.logp0, b.logp0).ravel()
     logp1 = np.add.outer(a.logp1, b.logp1).ravel()
@@ -130,7 +144,10 @@ def _conv(a: MessageLaw, b: MessageLaw) -> MessageLaw:
 def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
     # m-fold sum of a two-atom law: closed form, m+1 atoms
     if m + 1 > STATE_SPACE_CAP:
-        raise StateSpaceTooLarge(f"{m + 1} atoms exceed the cap")
+        raise StateSpaceTooLarge(
+            f"{m} copies of a two-atom law would create {m + 1} atoms, "
+            f"over the cap of {STATE_SPACE_CAP}"
+        )
     k = np.arange(m + 1, dtype=float)
     log_comb = gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
     v0, v1 = law.values
@@ -170,17 +187,23 @@ def _sends_low(sums: np.ndarray, leaf_count: int, threshold: float) -> np.ndarra
     return sums / leaf_count <= threshold
 
 
+def _low_count(law: MessageLaw, leaf_count: int, threshold: float) -> int:
+    """How many atoms the relay rule sends low.  The rule is monotone in the
+    sum, so they are a prefix of the sorted atoms."""
+    return int(np.count_nonzero(_sends_low(law.values, leaf_count, threshold)))
+
+
 def _split_log_mass(
     law: MessageLaw, leaf_count: int, threshold: float
 ) -> tuple[float, float, float, float]:
     """Log masses of the low side (normalized value <= threshold) and high
     side, under both hypotheses."""
-    low = _sends_low(law.values, leaf_count, threshold)
+    k = _low_count(law, leaf_count, threshold)
     return (
-        _logsumexp(law.logp0[low]),
-        _logsumexp(law.logp1[low]),
-        _logsumexp(law.logp0[~low]),
-        _logsumexp(law.logp1[~low]),
+        _logsumexp(law.logp0[:k]),
+        _logsumexp(law.logp1[:k]),
+        _logsumexp(law.logp0[k:]),
+        _logsumexp(law.logp1[k:]),
     )
 
 
@@ -234,10 +257,13 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
             sums.append(None)
             out.append(gate_law)
             continue
-        parts = [_conv_power(out[k], c) for k, c in zip(kids, counts)]
-        total = parts[0]
-        for part in parts[1:]:
-            total = _conv(total, part)
+        try:
+            parts = [_conv_power(out[k], c) for k, c in zip(kids, counts)]
+            total = parts[0]
+            for part in parts[1:]:
+                total = _conv(total, part)
+        except StateSpaceTooLarge as exc:
+            raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
         sums.append(total)
         t = strategy.threshold_at_level(level[sid])
         out.append(_bit_law(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
@@ -278,7 +304,7 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
     # so it is admissible at every alpha
     above = np.full(values.size, -np.inf)
     above[:-1] = np.logaddexp.accumulate(logp0[::-1])[::-1][1:]
-    first = np.flatnonzero(np.exp(above) <= alpha)[0]
+    first = int(np.argmax(np.exp(above) <= alpha))
     calibrated = replace(strategy, root_threshold=float(values[first]) / l_f)
     calibrated._laws.update(strategy._laws)
     return calibrated
@@ -395,7 +421,7 @@ def _simulate_error_count(
         if law is None:  # the leaf or a gate level
             continue
         t = by_level[ctx.level[sid] - 1]
-        k = np.count_nonzero(_sends_low(law.values, ctx.leaf_count[sid], t))
+        k = _low_count(law, ctx.leaf_count[sid], t)
         v = np.concatenate(([-np.inf], law.values, [np.inf]))
         table[sid, 0] = (v[k] + v[k + 1]) / 2.0
         if ctx.out[sid] is not None:  # the root sends no message

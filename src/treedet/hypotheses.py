@@ -34,8 +34,10 @@ class Alphabet:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise InputError("alphabet must be non-empty")
-        if len(set(self.symbols)) != len(self.symbols):
+        positions = {s: i for i, s in enumerate(self.symbols)}
+        if len(positions) != len(self.symbols):
             raise InputError("alphabet symbols must be distinct")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -44,12 +46,16 @@ class Alphabet:
         return iter(self.symbols)
 
     def __contains__(self, symbol: object) -> bool:
-        return symbol in self.symbols
+        try:
+            self.index(symbol)
+        except UnknownSymbol:
+            return False
+        return True
 
     def index(self, symbol: Symbol) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._positions[symbol]
+        except (KeyError, TypeError):
             raise UnknownSymbol(f"symbol {symbol!r} not in alphabet") from None
 
 
@@ -76,7 +82,8 @@ def _logsumexp(logs) -> float:
     top = float(logs.max())
     if not math.isfinite(top):
         return top
-    return top + math.log(float(np.exp(logs - top).sum()))
+    shifted = logs - top
+    return top + math.log(float(np.exp(shifted, out=shifted).sum()))
 
 
 def _as_prob_array(values, size: int, label: str) -> np.ndarray:
@@ -185,21 +192,6 @@ def bernoulli_pair(p: float) -> DistributionPair:
     return DistributionPair(BINARY, np.array([p, 1.0 - p]), np.array([1.0 - p, p]))
 
 
-def product_pair(pair: DistributionPair, k: int) -> DistributionPair:
-    """Pair of i.i.d. ``k``-tuples; symbols become tuples of base symbols."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    symbols: list[Symbol] = list(pair.alphabet)
-    tuples = [(s,) for s in symbols]
-    q0 = pair.p0.copy()
-    q1 = pair.p1.copy()
-    for _ in range(k - 1):
-        tuples = [t + (s,) for t in tuples for s in symbols]
-        q0 = np.outer(q0, pair.p0).ravel()
-        q1 = np.outer(q1, pair.p1).ravel()
-    return DistributionPair(Alphabet(tuple(tuples)), q0, q1)
-
-
 def _divergence(p: np.ndarray, logp: np.ndarray, logq: np.ndarray) -> float:
     # sum of p log(p/q) over live symbols, from their masses and logs
     return float(np.sum(p * (logp - logq)))
@@ -217,30 +209,6 @@ def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     else:
         p, logp, logq = pair.p1, logp1, logp0
     return _divergence(p[pair.support], logp, logq)
-
-
-def log_likelihood_ratio(pair: DistributionPair, symbol: Symbol) -> float:
-    """log of alternative-to-null probability at ``symbol``."""
-    i = pair.alphabet.index(symbol)
-    p0 = float(pair.p0[i])
-    p1 = float(pair.p1[i])
-    if p0 == 0.0:
-        raise EquivalenceViolation(
-            f"symbol {symbol!r} has zero probability under both hypotheses"
-        )
-    return math.log(p1) - math.log(p0)
-
-
-def llr_array(pair: DistributionPair) -> np.ndarray:
-    """Vector of log-likelihood ratios over the full alphabet.
-
-    Dead symbols get NaN; callers sampling from the pair can never hit them.
-    """
-    out = np.full(len(pair.alphabet), np.nan)
-    logp0, logp1 = pair._live_logs
-    out[pair.support] = logp1 - logp0
-    out.flags.writeable = False
-    return out
 
 
 def second_moment_null(pair: DistributionPair) -> float:

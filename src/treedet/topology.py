@@ -15,12 +15,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyAfterPrune,
-    InputError,
-    InvalidParams,
-    NotUniform,
-)
+from .errors import InputError, InvalidParams
 
 
 def _is_integer_type(kind: type) -> bool:
@@ -404,56 +399,6 @@ def uniformize(tree: Tree) -> UniformizeResult:
             parents[int(c)] = chain_top
     out = Tree(parents)
     return UniformizeResult(out)
-
-
-def _relabel(tree: Tree, keep: np.ndarray) -> Tree:
-    ids = np.flatnonzero(keep)
-    # the extra last slot maps the root's parent, -1, to itself
-    new_id = np.full(tree.n + 1, -1, dtype=np.int64)
-    new_id[ids] = np.arange(ids.size)
-    return Tree(new_id[tree.parents[ids]])
-
-
-def prune_small(tree: Tree, small_cap: int) -> Tree:
-    """Drops fringe nodes with at most ``small_cap`` leaves, their leaves, and
-    any ancestors left childless, keeping the tree height-uniform.
-    """
-    if not tree.is_uniform:
-        raise NotUniform("prune requires a height-uniform tree")
-    lcounts = tree.subtree_leaf_count
-    fringe = tree.fringe
-    small = fringe[lcounts[fringe] <= small_cap]
-    if small.size == fringe.size:
-        raise EmptyAfterPrune(
-            f"every fringe node has at most {small_cap} leaves; nothing survives"
-        )
-    if small.size == 0:
-        return tree
-    keep = np.ones(tree.n, dtype=bool)
-    keep[small] = False
-    leaf_parent = tree.parents[tree.is_leaf]
-    dead_leaf = np.zeros(tree.n, dtype=bool)
-    dead_leaf[small] = True
-    keep[tree.leaves[dead_leaf[leaf_parent]]] = False
-    # cascade upward: an internal node survives only with a surviving child
-    for d in range(tree.height - 2, -1, -1):
-        at_d = tree.nodes_at_depth(d)
-        internal = at_d[tree.n_children[at_d] > 0]
-        kept_below = np.bincount(
-            tree.parents[np.flatnonzero(keep & (tree.depth == d + 1))],
-            minlength=tree.n,
-        )
-        keep[internal] &= kept_below[internal] > 0
-    return _relabel(tree, keep)
-
-
-def collapse_leaves(tree: Tree) -> Tree:
-    """Deletes every leaf; the former fringe becomes the new leaf set."""
-    if tree.height < 2:
-        raise InvalidParams("collapse needs height at least 2")
-    if not tree.is_uniform:
-        raise NotUniform("collapse requires a height-uniform tree")
-    return _relabel(tree, ~tree.is_leaf)
 
 
 def _gen_parallel(params: Mapping[str, object], size: int) -> Tree:

@@ -30,7 +30,6 @@ from treedet import (
     parallel_exponent,
     xor_gate,
 )
-from treedet.channels import constant_map
 from treedet.errors import DegenerateFamily
 from treedet.evaluate import _sends_low
 
@@ -38,15 +37,16 @@ LOG3 = math.log(3.0)
 G_PARALLEL = -0.5493061443340548
 
 
+def _constant(value):
+    """The binary map that sends both symbols to ``value``."""
+    return TransmissionFunction(0, (BINARY,), BINARY, {(0,): value, (1,): value})
+
+
 class TestTransmissionFunction:
     def test_identity(self):
         f = identity_map(BINARY)
         assert f.arity == 0
         assert f(0) == 0 and f(1) == 1
-
-    def test_constant(self):
-        f = constant_map(BINARY, 1)
-        assert f(0) == 1 and f(1) == 1
 
     def test_gate_tables(self):
         assert [or_gate()(a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))] == [0, 1, 1, 1]
@@ -107,7 +107,7 @@ class TestInducedLaws:
         assert_allclose(q.p1, pair75.p1)
 
     def test_constant_is_uninformative(self, pair75):
-        q = induced_pair(pair75, constant_map(BINARY, 0))
+        q = induced_pair(pair75, _constant(0))
         assert len(q.alphabet) == 1
         assert_allclose(q.p0, [1.0])
         assert_allclose(q.p1, [1.0])
@@ -237,7 +237,7 @@ class TestParallelExponent:
 
     def test_degenerate_family(self, pair75):
         with pytest.raises(DegenerateFamily):
-            parallel_exponent(pair75, [constant_map(BINARY, 0)])
+            parallel_exponent(pair75, [_constant(0)])
 
 
 def _reference_parallel_exponent(pair, gammas):
@@ -280,7 +280,7 @@ class TestParallelExponentPinned:
 
     def test_errors_still_raised(self, pair75):
         with pytest.raises(DegenerateFamily):
-            parallel_exponent(pair75, [constant_map(BINARY, 0), constant_map(BINARY, 1)])
+            parallel_exponent(pair75, [_constant(0), _constant(1)])
         with pytest.raises(InputError, match="does not match the pair alphabet"):
             parallel_exponent(pair75, [identity_map(Alphabet(("a", "b")))])
         with pytest.raises(InvalidParams, match="arity-0"):

@@ -91,12 +91,85 @@ class TestMessageLaw:
                 np.log([0.5, 0.5]),
             )
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0.0, np.nan, 2.0), "finite"),
+            ((np.nan,), "finite"),
+            ((0.0, 1.0, np.inf), "finite"),
+            ((-np.inf, 1.0, 2.0), "finite"),
+            ((0.0, 1.0, 1.0), "strictly increasing"),
+            ((0.0, 2.0, 1.0), "strictly increasing"),
+        ],
+    )
+    def test_atom_faults_are_named(self, values, message):
+        uniform = np.full(len(values), -math.log(len(values)))
+        with pytest.raises(InvalidParams, match=f"^law atoms must be {message}$"):
+            MessageLaw(np.array(values), uniform, uniform)
+
     def test_lengths_must_agree(self):
         with pytest.raises(InvalidParams):
             MessageLaw(np.array([0.0]), np.log([1.0]), np.log([0.5, 0.5]))
         # so a root law, and np_calibrate_root's candidate set, is never empty
         with pytest.raises(InvalidParams, match="at least one atom"):
             MessageLaw(np.array([]), np.array([]), np.array([]))
+
+
+def _random_law(rng, n):
+    logp = [np.log(rng.dirichlet(np.ones(n))) for _ in range(2)]
+    return MessageLaw(np.sort(rng.normal(size=n)), *logp)
+
+
+def _reference_conv(a, b):
+    """Outer sum in Python, sorted by value, adjacent atoms within the merge
+    tolerance joined into the smallest one with summed masses."""
+    atoms = sorted(
+        (x + y, p + q, r + s)
+        for x, p, r in zip(a.values, a.logp0, a.logp1)
+        for y, q, s in zip(b.values, b.logp0, b.logp1)
+    )
+    groups = [[atoms[0]]]
+    for prev, atom in zip(atoms, atoms[1:]):
+        if atom[0] - prev[0] > ev._MERGE_ATOL + ev._MERGE_RTOL * abs(atom[0]):
+            groups.append([])
+        groups[-1].append(atom)
+    return [
+        (g[0][0], np.logaddexp.reduce([t[1] for t in g]), np.logaddexp.reduce([t[2] for t in g]))
+        for g in groups
+    ]
+
+
+class TestConvolution:
+    def _cases(self):
+        rng = np.random.default_rng(11)
+        for na, nb in [(1, 4), (2, 9), (3, 7), (5, 5), (16, 2)]:
+            yield _random_law(rng, na), _random_law(rng, nb), False
+        # a commensurate ternary pair: distinct sums of one real value land
+        # within the tolerance of each other and are merged
+        leaf = law_from_pair(TERNARY)
+        yield ev._conv_power(leaf, 4), ev._conv_power(leaf, 7), True
+        yield ev._conv_power(leaf, 3), leaf, True
+        # 0.1 + 0.8 and 0.7 + 0.2 are distinct floats one ulp apart, and no
+        # two sums are equal
+        half = np.log([0.5, 0.5])
+        yield MessageLaw(np.array([0.1, 0.7]), half, half), MessageLaw(
+            np.array([0.2, 0.8]), half, half
+        ), True
+
+    def test_operand_order_is_bit_identical(self):
+        for a, b, _ in self._cases():
+            ab, ba = ev._conv(a, b), ev._conv(b, a)
+            for f in ("values", "logp0", "logp1"):
+                assert getattr(ab, f).tobytes() == getattr(ba, f).tobytes()
+
+    def test_matches_brute_force_merge(self):
+        for a, b, merges in self._cases():
+            got = ev._conv(a, b)
+            want = np.array(_reference_conv(a, b))
+            assert (got.n_atoms < a.n_atoms * b.n_atoms) == merges
+            assert_array_equal(got.values, want[:, 0])
+            assert_allclose(got.logp0, want[:, 1], rtol=1e-13, atol=1e-13)
+            assert_allclose(got.logp1, want[:, 2], rtol=1e-13, atol=1e-13)
 
 
 class TestRootSumLaw:
@@ -173,7 +246,10 @@ class TestRootSumLaw:
         monkeypatch.setattr(ev, "STATE_SPACE_CAP", 64)
         tree = TreeFamily("increasing_leaves").generate(8)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
-        with pytest.raises(StateSpaceTooLarge):
+        with pytest.raises(
+            StateSpaceTooLarge,
+            match=r"^level 2, shape \d+: convolving laws of 64 and 2 atoms would create 128",
+        ):
             root_sum_law(s, pair75)
 
 

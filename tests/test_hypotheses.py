@@ -14,9 +14,6 @@ from treedet import (
     InputError,
     bernoulli_pair,
     kl_divergence,
-    llr_array,
-    log_likelihood_ratio,
-    product_pair,
     second_moment_null,
     validate_assumptions,
 )
@@ -44,6 +41,16 @@ class TestAlphabet:
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
             BINARY.index(2)
+
+    def test_index_is_the_tuple_position(self):
+        symbols = tuple(range(0, 3000, 3)) + tuple(f"s{i}" for i in range(500))
+        a = Alphabet(symbols)
+        assert [a.index(s) for s in symbols] == list(range(len(symbols)))
+        assert all(s in a for s in symbols)
+        for missing in (1, "s500", None, [0]):
+            assert missing not in a
+            with pytest.raises(UnknownSymbol, match="not in alphabet"):
+                a.index(missing)
 
 
 class TestLogSumExp:
@@ -133,28 +140,6 @@ class TestDivergences:
         assert_allclose(
             kl_divergence(pair, Direction.ONE_ZERO), 0.5108256237659905, rtol=1e-13
         )
-
-    def test_product_pair_adds_divergence(self, pair75):
-        double = product_pair(pair75, 2)
-        assert len(double.alphabet) == 4
-        assert_allclose(
-            kl_divergence(double, Direction.ZERO_ONE),
-            2.0 * kl_divergence(pair75, Direction.ZERO_ONE),
-            rtol=1e-13,
-        )
-
-    def test_llr_values(self, pair75):
-        assert_allclose(log_likelihood_ratio(pair75, 0), -LOG3, rtol=1e-14)
-        assert_allclose(log_likelihood_ratio(pair75, 1), LOG3, rtol=1e-14)
-
-    def test_llr_array_marks_dead_symbols(self):
-        abc = Alphabet((0, 1, 2))
-        pair = DistributionPair.from_mapping(
-            abc, {0: 0.75, 1: 0.25}, {0: 0.25, 1: 0.75}
-        )
-        arr = llr_array(pair)
-        assert_allclose(arr[:2], [-LOG3, LOG3], rtol=1e-14)
-        assert math.isnan(arr[2])
 
     def test_second_moment(self, pair75):
         assert_allclose(second_moment_null(pair75), LOG3 * LOG3, rtol=1e-14)

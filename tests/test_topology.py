@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from treedet import (
-    EmptyAfterPrune,
     InputError,
     InvalidParams,
-    NotUniform,
     Tree,
     TreeFamily,
     analyze_tree,
-    collapse_leaves,
     estimate_z,
-    prune_small,
     uniformize,
 )
 
@@ -372,27 +368,3 @@ class TestUniformize:
         assert res.tree.n == t.n
         assert np.array_equal(res.tree.parents, t.parents)
 
-
-class TestPruneCollapse:
-    def test_prune_small_drops_small_fringes(self):
-        t = TreeFamily("increasing_leaves").generate(13)
-        pruned = prune_small(t, 5)
-        # relays with 2..5 leaves disappear along with their leaves
-        assert int(pruned.subtree_leaf_count[pruned.root]) == 90
-        assert int(t.subtree_leaf_count[t.fringe].min()) == 2
-        assert int(pruned.subtree_leaf_count[pruned.fringe].min()) == 6
-
-    def test_prune_everything_raises(self):
-        t = TreeFamily("two_relay").generate(3)
-        with pytest.raises(EmptyAfterPrune):
-            prune_small(t, 3)
-
-    def test_collapse_leaves(self):
-        t = TreeFamily("two_relay").generate(3)
-        c = collapse_leaves(t)
-        assert c.height == 1
-        assert len(c.leaves) == 2
-
-    def test_collapse_requires_height(self):
-        with pytest.raises(InvalidParams):
-            collapse_leaves(TreeFamily("parallel").generate(4))
