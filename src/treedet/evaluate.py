@@ -13,15 +13,18 @@ isomorphic branches cost no more than their distinct shapes.  They are
 memoized on the strategy, one set per pair: calibrating the root threshold
 hands them to the calibrated copy, and they are freed with the strategy.
 
-Monte Carlo runs in count space on counter-based substreams.  Leaves are
-exchangeable, so each fringe node draws how many of its leaves sent each
-message (one binomial or multinomial draw), and a gated fringe node draws
-its output straight from the gate's law.  A relay's rule sends a prefix of
-its sorted sum atoms low, so the exact tail split cuts a law at one index,
-and each simulated sum is decided by one comparison with the midpoint
-between the last atom sent low and the first sent high: the sum sends what
-its nearest atom sends, and ties fall as in the exact tail split, with no
-tolerance.
+Monte Carlo runs on counter-based substreams, so a seed reproduces its
+run.  A relay's rule sends a prefix of its sorted sum atoms low, so the
+exact tail split cuts a law at one index, and a simulated sum is decided by
+one comparison with the midpoint between the last atom sent low and the
+first sent high; ties fall as in the exact split, with no tolerance.  Over
+a two-atom leaf law the high-leaf counts a fringe node sends low are a
+prefix too, so one uniform against their Binomial(m, p_high) mass, taken
+from the leaf law so that Monte Carlo still checks the fringe level, draws
+its bit, as against the first mass of a two-atom gate law.  Wider gate laws
+are drawn by CDF search, wider leaf laws as multinomial counts.  Gated and
+multinomial streams match those of versions that drew binomial leaf counts;
+threshold-fringe streams differ from theirs, with the same law.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtr, gammaln
 
 from .channels import fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
@@ -300,11 +303,12 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
         raise InvalidParams("alpha must lie in (0, 1)")
     values, logp0, _ = root_sum_law(strategy, pair)
     l_f = int(strategy.tree.subtree_leaf_count[strategy.tree.root])
-    # log of the null mass strictly above each atom; the top atom's is -inf,
-    # so it is admissible at every alpha
-    above = np.full(values.size, -np.inf)
-    above[:-1] = np.logaddexp.accumulate(logp0[::-1])[::-1][1:]
-    first = int(np.argmax(np.exp(above) <= alpha))
+    # tail[j] is the null mass of the top j + 1 atoms, so atom i has tail[n-2-i]
+    # strictly above it and the top atom none: it is admissible at every alpha.
+    # The accumulate never decreases, so the admissible atoms are a top run
+    tail = np.logaddexp.accumulate(logp0[::-1])
+    np.exp(tail, out=tail)
+    first = values.size - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
     calibrated = replace(strategy, root_threshold=float(values[first]) / l_f)
     calibrated._laws.update(strategy._laws)
     return calibrated
@@ -396,6 +400,34 @@ def fringe_message_laws(
     return [(ctx.out[s], c) for s, c in zip(shapes.tolist(), counts.tolist())]
 
 
+def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
+    """Fringe draw law, masses and CDF under ``hypothesis``; (cut, low, high, plow) by shape."""
+    gated = strategy.level1_gate is not None
+    # a gated fringe node draws its output atom, any other its leaves' counts
+    draw_law = ctx.out[ctx.level.index(1) if gated else 0]
+    p = draw_law.p0 if hypothesis == 0 else draw_law.p1
+    p = p / p.sum()
+    # x / x is exactly 1, so no u < 1 searches past the last atom
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    v0, v1 = draw_law.values[[0, -1]]
+    by_level = (*strategy.thresholds[:-1], strategy.root_threshold)
+    table = np.zeros((len(ctx.sums), 4))
+    for sid, (law, out) in enumerate(zip(ctx.sums, ctx.out)):
+        if out is not None:  # the root sends no message
+            table[sid, 1:3] = out.values[[0, -1]]
+        if law is not None:  # the leaf and a gate level have no sum
+            k = _low_count(law, ctx.leaf_count[sid], by_level[ctx.level[sid] - 1])
+            v = np.concatenate(([-np.inf], law.values, [np.inf]))
+            table[sid, 0] = (v[k] + v[k + 1]) / 2.0
+        if ctx.level[sid] == 1 and draw_law.n_atoms == 2:
+            m = ctx.leaf_count[sid]
+            j = np.arange(m + 1)  # counts of high leaves, each decided by its sum
+            k = np.count_nonzero((m - j) * v0 + j * v1 <= table[sid, 0])
+            table[sid, 3] = cdf[0] if gated else bdtr(k - 1, m, p[1]) if k else 0.0
+    return draw_law, p, cdf, table
+
+
 def _simulate_error_count(
     ctx: _LawContext, strategy: Strategy, hypothesis: int, trials: int, seed: int
 ) -> int:
@@ -405,39 +437,21 @@ def _simulate_error_count(
     fringe = tree.nodes_at_depth(h - 1)
     m = tree.n_children[fringe][:, None]
     gated = strategy.level1_gate is not None
-    # a gated fringe node draws its output atom, any other its leaves' counts
-    draw_law = ctx.out[shape[fringe[0]] if gated else 0]
-    p = draw_law.p0 if hypothesis == 0 else draw_law.p1
-    p = p / p.sum()
-    # x / x is exactly 1, so no u < 1 searches past the last atom
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
+    draw_law, p, cdf, table = _mc_tables(ctx, strategy, hypothesis)
 
-    # per shape (cut, low, high): the rule sends a prefix of the sorted atoms
-    # low, so a sum sends low iff it is at most the midpoint that ends it
-    by_level = (*strategy.thresholds[:-1], strategy.root_threshold)
-    table = np.zeros((len(ctx.sums), 3))
-    for sid, law in enumerate(ctx.sums):
-        if law is None:  # the leaf or a gate level
-            continue
-        t = by_level[ctx.level[sid] - 1]
-        k = _low_count(law, ctx.leaf_count[sid], t)
-        v = np.concatenate(([-np.inf], law.values, [np.inf]))
-        table[sid, 0] = (v[k] + v[k + 1]) / 2.0
-        if ctx.out[sid] is not None:  # the root sends no message
-            table[sid, 1:] = ctx.out[sid].values[[0, -1]]
-
-    # per depth: parent-sorted child rows and the nodes' (cut, low, high)
+    # per depth: child rows in parent order, copied only when the ids are not
+    # (every family generates them in order), and the nodes' table rows
     stages = []
     for d in range(h - 1, -1, -1):
         nodes = tree.nodes_at_depth(d)
         gather = None
         if d < h - 1:
-            order = np.argsort(tree.parents[tree.nodes_at_depth(d + 1)], kind="stable")
+            kin = tree.parents[tree.nodes_at_depth(d + 1)]
+            order = None if np.all(kin[1:] >= kin[:-1]) else np.argsort(kin, kind="stable")
             starts = np.zeros(nodes.size, dtype=np.int64)
             np.cumsum(tree.n_children[nodes][:-1], out=starts[1:])
             gather = (order, starts)
-        stages.append((d, nodes.size, gather, np.split(table[shape[nodes]], 3, axis=1)))
+        stages.append((d, nodes.size, gather, np.split(table[shape[nodes]], 4, axis=1)))
 
     # multinomial counts hold one column per leaf atom at each fringe node
     cols = max(fringe.size * draw_law.n_atoms, *(w for _, w, _, _ in stages))
@@ -449,24 +463,25 @@ def _simulate_error_count(
         rng = np.random.Generator(
             np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0])
         )
-        for d, width, gather, (cut, low, high) in stages:
+        for d, width, gather, (cut, low, high, plow) in stages:
             if gather is not None:
                 order, starts = gather
-                sums = np.add.reduceat(state[order], starts, axis=0)
+                rows = state if order is None else state[order]
+                above = np.add.reduceat(rows, starts, axis=0) > cut
+            elif draw_law.n_atoms == 2:
+                # one uniform per fringe node decides its bit
+                above = rng.random((width, nb)) >= plow
             elif gated:
                 u = rng.random((width, nb))
                 state = draw_law.values[np.searchsorted(cdf, u, side="right")]
                 continue
-            elif draw_law.n_atoms == 2:
-                ones = rng.binomial(m, p[1], size=(width, nb))
-                sums = (m - ones) * draw_law.values[0] + ones * draw_law.values[1]
             else:
                 counts = rng.multinomial(m, p, size=(width, nb))
-                sums = counts @ draw_law.values
+                above = counts @ draw_law.values > cut
             if d:
-                state = np.where(sums <= cut, low, high)
+                state = np.where(above, high, low)
             else:
-                errors += int(np.count_nonzero((sums > cut) != bool(hypothesis)))
+                errors += int(np.count_nonzero(above != bool(hypothesis)))
     return errors
 
 

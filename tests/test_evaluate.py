@@ -1,9 +1,12 @@
 import gc
 import math
+import os
+import subprocess
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from treedet import (
     InvalidParams,
     MessageLaw,
     StateSpaceTooLarge,
+    Tree,
     TreeFamily,
     bernoulli_pair,
     build_relay_strategy,
@@ -406,6 +410,24 @@ class TestMonteCarlo:
             se = math.sqrt(p * (1.0 - p) / 40000)
             assert abs(p - q) <= 4.0 * se
 
+    def test_matches_exact_on_shuffled_ids(self, pair75, ident, make_uniform_tree):
+        # children stored out of parent order are regrouped before each sum
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            tree = make_uniform_tree(rng, 3, lo=1, hi=6)
+            perm = rng.permutation(tree.n)
+            parents = np.full(tree.n, -1)
+            kids = np.flatnonzero(tree.parents >= 0)
+            parents[perm[kids]] = perm[tree.parents[kids]]
+            shuffled = Tree(parents.tolist())
+            s = build_relay_strategy(shuffled, ident, (0.0, 0.0, 0.0))
+            cal = np_calibrate_root(s, pair75, 0.25)
+            exact = exact_error_probs(cal, pair75)
+            mc = monte_carlo_error(cal, pair75, trials=40000, seed=3)
+            for p, q in ((exact.type_i, mc.type_i), (exact.type_ii, mc.type_ii)):
+                se = math.sqrt(p * (1.0 - p) / 40000)
+                assert abs(p - q) <= 4.0 * se
+
     def test_trials_validated(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(2)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
@@ -415,6 +437,92 @@ class TestMonteCarlo:
         for seed in (2**63, 2**64, -1):
             with pytest.raises(InvalidParams, match=r"seed must lie in \[0, 2\*\*63\)"):
                 monte_carlo_error(s, pair75, trials=10, seed=seed)
+
+    @pytest.mark.parametrize(
+        "ternary, kind, params, size, gated, pinned",
+        [
+            # wrong decisions under (H0, H1) per (seed, floats per block)
+            (
+                False, "wide_uniform", {"m": 2}, 6, True,
+                {(5, None): (4590, 84), (11, None): (4710, 91), (5, 1024): (4662, 88)},
+            ),
+            (
+                True, "increasing_leaves", {}, 7, False,
+                {(5, None): (4582, 57), (11, None): (4644, 61), (5, 1024): (4617, 54)},
+            ),
+        ],
+        ids=["or_gated_wide", "ternary_increasing"],
+    )
+    def test_gated_and_multinomial_streams_are_pinned(
+        self, pair75, monkeypatch, ternary, kind, params, size, gated, pinned
+    ):
+        # gate draws and multinomial leaf counts keep their streams bit for bit
+        pair = TERNARY if ternary else pair75
+        tree = TreeFamily(kind, params).generate(size)
+        gate = {"level1_gate": or_gate()} if gated else {}
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), (0.0, 0.0), **gate)
+        cal = np_calibrate_root(s, pair, 0.25)
+        for (seed, block), (wrong0, wrong1) in pinned.items():
+            if block is not None:
+                monkeypatch.setattr(ev, "_MC_BLOCK_FLOATS", block)
+            mc = monte_carlo_error(cal, pair, trials=20000, seed=seed)
+            assert (mc.type_i, mc.type_ii) == (wrong0 / 20000, wrong1 / 20000)
+
+
+def fringe_table_cases():
+    """(pair, strategy) for seeded threshold trees and the edge cases."""
+    rng = np.random.default_rng(20)
+    pair75 = bernoulli_pair(0.75)
+    cases = []
+    kinds = (("two_relay", {}), ("wide_uniform", {"m": 4}), ("increasing_leaves", {}))
+    for kind, params in kinds:
+        for _ in range(4):
+            a, b = rng.uniform(0.05, 0.95, size=2)
+            pair = DistributionPair(Alphabet(("0", "1")), np.array([a, 1 - a]), np.array([b, 1 - b]))
+            tree = TreeFamily(kind, params).generate(int(rng.integers(2, 9)))
+            top = abs(math.log(b / a)) + abs(math.log((1 - b) / (1 - a)))
+            t1 = float(rng.uniform(-top, top))
+            cases.append((pair, build_relay_strategy(tree, identity_map(pair.alphabet), (t1, 0.0))))
+    ident = identity_map(pair75.alphabet)
+    # even leaf counts put relay sums exactly on the threshold, where ties go low
+    for size in (4, 6):
+        tree = TreeFamily("two_relay").generate(size)
+        cases.append((pair75, build_relay_strategy(tree, ident, (0.0, 0.0))))
+    # every relay sends high, or every relay low: one-atom bit laws
+    wide = TreeFamily("wide_uniform", {"m": 3}).generate(5)
+    for t1 in (-5.0, 5.0):
+        cases.append((pair75, build_relay_strategy(wide, ident, (t1, 0.0))))
+    gated = TreeFamily("wide_uniform", {"m": 2}).generate(4)
+    cases.append((pair75, build_relay_strategy(gated, ident, (0.0, 0.0), level1_gate=or_gate())))
+    return cases
+
+
+def test_fringe_low_chance_matches_exact_bit_law():
+    # Monte Carlo's P(send low) per fringe shape, from the leaf law, against
+    # the exact engine's bit law, from the sum law
+    for pair, s in fringe_table_cases():
+        ctx = ev._context_for(s, pair)
+        for hyp in (0, 1):
+            table = ev._mc_tables(ctx, s, hyp)[-1]
+            for sid in np.unique(s.tree.shape_ids[s.tree.fringe]).tolist():
+                out = ctx.out[sid]
+                if out.n_atoms == 2:
+                    want = math.exp((out.logp0, out.logp1)[hyp][0])
+                else:  # one side of the cut is empty
+                    t = s.threshold_at_level(1)
+                    low = ev._split_log_mass(ctx.sums[sid], ctx.leaf_count[sid], t)[hyp]
+                    want = math.exp(low)
+                assert_allclose(table[sid, 3], want, rtol=1e-12, atol=0.0)
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats roughly doubles the import time and peak memory of the
+    # package, which needs only scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, treedet, treedet.cli; sys.exit('scipy.stats' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0
 
 
 class TestEmpiricalExponent:
