@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -317,7 +317,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     doc: dict = {}
     if args.tree or args.size is not None:
         tree = _load_tree(args)
-        base = analyze_tree(tree, caps[0])
+        per_cap = {cap: analyze_tree(tree, cap) for cap in caps}
+        base = per_cap[caps[0]]
         doc["stats"] = {
             "height": base.height,
             "n_nodes": base.n_nodes,
@@ -327,13 +328,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "leaf_fraction": base.leaf_fraction,
             "is_uniform": tree.is_uniform,
         }
-        doc["small_leaf_fraction"] = {}
-        for cap in caps:
-            stats = analyze_tree(tree, cap)
-            doc["small_leaf_fraction"][str(cap)] = {
-                "fraction": stats.small_leaf_fraction,
-                "n_small_fringe": len(stats.small_fringe),
-            }
+        doc["small_leaf_fraction"] = {
+            str(cap): {"fraction": s.small_leaf_fraction, "n_small_fringe": len(s.small_fringe)}
+            for cap, s in per_cap.items()
+        }
     if args.sizes:
         if not args.family:
             raise InputError("--sizes needs --family")
@@ -508,33 +506,23 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 # -- example reproduction ----------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ReportBundle:
-    """Artifacts and pass/fail verdicts from one worked example."""
-
-    example: int
-    verdicts: dict[str, bool]
-    summary: dict
-    artifacts: tuple[str, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
+# each worked example returns its named verdicts, where any False fails the
+# reproduction, its summary, and the artifact files it wrote
+_Outcome = tuple[dict[str, bool], dict, tuple[str, ...]]
 
 
-def _naive_type_i(delta: float, n_relays: float) -> float:
-    """Type I of declaring the alternative when any relay sends 1, with
-    n_relays independent relays of per-relay false-alarm delta.  Stays in
-    the log domain so astronomically many relays are fine."""
+def _naive_type_i(delta: float, relays: float) -> float:
+    """Type I of declaring the alternative when any of ``relays`` independent
+    relays, each of false-alarm rate delta, sends 1.  Stays in the log domain
+    so astronomically many relays are fine."""
     if delta <= 0.0:
         return 0.0
     if delta >= 1.0:
         return 1.0
-    return -math.expm1(n_relays * math.log1p(-delta))
+    return -math.expm1(relays * math.log1p(-delta))
 
 
-def _reproduce_two_relay(out: Path, stamp: bool) -> ReportBundle:
+def _reproduce_two_relay(out: Path, stamp: bool) -> _Outcome:
     pair = bernoulli_pair(0.75)
     family = all_binary_leaf_family(pair.alphabet)
     target, _ = parallel_exponent(pair, family)
@@ -546,15 +534,10 @@ def _reproduce_two_relay(out: Path, stamp: bool) -> ReportBundle:
 
     summary = _emit_fit(out, "fit", stamp, target, 0.05, fam, pair, sizes, factory)
     verdicts = {"slope_matches_parallel_exponent": bool(summary["verdict"])}
-    return ReportBundle(
-        example=1,
-        verdicts=verdicts,
-        summary={"fit": summary},
-        artifacts=("fit.csv", "fit.json"),
-    )
+    return verdicts, {"fit": summary}, ("fit.csv", "fit.json")
 
 
-def _reproduce_wide_uniform(out: Path, stamp: bool) -> ReportBundle:
+def _reproduce_wide_uniform(out: Path, stamp: bool) -> _Outcome:
     pair = bernoulli_pair(0.75)
     family = all_binary_leaf_family(pair.alphabet)
     alpha = 0.25
@@ -637,15 +620,10 @@ def _reproduce_wide_uniform(out: Path, stamp: bool) -> ReportBundle:
         },
         "per_leaf_trend": [row[6] for row in simple_rows],
     }
-    return ReportBundle(
-        example=2,
-        verdicts=verdicts,
-        summary=summary,
-        artifacts=("simple.csv", "naive.csv"),
-    )
+    return verdicts, summary, ("simple.csv", "naive.csv")
 
 
-def _reproduce_gate_table(out: Path, stamp: bool) -> ReportBundle:
+def _reproduce_gate_table(out: Path, stamp: bool) -> _Outcome:
     pair = bernoulli_pair(0.75)
     ident = identity_map(pair.alphabet)
     family = all_binary_leaf_family(pair.alphabet)
@@ -703,15 +681,10 @@ def _reproduce_gate_table(out: Path, stamp: bool) -> ReportBundle:
         "gates": {name: value for name, value, _, _ in rows},
         "or_fit": fit_summary,
     }
-    return ReportBundle(
-        example=3,
-        verdicts=verdicts,
-        summary=summary,
-        artifacts=("gate_table.csv", "or_fit.csv", "or_fit.json"),
-    )
+    return verdicts, summary, ("gate_table.csv", "or_fit.csv", "or_fit.json")
 
 
-def _reproduce_increasing_leaves(out: Path, stamp: bool) -> ReportBundle:
+def _reproduce_increasing_leaves(out: Path, stamp: bool) -> _Outcome:
     pair = bernoulli_pair(0.75)
     family = all_binary_leaf_family(pair.alphabet)
     target, _ = parallel_exponent(pair, family)
@@ -745,12 +718,7 @@ def _reproduce_increasing_leaves(out: Path, stamp: bool) -> ReportBundle:
         "final_small_fractions": {str(c): curves[c][-1] for c in caps},
         "fit": fit_summary,
     }
-    return ReportBundle(
-        example=4,
-        verdicts=verdicts,
-        summary=summary,
-        artifacts=("growth.csv", "fit.csv", "fit.json"),
-    )
+    return verdicts, summary, ("growth.csv", "fit.csv", "fit.json")
 
 
 _EXAMPLES = {
@@ -761,33 +729,23 @@ _EXAMPLES = {
 }
 
 
-def reproduce_example(example: int, out_dir: Path, stamp: bool = True) -> ReportBundle:
-    """Runs one worked scenario end to end and writes its reports.
-
-    The returned bundle carries named verdicts; callers treat any False as a
-    failed reproduction.
-    """
-    if example not in _EXAMPLES:
-        raise InputError(f"example must be one of {sorted(_EXAMPLES)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _EXAMPLES[example](out_dir, stamp)
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    out = _out_dir(args) / f"example_{args.example}"
-    bundle = reproduce_example(args.example, out, not args.no_timestamp)
+    out = Path(args.out) / f"example_{args.example}"
+    out.mkdir(parents=True, exist_ok=True)
+    verdicts, summary, artifacts = _EXAMPLES[args.example](out, not args.no_timestamp)
+    all_pass = all(verdicts.values())
     doc = {
-        "example": bundle.example,
-        "verdicts": bundle.verdicts,
-        "all_pass": bundle.all_pass,
-        "summary": bundle.summary,
-        "artifacts": list(bundle.artifacts),
+        "example": args.example,
+        "verdicts": verdicts,
+        "all_pass": all_pass,
+        "summary": summary,
+        "artifacts": list(artifacts),
     }
     _write_json(out / "bundle.json", doc)
-    for name, ok in bundle.verdicts.items():
+    for name, ok in verdicts.items():
         print(f"{'pass' if ok else 'FAIL'}: {name}")
     print(f"wrote {out / 'bundle.json'}")
-    return 0 if bundle.all_pass else 1
+    return 0 if all_pass else 1
 
 
 # -- parser ------------------------------------------------------------------
@@ -880,7 +838,7 @@ def _build_parser() -> _Parser:
     p = command(
         "reproduce", cmd_reproduce, "run one of the four worked scenarios and check its verdicts"
     )
-    p.add_argument("--example", type=int, required=True, choices=(1, 2, 3, 4))
+    p.add_argument("--example", type=int, required=True, choices=sorted(_EXAMPLES))
     return parser
 
 

@@ -228,11 +228,13 @@ class _LawContext:
     """Exact laws and counts indexed by shape id.
 
     ``sums`` is None for the leaf and for gated fringes, ``out`` for the root.
+    ``node_count`` counts proper descendants, so the root's is n - 1.
     """
 
     out: list
     sums: list
     leaf_count: list
+    node_count: list
     level: list
 
     @property
@@ -250,12 +252,13 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     )
     out: list = [law_from_pair(induced_pair(pair, strategy.gamma))]
     sums: list = [None]
-    leaf_count, level = [1], [0]
+    leaf_count, node_count, level = [1], [0], [0]
     # ascending id order is bottom-up, and the root is the last id
     for sid in range(1, len(table)):
         kids, counts = (a.tolist() for a in np.unique(table[sid], return_counts=True))
         level.append(level[kids[0]] + 1)
         leaf_count.append(sum(c * leaf_count[k] for k, c in zip(kids, counts)))
+        node_count.append(sum(c * (node_count[k] + 1) for k, c in zip(kids, counts)))
         if level[sid] == 1 and gate_law is not None:
             sums.append(None)
             out.append(gate_law)
@@ -270,7 +273,9 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
         sums.append(total)
         t = strategy.threshold_at_level(level[sid])
         out.append(_bit_law(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
-    return _LawContext(out=out, sums=sums, leaf_count=leaf_count, level=level)
+    return _LawContext(
+        out=out, sums=sums, leaf_count=leaf_count, node_count=node_count, level=level
+    )
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -301,8 +306,8 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
-    values, logp0, _ = root_sum_law(strategy, pair)
-    l_f = int(strategy.tree.subtree_leaf_count[strategy.tree.root])
+    ctx = _context_for(strategy, pair)
+    values, logp0, l_f = ctx.root_sum.values, ctx.root_sum.logp0, ctx.leaf_count[-1]
     # tail[j] is the null mass of the top j + 1 atoms, so atom i has tail[n-2-i]
     # strictly above it and the top atom none: it is admissible at every alpha.
     # The accumulate never decreases, so the admissible atoms are a top run
@@ -335,10 +340,8 @@ class ErrorEstimate:
 def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstimate:
     """False-alarm and miss probabilities of the strategy, exactly."""
     ctx = _context_for(strategy, pair)
-    tree = strategy.tree
-    l_f = int(tree.subtree_leaf_count[tree.root])
     low0, low1, high0, high1 = _split_log_mass(
-        ctx.root_sum, l_f, strategy.root_threshold
+        ctx.root_sum, ctx.leaf_count[-1], strategy.root_threshold
     )
     # summed log masses can drift an ulp above 0 on long convolution chains
     high0 = min(high0, 0.0)
@@ -382,9 +385,8 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     nodes = np.flatnonzero(~tree.is_leaf)
     nodes = nodes[kept[tree.shape_ids[nodes]]]
     sids = tree.shape_ids[nodes]
-    level, lcount = np.asarray(ctx.level), np.asarray(ctx.leaf_count)
-    pcount = tree.subtree_node_count[nodes]
-    cols = (nodes, level[sids], lcount[sids], pcount, *tails[sids].T)
+    level, lcount, pcount = map(np.asarray, (ctx.level, ctx.leaf_count, ctx.node_count))
+    cols = (nodes, level[sids], lcount[sids], pcount[sids], *tails[sids].T)
     return tuple(map(TailRow, *(c.tolist() for c in cols)))
 
 

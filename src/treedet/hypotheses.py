@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -126,19 +126,6 @@ class DistributionPair:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_mapping(
-        cls,
-        alphabet: Alphabet,
-        p0: Mapping[Symbol, float],
-        p1: Mapping[Symbol, float],
-    ) -> "DistributionPair":
-        return cls(
-            alphabet,
-            np.array([p0.get(s, 0.0) for s in alphabet]),
-            np.array([p1.get(s, 0.0) for s in alphabet]),
-        )
-
-    @classmethod
     def from_json(cls, text: str) -> "DistributionPair":
         try:
             doc = json.loads(text)
@@ -160,12 +147,6 @@ class DistributionPair:
         )
 
     # -- lookups -----------------------------------------------------------
-
-    def prob0(self, symbol: Symbol) -> float:
-        return float(self.p0[self.alphabet.index(symbol)])
-
-    def prob1(self, symbol: Symbol) -> float:
-        return float(self.p1[self.alphabet.index(symbol)])
 
     @property
     def support(self) -> np.ndarray:

@@ -276,15 +276,12 @@ class TreeStats:
     small_fringe: tuple[int, ...]
     small_leaf_fraction: float
     leaf_fraction: float
-    fringe_count_check: bool
 
 
 def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
     """Counts leaves living under fringe nodes with at most ``small_cap`` leaves.
 
-    The returned fraction is 0 when no fringe node is that small.  The count
-    check asserts that the number of small fringe nodes is at least
-    (fraction * total leaves / cap), which holds by construction.
+    The returned fraction is 0 when no fringe node is that small.
     """
     if small_cap <= 0:
         raise InvalidParams("small_cap must be positive")
@@ -294,7 +291,6 @@ def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
     total_leaves = int(lcounts[tree.root])
     covered = int(lcounts[small].sum())
     q = covered / total_leaves if total_leaves else 0.0
-    check = len(small) + 1e-12 >= q * total_leaves / small_cap
     return TreeStats(
         height=tree.height,
         n_nodes=tree.n,
@@ -304,7 +300,6 @@ def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
         small_fringe=tuple(int(v) for v in small),
         small_leaf_fraction=q,
         leaf_fraction=total_leaves / tree.n,
-        fringe_count_check=bool(check),
     )
 
 
@@ -428,18 +423,11 @@ def _gen_two_relay(params: Mapping[str, object], size: int) -> Tree:
 
 
 def _gen_wide_uniform(params: Mapping[str, object], size: int) -> Tree:
-    has_m = "m" in params
-    has_r = "n_relays" in params
-    if has_m == has_r:
-        raise InvalidParams("fix exactly one of 'm' (leaves per relay) or 'n_relays'")
-    if has_m:
-        m, relays = _integer(params["m"], "parameter 'm'"), size
-    else:
-        m, relays = size, _integer(params["n_relays"], "parameter 'n_relays'")
-    if m < 1 or relays < 1:
+    m = _integer(params["m"], "parameter 'm'")
+    if m < 1 or size < 1:
         raise InvalidParams("leaves per relay and relay count must be >= 1")
-    leaf_parents = np.repeat(np.arange(1, relays + 1), m)
-    return Tree(np.concatenate(([-1], np.zeros(relays, np.int64), leaf_parents)))
+    leaf_parents = np.repeat(np.arange(1, size + 1), m)
+    return Tree(np.concatenate(([-1], np.zeros(size, np.int64), leaf_parents)))
 
 
 def _gen_increasing_leaves(params: Mapping[str, object], size: int) -> Tree:
@@ -450,32 +438,13 @@ def _gen_increasing_leaves(params: Mapping[str, object], size: int) -> Tree:
     return Tree(np.concatenate(([-1], np.zeros(size, np.int64), leaf_parents)))
 
 
-def _gen_explicit(params: Mapping[str, object], size: int) -> Tree:
-    if "tree" in params:
-        tree = params["tree"]
-        if not isinstance(tree, Tree):
-            raise InvalidParams("'tree' must be a Tree instance")
-        return tree
-    if "path" in params:
-        from pathlib import Path
-
-        path = str(params["path"])
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise InvalidParams(f"cannot read tree file {path!r}: {exc.strerror}") from None
-        return Tree.from_json(text)
-    raise InvalidParams("explicit family needs 'tree' or 'path'")
-
-
 # each kind's generator and the parameters it reads
 _GENERATORS = {
     "parallel": (_gen_parallel, ()),
     "chain_plus_leaves": (_gen_chain_plus_leaves, ("h",)),
     "two_relay": (_gen_two_relay, ()),
-    "wide_uniform": (_gen_wide_uniform, ("m", "n_relays")),
+    "wide_uniform": (_gen_wide_uniform, ("m",)),
     "increasing_leaves": (_gen_increasing_leaves, ()),
-    "explicit": (_gen_explicit, ("tree", "path")),
 }
 
 
@@ -484,9 +453,9 @@ class TreeFamily:
     """Parametric generator of trees indexed by one growing size argument.
 
     The size argument's meaning is per kind: total nodes for ``parallel`` and
-    ``chain_plus_leaves``, leaves per relay for ``two_relay``, the free one of
-    (relay count, leaves per relay) for ``wide_uniform``, the relay count for
-    ``increasing_leaves``.  ``explicit`` ignores it.
+    ``chain_plus_leaves``, leaves per relay for ``two_relay``, and the relay
+    count for ``wide_uniform`` (``m`` leaves per relay) and
+    ``increasing_leaves``.  A fixed tree is a ``Tree``, not a family.
     """
 
     kind: str

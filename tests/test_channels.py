@@ -115,14 +115,16 @@ class TestInducedLaws:
     def test_or_fusion(self, pair75):
         ident = identity_map(BINARY)
         fused = fused_pair(pair75, (ident, ident), or_gate())
-        assert_allclose(fused.prob0(0), 0.5625, rtol=1e-14)
-        assert_allclose(fused.prob1(0), 0.0625, rtol=1e-14)
+        zero = fused.alphabet.index(0)
+        assert_allclose(fused.p0[zero], 0.5625, rtol=1e-14)
+        assert_allclose(fused.p1[zero], 0.0625, rtol=1e-14)
 
     def test_and_fusion(self, pair75):
         ident = identity_map(BINARY)
         fused = fused_pair(pair75, (ident, ident), and_gate())
-        assert_allclose(fused.prob0(1), 0.0625, rtol=1e-14)
-        assert_allclose(fused.prob1(1), 0.5625, rtol=1e-14)
+        one = fused.alphabet.index(1)
+        assert_allclose(fused.p0[one], 0.0625, rtol=1e-14)
+        assert_allclose(fused.p1[one], 0.5625, rtol=1e-14)
 
     def test_forward_fusion_keeps_marginal(self, pair75):
         ident = identity_map(BINARY)

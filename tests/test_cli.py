@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from treedet import TreeFamily
+from treedet import TreeFamily, cli
 from treedet.cli import _build_parser, main
+from treedet.topology import analyze_tree
 
 
 def run(*argv):
@@ -119,6 +120,22 @@ class TestAnalyzeCommand:
         assert header[0] == "size"
         assert len(rows) == 3
         assert "growth" in read_json(tmp_path / "analyze.json")
+
+    def test_each_cap_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(tree, cap):
+            calls.append(cap)
+            return analyze_tree(tree, cap)
+
+        monkeypatch.setattr(cli, "analyze_tree", counted)
+        code = run(
+            "analyze", "--family", "two_relay", "--size", "3",
+            "--small-caps", "2,5", "--out", tmp_path,
+        )
+        assert code == 0
+        assert calls == [2, 5]
+        assert set(read_json(tmp_path / "analyze.json")["small_leaf_fraction"]) == {"2", "5"}
 
 
 class TestUniformizeCommand:
@@ -471,9 +488,8 @@ class TestLoaderErrors:
                 "error: parameter 'm' is 2.7, not an integer",
             ),
             (
-                ("analyze", "--family", "wide_uniform", "--size", "3",
-                 "--params", '{"n_relays": true}'),
-                "error: parameter 'n_relays' is True, not an integer",
+                ("analyze", "--family", "wide_uniform", "--size", "3", "--params", '{"m": true}'),
+                "error: parameter 'm' is True, not an integer",
             ),
             (
                 ("analyze", "--family", "chain_plus_leaves", "--size", "6",
@@ -483,13 +499,21 @@ class TestLoaderErrors:
             (
                 ("analyze", "--family", "wide_uniform", "--size", "3",
                  "--params", '{"m": 3, "n_relay": 1}'),
-                "error: family 'wide_uniform' does not read ['n_relay']; "
-                "it accepts ['m', 'n_relays']",
+                "error: family 'wide_uniform' does not read ['n_relay']; it accepts ['m']",
             ),
             (
-                ("analyze", "--family", "explicit", "--size", "1",
-                 "--params", '{"path": "missing.json"}'),
-                "error: cannot read tree file 'missing.json': No such file or directory",
+                ("analyze", "--family", "wide_uniform", "--size", "3",
+                 "--params", '{"n_relays": 3}'),
+                "error: family 'wide_uniform' does not read ['n_relays']; it accepts ['m']",
+            ),
+            (
+                ("analyze", "--family", "wide_uniform", "--size", "3"),
+                "error: family 'wide_uniform' missing parameter 'm'",
+            ),
+            (
+                ("analyze", "--family", "explicit", "--size", "1"),
+                "error: unknown family 'explicit'; known: ['chain_plus_leaves', "
+                "'increasing_leaves', 'parallel', 'two_relay', 'wide_uniform']",
             ),
         ],
     )
@@ -505,10 +529,7 @@ class TestLoaderErrors:
             (RATES + ("--tree", "adir"), "error: cannot read 'adir': Is a directory"),
             (("analyze", "--tree", "adir"), "error: cannot read 'adir': Is a directory"),
             (GATED + ("adir",), "error: cannot read 'adir': Is a directory"),
-            (
-                ("analyze", "--family", "explicit", "--size", "1", "--params", '{"path": "adir"}'),
-                "error: cannot read tree file 'adir': Is a directory",
-            ),
+            (SIMULATE + ("--tree", "adir"), "error: cannot read 'adir': Is a directory"),
             (("exponent", "--pair", "pair_text.json"),
              "error: malformed pair document: Expecting value: line 1 column 1 (char 0)"),
             (("exponent", "--pair", "pair_alphabet.json"),

@@ -324,6 +324,17 @@ class TestTailReport:
         s = build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
         assert tail_report(s, pair75) == tail_rows_by_node(s, pair75)
 
+    def test_exact_path_reads_only_the_shape_table(self, pair75, leaf_family):
+        # per-node subtree counts cost a pass over every node; the laws'
+        # per-shape counts already hold the root's and every row's
+        tree = TreeFamily("wide_uniform", {"m": 3}).generate(40)
+        s = simple_strategy(tree, pair75, leaf_family, 0.1).strategy
+        cal = np_calibrate_root(s, pair75, 0.25)
+        exact_error_probs(cal, pair75)
+        root = tail_report(cal, pair75)[0]
+        assert {"subtree_leaf_count", "subtree_node_count"}.isdisjoint(cal.tree.__dict__)
+        assert (root.node, root.leaf_count, root.pred_count) == (0, 120, 160)
+
     def test_two_relay_rows(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(3)
         s = build_relay_strategy(tree, ident, (0.0, 0.0), pair=pair75)

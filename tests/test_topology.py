@@ -257,15 +257,16 @@ class TestGenerators:
         assert int(t.subtree_leaf_count[t.root]) == 64
 
     def test_wide_uniform_by_m(self):
-        t = TreeFamily("wide_uniform", {"n_relays": 3}).generate(5)
+        t = TreeFamily("wide_uniform", {"m": 5}).generate(3)
         assert len(t.fringe) == 3
         assert int(t.subtree_leaf_count[t.root]) == 15
 
-    def test_wide_uniform_rejects_ambiguous_params(self):
-        with pytest.raises(InvalidParams):
-            TreeFamily("wide_uniform", {"m": 2, "n_relays": 3}).generate(4)
-        with pytest.raises(InvalidParams):
-            TreeFamily("wide_uniform").generate(4)
+    def test_wide_uniform_needs_m_and_reads_nothing_else(self):
+        with pytest.raises(InvalidParams) as exc:
+            TreeFamily("wide_uniform", {"n_relays": 3})
+        assert str(exc.value).endswith("does not read ['n_relays']; it accepts ['m']")
+        with pytest.raises(InvalidParams, match="missing parameter 'm'"):
+            TreeFamily("wide_uniform").generate(3)
 
     def test_increasing_leaves_sizes(self):
         m = 6
@@ -280,15 +281,6 @@ class TestGenerators:
         assert t.height == 3
         assert not t.is_uniform
 
-    def test_explicit_family(self, tmp_path):
-        base = TreeFamily("parallel").generate(4)
-        t = TreeFamily("explicit", {"tree": base}).generate(0)
-        assert np.array_equal(t.parents, base.parents)
-        path = tmp_path / "tree.json"
-        path.write_text(base.to_json())
-        u = TreeFamily("explicit", {"path": str(path)}).generate(0)
-        assert np.array_equal(u.parents, base.parents)
-
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
             TreeFamily("mystery").generate(3)
@@ -296,23 +288,17 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "kind, params, message",
         [
-            ("wide_uniform", {"m": 3, "n_relay": 1}, "['n_relay']; it accepts ['m', 'n_relays']"),
+            ("wide_uniform", {"m": 3, "n_relay": 1}, "['n_relay']; it accepts ['m']"),
             ("two_relay", {"m": 3}, "['m']; it accepts no parameters"),
             ("parallel", {"n": 3}, "['n']; it accepts no parameters"),
             ("increasing_leaves", {"m": 3}, "['m']; it accepts no parameters"),
             ("chain_plus_leaves", {"h": 2, "height": 2}, "['height']; it accepts ['h']"),
-            ("explicit", {"path": "t.json", "file": "t.json"}, "['file']; it accepts ['tree', 'path']"),
         ],
     )
     def test_rejects_parameters_its_kind_does_not_read(self, kind, params, message):
         with pytest.raises(InvalidParams) as exc:
             TreeFamily(kind, params)
         assert str(exc.value) == f"family {kind!r} does not read {message}"
-
-    def test_explicit_path_that_cannot_be_read(self, tmp_path):
-        for path in (tmp_path / "missing.json", tmp_path):
-            with pytest.raises(InvalidParams, match="cannot read tree file"):
-                TreeFamily("explicit", {"path": str(path)}).generate(0)
 
 
 class TestAnalysis:
@@ -324,7 +310,6 @@ class TestAnalysis:
         assert stats.n_fringe == 2
         assert stats.small_fringe == ()
         assert stats.small_leaf_fraction == 0.0
-        assert stats.fringe_count_check
 
     def test_small_fringe_detection(self):
         t = TreeFamily("two_relay").generate(3)
