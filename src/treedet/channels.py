@@ -31,7 +31,6 @@ from .hypotheses import (
     Direction,
     DistributionPair,
     Symbol,
-    _divergence,
     kl_divergence,
 )
 from .topology import _integer
@@ -174,14 +173,20 @@ def _push(index: Sequence[int], masses: Sequence[np.ndarray], k: int) -> np.ndar
     return np.minimum(q, 1.0)
 
 
-def _pushforward(pair: DistributionPair, tf: TransmissionFunction) -> np.ndarray:
-    """Output masses over the full output alphabet (dead symbols kept)."""
+def _bins(pair: DistributionPair, tf: TransmissionFunction) -> list[int]:
+    """Output index of each pair symbol under a checked arity-0 map."""
     if tf.arity != 0:
         raise InvalidParams("push-forward of an observation needs an arity-0 map")
     if tf.input_alphabets[0].symbols != pair.alphabet.symbols:
         raise InputError("map input alphabet does not match the pair alphabet")
-    index = [tf.output_alphabet.index(tf(s)) for s in pair.alphabet]
-    return _push(index, (pair.p0, pair.p1), len(tf.output_alphabet))
+    # the check above makes every (s,) a key of the total table
+    index, table = tf.output_alphabet.index, tf.table
+    return [index(table[(s,)]) for s in pair.alphabet]
+
+
+def _pushforward(pair: DistributionPair, tf: TransmissionFunction) -> np.ndarray:
+    """Output masses over the full output alphabet (dead symbols kept)."""
+    return _push(_bins(pair, tf), (pair.p0, pair.p1), len(tf.output_alphabet))
 
 
 def _live_pair(output: Alphabet, q: np.ndarray) -> DistributionPair:
@@ -195,9 +200,34 @@ def _live_pair(output: Alphabet, q: np.ndarray) -> DistributionPair:
 def induced_pair(pair: DistributionPair, tf: TransmissionFunction) -> DistributionPair:
     """Distribution pair of the transmitted message for an arity-0 map.
 
-    Output symbols dead under both hypotheses are dropped.
+    Output symbols dead under both hypotheses are dropped.  ``pair`` keeps
+    its last build, so the same map object gets the same message pair.
     """
-    return _live_pair(tf.output_alphabet, _pushforward(pair, tf))
+    bins = _bins(pair, tf)  # checked before any memo hit
+    last = pair._induced
+    if last is None or last[0] is not tf:
+        q = _push(bins, (pair.p0, pair.p1), len(tf.output_alphabet))
+        last = (tf, _live_pair(tf.output_alphabet, q))
+        object.__setattr__(pair, "_induced", last)
+    return last[1]
+
+
+def _margins(pair: DistributionPair, leaf_maps: Sequence) -> dict[int, np.ndarray]:
+    """Pushed masses of each distinct leaf map, by id: the caller holds the maps."""
+    distinct = {id(g): g for g in leaf_maps}
+    return {key: _pushforward(pair, g) for key, g in distinct.items()}
+
+
+def _fuse(leaf_maps: Sequence, margins: dict, gate: TransmissionFunction) -> DistributionPair:
+    """Law of ``gate`` applied to independent messages of these leaf maps."""
+    # joint masses of the quantized tuples, in itertools.product order
+    joint = [
+        functools.reduce(np.multiply.outer, [margins[id(g)][hyp] for g in leaf_maps]).ravel()
+        for hyp in (0, 1)
+    ]
+    inputs = itertools.product(*(g.output_alphabet for g in leaf_maps))
+    index = [gate.output_alphabet.index(gate(*x)) for x in inputs]
+    return _live_pair(gate.output_alphabet, _push(index, joint, len(gate.output_alphabet)))
 
 
 def fused_pair(
@@ -209,15 +239,7 @@ def fused_pair(
     k = len(leaf_maps)
     if gate.arity != k:
         raise InvalidParams(f"gate arity {gate.arity} != {k} quantized inputs")
-    margins = [_pushforward(pair, g) for g in leaf_maps]
-    # joint masses of the quantized tuples, in itertools.product order
-    joint = [
-        functools.reduce(np.multiply.outer, [q[hyp] for q in margins]).ravel()
-        for hyp in (0, 1)
-    ]
-    inputs = itertools.product(*(g.output_alphabet for g in leaf_maps))
-    index = [gate.output_alphabet.index(gate(*x)) for x in inputs]
-    return _live_pair(gate.output_alphabet, _push(index, joint, len(gate.output_alphabet)))
+    return _fuse(leaf_maps, _margins(pair, leaf_maps), gate)
 
 
 def enumerate_quantizers(
@@ -259,20 +281,30 @@ def parallel_exponent(
     gammas = leaf_family.leaf if isinstance(leaf_family, QuantizerFamily) else tuple(leaf_family)
     if not gammas:
         raise InvalidParams("leaf family must be non-empty")
-    best_gamma = None
-    best_d = 0.0
-    for gamma in gammas:
-        # kl_divergence's sum over the live push-forward symbols, with no
-        # pair built: a push-forward of a valid pair is valid by construction
-        q0, q1 = _pushforward(pair, gamma)
-        live = q0 > 0.0
-        d = _divergence(q0[live], np.log(q0[live]), np.log(q1[live]))
-        if d > best_d:
-            best_d = d
-            best_gamma = gamma
-    if best_gamma is None:
+    # one push-forward for the whole family: each map bins into its own
+    # slice of the outputs, and bincount still sums every bin in input order
+    m = len(gammas)
+    bins = np.array([_bins(pair, gamma) for gamma in gammas])
+    widths = np.array([len(gamma.output_alphabet) for gamma in gammas])
+    ends = np.cumsum(widths)
+    tiled = np.array((pair.p0, pair.p1))[:, None].repeat(m, 1).reshape(2, -1)
+    q0, q1 = _push((bins + (ends - widths)[:, None]).ravel(), tiled, int(ends[-1]))
+    # kl_divergence's sum over each map's live outputs; push-forwards are valid
+    live = q0 > 0.0
+    q0, q1 = q0[live], q1[live]
+    terms = q0 * (np.log(q0) - np.log(q1))
+    n_live = np.bincount(np.repeat(np.arange(m), widths)[live], minlength=m)
+    starts = np.cumsum(n_live) - n_live
+    d = np.empty(m)
+    # summing rows of equal live count keeps np.sum's association; padding
+    # dead outputs with zeros would change it from eight terms on
+    for n in np.flatnonzero(np.bincount(n_live)).tolist():
+        rows = np.flatnonzero(n_live == n)
+        d[rows] = terms[starts[rows, None] + np.arange(n)].sum(axis=1)
+    best = int(np.argmax(d))  # the earliest of tied maps
+    if not d[best] > 0.0:
         raise DegenerateFamily("every map in the family yields zero divergence")
-    return -best_d, best_gamma
+    return -float(d[best]), gammas[best]
 
 
 @dataclass(frozen=True)
@@ -311,11 +343,12 @@ def fusion_loss_constant(
     combos = len(gates) * len(gammas) ** k
     if combos > ENUMERATION_CAP:
         raise EnumerationTooLarge(f"{combos} fused configurations exceed cap {ENUMERATION_CAP}")
+    margins = _margins(pair, gammas)
     best = math.inf
     best_xi: tuple[TransmissionFunction, tuple[TransmissionFunction, ...]] | None = None
     for gate in gates:
         for leafs in itertools.product(gammas, repeat=k):
-            fused = fused_pair(pair, leafs, gate)
+            fused = _fuse(leafs, margins, gate)
             value = -kl_divergence(fused, Direction.ZERO_ONE) / k
             if value < best:
                 best = value

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterator
@@ -111,6 +111,8 @@ class DistributionPair:
     alphabet: Alphabet
     p0: np.ndarray
     p1: np.ndarray
+    # (map, message pair) of the last ``channels.induced_pair``, map matched by identity
+    _induced: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.alphabet)
@@ -173,11 +175,6 @@ def bernoulli_pair(p: float) -> DistributionPair:
     return DistributionPair(BINARY, np.array([p, 1.0 - p]), np.array([1.0 - p, p]))
 
 
-def _divergence(p: np.ndarray, logp: np.ndarray, logq: np.ndarray) -> float:
-    # sum of p log(p/q) over live symbols, from their masses and logs
-    return float(np.sum(p * (logp - logq)))
-
-
 def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     """Kullback-Leibler divergence between the two laws, in nats.
 
@@ -189,7 +186,7 @@ def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
         p, logp, logq = pair.p0, logp0, logp1
     else:
         p, logp, logq = pair.p1, logp1, logp0
-    return _divergence(p[pair.support], logp, logq)
+    return float(np.sum(p[pair.support] * (logp - logq)))
 
 
 def second_moment_null(pair: DistributionPair) -> float:

@@ -226,7 +226,7 @@ class Tree:
                 rows = shape[flat[offsets[nodes[at]][:, None] + np.arange(k)]]
                 rows.sort(axis=1)
                 # stable, so each run of equal rows starts at its first node
-                order = np.lexsort(rows.T[::-1])
+                order = np.lexsort(rows.T[::-1]) if at.size > 1 else np.zeros(1, np.intp)
                 ranked = rows[order]
                 new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
                 labels[at[order]] = len(keys) + np.cumsum(new) - 1

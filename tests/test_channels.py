@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -5,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from treedet import (
@@ -287,6 +290,123 @@ class TestParallelExponentPinned:
             parallel_exponent(pair75, [identity_map(Alphabet(("a", "b")))])
         with pytest.raises(InvalidParams, match="arity-0"):
             parallel_exponent(pair75, [or_gate()])
+
+
+@functools.lru_cache(maxsize=None)
+def _maps(k, width):
+    return enumerate_quantizers(Alphabet(tuple(range(k))), Alphabet(tuple(range(width))))
+
+
+@st.composite
+def tied_pairs(draw):
+    """Pairs from small integer weights, so likelihood ratios repeat, with
+    some symbols dead under both hypotheses."""
+    k = draw(st.integers(2, 6))
+    w = np.array(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=k, max_size=k)), float)
+    dead = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    dead[draw(st.integers(0, k - 1))] = False
+    w[dead] = 0.0
+    return DistributionPair(Alphabet(tuple(range(k))), w[:, 0] / w[:, 0].sum(), w[:, 1] / w[:, 1].sum())
+
+
+@st.composite
+def mixed_families(draw, k):
+    """Binary and ternary maps over k symbols, repeats allowed, in shuffled order."""
+    picks = draw(st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 10**6)), min_size=1, max_size=30))
+    return [_maps(k, width)[i % len(_maps(k, width))] for width, i in picks]
+
+
+def _same_scan(pair, family):
+    want_g, want_gamma = _reference_parallel_exponent(pair, family)
+    if want_gamma is None:
+        with pytest.raises(DegenerateFamily):
+            parallel_exponent(pair, family)
+        return
+    g, gamma = parallel_exponent(pair, family)
+    assert g.hex() == want_g.hex()
+    assert gamma is want_gamma
+
+
+class TestFamilyScan:
+    """The one-push-forward scan against the per-map loop, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mixed_families_on_tied_pairs(self, data):
+        pair = data.draw(tied_pairs())
+        _same_scan(pair, data.draw(mixed_families(len(pair))))
+
+    @pytest.mark.parametrize("dead", [(), (0,), (4, 8)])
+    def test_nine_symbol_identity(self, dead):
+        # nine live terms are where np.sum switches to pairwise blocks; with
+        # dead symbols the live terms number eight or seven
+        rng = np.random.default_rng(9)
+        alphabet = Alphabet(tuple(range(9)))
+        binary = enumerate_quantizers(alphabet, BINARY)
+        for _ in range(20):
+            w0, w1 = rng.random(9), rng.random(9)
+            w0[list(dead)] = w1[list(dead)] = 0.0
+            pair = DistributionPair(alphabet, w0 / w0.sum(), w1 / w1.sum())
+            family = [binary[int(i)] for i in rng.integers(0, len(binary), 12)]
+            family.append(identity_map(alphabet))
+            rng.shuffle(family)
+            _same_scan(pair, family)
+
+
+class TestInducedMemo:
+    def test_repeat_returns_one_object(self):
+        rng = np.random.default_rng(3)
+        p0, p1 = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
+        pair = DistributionPair(Alphabet(tuple(range(5))), p0, p1)
+        gamma = all_binary_leaf_family(pair.alphabet).leaf[11]
+        first = induced_pair(pair, gamma)
+        assert induced_pair(pair, gamma) is first
+        fresh = induced_pair(DistributionPair(pair.alphabet, p0, p1), gamma)
+        assert fresh is not first and fresh.alphabet == first.alphabet
+        for a, b in ((fresh.p0, first.p0), (fresh.p1, first.p1)):
+            assert [x.hex() for x in a] == [x.hex() for x in b]
+
+    def test_validation_runs_before_a_hit(self):
+        pair75 = bernoulli_pair(0.75)  # its own pair: the memo is planted below
+        ident = identity_map(BINARY)
+        induced_pair(pair75, ident)
+        assert induced_pair(pair75, ident) is induced_pair(pair75, ident)
+        with pytest.raises(InputError, match="does not match the pair alphabet"):
+            induced_pair(pair75, identity_map(Alphabet((1, 0))))
+        induced_pair(pair75, ident)
+        with pytest.raises(InvalidParams, match="arity-0"):
+            induced_pair(pair75, or_gate())
+        # a hit for a map the pair never accepted would still be refused
+        gate = or_gate()
+        object.__setattr__(pair75, "_induced", (gate, pair75))
+        with pytest.raises(InvalidParams, match="arity-0"):
+            induced_pair(pair75, gate)
+
+    def test_holds_one_entry(self):
+        alphabet = Alphabet(tuple(range(10)))
+        pair = DistributionPair(alphabet, np.full(10, 0.1), np.linspace(1.0, 10.0, 10) / 55.0)
+        maps = all_binary_leaf_family(alphabet).leaf
+        for gamma in maps:
+            induced_pair(pair, gamma)
+        last, message = pair._induced
+        assert last is maps[-1] and message is induced_pair(pair, maps[-1])
+
+
+class TestFusedPairPushesOnce:
+    def test_repeated_map_matches_distinct_copies(self):
+        rng = np.random.default_rng(12)
+        gates = enumerate_quantizers((BINARY, BINARY), BINARY)
+        for _ in range(30):
+            w0, w1 = rng.integers(1, 6, 4).astype(float), rng.integers(1, 6, 4).astype(float)
+            pair = DistributionPair(Alphabet(tuple(range(4))), w0 / w0.sum(), w1 / w1.sum())
+            gamma = all_binary_leaf_family(pair.alphabet).leaf[int(rng.integers(0, 16))]
+            twin = TransmissionFunction.from_json(gamma.to_json())
+            for gate in gates:
+                once = fused_pair(pair, [gamma, gamma], gate)
+                twice = fused_pair(pair, [gamma, twin], gate)
+                assert once.alphabet == twice.alphabet
+                assert once.p0.tobytes() == twice.p0.tobytes()
+                assert once.p1.tobytes() == twice.p1.tobytes()
 
 
 class TestFusionLoss:
