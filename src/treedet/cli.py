@@ -113,10 +113,9 @@ def _load_pair(spec: str) -> DistributionPair:
     )
 
 
-def _load_gamma(spec: str, pair: DistributionPair) -> TransmissionFunction | None:
-    builtins = {"none": lambda: None, "identity": lambda: identity_map(pair.alphabet)}
+def _load_gamma(spec: str, pair: DistributionPair) -> TransmissionFunction:
     return _load_spec(
-        spec, builtins, TransmissionFunction.from_json,
+        spec, {"identity": lambda: identity_map(pair.alphabet)}, TransmissionFunction.from_json,
         f"leaf map spec {spec!r} is neither a file nor 'identity'",
     )
 
@@ -329,7 +328,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "is_uniform": tree.is_uniform,
         }
         doc["small_leaf_fraction"] = {
-            str(cap): {"fraction": s.small_leaf_fraction, "n_small_fringe": len(s.small_fringe)}
+            str(cap): {"fraction": s.small_leaf_fraction, "n_small_fringe": s.n_small_fringe}
             for cap, s in per_cap.items()
         }
     if args.sizes:
@@ -388,8 +387,6 @@ def _strategy_from_args(
     if not args.gamma or not args.thresholds:
         raise InputError("provide --epsilon, or --gamma with --thresholds")
     gamma = _load_gamma(args.gamma, pair)
-    if gamma is None:
-        raise InputError("strategies need an explicit leaf map, not 'none'")
     gate = _load_gate(args.gate)
     if not tree.is_uniform:
         if args.uniformize:
@@ -800,7 +797,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--fusion-arity", default="2", help="comma list of fan-ins")
 
     p = command("rates", cmd_rates, "per-level tail rates and per-node exponential bounds", pair, tree)
-    p.add_argument("--gamma", default="none", help="'identity', 'none', or a map JSON file")
+    p.add_argument("--gamma", default="identity", help="'identity' or a map JSON file")
     p.add_argument("--thresholds", required=True, help="comma list, one per level")
     p.add_argument("--n-floor", type=int, default=None, help="fringe size floor")
 

@@ -38,7 +38,7 @@ from scipy.special import bdtr, gammaln
 
 from .channels import fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
-from .hypotheses import DistributionPair, _logsumexp, validate_assumptions
+from .hypotheses import DistributionPair, _logsumexp, second_moment_null
 from .strategy import Strategy
 from .topology import Tree, TreeFamily
 
@@ -610,7 +610,8 @@ def chebyshev_variance_check(
     eta: float,
 ) -> ChebyshevReport:
     """Exact concentration of the root's normalized sum against the
-    second-moment bound a(1+N)/(eta^2 l(f)).
+    second-moment bound a(1+N)/(eta^2 l(f)), where a is the null second
+    moment of the raw log-likelihood ratio plus two.
 
     Stated for height-2 trees whose fringe nodes all hold at most
     ``small_cap`` leaves.
@@ -623,13 +624,12 @@ def chebyshev_variance_check(
     lcount = tree.subtree_leaf_count
     if np.any(lcount[tree.fringe] > small_cap):
         raise InvalidParams("every fringe node must hold at most small_cap leaves")
-    report = validate_assumptions(pair, [strategy.gamma])
     law = _context_for(strategy, pair).root_sum
     l_f = int(lcount[tree.root])
     mean = float(np.dot(law.p0, law.values)) / l_f
     far = np.abs(law.values / l_f - mean) > eta
     prob = math.exp(_logsumexp(law.logp0[far]))
-    bound = report.chebyshev_constant * (1.0 + small_cap) / (eta * eta * l_f)
+    bound = (second_moment_null(pair) + 2.0) * (1.0 + small_cap) / (eta * eta * l_f)
     return ChebyshevReport(
         mean_per_leaf=mean,
         exceed_probability=prob,

@@ -195,40 +195,3 @@ def second_moment_null(pair: DistributionPair) -> float:
     llr = logp1 - logp0
     return float(np.sum(pair.p0[pair.support] * llr * llr))
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the standing-assumption checks for a pair and leaf family."""
-
-    informative_exists: bool
-    informative_quantizer: object | None
-    second_moment: float
-    chebyshev_constant: float
-
-
-def validate_assumptions(pair: DistributionPair, leaf_family) -> ValidationReport:
-    """Check the standing assumptions used by the asymptotic results.
-
-    The pair's equivalence is checked when it is constructed.  Reports
-    whether some leaf quantizer in ``leaf_family`` separates the
-    hypotheses with strictly positive divergence both ways, the null second
-    moment of the raw log-likelihood ratio, and the variance-bound constant
-    (second moment plus two) used by the root concentration check.
-    """
-    from .channels import induced_pair  # deferred: channels imports this module
-
-    informative = None
-    for gamma in leaf_family:
-        quantized = induced_pair(pair, gamma)
-        d0 = kl_divergence(quantized, Direction.ZERO_ONE)
-        d1 = kl_divergence(quantized, Direction.ONE_ZERO)
-        if d0 > 0.0 and d1 > 0.0:
-            informative = gamma
-            break
-    moment = second_moment_null(pair)
-    return ValidationReport(
-        informative_exists=informative is not None,
-        informative_quantizer=informative,
-        second_moment=moment,
-        chebyshev_constant=moment + 2.0,
-    )

@@ -145,17 +145,16 @@ def _tilt(message: DistributionPair, t: float) -> float:
     return s
 
 
-def _message_law(
-    pair: DistributionPair, gamma: TransmissionFunction | None
-) -> DistributionPair:
-    if gamma is None:
-        return pair
-    return induced_pair(pair, gamma)
+def _level1_interval(message: DistributionPair) -> tuple[float, float]:
+    return (
+        -kl_divergence(message, Direction.ZERO_ONE),
+        kl_divergence(message, Direction.ONE_ZERO),
+    )
 
 
 def feasible_threshold_interval(
     pair: DistributionPair,
-    gamma: TransmissionFunction | None = None,
+    gamma: TransmissionFunction,
     partial: RateTable | None = None,
 ) -> tuple[float, float]:
     """Open interval the next level's threshold must fall in.
@@ -167,16 +166,12 @@ def feasible_threshold_interval(
     """
     if partial is not None and partial.height >= 1:
         return (-partial.rate1[-1], partial.rate0[-1])
-    message = _message_law(pair, gamma)
-    return (
-        -kl_divergence(message, Direction.ZERO_ONE),
-        kl_divergence(message, Direction.ONE_ZERO),
-    )
+    return _level1_interval(induced_pair(pair, gamma))
 
 
 def rate_table(
     pair: DistributionPair,
-    gamma: TransmissionFunction | None,
+    gamma: TransmissionFunction,
     thresholds: Sequence[float],
 ) -> RateTable:
     """Builds the per-level rates, validating each threshold eagerly.
@@ -191,8 +186,8 @@ def rate_table(
     ts = tuple(float(t) for t in thresholds)
     if not ts:
         raise InvalidParams("need at least one threshold")
-    message = _message_law(pair, gamma)
-    lo, hi = feasible_threshold_interval(message)
+    message = induced_pair(pair, gamma)
+    lo, hi = _level1_interval(message)
     if not lo < 0.0 < hi:
         raise InfeasibleThreshold(
             1, "leaf map is uninformative: empty threshold interval"
@@ -295,7 +290,7 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
 def recipe_threshold(pair: DistributionPair, gamma: TransmissionFunction, epsilon: float) -> float:
     """Threshold -D(P0^g || P1^g) + eps/2, strictly inside (-D, 0) whenever
     eps is below twice the quantized divergence."""
-    d01 = kl_divergence(_message_law(pair, gamma), Direction.ZERO_ONE)
+    d01 = kl_divergence(induced_pair(pair, gamma), Direction.ZERO_ONE)
     t = -d01 + 0.5 * epsilon
     if not -d01 < t < 0.0:
         raise InvalidParams(

@@ -273,7 +273,7 @@ class TreeStats:
     n_leaves: int
     n_leaf_parents: int
     n_fringe: int
-    small_fringe: tuple[int, ...]
+    n_small_fringe: int
     small_leaf_fraction: float
     leaf_fraction: float
 
@@ -297,7 +297,7 @@ def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
         n_leaves=total_leaves,
         n_leaf_parents=len(tree.leaf_parents),
         n_fringe=len(fringe),
-        small_fringe=tuple(int(v) for v in small),
+        n_small_fringe=len(small),
         small_leaf_fraction=q,
         leaf_fraction=total_leaves / tree.n,
     )

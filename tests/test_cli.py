@@ -98,6 +98,19 @@ class TestRatesCommand:
             "--thresholds", "0.9", "--out", tmp_path,
         ) == 2
 
+    def test_default_leaf_map_is_identity(self, tmp_path):
+        argv = ("rates", "--pair", "bern75", "--thresholds", "-0.2,0",
+                "--family", "wide_uniform", "--params", '{"m": 4}', "--size", "5",
+                "--no-timestamp")
+        assert run(*argv, "--out", tmp_path / "default") == 0
+        assert run(*argv, "--gamma", "identity", "--out", tmp_path / "identity") == 0
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert names == ["bounds.csv", "rates.csv", "rates.json"]
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == (
+                tmp_path / "identity" / name
+            ).read_bytes()
+
 
 class TestAnalyzeCommand:
     def test_stats_for_family_tree(self, tmp_path):
@@ -392,7 +405,7 @@ class TestParserSurface:
         subs = _subparsers()
         parse = {name: sub.parse_args for name, sub in subs.items()}
         rates = parse["rates"](["--pair", "p", "--thresholds", "0"])
-        assert rates.gamma == "none" and rates.n_floor is None
+        assert rates.gamma == "identity" and rates.n_floor is None
         sim = parse["simulate"](["--pair", "p"])
         assert sim.gamma is None and sim.alpha is None and sim.uniformize is False
         fit = parse["fit"](["--pair", "p", "--family", "f", "--sizes", "1"])
@@ -461,7 +474,7 @@ class TestLoaderErrors:
             (
                 ("simulate", "--pair", "bern75", "--family", "two_relay", "--size", "3",
                  "--gamma", "none", "--thresholds", "0"),
-                "error: strategies need an explicit leaf map, not 'none'",
+                "error: leaf map spec 'none' is neither a file nor 'identity'",
             ),
             (
                 SIMULATE[:5] + ("--family", "two_relay", "--size", "3"),

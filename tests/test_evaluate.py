@@ -32,6 +32,7 @@ from treedet import (
     np_calibrate_root,
     or_gate,
     root_sum_law,
+    second_moment_null,
     simple_strategy,
     tail_report,
 )
@@ -588,6 +589,23 @@ class TestChebyshev:
         lf = int(tree.subtree_leaf_count[tree.root])
         expected = (LOG3 * LOG3 + 2.0) * 3.0 / (0.09 * lf)
         assert rep.bound == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, params, size, pair, small_cap, eta",
+        [
+            ("wide_uniform", {"m": 2}, 50, bernoulli_pair(0.75), 2, 0.3),
+            ("two_relay", {}, 3, TERNARY, 3, 0.25),
+        ],
+    )
+    def test_bound_constant_is_second_moment_plus_two(
+        self, kind, params, size, pair, small_cap, eta
+    ):
+        tree = TreeFamily(kind, params).generate(size)
+        assert tree.height == 2
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), (0.0, 0.0), pair=pair)
+        rep = chebyshev_variance_check(s, pair, small_cap=small_cap, eta=eta)
+        l = int(tree.subtree_leaf_count[tree.root])
+        assert rep.bound == (second_moment_null(pair) + 2.0) * (1 + small_cap) / (eta**2 * l)
 
     def test_requires_height_two(self, pair75, ident):
         tree = TreeFamily("parallel").generate(5)

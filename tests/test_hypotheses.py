@@ -15,7 +15,6 @@ from treedet import (
     bernoulli_pair,
     kl_divergence,
     second_moment_null,
-    validate_assumptions,
 )
 from treedet.hypotheses import UnknownSymbol, _logsumexp
 
@@ -138,18 +137,3 @@ class TestDivergences:
     def test_second_moment(self, pair75):
         assert_allclose(second_moment_null(pair75), LOG3 * LOG3, rtol=1e-14)
 
-
-class TestValidateAssumptions:
-    def test_informative_family(self, pair75, leaf_family):
-        report = validate_assumptions(pair75, leaf_family.leaf)
-        assert report.informative_exists
-        assert report.informative_quantizer is not None
-        assert_allclose(report.second_moment, LOG3 * LOG3, rtol=1e-14)
-        assert_allclose(report.chebyshev_constant, LOG3 * LOG3 + 2.0, rtol=1e-14)
-
-    def test_uninformative_family(self, pair75, leaf_family):
-        constants = [g for g in leaf_family.leaf if len({g(s) for s in BINARY}) == 1]
-        assert len(constants) == 2
-        report = validate_assumptions(pair75, constants)
-        assert not report.informative_exists
-        assert report.informative_quantizer is None

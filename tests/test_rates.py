@@ -18,6 +18,7 @@ from treedet import (
     exponent_lower_bound,
     feasible_threshold_interval,
     fenchel_legendre,
+    identity_map,
     log_mgf,
     rate_table,
     recipe_threshold,
@@ -169,10 +170,11 @@ class TestLevelOneOracle:
         st.floats(0.01, 0.99),
     )
     def test_matches_mpmath_conjugate(self, pair, where, delta, frac):
-        lo, hi = feasible_threshold_interval(pair)
+        ident = identity_map(pair.alphabet)
+        lo, hi = feasible_threshold_interval(pair, ident)
         assume(lo < -1e-3 and hi > 1e-3)
         t = {"low": lo + delta, "inside": lo + frac * (hi - lo), "high": hi - delta}[where]
-        table = rate_table(pair, None, (t,))
+        table = rate_table(pair, ident, (t,))
         want0, want1 = _oracle_rates(pair.p0, pair.p1, t)
         # near an end of the interval one rate is about delta**2, far below
         # the rounding of s t and L(s); errors are relative to the larger rate
@@ -283,3 +285,25 @@ class TestRecipeThreshold:
             recipe_threshold(pair75, ident, 0.0)
         with pytest.raises(InvalidParams):
             recipe_threshold(pair75, ident, 2.0 * D75)
+
+
+class TestDeadSymbol:
+    def test_dead_symbol_changes_no_bit(self):
+        # a symbol dead under both hypotheses carries no evidence
+        with_dead = DistributionPair(
+            Alphabet(("a", "x", "b", "c")),
+            np.array([0.5, 0.0, 0.3, 0.2]),
+            np.array([0.2, 0.0, 0.3, 0.5]),
+        )
+        live = DistributionPair(
+            Alphabet(("a", "b", "c")), np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+        )
+        results = []
+        for pair in (with_dead, live):
+            ident = identity_map(pair.alphabet)
+            lo, hi = feasible_threshold_interval(pair, ident)
+            t = recipe_threshold(pair, ident, 0.1)
+            table = rate_table(pair, ident, (t,) * 3)
+            values = (lo, hi, t, *table.rate0, *table.rate1)
+            results.append([v.hex() for v in values])
+        assert results[0] == results[1]

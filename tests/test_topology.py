@@ -308,13 +308,13 @@ class TestAnalysis:
         assert stats.n_nodes == 9
         assert stats.n_leaves == 6
         assert stats.n_fringe == 2
-        assert stats.small_fringe == ()
+        assert stats.n_small_fringe == 0
         assert stats.small_leaf_fraction == 0.0
 
     def test_small_fringe_detection(self):
         t = TreeFamily("two_relay").generate(3)
         stats = analyze_tree(t, small_cap=3)
-        assert len(stats.small_fringe) == 2
+        assert stats.n_small_fringe == 2
         assert stats.small_leaf_fraction == 1.0
 
     def test_estimate_z_on_increasing_leaves(self):
