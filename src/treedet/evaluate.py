@@ -17,14 +17,14 @@ Monte Carlo runs on counter-based substreams, so a seed reproduces its
 run.  A relay's rule sends a prefix of its sorted sum atoms low, so the
 exact tail split cuts a law at one index, and a simulated sum is decided by
 one comparison with the midpoint between the last atom sent low and the
-first sent high; ties fall as in the exact split, with no tolerance.  Over
-a two-atom leaf law the high-leaf counts a fringe node sends low are a
-prefix too, so one uniform against their Binomial(m, p_high) mass, taken
-from the leaf law so that Monte Carlo still checks the fringe level, draws
-its bit, as against the first mass of a two-atom gate law.  Wider gate laws
-are drawn by CDF search, wider leaf laws as multinomial counts.  Gated and
-multinomial streams match those of versions that drew binomial leaf counts;
-threshold-fringe streams differ from theirs, with the same law.
+first sent high; ties fall as in the exact split, with no tolerance.  A
+fringe node draws its bit with one uniform against its shape's low mass in
+that split, or against the first mass of a gate law of at most two atoms;
+only a wider gate law is drawn by CDF search.  Monte Carlo thus takes the
+fringe level's law from the exact engine, and `tests/test_oracle.py` checks
+that level by enumeration.  Gated streams match those of versions that drew
+binomial leaf counts; threshold-fringe streams differ from theirs, with the
+same law.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import bdtr, gammaln
 
 from .channels import fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
@@ -78,9 +77,9 @@ class MessageLaw:
     """Discrete law of a log-likelihood statistic under both hypotheses.
 
     Atoms are sorted and deduplicated; masses are stored as logs and must
-    each total one.  Long convolution chains accumulate rounding in the
-    gamma-function mass terms, hence the loose constructor tolerance; unit
-    tests pin 1e-12 on short chains.
+    each total one.  Rounding in the log masses grows with the copies of a
+    binomial power and the length of a convolution chain, hence the loose
+    constructor tolerance; unit tests pin 1e-12 on short chains.
     """
 
     values: np.ndarray
@@ -144,6 +143,28 @@ def _conv(a: MessageLaw, b: MessageLaw) -> MessageLaw:
     return MessageLaw(*_merged(values, logp0, logp1))
 
 
+# stirlerr(n) = log n! - log(sqrt(2 pi n) (n / e)^n) below 16, from mpmath; n = 0 is unread
+_STIRLERR = np.array([math.nan, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+
+
+def _log_comb(m: int) -> np.ndarray:
+    """log C(m, k) for k = 0..m (m >= 1) to a few ulps, in Loader's Stirling-
+    error form ("Fast and accurate computation of binomial probabilities",
+    2000), built for k <= m/2 and mirrored."""
+    n = np.arange(1.0, m + 1)
+    nn = n * n
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+    stirlerr[:15] = _STIRLERR[1 : m + 1]  # stirlerr[n - 1]: the table below 16, the series above
+    h = m // 2
+    k, j = n[:h], m - n[:h]
+    half = (k * np.log(m / k) - j * np.log1p(-k / m) + stirlerr[m - 1] - stirlerr[:h]
+            - stirlerr[m - 1 - h : m - 1][::-1] - 0.5 * np.log(2.0 * math.pi * k * j / m))
+    return np.concatenate(([0.0], half, half[: m - 1 - h][::-1], [0.0]))
+
+
 def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
     # m-fold sum of a two-atom law: closed form, m+1 atoms
     if m + 1 > STATE_SPACE_CAP:
@@ -152,7 +173,7 @@ def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
             f"over the cap of {STATE_SPACE_CAP}"
         )
     k = np.arange(m + 1, dtype=float)
-    log_comb = gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
+    log_comb = _log_comb(m)
     v0, v1 = law.values
     values = (m - k) * v0 + k * v1
     logp0 = log_comb + (m - k) * law.logp0[0] + k * law.logp0[1]
@@ -403,31 +424,28 @@ def fringe_message_laws(
 
 
 def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
-    """Fringe draw law, masses and CDF under ``hypothesis``; (cut, low, high, plow) by shape."""
-    gated = strategy.level1_gate is not None
-    # a gated fringe node draws its output atom, any other its leaves' counts
-    draw_law = ctx.out[ctx.level.index(1) if gated else 0]
-    p = draw_law.p0 if hypothesis == 0 else draw_law.p1
-    p = p / p.sum()
-    # x / x is exactly 1, so no u < 1 searches past the last atom
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    v0, v1 = draw_law.values[[0, -1]]
+    """(cut, low, high, P(send low) under ``hypothesis``) by shape, and the
+    (atoms, CDF) of a gate law wider than two atoms, else None."""
     by_level = (*strategy.thresholds[:-1], strategy.root_threshold)
     table = np.zeros((len(ctx.sums), 4))
+    wide = None
     for sid, (law, out) in enumerate(zip(ctx.sums, ctx.out)):
         if out is not None:  # the root sends no message
             table[sid, 1:3] = out.values[[0, -1]]
         if law is not None:  # the leaf and a gate level have no sum
-            k = _low_count(law, ctx.leaf_count[sid], by_level[ctx.level[sid] - 1])
+            l_v, t = ctx.leaf_count[sid], by_level[ctx.level[sid] - 1]
+            k = _low_count(law, l_v, t)
             v = np.concatenate(([-np.inf], law.values, [np.inf]))
             table[sid, 0] = (v[k] + v[k + 1]) / 2.0
-        if ctx.level[sid] == 1 and draw_law.n_atoms == 2:
-            m = ctx.leaf_count[sid]
-            j = np.arange(m + 1)  # counts of high leaves, each decided by its sum
-            k = np.count_nonzero((m - j) * v0 + j * v1 <= table[sid, 0])
-            table[sid, 3] = cdf[0] if gated else bdtr(k - 1, m, p[1]) if k else 0.0
-    return draw_law, p, cdf, table
+            table[sid, 3] = math.exp(_split_log_mass(law, l_v, t)[hypothesis])
+        elif ctx.level[sid]:  # a gated fringe node draws its output atom
+            # x / x is exactly 1, so no u < 1 searches past the last atom
+            cdf = np.cumsum(out.p0 if hypothesis == 0 else out.p1)
+            cdf /= cdf[-1]
+            table[sid, 3] = cdf[0]
+            if out.n_atoms > 2:
+                wide = out.values, cdf
+    return table, wide
 
 
 def _simulate_error_count(
@@ -436,10 +454,7 @@ def _simulate_error_count(
     tree = strategy.tree
     h = tree.height
     shape = tree.shape_ids
-    fringe = tree.nodes_at_depth(h - 1)
-    m = tree.n_children[fringe][:, None]
-    gated = strategy.level1_gate is not None
-    draw_law, p, cdf, table = _mc_tables(ctx, strategy, hypothesis)
+    table, wide = _mc_tables(ctx, strategy, hypothesis)
 
     # per depth: child rows in parent order, copied only when the ids are not
     # (every family generates them in order), and the nodes' table rows
@@ -455,8 +470,10 @@ def _simulate_error_count(
             gather = (order, starts)
         stages.append((d, nodes.size, gather, np.split(table[shape[nodes]], 4, axis=1)))
 
-    # multinomial counts hold one column per leaf atom at each fringe node
-    cols = max(fringe.size * draw_law.n_atoms, *(w for _, w, _, _ in stages))
+    # blocks keep the size they had when fringe nodes drew one column per
+    # leaf or gate atom, so two-atom and gated streams stay bit for bit
+    atoms = 2 if wide is None else wide[0].size
+    cols = max(stages[0][1] * atoms, *(w for _, w, _, _ in stages))
     block = max(1, min(trials, _MC_BLOCK_FLOATS // cols))
     errors = 0
     n_blocks = (trials + block - 1) // block
@@ -470,16 +487,13 @@ def _simulate_error_count(
                 order, starts = gather
                 rows = state if order is None else state[order]
                 above = np.add.reduceat(rows, starts, axis=0) > cut
-            elif draw_law.n_atoms == 2:
+            elif wide is None:
                 # one uniform per fringe node decides its bit
                 above = rng.random((width, nb)) >= plow
-            elif gated:
-                u = rng.random((width, nb))
-                state = draw_law.values[np.searchsorted(cdf, u, side="right")]
-                continue
             else:
-                counts = rng.multinomial(m, p, size=(width, nb))
-                above = counts @ draw_law.values > cut
+                atom, cdf = wide
+                state = atom[np.searchsorted(cdf, rng.random((width, nb)), side="right")]
+                continue
             if d:
                 state = np.where(above, high, low)
             else:

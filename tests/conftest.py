@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from treedet import (
+    BINARY,
+    Alphabet,
     Tree,
+    TransmissionFunction,
     all_binary_leaf_family,
     bernoulli_pair,
     identity_map,
@@ -22,6 +25,12 @@ def ident(pair75):
 @pytest.fixture(scope="session")
 def leaf_family(pair75):
     return all_binary_leaf_family(pair75.alphabet)
+
+
+def count_gate():
+    """Two-input gate that sends its count of ones: a three-atom gate law."""
+    table = {(a, b): a + b for a in BINARY for b in BINARY}
+    return TransmissionFunction(2, (BINARY, BINARY), Alphabet((0, 1, 2)), table, name="count")
 
 
 def build_uniform_tree(rng, height, lo=2, hi=6):

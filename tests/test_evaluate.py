@@ -8,10 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import count_gate
 from treedet import (
     Alphabet,
     DistributionPair,
@@ -175,6 +177,31 @@ class TestConvolution:
             assert_array_equal(got.values, want[:, 0])
             assert_allclose(got.logp0, want[:, 1], rtol=1e-13, atol=1e-13)
             assert_allclose(got.logp1, want[:, 2], rtol=1e-13, atol=1e-13)
+
+
+class TestLogComb:
+    """``_log_comb`` against 40-digit binomial coefficients."""
+
+    @staticmethod
+    def _check(m, ks):
+        got = ev._log_comb(m)
+        assert got.size == m + 1
+        assert_array_equal(got, got[::-1])
+        assert got[0] == got[m] == 0.0
+        with mpmath.workdps(40):
+            for k in ks:
+                if 0 < k < m:
+                    want = mpmath.log(mpmath.binomial(m, k))
+                    assert abs((mpmath.mpf(float(got[k])) - want) / want) <= 1e-15, (m, k)
+
+    def test_every_k_up_to_64(self):
+        for m in range(1, 65):
+            self._check(m, range(m + 1))
+
+    @pytest.mark.parametrize("m", [10**2, 10**4, 25_000, 10**6, 10**7])
+    def test_large_m(self, m):
+        fixed = [1, 2, 3, m // 3, m // 2, m - 2, m - 1]
+        self._check(m, fixed + np.random.default_rng(m).integers(1, m, size=20).tolist())
 
 
 class TestRootSumLaw:
@@ -451,28 +478,36 @@ class TestMonteCarlo:
                 monte_carlo_error(s, pair75, trials=10, seed=seed)
 
     @pytest.mark.parametrize(
-        "ternary, kind, params, size, gated, pinned",
+        "ternary, kind, params, size, gate, pinned",
         [
             # wrong decisions under (H0, H1) per (seed, floats per block)
             (
-                False, "wide_uniform", {"m": 2}, 6, True,
+                False, "wide_uniform", {"m": 2}, 6, or_gate(),
                 {(5, None): (4590, 84), (11, None): (4710, 91), (5, 1024): (4662, 88)},
             ),
+            # a three-atom gate law is drawn by CDF search
             (
-                True, "increasing_leaves", {}, 7, False,
-                {(5, None): (4582, 57), (11, None): (4644, 61), (5, 1024): (4617, 54)},
+                False, "wide_uniform", {"m": 2}, 5, count_gate(),
+                {(5, None): (4421, 65), (11, None): (4421, 76), (5, 1024): (4447, 58)},
+            ),
+            # a three-atom leaf law: one uniform per fringe node against the
+            # exact split, every count within 2 se of the exact rates
+            (
+                True, "increasing_leaves", {}, 7, None,
+                {(5, None): (4605, 69), (11, None): (4589, 64), (5, 1024): (4584, 64)},
             ),
         ],
-        ids=["or_gated_wide", "ternary_increasing"],
+        ids=["or_gated_wide", "count_gated_wide", "ternary_increasing"],
     )
-    def test_gated_and_multinomial_streams_are_pinned(
-        self, pair75, monkeypatch, ternary, kind, params, size, gated, pinned
+    def test_fringe_streams_are_pinned(
+        self, pair75, monkeypatch, ternary, kind, params, size, gate, pinned
     ):
-        # gate draws and multinomial leaf counts keep their streams bit for bit
+        # a seed and block size fix every count; the gated streams are those
+        # of versions that drew binomial leaf counts, bit for bit
         pair = TERNARY if ternary else pair75
         tree = TreeFamily(kind, params).generate(size)
-        gate = {"level1_gate": or_gate()} if gated else {}
-        s = build_relay_strategy(tree, identity_map(pair.alphabet), (0.0, 0.0), **gate)
+        gated = {"level1_gate": gate} if gate is not None else {}
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), (0.0, 0.0), **gated)
         cal = np_calibrate_root(s, pair, 0.25)
         for (seed, block), (wrong0, wrong1) in pinned.items():
             if block is not None:
@@ -481,58 +516,14 @@ class TestMonteCarlo:
             assert (mc.type_i, mc.type_ii) == (wrong0 / 20000, wrong1 / 20000)
 
 
-def fringe_table_cases():
-    """(pair, strategy) for seeded threshold trees and the edge cases."""
-    rng = np.random.default_rng(20)
-    pair75 = bernoulli_pair(0.75)
-    cases = []
-    kinds = (("two_relay", {}), ("wide_uniform", {"m": 4}), ("increasing_leaves", {}))
-    for kind, params in kinds:
-        for _ in range(4):
-            a, b = rng.uniform(0.05, 0.95, size=2)
-            pair = DistributionPair(Alphabet(("0", "1")), np.array([a, 1 - a]), np.array([b, 1 - b]))
-            tree = TreeFamily(kind, params).generate(int(rng.integers(2, 9)))
-            top = abs(math.log(b / a)) + abs(math.log((1 - b) / (1 - a)))
-            t1 = float(rng.uniform(-top, top))
-            cases.append((pair, build_relay_strategy(tree, identity_map(pair.alphabet), (t1, 0.0))))
-    ident = identity_map(pair75.alphabet)
-    # even leaf counts put relay sums exactly on the threshold, where ties go low
-    for size in (4, 6):
-        tree = TreeFamily("two_relay").generate(size)
-        cases.append((pair75, build_relay_strategy(tree, ident, (0.0, 0.0))))
-    # every relay sends high, or every relay low: one-atom bit laws
-    wide = TreeFamily("wide_uniform", {"m": 3}).generate(5)
-    for t1 in (-5.0, 5.0):
-        cases.append((pair75, build_relay_strategy(wide, ident, (t1, 0.0))))
-    gated = TreeFamily("wide_uniform", {"m": 2}).generate(4)
-    cases.append((pair75, build_relay_strategy(gated, ident, (0.0, 0.0), level1_gate=or_gate())))
-    return cases
-
-
-def test_fringe_low_chance_matches_exact_bit_law():
-    # Monte Carlo's P(send low) per fringe shape, from the leaf law, against
-    # the exact engine's bit law, from the sum law
-    for pair, s in fringe_table_cases():
-        ctx = ev._context_for(s, pair)
-        for hyp in (0, 1):
-            table = ev._mc_tables(ctx, s, hyp)[-1]
-            for sid in np.unique(s.tree.shape_ids[s.tree.fringe]).tolist():
-                out = ctx.out[sid]
-                if out.n_atoms == 2:
-                    want = math.exp((out.logp0, out.logp1)[hyp][0])
-                else:  # one side of the cut is empty
-                    t = s.threshold_at_level(1)
-                    low = ev._split_log_mass(ctx.sums[sid], ctx.leaf_count[sid], t)[hyp]
-                    want = math.exp(low)
-                assert_allclose(table[sid, 3], want, rtol=1e-12, atol=0.0)
-
-
-def test_import_loads_no_scipy_stats():
-    # scipy.stats roughly doubles the import time and peak memory of the
-    # package, which needs only scipy.special
+def test_import_loads_no_scipy():
+    # the package needs only numpy; scipy.special alone doubled its import time
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, treedet, treedet.cli; sys.exit('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, treedet, treedet.cli; "
+        "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == 0
 

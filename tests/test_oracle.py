@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_gate
 from treedet import (
     BINARY,
     Alphabet,
@@ -37,7 +38,14 @@ from treedet import (
 COMMENSURATE = DistributionPair(
     Alphabet(("a", "b", "c")), np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
 )
-GATES = {"or": or_gate(), "and": and_gate(), "xor": xor_gate(), "forward": forward_first_gate()}
+# the count gate's three-atom law takes Monte Carlo's CDF-search draw
+GATES = {
+    "or": or_gate(),
+    "and": and_gate(),
+    "xor": xor_gate(),
+    "forward": forward_first_gate(),
+    "count": count_gate(),
+}
 LEAF_CAP = {2: 16, 3: 10}
 TIE_GAP = 1e-9
 MC_TRIALS = 20_000
