@@ -17,14 +17,15 @@ Monte Carlo runs on counter-based substreams, so a seed reproduces its
 run.  A relay's rule sends a prefix of its sorted sum atoms low, so the
 exact tail split cuts a law at one index, and a simulated sum is decided by
 one comparison with the midpoint between the last atom sent low and the
-first sent high; ties fall as in the exact split, with no tolerance.  A
-fringe node draws its bit with one uniform against its shape's low mass in
-that split, or against the first mass of a gate law of at most two atoms;
-only a wider gate law is drawn by CDF search.  Monte Carlo thus takes the
-fringe level's law from the exact engine, and `tests/test_oracle.py` checks
-that level by enumeration.  Gated streams match those of versions that drew
-binomial leaf counts; threshold-fringe streams differ from theirs, with the
-same law.
+first sent high; ties fall as in the exact split, with no tolerance.
+Fringe siblings of one shape send i.i.d. bits, so each such group draws its
+count of high bits with one binomial against its shape's high mass in that
+split, or a two-atom gate law's last mass.  A lone fringe node draws its bit
+with one uniform against the low mass, or the gate law's first; only a gate
+law wider than two atoms is drawn node by node, by CDF search.  Monte Carlo
+thus takes the fringe level's law from the exact engine, and
+`tests/test_oracle.py` checks that level by enumeration; every level above
+sums its children's draws.
 """
 
 from __future__ import annotations
@@ -424,25 +425,28 @@ def fringe_message_laws(
 
 
 def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
-    """(cut, low, high, P(send low) under ``hypothesis``) by shape, and the
-    (atoms, CDF) of a gate law wider than two atoms, else None."""
+    """(cut, low, high, P(send low), P(send high)) under ``hypothesis`` by
+    shape, and the (atoms, CDF) of a gate law wider than two atoms, else None."""
     by_level = (*strategy.thresholds[:-1], strategy.root_threshold)
-    table = np.zeros((len(ctx.sums), 4))
+    table = np.zeros((len(ctx.sums), 5))
     wide = None
     for sid, (law, out) in enumerate(zip(ctx.sums, ctx.out)):
         if out is not None:  # the root sends no message
             table[sid, 1:3] = out.values[[0, -1]]
         if law is not None:  # the leaf and a gate level have no sum
-            l_v, t = ctx.leaf_count[sid], by_level[ctx.level[sid] - 1]
-            k = _low_count(law, l_v, t)
+            k = _low_count(law, ctx.leaf_count[sid], by_level[ctx.level[sid] - 1])
             v = np.concatenate(([-np.inf], law.values, [np.inf]))
+            logp = law.logp1 if hypothesis else law.logp0
             table[sid, 0] = (v[k] + v[k + 1]) / 2.0
-            table[sid, 3] = math.exp(_split_log_mass(law, l_v, t)[hypothesis])
+            # each side's own mass in the one split, clamped: a log mass can sum
+            # an ulp above 0, where 1 - P(send low) would fall an ulp below 0
+            table[sid, 3:] = [math.exp(min(_logsumexp(s), 0.0)) for s in np.split(logp, [k])]
         elif ctx.level[sid]:  # a gated fringe node draws its output atom
             # x / x is exactly 1, so no u < 1 searches past the last atom
             cdf = np.cumsum(out.p0 if hypothesis == 0 else out.p1)
             cdf /= cdf[-1]
-            table[sid, 3] = cdf[0]
+            high = out.logp1[-1] if hypothesis else out.logp0[-1]
+            table[sid, 3:] = cdf[0], math.exp(min(high, 0.0))
             if out.n_atoms > 2:
                 wide = out.values, cdf
     return table, wide
@@ -456,44 +460,64 @@ def _simulate_error_count(
     shape = tree.shape_ids
     table, wide = _mc_tables(ctx, strategy, hypothesis)
 
-    # per depth: child rows in parent order, copied only when the ids are not
-    # (every family generates them in order), and the nodes' table rows
+    # fringe siblings of one shape send i.i.d. bits, so a group of c >= 2 draws
+    # its count of high bits from one binomial; a lone fringe node, and every
+    # node under a gate law wider than two atoms, draws its own
+    fringe = tree.nodes_at_depth(h - 1)
+    key = tree.parents[fringe] * len(table) + shape[fringe]
+    _, first, inverse, size = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    multi = (size > 1) & (wide is None)
+    lone, group, c = fringe[~multi[inverse]], fringe[first[multi]], size[multi, None]
+    _, g_low, g_high, _, g_phigh = np.split(table[shape[group]], 5, axis=1)
+    # per depth: rows of the level below in parent order, copied only when
+    # they are not (every family generates them in order), and the nodes'
+    # table rows; a fringe level's rows are its lone nodes, then its groups
+    kin = tree.parents[np.concatenate((lone, group))]
     stages = []
     for d in range(h - 1, -1, -1):
         nodes = tree.nodes_at_depth(d)
         gather = None
         if d < h - 1:
-            kin = tree.parents[tree.nodes_at_depth(d + 1)]
             order = None if np.all(kin[1:] >= kin[:-1]) else np.argsort(kin, kind="stable")
-            starts = np.zeros(nodes.size, dtype=np.int64)
-            np.cumsum(tree.n_children[nodes][:-1], out=starts[1:])
-            gather = (order, starts)
-        stages.append((d, nodes.size, gather, np.split(table[shape[nodes]], 4, axis=1)))
+            gather = (order, np.searchsorted(kin if order is None else kin[order], nodes))
+            kin = tree.parents[nodes]
+        rows = lone if d == h - 1 else nodes
+        stages.append((d, gather, np.split(table[shape[rows]], 5, axis=1)))
 
     # blocks keep the size they had when fringe nodes drew one column per
-    # leaf or gate atom, so two-atom and gated streams stay bit for bit
+    # leaf or gate atom, so the streams of lone and wide-gate fringe nodes
+    # stay bit for bit
     atoms = 2 if wide is None else wide[0].size
-    cols = max(stages[0][1] * atoms, *(w for _, w, _, _ in stages))
+    cols = max(fringe.size * atoms, *(tree.nodes_at_depth(d).size for d in range(h)))
     block = max(1, min(trials, _MC_BLOCK_FLOATS // cols))
     errors = 0
-    n_blocks = (trials + block - 1) // block
-    for b in range(n_blocks):
+    for b in range((trials + block - 1) // block):
         nb = min(block, trials - b * block)
         rng = np.random.Generator(
             np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0])
         )
-        for d, width, gather, (cut, low, high, plow) in stages:
+        for d, gather, (cut, low, high, plow, _) in stages:
             if gather is not None:
                 order, starts = gather
                 rows = state if order is None else state[order]
-                above = np.add.reduceat(rows, starts, axis=0) > cut
-            elif wide is None:
-                # one uniform per fringe node decides its bit
-                above = rng.random((width, nb)) >= plow
-            else:
+                # a node over one row (one sibling group) needs no sum
+                sums = rows if starts.size == len(rows) else np.add.reduceat(rows, starts, axis=0)
+                above = sums > cut
+            elif wide is not None:
                 atom, cdf = wide
-                state = atom[np.searchsorted(cdf, rng.random((width, nb)), side="right")]
+                state = atom[np.searchsorted(cdf, rng.random((fringe.size, nb)), side="right")]
                 continue
+            else:
+                # one uniform per lone fringe node decides its bit
+                above = rng.random((lone.size, nb)) >= plow
+                if group.size:
+                    high_bits = rng.binomial(c, g_phigh, (group.size, nb))
+                    state = np.concatenate(
+                        (np.where(above, high, low), c * g_low + high_bits * (g_high - g_low))
+                    )
+                    continue
             if d:
                 state = np.where(above, high, low)
             else:
@@ -506,9 +530,9 @@ def monte_carlo_error(
 ) -> ErrorEstimate:
     """Simulates both hypotheses with deterministic counter-based streams.
 
-    Identical (strategy, pair, trials, seed) always reproduce the same
-    estimate, regardless of call order or chunking internals.  ``seed`` must
-    lie in [0, 2**63).
+    Strategy, pair, trials, seed and ``_MC_BLOCK_FLOATS`` fix the estimate,
+    whatever the call order; the block size sets which trials share a
+    substream, so it changes the counts.  ``seed`` must lie in [0, 2**63).
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")

@@ -411,32 +411,51 @@ class TestMonteCarlo:
         assert (a.type_i, a.type_ii) != (c.type_i, c.type_ii)
 
     @pytest.mark.parametrize(
-        "ternary, kind, params, size, thresholds",
+        "ternary, tree, thresholds, trials",
         [
-            (False, "two_relay", {}, 6, (0.0, 0.0)),
+            (False, TreeFamily("two_relay").generate(6), (0.0, 0.0), 40000),
             # commensurate leaf atoms, so sums merge onto shared atoms
-            (True, "wide_uniform", {"m": 3}, 6, (0.0, 0.0)),
-            (True, "increasing_leaves", {}, 8, (0.0, 0.0)),
+            (True, TreeFamily("wide_uniform", {"m": 3}).generate(6), (0.0, 0.0), 40000),
+            (True, TreeFamily("increasing_leaves").generate(8), (0.0, 0.0), 40000),
             # height 1: the root reads the fringe counts directly
-            (False, "parallel", {}, 12, (0.0,)),
+            (False, TreeFamily("parallel").generate(12), (0.0,), 40000),
             # even leaf counts put relay sums exactly on the threshold
-            (False, "two_relay", {}, 4, (0.0, 0.0)),
+            (False, TreeFamily("two_relay").generate(4), (0.0, 0.0), 40000),
             # every relay sends high, so the laws above the leaves have one atom
-            (False, "wide_uniform", {"m": 3}, 5, (-5.0, 0.0)),
+            (False, TreeFamily("wide_uniform", {"m": 3}).generate(5), (-5.0, 0.0), 40000),
+            # every relay sends low, and the fringe's low log mass sums to
+            # 2.2e-16 under H0: its binomial's P(send high) must stay at 0
+            (True, TreeFamily("wide_uniform", {"m": 3}).generate(4), (1.0, 0.0), 40000),
+            # one group of 40 same-shape fringe siblings: one binomial per trial
+            (False, TreeFamily("wide_uniform", {"m": 2}).generate(40), (0.0, 0.0), 10**6),
+            # each level-2 relay holds a two-node sibling group and a lone
+            # fringe node of another shape, which in the first relay sits
+            # between the group's two nodes
+            (
+                False,
+                Tree(
+                    [-1, 0, 0, 1, 1, 1, 2, 2, 2]
+                    + [3] * 2 + [4] * 3 + [5] * 2 + [6] * 3 + [7] * 3 + [8] * 2
+                ),
+                (0.0, 0.0, 0.0),
+                40000,
+            ),
         ],
-        ids=["two_relay", "ternary_wide", "ternary_increasing", "star", "relay_ties", "one_atom"],
+        ids=[
+            "two_relay", "ternary_wide", "ternary_increasing", "star", "relay_ties", "one_atom",
+            "all_low", "sibling_group", "groups_and_lone",
+        ],
     )
-    def test_matches_exact(self, pair75, ternary, kind, params, size, thresholds):
+    def test_matches_exact(self, pair75, ternary, tree, thresholds, trials):
         pair = TERNARY if ternary else pair75
-        tree = TreeFamily(kind, params).generate(size)
         s = build_relay_strategy(tree, identity_map(pair.alphabet), thresholds)
         cal = np_calibrate_root(s, pair, 0.25)
         exact = exact_error_probs(cal, pair)
         # the calibrated root threshold is an atom, so this pins ties going low
         assert exact.type_i <= 0.25
-        mc = monte_carlo_error(cal, pair, trials=40000, seed=3)
+        mc = monte_carlo_error(cal, pair, trials=trials, seed=3)
         for p, q in ((exact.type_i, mc.type_i), (exact.type_ii, mc.type_ii)):
-            se = math.sqrt(p * (1.0 - p) / 40000)
+            se = math.sqrt(p * (1.0 - p) / trials)
             assert abs(p - q) <= 4.0 * se
 
     def test_matches_exact_with_gate(self, pair75, ident):
@@ -480,10 +499,12 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "ternary, kind, params, size, gate, pinned",
         [
-            # wrong decisions under (H0, H1) per (seed, floats per block)
+            # wrong decisions under (H0, H1) per (seed, floats per block);
+            # six same-shape two-atom gated siblings draw one binomial count,
+            # at z = -3.11/-0.72, -0.28/0.81 and -0.60/-0.50 against exact
             (
                 False, "wide_uniform", {"m": 2}, 6, or_gate(),
-                {(5, None): (4590, 84), (11, None): (4710, 91), (5, 1024): (4662, 88)},
+                {(5, None): (4513, 78), (11, None): (4683, 92), (5, 1024): (4664, 80)},
             ),
             # a three-atom gate law is drawn by CDF search
             (
@@ -502,8 +523,9 @@ class TestMonteCarlo:
     def test_fringe_streams_are_pinned(
         self, pair75, monkeypatch, ternary, kind, params, size, gate, pinned
     ):
-        # a seed and block size fix every count; the gated streams are those
-        # of versions that drew binomial leaf counts, bit for bit
+        # a seed and block size fix every count; lone fringe nodes and a
+        # three-atom gate law draw per node, so those two streams are those of
+        # versions before sibling groups drew binomial counts, bit for bit
         pair = TERNARY if ternary else pair75
         tree = TreeFamily(kind, params).generate(size)
         gated = {"level1_gate": gate} if gate is not None else {}
