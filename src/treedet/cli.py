@@ -49,7 +49,6 @@ from .hypotheses import (
 )
 from .rates import (
     chernoff_bound_report,
-    exponent_lower_bound,
     feasible_threshold_interval,
     rate_table,
 )
@@ -299,10 +298,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
             stamp,
         )
         summary["n_floor"] = n_floor
-        summary["exponent_lower_bound"] = exponent_lower_bound(table, n_floor)
-        summary["root_bounds"] = {
-            r.kind: r.value for r in report.root_rows()
-        }
+        summary["root_bounds"] = {r.kind: r.value for r in report.root_rows()}
+        # the root bound holds only when every fringe node has n_floor leaves
+        if summary["root_bounds"]:
+            summary["exponent_lower_bound"] = summary["root_bounds"]["root_type1"]
     _write_json(out / "rates.json", summary)
     print(f"rates for {table.height} levels written to {out / 'rates.csv'}")
     if "exponent_lower_bound" in summary:
@@ -382,6 +381,9 @@ def _strategy_from_args(
     args: argparse.Namespace, tree: Tree, pair: DistributionPair
 ) -> Strategy:
     if args.epsilon is not None:
+        given = [f"--{k}" for k in ("gamma", "thresholds", "gate", "uniformize") if getattr(args, k)]
+        if given:
+            raise InputError(f"--epsilon builds the recipe strategy; it cannot take {', '.join(given)}")
         family = all_binary_leaf_family(pair.alphabet)
         return simple_strategy(tree, pair, family, args.epsilon).strategy
     if not args.gamma or not args.thresholds:

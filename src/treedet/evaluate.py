@@ -212,19 +212,13 @@ def _sends_low(sums: np.ndarray, leaf_count: int, threshold: float) -> np.ndarra
     return sums / leaf_count <= threshold
 
 
-def _low_count(law: MessageLaw, leaf_count: int, threshold: float) -> int:
-    """How many atoms the relay rule sends low.  The rule is monotone in the
-    sum, so they are a prefix of the sorted atoms."""
-    return int(np.count_nonzero(_sends_low(law.values, leaf_count, threshold)))
-
-
-def _split_log_mass(
-    law: MessageLaw, leaf_count: int, threshold: float
-) -> tuple[float, float, float, float]:
-    """Log masses of the low side (normalized value <= threshold) and high
-    side, under both hypotheses."""
-    k = _low_count(law, leaf_count, threshold)
+def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
+    """The relay rule on a sum law: (k, low0, low1, high0, high1).  The rule is
+    monotone in the sum, so it sends the first k sorted atoms low; the rest
+    are the log masses of each side under both hypotheses."""
+    k = int(np.count_nonzero(_sends_low(law.values, leaf_count, threshold)))
     return (
+        k,
         _logsumexp(law.logp0[:k]),
         _logsumexp(law.logp1[:k]),
         _logsumexp(law.logp0[k:]),
@@ -232,10 +226,10 @@ def _split_log_mass(
     )
 
 
-def _bit_law(sum_law: MessageLaw, leaf_count: int, threshold: float) -> MessageLaw:
-    """One-bit output law of thresholding the normalized sum; its atoms are
-    the (low, high) output values, or one atom when a side is empty."""
-    low0, low1, high0, high1 = _split_log_mass(sum_law, leaf_count, threshold)
+def _bit_law(split: tuple) -> MessageLaw:
+    """One-bit output law of a relay's split; its atoms are the (low, high)
+    output values, or one atom when a side is empty."""
+    _, low0, low1, high0, high1 = split
     if (low0 == low1 == -np.inf) or (high0 == high1 == -np.inf):
         return MessageLaw(np.zeros(1), np.zeros(1), np.zeros(1))
     return MessageLaw(
@@ -250,11 +244,14 @@ class _LawContext:
     """Exact laws and counts indexed by shape id.
 
     ``sums`` is None for the leaf and for gated fringes, ``out`` for the root.
-    ``node_count`` counts proper descendants, so the root's is n - 1.
+    ``split`` is each relay's ``_split`` at its level's threshold, the only
+    use of the relay rule below the root; it is None where ``sums`` is and at
+    the root.  ``node_count`` counts proper descendants, so the root's is n - 1.
     """
 
     out: list
     sums: list
+    split: list
     leaf_count: list
     node_count: list
     level: list
@@ -274,6 +271,7 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     )
     out: list = [law_from_pair(induced_pair(pair, strategy.gamma))]
     sums: list = [None]
+    split: list = [None]
     leaf_count, node_count, level = [1], [0], [0]
     # ascending id order is bottom-up, and the root is the last id
     for sid in range(1, len(table)):
@@ -283,6 +281,7 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
         node_count.append(sum(c * (node_count[k] + 1) for k, c in zip(kids, counts)))
         if level[sid] == 1 and gate_law is not None:
             sums.append(None)
+            split.append(None)
             out.append(gate_law)
             continue
         try:
@@ -294,10 +293,9 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
             raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
         sums.append(total)
         t = strategy.threshold_at_level(level[sid])
-        out.append(_bit_law(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
-    return _LawContext(
-        out=out, sums=sums, leaf_count=leaf_count, node_count=node_count, level=level
-    )
+        split.append(_split(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
+        out.append(None if split[-1] is None else _bit_law(split[-1]))
+    return _LawContext(out, sums, split, leaf_count, node_count, level)
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -362,9 +360,7 @@ class ErrorEstimate:
 def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstimate:
     """False-alarm and miss probabilities of the strategy, exactly."""
     ctx = _context_for(strategy, pair)
-    low0, low1, high0, high1 = _split_log_mass(
-        ctx.root_sum, ctx.leaf_count[-1], strategy.root_threshold
-    )
+    _, _, low1, high0, _ = _split(ctx.root_sum, ctx.leaf_count[-1], strategy.root_threshold)
     # summed log masses can drift an ulp above 0 on long convolution chains
     high0 = min(high0, 0.0)
     low1 = min(low1, 0.0)
@@ -395,19 +391,15 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     """
     ctx = _context_for(strategy, pair)
     tree = strategy.tree
-    # one (miss, fa) pair per shape, expanded per node; a gate level has no
-    # sum law, and the tails of a gate are not threshold tails
-    tails = np.empty((len(ctx.sums), 2))
-    kept = np.array([law is not None for law in ctx.sums])
-    for sid in np.flatnonzero(kept).tolist():
-        l_v = ctx.leaf_count[sid]
-        t = strategy.threshold_at_level(ctx.level[sid])
-        _, low1, high0, _ = _split_log_mass(ctx.sums[sid], l_v, t)
-        tails[sid] = low1 / l_v, high0 / l_v
+    # one (miss, fa) pair per shape, the split's (low1, high0), expanded per
+    # node; a gate level has no split, and its tails are not threshold tails
+    splits = [*ctx.split[:-1], _split(ctx.root_sum, ctx.leaf_count[-1], strategy.thresholds[-1])]
+    kept = np.array([s is not None for s in splits])
+    level, lcount, pcount = map(np.asarray, (ctx.level, ctx.leaf_count, ctx.node_count))
+    tails = np.array([s[2:4] if s else (0.0, 0.0) for s in splits]) / lcount[:, None]
     nodes = np.flatnonzero(~tree.is_leaf)
     nodes = nodes[kept[tree.shape_ids[nodes]]]
     sids = tree.shape_ids[nodes]
-    level, lcount, pcount = map(np.asarray, (ctx.level, ctx.leaf_count, ctx.node_count))
     cols = (nodes, level[sids], lcount[sids], pcount[sids], *tails[sids].T)
     return tuple(map(TailRow, *(c.tolist() for c in cols)))
 
@@ -427,20 +419,19 @@ def fringe_message_laws(
 def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
     """(cut, low, high, P(send low), P(send high)) under ``hypothesis`` by
     shape, and the (atoms, CDF) of a gate law wider than two atoms, else None."""
-    by_level = (*strategy.thresholds[:-1], strategy.root_threshold)
+    root = _split(ctx.root_sum, ctx.leaf_count[-1], strategy.root_threshold)
     table = np.zeros((len(ctx.sums), 5))
     wide = None
-    for sid, (law, out) in enumerate(zip(ctx.sums, ctx.out)):
+    for sid, (law, out, split) in enumerate(zip(ctx.sums, ctx.out, [*ctx.split[:-1], root])):
         if out is not None:  # the root sends no message
             table[sid, 1:3] = out.values[[0, -1]]
         if law is not None:  # the leaf and a gate level have no sum
-            k = _low_count(law, ctx.leaf_count[sid], by_level[ctx.level[sid] - 1])
+            k = split[0]
             v = np.concatenate(([-np.inf], law.values, [np.inf]))
-            logp = law.logp1 if hypothesis else law.logp0
             table[sid, 0] = (v[k] + v[k + 1]) / 2.0
             # each side's own mass in the one split, clamped: a log mass can sum
             # an ulp above 0, where 1 - P(send low) would fall an ulp below 0
-            table[sid, 3:] = [math.exp(min(_logsumexp(s), 0.0)) for s in np.split(logp, [k])]
+            table[sid, 3:] = [math.exp(min(split[s + hypothesis], 0.0)) for s in (1, 3)]
         elif ctx.level[sid]:  # a gated fringe node draws its output atom
             # x / x is exactly 1, so no u < 1 searches past the last atom
             cdf = np.cumsum(out.p0 if hypothesis == 0 else out.p1)

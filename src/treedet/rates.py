@@ -238,7 +238,6 @@ class BoundReport:
     """
 
     rows: tuple[BoundRow, ...]
-    n_floor: int
 
     def root_rows(self) -> tuple[BoundRow, ...]:
         return tuple(r for r in self.rows if r.kind.startswith("root_"))
@@ -284,7 +283,7 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
                     value=-rate + h / n_floor,
                 )
             )
-    return BoundReport(rows=tuple(rows), n_floor=int(n_floor))
+    return BoundReport(rows=tuple(rows))
 
 
 def recipe_threshold(pair: DistributionPair, gamma: TransmissionFunction, epsilon: float) -> float:
@@ -297,9 +296,3 @@ def recipe_threshold(pair: DistributionPair, gamma: TransmissionFunction, epsilo
             f"epsilon {epsilon:.6g} pushes the threshold outside (-{d01:.6g}, 0)"
         )
     return t
-
-
-def exponent_lower_bound(table: RateTable, n_floor: int) -> float:
-    """Root miss-side bound -rate1[h] + h/n_floor, the quantity driving the
-    near-optimality argument for large fringes."""
-    return -table.rate1[-1] + table.height / n_floor

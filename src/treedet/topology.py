@@ -67,9 +67,6 @@ class Tree:
     def n(self) -> int:
         return int(self._parents.size)
 
-    def __len__(self) -> int:
-        return self.n
-
     @property
     def root(self) -> int:
         return self._root

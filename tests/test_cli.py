@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from treedet import TreeFamily, cli
+from treedet import (
+    BINARY,
+    TreeFamily,
+    bernoulli_pair,
+    chernoff_bound_report,
+    cli,
+    identity_map,
+    rate_table,
+)
 from treedet.cli import _build_parser, main
 from treedet.topology import analyze_tree
 
@@ -110,6 +118,26 @@ class TestRatesCommand:
             assert (tmp_path / "default" / name).read_bytes() == (
                 tmp_path / "identity" / name
             ).read_bytes()
+
+    def test_root_bound_needs_the_fringe_floor(self, tmp_path, capsys):
+        argv = ("rates", "--pair", "bern75", "--thresholds=-0.2,-0.1", "--family", "wide_uniform",
+                "--params", '{"m": 4}', "--size", "50", "--no-timestamp")
+        assert run(*argv, "--out", tmp_path / "default") == 0
+        assert "root miss bound per leaf" in capsys.readouterr().out
+        doc = read_json(tmp_path / "default" / "rates.json")
+        table = rate_table(bernoulli_pair(0.75), identity_map(BINARY), (-0.2, -0.1))
+        tree = TreeFamily("wide_uniform", {"m": 4}).generate(50)
+        roots = {r.kind: r.value for r in chernoff_bound_report(tree, table, 4).root_rows()}
+        # the default floor is the smallest fringe, 4 leaves here
+        assert doc["n_floor"] == 4
+        assert doc["exponent_lower_bound"] == doc["root_bounds"]["root_type1"]
+        assert doc["exponent_lower_bound"] == roots["root_type1"] == -table.rate1[-1] + 2 / 4
+        # no fringe node holds 100 leaves, so the root bound's premise fails
+        assert run(*argv, "--n-floor", "100", "--out", tmp_path / "floor") == 0
+        assert "root miss bound" not in capsys.readouterr().out
+        doc = read_json(tmp_path / "floor" / "rates.json")
+        assert doc["root_bounds"] == {}
+        assert "exponent_lower_bound" not in doc
 
 
 class TestAnalyzeCommand:
@@ -679,6 +707,27 @@ class TestFixedInputErrors:
     def test_malformed_bernoulli_parameter(self, tmp_path, capsys):
         assert run("exponent", "--pair", "bernoulli:abc", "--out", tmp_path) == 1
         assert _error_line(capsys).startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, given",
+        [
+            (("simulate", "--size", "5", "--gate", "or"), "--gate"),
+            (("simulate", "--size", "5", "--thresholds", "0.3", "--gate", "or"),
+             "--thresholds, --gate"),
+            (("fit", "--sizes", "5,9", "--gamma", "identity", "--uniformize"),
+             "--gamma, --uniformize"),
+        ],
+        ids=["simulate_gate", "simulate_thresholds_gate", "fit_gamma_uniformize"],
+    )
+    def test_epsilon_with_explicit_strategy_flags(self, tmp_path, capsys, argv, given):
+        # the recipe strategy would silently drop these flags
+        family = ("--family", "wide_uniform", "--params", '{"m": 2}')
+        code = run(argv[0], "--pair", "bern75", *family, *argv[1:], "--epsilon", "0.1",
+                   "--out", tmp_path)
+        assert code == 1
+        message = f"error: --epsilon builds the recipe strategy; it cannot take {given}"
+        assert _error_line(capsys) == message
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("floor", ["0", "-3"])
     def test_non_positive_n_floor(self, tmp_path, capsys, floor):

@@ -11,6 +11,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import count_gate
@@ -179,6 +181,53 @@ class TestConvolution:
             assert_allclose(got.logp1, want[:, 2], rtol=1e-13, atol=1e-13)
 
 
+@st.composite
+def relay_chains(draw):
+    """A binary or ternary leaf law and a short chain of relay-engine steps."""
+    k = draw(st.sampled_from((2, 3)))
+    w = np.array(draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=k,
+                               max_size=k)), float)
+    leaf = law_from_pair(DistributionPair(
+        Alphabet(tuple(range(k))), w[:, 0] / w[:, 0].sum(), w[:, 1] / w[:, 1].sum()
+    ))
+    steps = draw(st.lists(st.tuples(st.sampled_from(("conv", "self", "power", "relay")),
+                                    st.integers(2, 20), st.floats(-2.5, 2.5)),
+                          min_size=1, max_size=8))
+    return leaf, steps
+
+
+class TestSplitInvariants:
+    @staticmethod
+    def _check_law(law):
+        assert np.all(law.values[1:] > law.values[:-1])
+        for logp in (law.logp0, law.logp1):
+            assert abs(math.expm1(float(np.logaddexp.reduce(logp)))) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(relay_chains())
+    def test_chained_relays_keep_their_mass(self, chain):
+        # internal laws may skip re-validation only while these hold
+        leaf, steps = chain
+        law, leaves = leaf, 1
+        for op, m, t in steps:
+            if op == "conv" or (op == "self" and law.n_atoms > 40):
+                law, leaves = ev._conv(law, leaf), leaves + 1
+            elif op == "self":
+                law, leaves = ev._conv(law, law), 2 * leaves
+            elif op == "power" and law.n_atoms == 2:
+                law, leaves = ev._binomial_power(law, m), m * leaves
+            elif op == "relay":
+                split = ev._split(law, leaves, t)
+                k, low0, low1, high0, high1 = split
+                assert np.all(law.values[:k] / leaves <= t)
+                assert np.all(law.values[k:] / leaves > t)
+                for low, high, logp in ((low0, high0, law.logp0), (low1, high1, law.logp1)):
+                    total = float(np.logaddexp.reduce(logp))
+                    assert abs(np.logaddexp(low, high) - total) <= 1e-12
+                law, leaves = ev._bit_law(split), 1
+            self._check_law(law)
+
+
 class TestLogComb:
     """``_log_comb`` against 40-digit binomial coefficients."""
 
@@ -330,7 +379,7 @@ def tail_rows_by_node(strategy, pair):
             continue
         l_v = int(tree.subtree_leaf_count[v])
         t = strategy.threshold_at_level(level)
-        _, low1, high0, _ = ev._split_log_mass(law, l_v, t)
+        _, _, low1, high0, _ = ev._split(law, l_v, t)
         p_v = int(tree.subtree_node_count[v])
         rows.append(ev.TailRow(int(v), level, l_v, p_v, low1 / l_v, high0 / l_v))
     return tuple(rows)
@@ -396,6 +445,29 @@ class TestTailReport:
         star = build_relay_strategy(TreeFamily("parallel").generate(4), ident, (0.0,))
         with pytest.raises(InvalidParams):
             fringe_message_laws(star, pair75)
+
+    def test_relay_rule_is_applied_once_per_relay_shape(self, pair75, ident, monkeypatch):
+        # each relay shape is split once, while its laws are built; the
+        # readers split only the root, at their own threshold
+        calls = []
+        split = ev._split
+        monkeypatch.setattr(ev, "_split", lambda *a: calls.append(a[0]) or split(*a))
+        tree = Tree(
+            [-1, 0, 0, 1, 1, 1, 2, 2, 2]
+            + [3] * 2 + [4] * 3 + [5] * 2 + [6] * 3 + [7] * 3 + [8] * 2
+        )
+        s = np_calibrate_root(build_relay_strategy(tree, ident, (0.0, -0.1, 0.1)), pair75, 0.25)
+        ctx = ev._context_for(s, pair75)
+        relays = [law for law in ctx.sums[:-1] if law is not None]
+        # two fringe shapes and two level-2 shapes
+        assert len(relays) == 4
+        assert len(calls) == 4 and all(a is b for a, b in zip(calls, relays))
+        exact_error_probs(s, pair75)
+        assert len(calls) == 5 and calls[-1] is ctx.root_sum
+        tail_report(s, pair75)
+        assert len(calls) == 6 and calls[-1] is ctx.root_sum
+        monte_carlo_error(s, pair75, trials=100, seed=0)
+        assert len(calls) == 8 and calls[-2] is calls[-1] is ctx.root_sum
 
 
 class TestMonteCarlo:

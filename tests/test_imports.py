@@ -1,15 +1,20 @@
-"""Every import in the package sits at module level.
+"""Every import in the package sits at module level, and the exports hold.
 
 An import inside a function body hides a dependency from the module graph,
-usually to dodge an import cycle; this test keeps the graph honest.
+usually to dodge an import cycle; this test keeps the graph honest.  The
+benchmark imports from the package's top level, so a name it imports must
+stay exported, and ``__all__`` lists exactly the public names the package
+defines, so no deleted function lingers there.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import treedet
 
 PACKAGE = Path(treedet.__file__).parent
+WORKLOADS = PACKAGE.parents[1] / "bench" / "workloads.py"
 
 
 def _nested_imports(tree: ast.Module) -> list[int]:
@@ -33,3 +38,25 @@ def test_no_import_inside_a_function():
         if (lines := _nested_imports(ast.parse(path.read_text(), filename=str(path))))
     }
     assert found == {}
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(treedet).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(treedet.__all__) == len(set(treedet.__all__))
+    assert set(treedet.__all__) == public
+
+
+def test_benchmark_imports_stay_exported():
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "treedet"
+        for alias in node.names
+    }
+    assert imported
+    assert imported <= set(treedet.__all__)

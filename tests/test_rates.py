@@ -15,7 +15,6 @@ from treedet import (
     NotUniform,
     TreeFamily,
     chernoff_bound_report,
-    exponent_lower_bound,
     feasible_threshold_interval,
     fenchel_legendre,
     identity_map,
@@ -226,9 +225,6 @@ class TestChernoffBounds:
         roots = {r.kind: r for r in report.root_rows()}
         assert set(roots) == {"root_type1", "root_type0"}
         assert_allclose(roots["root_type1"].value, -0.051920518112945134, rtol=1e-9)
-        assert_allclose(
-            exponent_lower_bound(table, 100), -0.051920518112945134, rtol=1e-9
-        )
 
     def test_fringe_rows_match_rates(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(50)
