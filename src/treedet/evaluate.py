@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -401,7 +402,8 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     nodes = nodes[kept[tree.shape_ids[nodes]]]
     sids = tree.shape_ids[nodes]
     cols = (nodes, level[sids], lcount[sids], pcount[sids], *tails[sids].T)
-    return tuple(map(TailRow, *(c.tolist() for c in cols)))
+    # tuple.__new__ builds each row in C, skipping TailRow.__new__'s Python frame
+    return tuple(map(tuple.__new__, repeat(TailRow), zip(*(c.tolist() for c in cols))))
 
 
 def fringe_message_laws(

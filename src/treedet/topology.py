@@ -2,8 +2,10 @@
 
 Edges point toward the root (the fusion center).  Node ids are dense
 integers; derived metrics are cached numpy arrays, and trees are treated as
-immutable after construction.  Metric passes are vectorized per depth so
-trees with millions of nodes stay cheap.
+immutable after construction.  A family lays its tree out depth by depth and
+fills depth, child counts and the shape table as it goes; ``Tree(parents)``
+checks its input and derives them in passes vectorized per depth.  Either
+way trees with millions of nodes stay cheap.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class Tree:
     """Rooted directed in-tree over dense integer node ids.
 
     The root's parent is ``None`` or negative; an integer ndarray is copied whole.
+    ``Tree(parents)`` checks every entry and derives depth and shapes on
+    demand; trees from the depth-ordered families arrive with them filled.
     """
 
     def __init__(self, parents: Sequence[int | None] | np.ndarray, root: int | None = None):
@@ -393,10 +397,35 @@ def uniformize(tree: Tree) -> UniformizeResult:
     return UniformizeResult(out)
 
 
+def _layered(layers: Sequence[tuple]) -> Tree:
+    """A tree laid out depth by depth, with the metrics ``Tree`` derives filled.
+
+    ``layers[d]`` holds depth d's blocks of like nodes in id order as (count,
+    children per node, shape id), with the ids AHU interning gives; a node's
+    children are the next nodes a depth down.
+    """
+    blocks = [np.broadcast_arrays(*np.atleast_1d(*layer)) for layer in layers]
+    counts, kids, sids = map(np.concatenate, zip(*blocks))
+    bounds = np.cumsum([0] + [int(c.sum()) for c, _, _ in blocks]).tolist()
+    n_children, shape = np.repeat(kids, counts), np.repeat(sids, counts)
+    # a shape's children are those of any of its nodes: take each block's first
+    starts = (1 + np.cumsum(counts * kids) - counts * kids).tolist()
+    kin = {sid: shape[a : a + k] for sid, a, k in zip(sids.tolist(), starts, kids.tolist())}
+    tree = Tree.__new__(Tree)
+    tree._root, tree._parents = 0, np.append(-1, np.repeat(np.arange(bounds[-1]), n_children))
+    depth = np.repeat(np.arange(len(blocks)), np.diff(bounds))
+    by_depth = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
+    for arr in (tree._parents, depth, n_children, shape, *by_depth):
+        arr.setflags(write=False)
+    shapes = (shape, tuple(tuple(sorted(kin[sid].tolist())) for sid in range(len(kin))))
+    tree.__dict__.update(depth=depth, n_children=n_children, _by_depth=by_depth, _shapes=shapes)
+    return tree
+
+
 def _gen_parallel(params: Mapping[str, object], size: int) -> Tree:
     if size < 2:
         raise InvalidParams("parallel tree needs at least 2 nodes")
-    return Tree([-1] + [0] * (size - 1))
+    return _layered([(1, size - 1, 1), (size - 1, 0, 0)])
 
 
 def _gen_chain_plus_leaves(params: Mapping[str, object], size: int) -> Tree:
@@ -405,34 +434,30 @@ def _gen_chain_plus_leaves(params: Mapping[str, object], size: int) -> Tree:
         raise InvalidParams("height must be >= 1")
     if size < h + 2:
         raise InvalidParams(f"need at least {h + 2} nodes for height {h}")
-    parents = [-1]
-    for i in range(1, h):
-        parents.append(i - 1)
-    parents.append(h - 1)  # the single deep leaf
-    parents.extend([0] * (size - h - 1))
-    return Tree(parents)
+    # a chain down to the single deep leaf, then the root's own leaves
+    return Tree([-1, *range(h)] + [0] * (size - h - 1))
 
 
 def _gen_two_relay(params: Mapping[str, object], size: int) -> Tree:
     if size < 1:
         raise InvalidParams("need at least one leaf per relay")
-    return Tree([-1, 0, 0] + [1] * size + [2] * size)
+    return _layered([(1, 2, 2), (2, size, 1), (2 * size, 0, 0)])
 
 
 def _gen_wide_uniform(params: Mapping[str, object], size: int) -> Tree:
     m = _integer(params["m"], "parameter 'm'")
     if m < 1 or size < 1:
         raise InvalidParams("leaves per relay and relay count must be >= 1")
-    leaf_parents = np.repeat(np.arange(1, size + 1), m)
-    return Tree(np.concatenate(([-1], np.zeros(size, np.int64), leaf_parents)))
+    return _layered([(1, size, 2), (size, m, 1), (size * m, 0, 0)])
 
 
 def _gen_increasing_leaves(params: Mapping[str, object], size: int) -> Tree:
     if size < 1:
         raise InvalidParams("need at least one relay")
-    relay_ids = np.arange(1, size + 1)
-    leaf_parents = np.repeat(relay_ids, relay_ids + 1)
-    return Tree(np.concatenate(([-1], np.zeros(size, np.int64), leaf_parents)))
+    # relay i has i + 1 leaves and is shape i; the root is the last shape
+    relays = np.arange(1, size + 1)
+    leaves = size * (size + 3) // 2
+    return _layered([(1, size, size + 1), (1, relays + 1, relays), (leaves, 0, 0)])
 
 
 # each kind's generator and the parameters it reads
@@ -474,6 +499,6 @@ class TreeFamily:
 
     def generate(self, size: int) -> Tree:
         try:
-            return _GENERATORS[self.kind][0](self.params, int(size))
+            return _GENERATORS[self.kind][0](self.params, _integer(size, "size"))
         except KeyError as exc:
             raise InvalidParams(f"family {self.kind!r} missing parameter {exc}") from None

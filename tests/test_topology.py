@@ -225,6 +225,14 @@ class TestShapeIds:
         t = TreeFamily("wide_uniform", {"m": m}).generate(relays)
         assert_shapes_match_reference(t)
 
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    def test_two_relay(self, size):
+        assert_shapes_match_reference(TreeFamily("two_relay").generate(size))
+
+    @pytest.mark.parametrize("size", [2, 3, 9])
+    def test_parallel(self, size):
+        assert_shapes_match_reference(TreeFamily("parallel").generate(size))
+
     def test_root_with_mixed_degree_children(self):
         # root children 1..6 of degrees 3, 1, 0, 2, 1, 3; children 2 and 5
         # are both two-edge chains, children 1 and 6 differ one level down
@@ -281,6 +289,11 @@ class TestGenerators:
         assert t.height == 3
         assert not t.is_uniform
 
+    @pytest.mark.parametrize("size", [2.7, True, "5"])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(InvalidParams, match="size is"):
+            TreeFamily("wide_uniform", {"m": 2}).generate(size)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
             TreeFamily("mystery").generate(3)
@@ -299,6 +312,50 @@ class TestGenerators:
         with pytest.raises(InvalidParams) as exc:
             TreeFamily(kind, params)
         assert str(exc.value) == f"family {kind!r} does not read {message}"
+
+
+# every family over a size grid that starts at its smallest tree
+FAMILY_GRID = [
+    *(("parallel", {}, size) for size in (2, 3, 9)),
+    *(("two_relay", {}, size) for size in (1, 2, 6)),
+    *(("wide_uniform", {"m": m}, size) for m in (1, 3) for size in (1, 2, 7)),
+    *(("increasing_leaves", {}, size) for size in (1, 2, 3, 12)),
+    *(("chain_plus_leaves", {"h": 2}, size) for size in (4, 9)),
+]
+# what a depth-ordered family fills in place of the per-node passes
+LAID_OUT = ("depth", "n_children", "_by_depth", "_shapes")
+
+
+class TestFamilyLayout:
+    @pytest.mark.parametrize("kind, params, size", FAMILY_GRID)
+    def test_matches_the_tree_its_parents_derive(self, kind, params, size):
+        t = TreeFamily(kind, params).generate(size)
+        ref = Tree(t.parents.copy())
+        assert t.root == ref.root and t.height == ref.height
+        for d in range(ref.height + 1):
+            assert np.array_equal(t.nodes_at_depth(d), ref.nodes_at_depth(d))
+        for name in (
+            "depth",
+            "n_children",
+            "is_leaf",
+            "fringe",
+            "shape_ids",
+            "subtree_leaf_count",
+            "subtree_node_count",
+        ):
+            assert np.array_equal(getattr(t, name), getattr(ref, name)), name
+        assert t.shape_children == ref.shape_children
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("parallel", {}), ("two_relay", {}), ("wide_uniform", {"m": 3}), ("increasing_leaves", {})],
+    )
+    def test_depth_ordered_families_arrive_laid_out_and_frozen(self, kind, params):
+        t = TreeFamily(kind, params).generate(5)
+        assert set(LAID_OUT) <= set(t.__dict__)
+        filled = [t.parents, t.depth, t.n_children, t.shape_ids]
+        filled += [t.nodes_at_depth(d) for d in range(t.height + 1)]
+        assert not any(a.flags.writeable for a in filled)
 
 
 class TestAnalysis:
