@@ -286,7 +286,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
             raise InvalidParams("tree has no fringe nodes")
         n_floor = args.n_floor
         if n_floor is None:
-            n_floor = int(tree.subtree_leaf_count[tree.fringe].min())
+            # every child of a fringe node is a leaf
+            n_floor = int(tree.n_children[tree.fringe].min())
         report = chernoff_bound_report(tree, table, n_floor)
         _write_csv(
             out / "bounds.csv",
@@ -359,10 +360,8 @@ def cmd_uniformize(args: argparse.Namespace) -> int:
         "n_after": result.tree.n,
         "height_before": tree.height,
         "height_after": result.tree.height,
-        "leaf_count_before": int(tree.subtree_leaf_count[tree.root]),
-        "leaf_count_after": int(
-            result.tree.subtree_leaf_count[result.tree.root]
-        ),
+        "leaf_count_before": len(tree.leaves),
+        "leaf_count_after": len(result.tree.leaves),
         "was_uniform": tree.is_uniform,
         "tree_file": tree_path.name,
     }
@@ -416,7 +415,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc: dict = {
         "strategy": json.loads(strat.to_json()),
         "n_nodes": strat.tree.n,
-        "leaf_count": int(strat.tree.subtree_leaf_count[strat.tree.root]),
+        "leaf_count": int(strat.tree.shape_counts.leaf_count[-1]),
     }
     estimates = {}
     if args.method in ("exact", "both"):
@@ -550,7 +549,7 @@ def _reproduce_wide_uniform(out: Path, stamp: bool) -> _Outcome:
         strat = simple_strategy(tree, pair, family, epsilon).strategy
         strat = np_calibrate_root(strat, pair, alpha)
         est = exact_error_probs(strat, pair)
-        leaf_count = int(tree.subtree_leaf_count[tree.root])
+        leaf_count = int(tree.shape_counts.leaf_count[-1])
         simple_rows.append(
             (
                 m,

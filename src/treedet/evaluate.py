@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,7 +40,7 @@ from .channels import fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
 from .hypotheses import DistributionPair, _logsumexp, second_moment_null
 from .strategy import Strategy
-from .topology import Tree, TreeFamily
+from .topology import Tree, TreeFamily, _integer, _node_rows
 
 STATE_SPACE_CAP = 10**7
 
@@ -242,20 +241,17 @@ def _bit_law(split: tuple) -> MessageLaw:
 
 @dataclass(frozen=True, eq=False)
 class _LawContext:
-    """Exact laws and counts indexed by shape id.
+    """Exact laws indexed by shape id, beside the tree's ``shape_counts``.
 
     ``sums`` is None for the leaf and for gated fringes, ``out`` for the root.
     ``split`` is each relay's ``_split`` at its level's threshold, the only
     use of the relay rule below the root; it is None where ``sums`` is and at
-    the root.  ``node_count`` counts proper descendants, so the root's is n - 1.
+    the root.
     """
 
     out: list
     sums: list
     split: list
-    leaf_count: list
-    node_count: list
-    level: list
 
     @property
     def root_sum(self) -> MessageLaw:
@@ -264,6 +260,7 @@ class _LawContext:
 
 def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     table = strategy.tree.shape_children
+    level, leaf_count = (c.tolist() for c in strategy.tree.shape_counts[:2])
     gate = strategy.level1_gate
     gate_law = (
         law_from_pair(fused_pair(pair, [strategy.gamma] * gate.arity, gate))
@@ -273,13 +270,9 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     out: list = [law_from_pair(induced_pair(pair, strategy.gamma))]
     sums: list = [None]
     split: list = [None]
-    leaf_count, node_count, level = [1], [0], [0]
     # ascending id order is bottom-up, and the root is the last id
     for sid in range(1, len(table)):
         kids, counts = (a.tolist() for a in np.unique(table[sid], return_counts=True))
-        level.append(level[kids[0]] + 1)
-        leaf_count.append(sum(c * leaf_count[k] for k, c in zip(kids, counts)))
-        node_count.append(sum(c * (node_count[k] + 1) for k, c in zip(kids, counts)))
         if level[sid] == 1 and gate_law is not None:
             sums.append(None)
             split.append(None)
@@ -296,7 +289,7 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
         t = strategy.threshold_at_level(level[sid])
         split.append(_split(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
         out.append(None if split[-1] is None else _bit_law(split[-1]))
-    return _LawContext(out, sums, split, leaf_count, node_count, level)
+    return _LawContext(out, sums, split)
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -328,7 +321,8 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
     ctx = _context_for(strategy, pair)
-    values, logp0, l_f = ctx.root_sum.values, ctx.root_sum.logp0, ctx.leaf_count[-1]
+    values, logp0 = ctx.root_sum.values, ctx.root_sum.logp0
+    l_f = int(strategy.tree.shape_counts.leaf_count[-1])
     # tail[j] is the null mass of the top j + 1 atoms, so atom i has tail[n-2-i]
     # strictly above it and the top atom none: it is admissible at every alpha.
     # The accumulate never decreases, so the admissible atoms are a top run
@@ -361,7 +355,8 @@ class ErrorEstimate:
 def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstimate:
     """False-alarm and miss probabilities of the strategy, exactly."""
     ctx = _context_for(strategy, pair)
-    _, _, low1, high0, _ = _split(ctx.root_sum, ctx.leaf_count[-1], strategy.root_threshold)
+    l_f = int(strategy.tree.shape_counts.leaf_count[-1])
+    _, _, low1, high0, _ = _split(ctx.root_sum, l_f, strategy.root_threshold)
     # summed log masses can drift an ulp above 0 on long convolution chains
     high0 = min(high0, 0.0)
     low1 = min(low1, 0.0)
@@ -391,19 +386,13 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     level-h threshold, not the calibrated root threshold.
     """
     ctx = _context_for(strategy, pair)
-    tree = strategy.tree
+    level, lcount, pcount = strategy.tree.shape_counts
     # one (miss, fa) pair per shape, the split's (low1, high0), expanded per
     # node; a gate level has no split, and its tails are not threshold tails
-    splits = [*ctx.split[:-1], _split(ctx.root_sum, ctx.leaf_count[-1], strategy.thresholds[-1])]
+    splits = [*ctx.split[:-1], _split(ctx.root_sum, int(lcount[-1]), strategy.thresholds[-1])]
     kept = np.array([s is not None for s in splits])
-    level, lcount, pcount = map(np.asarray, (ctx.level, ctx.leaf_count, ctx.node_count))
     tails = np.array([s[2:4] if s else (0.0, 0.0) for s in splits]) / lcount[:, None]
-    nodes = np.flatnonzero(~tree.is_leaf)
-    nodes = nodes[kept[tree.shape_ids[nodes]]]
-    sids = tree.shape_ids[nodes]
-    cols = (nodes, level[sids], lcount[sids], pcount[sids], *tails[sids].T)
-    # tuple.__new__ builds each row in C, skipping TailRow.__new__'s Python frame
-    return tuple(map(tuple.__new__, repeat(TailRow), zip(*(c.tolist() for c in cols))))
+    return _node_rows(strategy.tree, TailRow, (level, lcount, pcount, *tails.T), kept)
 
 
 def fringe_message_laws(
@@ -421,7 +410,8 @@ def fringe_message_laws(
 def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
     """(cut, low, high, P(send low), P(send high)) under ``hypothesis`` by
     shape, and the (atoms, CDF) of a gate law wider than two atoms, else None."""
-    root = _split(ctx.root_sum, ctx.leaf_count[-1], strategy.root_threshold)
+    level, lcount, _ = strategy.tree.shape_counts
+    root = _split(ctx.root_sum, int(lcount[-1]), strategy.root_threshold)
     table = np.zeros((len(ctx.sums), 5))
     wide = None
     for sid, (law, out, split) in enumerate(zip(ctx.sums, ctx.out, [*ctx.split[:-1], root])):
@@ -434,7 +424,7 @@ def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
             # each side's own mass in the one split, clamped: a log mass can sum
             # an ulp above 0, where 1 - P(send low) would fall an ulp below 0
             table[sid, 3:] = [math.exp(min(split[s + hypothesis], 0.0)) for s in (1, 3)]
-        elif ctx.level[sid]:  # a gated fringe node draws its output atom
+        elif level[sid]:  # a gated fringe node draws its output atom
             # x / x is exactly 1, so no u < 1 searches past the last atom
             cdf = np.cumsum(out.p0 if hypothesis == 0 else out.p1)
             cdf /= cdf[-1]
@@ -527,6 +517,7 @@ def monte_carlo_error(
     whatever the call order; the block size sets which trials share a
     substream, so it changes the counts.  ``seed`` must lie in [0, 2**63).
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     # numpy casts a key list holding a seed outside this range through
@@ -586,14 +577,15 @@ def empirical_exponent(
     if regress_on not in ("leaves", "nodes"):
         raise InvalidParams("regress_on must be 'leaves' or 'nodes'")
 
+    sizes = [_integer(s, "size") for s in sizes]
     node_counts, leaf_counts, t1s, logb = [], [], [], []
     for size in sizes:
-        strat = strategy_factory(family.generate(int(size)))
+        strat = strategy_factory(family.generate(size))
         calibrated = np_calibrate_root(strat, pair, alpha)
         est = exact_error_probs(calibrated, pair)
         stree = calibrated.tree
         node_counts.append(stree.n)
-        leaf_counts.append(int(stree.subtree_leaf_count[stree.root]))
+        leaf_counts.append(int(stree.shape_counts.leaf_count[-1]))
         t1s.append(est.type_i)
         logb.append(est.log_type_ii)
     xs = [
@@ -612,7 +604,7 @@ def empirical_exponent(
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.dot(resid, resid)) / ss_tot
     return ExponentFit(
-        sizes=tuple(int(s) for s in sizes),
+        sizes=tuple(sizes),
         node_counts=tuple(node_counts),
         leaf_counts=tuple(leaf_counts),
         alpha=alpha,
@@ -652,11 +644,11 @@ def chebyshev_variance_check(
     tree = strategy.tree
     if tree.height != 2:
         raise InvalidParams("the concentration check applies to height-2 trees")
-    lcount = tree.subtree_leaf_count
-    if np.any(lcount[tree.fringe] > small_cap):
+    # every child of a fringe node is a leaf
+    if np.any(tree.n_children[tree.fringe] > small_cap):
         raise InvalidParams("every fringe node must hold at most small_cap leaves")
     law = _context_for(strategy, pair).root_sum
-    l_f = int(lcount[tree.root])
+    l_f = int(tree.shape_counts.leaf_count[-1])
     mean = float(np.dot(law.p0, law.values)) / l_f
     far = np.abs(law.values / l_f - mean) > eta
     prob = math.exp(_logsumexp(law.logp0[far]))

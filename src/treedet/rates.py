@@ -20,7 +20,7 @@ import numpy as np
 from .channels import TransmissionFunction, induced_pair
 from .errors import InfeasibleThreshold, InvalidParams, NotUniform
 from .hypotheses import Direction, DistributionPair, _logsumexp, kl_divergence
-from .topology import Tree
+from .topology import Tree, _node_rows
 
 _LAMBDA_TOL = 1e-10
 _MAX_ITER = 200
@@ -246,6 +246,7 @@ class BoundReport:
 def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundReport:
     """Evaluates the per-node tail bounds -rate + p(v)/l(v) - 1 and, when the
     fringe is uniformly large enough, the root bounds -rate + h/n_floor.
+    Both depend only on a node's shape, so each is computed once per shape.
     """
     if not tree.is_uniform:
         raise NotUniform("bounds are stated for height-uniform trees")
@@ -255,34 +256,19 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
         )
     if n_floor < 1:
         raise InvalidParams("n_floor must be >= 1")
-    lcount = tree.subtree_leaf_count
-    pcount = tree.subtree_node_count
-    nodes = np.flatnonzero(~tree.is_leaf)
-    levels = tree.level[nodes]
-    # two rows per node, type1 then type0
-    rates = np.column_stack((table.rate1, table.rate0))[levels - 1]
-    values = (-rates + (pcount[nodes] / lcount[nodes])[:, None] - 1.0).ravel()
-    cols = [np.repeat(c, 2).tolist() for c in (nodes, levels, lcount[nodes], pcount[nodes])]
-    kinds = ["type1", "type0"] * nodes.size
-    rows = list(map(BoundRow, *cols, kinds, values.tolist()))
-    fringe_min = int(lcount[tree.fringe].min()) if len(tree.fringe) else 0
-    if fringe_min >= n_floor:
+    level, lcount, pcount = tree.shape_counts
+    # two rows per shape, type1 then type0; the leaf shape's are never expanded
+    rates = np.column_stack((table.rate1, table.rate0))[level - 1]
+    values = -rates + (pcount / lcount)[:, None] - 1.0
+    kinds = np.tile(np.array(["type1", "type0"], dtype=object), level.size)
+    cols = (*(np.repeat(c, 2) for c in (level, lcount, pcount)), kinds, values.ravel())
+    rows = list(_node_rows(tree, BoundRow, cols))
+    # every child of a fringe node is a leaf
+    if len(tree.fringe) and tree.n_children[tree.fringe].min() >= n_floor:
         h = tree.height
-        root = tree.root
-        for kind, rate in (
-            ("root_type1", table.level1(h)),
-            ("root_type0", table.level0(h)),
-        ):
-            rows.append(
-                BoundRow(
-                    node=int(root),
-                    level=h,
-                    leaf_count=int(lcount[root]),
-                    pred_count=int(pcount[root]),
-                    kind=kind,
-                    value=-rate + h / n_floor,
-                )
-            )
+        root = (tree.root, h, int(lcount[-1]), int(pcount[-1]))
+        rows.append(BoundRow(*root, "root_type1", -table.level1(h) + h / n_floor))
+        rows.append(BoundRow(*root, "root_type0", -table.level0(h) + h / n_floor))
     return BoundReport(rows=tuple(rows))
 
 

@@ -3,9 +3,10 @@
 Edges point toward the root (the fusion center).  Node ids are dense
 integers; derived metrics are cached numpy arrays, and trees are treated as
 immutable after construction.  A family lays its tree out depth by depth and
-fills depth, child counts and the shape table as it goes; ``Tree(parents)``
-checks its input and derives them in passes vectorized per depth.  Either
-way trees with millions of nodes stay cheap.
+fills depth, child counts, uniformity and the shape table as it goes;
+``Tree(parents)`` checks its input and derives them in passes vectorized per
+depth.  Either way trees with millions of nodes stay cheap.  Subtree counts
+depend only on shape, so they live in one per-shape table that nodes gather.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Mapping, Sequence
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +34,27 @@ def _integer(value: object, what: str) -> int:
     return int(value)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class ShapeCounts(NamedTuple):
+    """Columns of ``Tree.shape_counts``, indexed by shape id."""
+
+    level: np.ndarray  # the subtree's height
+    leaf_count: np.ndarray
+    node_count: np.ndarray  # proper descendants
+
+
 class Tree:
     """Rooted directed in-tree over dense integer node ids.
 
     The root's parent is ``None`` or negative; an integer ndarray is copied whole.
     ``Tree(parents)`` checks every entry and derives depth and shapes on
     demand; trees from the depth-ordered families arrive with them filled.
+    Subtree counts come from ``shape_counts``, so reading them labels the
+    shapes first; structural diagnostics read leaves and fringe degrees.
     """
 
     def __init__(self, parents: Sequence[int | None] | np.ndarray, root: int | None = None):
@@ -94,11 +112,8 @@ class Tree:
 
     @cached_property
     def n_children(self) -> np.ndarray:
-        counts = np.bincount(
-            self._parents[self._parents >= 0], minlength=self.n
-        ).astype(np.int64)
-        counts.setflags(write=False)
-        return counts
+        counts = np.bincount(self._parents[self._parents >= 0], minlength=self.n)
+        return _frozen(counts.astype(np.int64))
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -114,32 +129,19 @@ class Tree:
                 break
             dist += dist[up]
             up = nxt
-        depth = np.where(up == root, dist, -1)
-        depth.setflags(write=False)
-        return depth
+        return _frozen(np.where(up == root, dist, -1))
 
     @cached_property
     def height(self) -> int:
         return int(self.depth.max())
 
     @cached_property
-    def level(self) -> np.ndarray:
-        """height - depth; the root sits at the top level."""
-        lev = self.height - self.depth
-        lev.setflags(write=False)
-        return lev
-
-    @cached_property
     def is_leaf(self) -> np.ndarray:
-        mask = (self.n_children == 0) & (np.arange(self.n) != self._root)
-        mask.setflags(write=False)
-        return mask
+        return _frozen((self.n_children == 0) & (np.arange(self.n) != self._root))
 
     @cached_property
     def leaves(self) -> np.ndarray:
-        out = np.flatnonzero(self.is_leaf)
-        out.setflags(write=False)
-        return out
+        return _frozen(np.flatnonzero(self.is_leaf))
 
     @cached_property
     def _by_depth(self) -> list[np.ndarray]:
@@ -152,23 +154,17 @@ class Tree:
 
     @cached_property
     def subtree_leaf_count(self) -> np.ndarray:
-        """l(v): leaves in the subtree rooted at v (1 for a leaf itself)."""
-        counts = self.is_leaf.astype(np.int64)
-        for d in range(self.height, 0, -1):
-            at_d = self.nodes_at_depth(d)
-            np.add.at(counts, self._parents[at_d], counts[at_d])
-        counts.setflags(write=False)
-        return counts
+        """l(v): leaves in the subtree rooted at v (1 for a leaf itself), read
+        off the shape table; a one-node tree's root is no leaf and scores 0."""
+        if self.n == 1:
+            return _frozen(np.zeros(1, dtype=np.int64))
+        return _frozen(self.shape_counts.leaf_count[self.shape_ids])
 
     @cached_property
     def subtree_node_count(self) -> np.ndarray:
-        """p(v): proper descendants of v, so the root scores n - 1."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for d in range(self.height, 0, -1):
-            at_d = self.nodes_at_depth(d)
-            np.add.at(counts, self._parents[at_d], counts[at_d] + 1)
-        counts.setflags(write=False)
-        return counts
+        """p(v): proper descendants of v, read off the shape table, so the
+        root scores n - 1."""
+        return _frozen(self.shape_counts.node_count[self.shape_ids])
 
     @cached_property
     def _leaf_child_count(self) -> np.ndarray:
@@ -177,17 +173,13 @@ class Tree:
     @cached_property
     def leaf_parents(self) -> np.ndarray:
         """Nodes with at least one leaf child."""
-        out = np.flatnonzero(self._leaf_child_count)
-        out.setflags(write=False)
-        return out
+        return _frozen(np.flatnonzero(self._leaf_child_count))
 
     @cached_property
     def fringe(self) -> np.ndarray:
         """Non-leaf nodes all of whose children are leaves."""
         mask = (self.n_children > 0) & (self._leaf_child_count == self.n_children)
-        out = np.flatnonzero(mask)
-        out.setflags(write=False)
-        return out
+        return _frozen(np.flatnonzero(mask))
 
     @cached_property
     def is_uniform(self) -> bool:
@@ -210,6 +202,18 @@ class Tree:
         """Sorted child shape ids of each shape, indexed by shape id; entry 0
         is the leaf's ``()``."""
         return self._shapes[1]
+
+    @cached_property
+    def shape_counts(self) -> ShapeCounts:
+        """Each shape's level (its height), leaf count and proper-descendant
+        count, indexed by shape id, so the root's are last."""
+        level, leaves, nodes = [0], [1], [0]
+        # ascending id order is bottom-up
+        for kids in self.shape_children[1:]:
+            level.append(1 + max(map(level.__getitem__, kids)))
+            leaves.append(sum(map(leaves.__getitem__, kids)))
+            nodes.append(len(kids) + sum(map(nodes.__getitem__, kids)))
+        return ShapeCounts(*(_frozen(np.array(c, dtype=np.int64)) for c in (level, leaves, nodes)))
 
     @cached_property
     def _shapes(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
@@ -237,9 +241,8 @@ class Tree:
             for j in np.argsort(firsts).tolist():
                 sids[j] = interned.setdefault(tuple(keys[j]), len(interned) + 1)
             shape[nodes] = sids[labels]
-        shape.setflags(write=False)
         # a dict keeps insertion order, which is id order
-        return shape, ((),) + tuple(interned)
+        return _frozen(shape), ((),) + tuple(interned)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -286,18 +289,18 @@ def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
     """
     if small_cap <= 0:
         raise InvalidParams("small_cap must be positive")
-    lcounts = tree.subtree_leaf_count
-    fringe = tree.fringe
-    small = fringe[lcounts[fringe] <= small_cap]
-    total_leaves = int(lcounts[tree.root])
-    covered = int(lcounts[small].sum())
+    # every child of a fringe node is a leaf
+    lcounts = tree.n_children[tree.fringe]
+    small = lcounts[lcounts <= small_cap]
+    total_leaves = len(tree.leaves)
+    covered = int(small.sum())
     q = covered / total_leaves if total_leaves else 0.0
     return TreeStats(
         height=tree.height,
         n_nodes=tree.n,
         n_leaves=total_leaves,
         n_leaf_parents=len(tree.leaf_parents),
-        n_fringe=len(fringe),
+        n_fringe=len(lcounts),
         n_small_fringe=len(small),
         small_leaf_fraction=q,
         leaf_fraction=total_leaves / tree.n,
@@ -335,15 +338,15 @@ def estimate_z(
     fraction trends to one exactly when every small-fringe curve trends to
     zero.  Trends over a finite grid are judged by the final value.
     """
-    sizes = [int(s) for s in size_grid]
+    sizes = [_integer(s, "size") for s in size_grid]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InvalidParams("size grid must be non-empty and increasing")
     leaf_counts: list[int] = []
     fractions: list[float] = []
-    curves: dict[int, list[float]] = {int(c): [] for c in small_caps}
+    curves: dict[int, list[float]] = {_integer(c, "small cap"): [] for c in small_caps}
     for size in sizes:
         tree = family.generate(size)
-        lf = int(tree.subtree_leaf_count[tree.root])
+        lf = len(tree.leaves)
         leaf_counts.append(lf)
         fractions.append(lf / tree.n)
         for cap in curves:
@@ -416,10 +419,27 @@ def _layered(layers: Sequence[tuple]) -> Tree:
     depth = np.repeat(np.arange(len(blocks)), np.diff(bounds))
     by_depth = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
     for arr in (tree._parents, depth, n_children, shape, *by_depth):
-        arr.setflags(write=False)
+        _frozen(arr)
     shapes = (shape, tuple(tuple(sorted(kin[sid].tolist())) for sid in range(len(kin))))
     tree.__dict__.update(depth=depth, n_children=n_children, _by_depth=by_depth, _shapes=shapes)
+    # uniform unless some block above the last depth is of leaves
+    tree.__dict__["is_uniform"] = all(np.all(k > 0) for _, k, _ in blocks[:-1])
     return tree
+
+
+def _node_rows(tree: Tree, row: type, cols: Sequence, kept: np.ndarray | None = None) -> tuple:
+    """Per-shape columns expanded to ``row``s of the internal nodes in id
+    order, skipping shapes not ``kept``: a row is the node id, then its
+    shape's entry of each column.  Columns holding r entries per shape id, a
+    shape's entries adjacent, give each node r rows."""
+    nodes = np.flatnonzero(~tree.is_leaf)
+    if kept is not None:
+        nodes = nodes[kept[tree.shape_ids[nodes]]]
+    r = len(cols[0]) // len(tree.shape_children)
+    at = (tree.shape_ids[nodes, None] * r + np.arange(r)).ravel()
+    cols = (np.repeat(nodes, r), *(c[at] for c in cols))
+    # tuple.__new__ builds each row in C, skipping the row type's Python __new__
+    return tuple(map(tuple.__new__, repeat(row), zip(*(c.tolist() for c in cols))))
 
 
 def _gen_parallel(params: Mapping[str, object], size: int) -> Tree:

@@ -95,6 +95,22 @@ def build_rugged_tree(rng, max_height):
     return Tree(parents)
 
 
+def subtree_counts_by_passes(tree):
+    """Reference per-node subtree height, leaf count and proper-descendant
+    count: one pass per depth from the bottom, each node adding to its parent.
+    Reads no shape table."""
+    level = np.zeros(tree.n, dtype=np.int64)
+    leaves = tree.is_leaf.astype(np.int64)
+    nodes = np.zeros(tree.n, dtype=np.int64)
+    for d in range(tree.height, 0, -1):
+        at_d = tree.nodes_at_depth(d)
+        up = tree.parents[at_d]
+        np.maximum.at(level, up, level[at_d] + 1)
+        np.add.at(leaves, up, leaves[at_d])
+        np.add.at(nodes, up, nodes[at_d] + 1)
+    return level, leaves, nodes
+
+
 @pytest.fixture
 def make_uniform_tree():
     return build_uniform_tree

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import count_gate
+from conftest import count_gate, subtree_counts_by_passes
 from treedet import (
     Alphabet,
     DistributionPair,
@@ -24,10 +24,13 @@ from treedet import (
     StateSpaceTooLarge,
     Tree,
     TreeFamily,
+    analyze_tree,
     bernoulli_pair,
     build_relay_strategy,
     chebyshev_variance_check,
+    chernoff_bound_report,
     empirical_exponent,
+    estimate_z,
     exact_error_probs,
     fringe_message_laws,
     identity_map,
@@ -35,6 +38,7 @@ from treedet import (
     monte_carlo_error,
     np_calibrate_root,
     or_gate,
+    rate_table,
     root_sum_law,
     second_moment_null,
     simple_strategy,
@@ -368,21 +372,34 @@ class TestExactErrors:
 
 
 def tail_rows_by_node(strategy, pair):
-    """Reference tail report: one node at a time, in node-id order."""
+    """Reference tail report: one node at a time, in node-id order, with
+    counts from per-depth passes rather than the shape table."""
     ctx = ev._context_for(strategy, pair)
     tree = strategy.tree
+    _, leaves, nodes = subtree_counts_by_passes(tree)
     rows = []
     for v in np.flatnonzero(~tree.is_leaf):
-        level = int(tree.level[v])
+        level = int(tree.height - tree.depth[v])
         law = ctx.sums[int(tree.shape_ids[v])]
         if law is None:
             continue
-        l_v = int(tree.subtree_leaf_count[v])
+        l_v = int(leaves[v])
         t = strategy.threshold_at_level(level)
         _, _, low1, high0, _ = ev._split(law, l_v, t)
-        p_v = int(tree.subtree_node_count[v])
+        p_v = int(nodes[v])
         rows.append(ev.TailRow(int(v), level, l_v, p_v, low1 / l_v, high0 / l_v))
     return tuple(rows)
+
+
+class RecordingFamily:
+    """A tree family that keeps every tree it generates."""
+
+    def __init__(self, family):
+        self.family, self.trees = family, []
+
+    def generate(self, size):
+        self.trees.append(self.family.generate(size))
+        return self.trees[-1]
 
 
 class TestTailReport:
@@ -401,15 +418,28 @@ class TestTailReport:
         s = build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
         assert tail_report(s, pair75) == tail_rows_by_node(s, pair75)
 
-    def test_exact_path_reads_only_the_shape_table(self, pair75, leaf_family):
-        # per-node subtree counts cost a pass over every node; the laws'
-        # per-shape counts already hold the root's and every row's
-        tree = TreeFamily("wide_uniform", {"m": 3}).generate(40)
-        s = simple_strategy(tree, pair75, leaf_family, 0.1).strategy
-        cal = np_calibrate_root(s, pair75, 0.25)
+    def test_exact_path_reads_only_the_shape_table(self, pair75, ident, leaf_family):
+        # per-node subtree counts cost a pass over every node; the shape
+        # table already holds the root's and every row's, and a fringe
+        # node's leaf count is its degree
+        family = RecordingFamily(TreeFamily("wide_uniform", {"m": 3}))
+        tree = family.generate(40)
+
+        def factory(t):
+            return simple_strategy(t, pair75, leaf_family, 0.1).strategy
+
+        cal = np_calibrate_root(factory(tree), pair75, 0.25)
         exact_error_probs(cal, pair75)
         root = tail_report(cal, pair75)[0]
-        assert {"subtree_leaf_count", "subtree_node_count"}.isdisjoint(cal.tree.__dict__)
+        monte_carlo_error(cal, pair75, trials=200, seed=0)
+        chebyshev_variance_check(cal, pair75, small_cap=3, eta=0.3)
+        chernoff_bound_report(tree, rate_table(pair75, ident, (0.0, 0.0)), n_floor=3)
+        analyze_tree(tree, 2)
+        estimate_z(family, (5, 10))
+        empirical_exponent(family, pair75, (5, 10), factory)
+        assert cal.tree is tree and len(family.trees) == 5
+        for t in family.trees:
+            assert {"subtree_leaf_count", "subtree_node_count"}.isdisjoint(t.__dict__)
         assert (root.node, root.leaf_count, root.pred_count) == (0, 120, 160)
 
     def test_two_relay_rows(self, pair75, ident):
@@ -569,6 +599,16 @@ class TestMonteCarlo:
                 monte_carlo_error(s, pair75, trials=10, seed=seed)
 
     @pytest.mark.parametrize(
+        "trials, seed, message",
+        [(1000.0, 0, "trials is 1000.0"), (True, 0, "trials is True"),
+         (10, 1.5, "seed is 1.5"), (10, True, "seed is True")],
+    )
+    def test_non_integer_trials_and_seeds_are_refused(self, pair75, ident, trials, seed, message):
+        s = build_relay_strategy(TreeFamily("two_relay").generate(2), ident, (0.0, 0.0))
+        with pytest.raises(InvalidParams, match=message):
+            monte_carlo_error(s, pair75, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize(
         "ternary, kind, params, size, gate, pinned",
         [
             # wrong decisions under (H0, H1) per (seed, floats per block);
@@ -652,6 +692,13 @@ class TestEmpiricalExponent:
                 (50, 100),
                 self._factory(pair75, leaf_family),
                 regress_on="height",
+            )
+
+    @pytest.mark.parametrize("sizes", [(3.9, 6), (3, True)])
+    def test_non_integer_sizes_are_refused(self, pair75, leaf_family, sizes):
+        with pytest.raises(InvalidParams, match="size is"):
+            empirical_exponent(
+                TreeFamily("two_relay"), pair75, sizes, self._factory(pair75, leaf_family)
             )
 
     def test_constant_regressor_rejected(self, pair75, leaf_family):

@@ -23,6 +23,7 @@ from treedet import (
     recipe_threshold,
     uniformize,
 )
+from conftest import subtree_counts_by_passes
 from treedet import rates
 from treedet.rates import BoundRow, _envelope_conjugate
 
@@ -246,14 +247,15 @@ class TestChernoffBounds:
         for _ in range(20):
             tree = uniformize(make_rugged_tree(rng, int(rng.integers(1, 5)))).tree
             table = rate_table(pair75, ident, (-0.2,) * tree.height)
+            # counts from per-depth passes, not from the shape table
+            _, leaves, nodes = subtree_counts_by_passes(tree)
             rows = []
             for v in np.flatnonzero(~tree.is_leaf):
-                k = int(tree.level[v])
-                ratio = tree.subtree_node_count[v] / tree.subtree_leaf_count[v]
+                k = int(tree.height - tree.depth[v])
+                ratio = nodes[v] / leaves[v]
                 for kind, rate in (("type1", table.level1(k)), ("type0", table.level0(k))):
                     value = float(-rate + ratio - 1.0)
-                    lv, pv = int(tree.subtree_leaf_count[v]), int(tree.subtree_node_count[v])
-                    rows.append(BoundRow(int(v), k, lv, pv, kind, value))
+                    rows.append(BoundRow(int(v), k, int(leaves[v]), int(nodes[v]), kind, value))
             report = chernoff_bound_report(tree, table, n_floor=10**9)
             assert report.rows == tuple(rows)
             assert all(type(r.value) is float for r in report.rows)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
+from conftest import subtree_counts_by_passes
 from treedet import (
     InputError,
     InvalidParams,
@@ -13,6 +13,7 @@ from treedet import (
     estimate_z,
     uniformize,
 )
+from treedet.topology import _layered
 
 BAD_PARENTS = {
     "no_root": [1, 0],
@@ -124,10 +125,6 @@ class TestTreeStructure:
                 ids = t.nodes_at_depth(d)
                 assert np.all(np.diff(ids) > 0)
                 assert np.all(t.depth[ids] == d)
-
-    def test_level_is_height_minus_depth(self):
-        t = TreeFamily("two_relay").generate(2)
-        assert_allclose(t.level, t.height - t.depth)
 
     def test_leaf_bookkeeping(self, make_rugged_tree):
         rng = np.random.default_rng(7)
@@ -323,28 +320,39 @@ FAMILY_GRID = [
     *(("chain_plus_leaves", {"h": 2}, size) for size in (4, 9)),
 ]
 # what a depth-ordered family fills in place of the per-node passes
-LAID_OUT = ("depth", "n_children", "_by_depth", "_shapes")
+LAID_OUT = ("depth", "n_children", "_by_depth", "_shapes", "is_uniform")
+
+
+def assert_matches_the_tree_its_parents_derive(t):
+    ref = Tree(t.parents.copy())
+    assert t.root == ref.root and t.height == ref.height
+    for d in range(ref.height + 1):
+        assert np.array_equal(t.nodes_at_depth(d), ref.nodes_at_depth(d))
+    for name in (
+        "depth",
+        "n_children",
+        "is_leaf",
+        "fringe",
+        "is_uniform",
+        "shape_ids",
+        "subtree_leaf_count",
+        "subtree_node_count",
+    ):
+        assert np.array_equal(getattr(t, name), getattr(ref, name)), name
+    assert t.shape_children == ref.shape_children
 
 
 class TestFamilyLayout:
     @pytest.mark.parametrize("kind, params, size", FAMILY_GRID)
     def test_matches_the_tree_its_parents_derive(self, kind, params, size):
-        t = TreeFamily(kind, params).generate(size)
-        ref = Tree(t.parents.copy())
-        assert t.root == ref.root and t.height == ref.height
-        for d in range(ref.height + 1):
-            assert np.array_equal(t.nodes_at_depth(d), ref.nodes_at_depth(d))
-        for name in (
-            "depth",
-            "n_children",
-            "is_leaf",
-            "fringe",
-            "shape_ids",
-            "subtree_leaf_count",
-            "subtree_node_count",
-        ):
-            assert np.array_equal(getattr(t, name), getattr(ref, name)), name
-        assert t.shape_children == ref.shape_children
+        assert_matches_the_tree_its_parents_derive(TreeFamily(kind, params).generate(size))
+
+    def test_a_leaf_above_the_last_depth_is_not_uniform(self):
+        # the root's children: a relay over one leaf (shape 1), then a leaf
+        t = _layered([(1, 2, 2), ((1, 1), (1, 0), (1, 0)), (1, 0, 0)])
+        assert t.parents.tolist() == [-1, 0, 0, 1]
+        assert not t.is_uniform
+        assert_matches_the_tree_its_parents_derive(t)
 
     @pytest.mark.parametrize(
         "kind, params",
@@ -356,6 +364,46 @@ class TestFamilyLayout:
         filled = [t.parents, t.depth, t.n_children, t.shape_ids]
         filled += [t.nodes_at_depth(d) for d in range(t.height + 1)]
         assert not any(a.flags.writeable for a in filled)
+
+
+def assert_counts_match_passes(tree):
+    level, leaves, nodes = subtree_counts_by_passes(tree)
+    assert np.array_equal(tree.shape_counts.level[tree.shape_ids], level)
+    assert np.array_equal(tree.subtree_leaf_count, leaves)
+    assert np.array_equal(tree.subtree_node_count, nodes)
+    assert not tree.subtree_leaf_count.flags.writeable
+    assert not tree.subtree_node_count.flags.writeable
+
+
+class TestSubtreeCounts:
+    def test_rugged_trees(self, make_rugged_tree):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            assert_counts_match_passes(make_rugged_tree(rng, int(rng.integers(1, 6))))
+
+    @pytest.mark.parametrize("kind, params, size", FAMILY_GRID)
+    def test_families(self, kind, params, size):
+        assert_counts_match_passes(TreeFamily(kind, params).generate(size))
+
+    def test_one_node_tree(self):
+        # the lone root is not a leaf
+        t = Tree([None])
+        assert_counts_match_passes(t)
+        assert t.subtree_leaf_count.tolist() == [0]
+        assert t.subtree_node_count.tolist() == [0]
+
+    def test_chain(self):
+        t = Tree([None, 0, 1, 2])
+        assert_counts_match_passes(t)
+        assert t.subtree_leaf_count.tolist() == [1, 1, 1, 1]
+        assert t.subtree_node_count.tolist() == [3, 2, 1, 0]
+        assert t.shape_counts.level.tolist() == [0, 1, 2, 3]
+
+    def test_level_is_height_minus_depth_on_uniform_trees(self, make_uniform_tree):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            t = make_uniform_tree(rng, int(rng.integers(1, 4)))
+            assert np.array_equal(t.shape_counts.level[t.shape_ids], t.height - t.depth)
 
 
 class TestAnalysis:
@@ -373,6 +421,18 @@ class TestAnalysis:
         stats = analyze_tree(t, small_cap=3)
         assert stats.n_small_fringe == 2
         assert stats.small_leaf_fraction == 1.0
+
+    @pytest.mark.parametrize(
+        "sizes, caps, message",
+        [
+            ((2.7, 5), (2,), "size is 2.7"),
+            ((2, 5), (2.5,), "small cap is 2.5"),
+            ((True, 5), (2,), "size is True"),
+        ],
+    )
+    def test_estimate_z_refuses_non_integers(self, sizes, caps, message):
+        with pytest.raises(InvalidParams, match=message):
+            estimate_z(TreeFamily("increasing_leaves"), sizes, caps)
 
     def test_estimate_z_on_increasing_leaves(self):
         growth = estimate_z(TreeFamily("increasing_leaves"), (25, 50, 100, 200))
