@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -183,8 +184,6 @@ def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
 
 
 def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
-    if m < 1:
-        raise InvalidParams("need at least one copy")
     if m == 1:
         return law
     if law.n_atoms == 1:
@@ -272,17 +271,14 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     split: list = [None]
     # ascending id order is bottom-up, and the root is the last id
     for sid in range(1, len(table)):
-        kids, counts = (a.tolist() for a in np.unique(table[sid], return_counts=True))
         if level[sid] == 1 and gate_law is not None:
             sums.append(None)
             split.append(None)
             out.append(gate_law)
             continue
         try:
-            parts = [_conv_power(out[k], c) for k, c in zip(kids, counts)]
-            total = parts[0]
-            for part in parts[1:]:
-                total = _conv(total, part)
+            # runs ascend by child id, which fixes the convolution order
+            total = reduce(_conv, [_conv_power(out[k], c) for k, c in table[sid]])
         except StateSpaceTooLarge as exc:
             raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
         sums.append(total)
@@ -645,7 +641,7 @@ def chebyshev_variance_check(
     if tree.height != 2:
         raise InvalidParams("the concentration check applies to height-2 trees")
     # every child of a fringe node is a leaf
-    if np.any(tree.n_children[tree.fringe] > small_cap):
+    if np.any(tree.n_children[tree.fringe] > _integer(small_cap, "small_cap")):
         raise InvalidParams("every fringe node must hold at most small_cap leaves")
     law = _context_for(strategy, pair).root_sum
     l_f = int(tree.shape_counts.leaf_count[-1])

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import TransmissionFunction, induced_pair
 from .errors import InfeasibleThreshold, InvalidParams, NotUniform
 from .hypotheses import Direction, DistributionPair, _logsumexp, kl_divergence
-from .topology import Tree, _node_rows
+from .topology import Tree, _integer, _node_rows
 
 _LAMBDA_TOL = 1e-10
 _MAX_ITER = 200
@@ -233,14 +233,14 @@ class BoundReport:
     """Per-node exponential bounds on the two tail probabilities.
 
     ``kind`` is type1/type0 for per-node bounds; root_type1/root_type0 rows
-    appear only when every fringe node has at least ``n_floor`` leaves.
-    A bound is informative when negative.
+    come last, and only when every fringe node has at least ``n_floor``
+    leaves.  A bound is informative when negative.
     """
 
     rows: tuple[BoundRow, ...]
 
     def root_rows(self) -> tuple[BoundRow, ...]:
-        return tuple(r for r in self.rows if r.kind.startswith("root_"))
+        return tuple(r for r in self.rows[-2:] if r.kind.startswith("root_"))
 
 
 def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundReport:
@@ -254,7 +254,7 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
         raise InvalidParams(
             f"rate table has {table.height} levels, tree height is {tree.height}"
         )
-    if n_floor < 1:
+    if _integer(n_floor, "n_floor") < 1:
         raise InvalidParams("n_floor must be >= 1")
     level, lcount, pcount = tree.shape_counts
     # two rows per shape, type1 then type0; the leaf shape's are never expanded

@@ -5,8 +5,8 @@ integers; derived metrics are cached numpy arrays, and trees are treated as
 immutable after construction.  A family lays its tree out depth by depth and
 fills depth, child counts, uniformity and the shape table as it goes;
 ``Tree(parents)`` checks its input and derives them in passes vectorized per
-depth.  Either way trees with millions of nodes stay cheap.  Subtree counts
-depend only on shape, so they live in one per-shape table that nodes gather.
+depth.  The shape table stores each shape's children once, as (child shape,
+count) runs, and the subtree counts, so its size follows shapes, not nodes.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Tree:
     The root's parent is ``None`` or negative; an integer ndarray is copied whole.
     ``Tree(parents)`` checks every entry and derives depth and shapes on
     demand; trees from the depth-ordered families arrive with them filled.
-    Subtree counts come from ``shape_counts``, so reading them labels the
-    shapes first; structural diagnostics read leaves and fringe degrees.
+    Subtree counts sum over the runs of ``shape_children``, so reading them
+    labels shapes first; structural diagnostics read leaves and fringe degrees.
     """
 
     def __init__(self, parents: Sequence[int | None] | np.ndarray, root: int | None = None):
@@ -198,9 +198,9 @@ class Tree:
         return self._shapes[0]
 
     @property
-    def shape_children(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted child shape ids of each shape, indexed by shape id; entry 0
-        is the leaf's ``()``."""
+    def shape_children(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each shape's children as (child shape id, count) runs in ascending
+        child id, indexed by shape id; entry 0 is the leaf's ``()``."""
         return self._shapes[1]
 
     @cached_property
@@ -209,17 +209,17 @@ class Tree:
         count, indexed by shape id, so the root's are last."""
         level, leaves, nodes = [0], [1], [0]
         # ascending id order is bottom-up
-        for kids in self.shape_children[1:]:
-            level.append(1 + max(map(level.__getitem__, kids)))
-            leaves.append(sum(map(leaves.__getitem__, kids)))
-            nodes.append(len(kids) + sum(map(nodes.__getitem__, kids)))
+        for runs in self.shape_children[1:]:
+            level.append(1 + max(level[k] for k, _ in runs))
+            leaves.append(sum(c * leaves[k] for k, c in runs))
+            nodes.append(sum(c * (1 + nodes[k]) for k, c in runs))
         return ShapeCounts(*(_frozen(np.array(c, dtype=np.int64)) for c in (level, leaves, nodes)))
 
     @cached_property
-    def _shapes(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    def _shapes(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:
         shape = np.zeros(self.n, dtype=np.int64)
         offsets, flat = self._children_csr
-        interned: dict[tuple[int, ...], int] = {}
+        interned: dict[tuple[tuple[int, int], ...], int] = {}
         for d in range(self.height - 1, -1, -1):
             nodes = self.nodes_at_depth(d)
             nodes = nodes[self.n_children[nodes] > 0]
@@ -235,11 +235,19 @@ class Tree:
                 ranked = rows[order]
                 new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
                 labels[at[order]] = len(keys) + np.cumsum(new) - 1
-                keys += rows[order[new]].tolist()
+                ids = ranked[new].ravel()
+                # runs start at each row's start and where its ids change; the end closes the last
+                edge = np.ones(ids.size + 1, dtype=bool)
+                edge[1:-1] = ids[1:] != ids[:-1]
+                edge[::k] = True
+                starts = np.flatnonzero(edge)
+                runs = list(zip(ids[starts[:-1]].tolist(), np.diff(starts).tolist()))
+                cuts = np.searchsorted(starts, np.arange(0, ids.size + 1, k)).tolist()
+                keys += [tuple(runs[a:b]) for a, b in zip(cuts, cuts[1:])]
                 firsts += at[order[new]].tolist()
             sids = np.empty(len(keys), dtype=np.int64)
             for j in np.argsort(firsts).tolist():
-                sids[j] = interned.setdefault(tuple(keys[j]), len(interned) + 1)
+                sids[j] = interned.setdefault(keys[j], len(interned) + 1)
             shape[nodes] = sids[labels]
         # a dict keeps insertion order, which is id order
         return _frozen(shape), ((),) + tuple(interned)
@@ -287,7 +295,7 @@ def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
 
     The returned fraction is 0 when no fringe node is that small.
     """
-    if small_cap <= 0:
+    if _integer(small_cap, "small_cap") <= 0:
         raise InvalidParams("small_cap must be positive")
     # every child of a fringe node is a leaf
     lcounts = tree.n_children[tree.fringe]
@@ -420,7 +428,8 @@ def _layered(layers: Sequence[tuple]) -> Tree:
     by_depth = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
     for arr in (tree._parents, depth, n_children, shape, *by_depth):
         _frozen(arr)
-    shapes = (shape, tuple(tuple(sorted(kin[sid].tolist())) for sid in range(len(kin))))
+    runs = (np.unique(kin[sid], return_counts=True) for sid in range(len(kin)))
+    shapes = (shape, tuple(tuple(zip(ids.tolist(), n.tolist())) for ids, n in runs))
     tree.__dict__.update(depth=depth, n_children=n_children, _by_depth=by_depth, _shapes=shapes)
     # uniform unless some block above the last depth is of leaves
     tree.__dict__["is_uniform"] = all(np.all(k > 0) for _, k, _ in blocks[:-1])

@@ -751,6 +751,13 @@ class TestChebyshev:
         with pytest.raises(InvalidParams):
             chebyshev_variance_check(s, pair75, small_cap=2, eta=0.3)
 
+    @pytest.mark.parametrize("small_cap", [2.5, True, "3"])
+    def test_small_cap_must_be_an_integer(self, pair75, ident, small_cap):
+        tree = TreeFamily("wide_uniform", {"m": 2}).generate(5)
+        s = build_relay_strategy(tree, ident, (0.0, 0.0))
+        with pytest.raises(InvalidParams, match="small_cap is"):
+            chebyshev_variance_check(s, pair75, small_cap=small_cap, eta=0.3)
+
     def test_eta_must_be_positive(self, pair75, ident):
         tree = TreeFamily("wide_uniform", {"m": 2}).generate(5)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))

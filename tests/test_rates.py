@@ -242,6 +242,22 @@ class TestChernoffBounds:
         report = chernoff_bound_report(tree, table, n_floor=101)
         assert report.root_rows() == ()
 
+    @pytest.mark.parametrize("n_floor", [100, 101])
+    def test_root_rows_are_the_rows_of_root_kind(self, pair75, ident, n_floor):
+        tree = TreeFamily("two_relay").generate(100)
+        table = rate_table(pair75, ident, (0.0, 0.0))
+        report = chernoff_bound_report(tree, table, n_floor=n_floor)
+        expected = tuple(r for r in report.rows if r.kind.startswith("root_"))
+        assert report.root_rows() == expected
+        assert len(expected) == (2 if n_floor == 100 else 0)
+
+    @pytest.mark.parametrize("n_floor", [2.5, True, "3"])
+    def test_n_floor_must_be_an_integer(self, pair75, ident, n_floor):
+        tree = TreeFamily("two_relay").generate(3)
+        table = rate_table(pair75, ident, (0.0, 0.0))
+        with pytest.raises(InvalidParams, match="n_floor is"):
+            chernoff_bound_report(tree, table, n_floor)
+
     def test_rows_match_node_by_node_loop(self, pair75, ident, make_rugged_tree):
         rng = np.random.default_rng(17)
         for _ in range(20):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,7 +182,8 @@ class TestTreeStructure:
 def shape_ids_by_node(tree):
     """Reference AHU interning: one node at a time, depth by depth from the
     bottom, in node-id order within a depth.  Returns the ids and the
-    interned child keys in id order, led by the leaf's ()."""
+    interned child keys in id order, led by the leaf's (), each key as
+    (child id, count) runs in ascending child id."""
     shape = np.zeros(tree.n, dtype=np.int64)
     interned = {}
     for d in range(tree.height - 1, -1, -1):
@@ -188,7 +191,7 @@ def shape_ids_by_node(tree):
             kids = tree.children(v)
             if kids.size == 0:
                 continue
-            key = tuple(sorted(shape[kids].tolist()))
+            key = tuple(sorted(Counter(shape[kids].tolist()).items()))
             shape[v] = interned.setdefault(key, len(interned) + 1)
     return shape, ((),) + tuple(interned)
 
@@ -246,6 +249,16 @@ class TestShapeIds:
     @given(recursive_trees)
     def test_random_recursive_trees(self, t):
         assert_shapes_match_reference(t)
+        assert_counts_match_passes(t)
+
+    def test_table_holds_each_shapes_children_as_runs(self):
+        # root children: a relay over two leaves, a relay over one, a leaf
+        t = Tree([-1, 0, 0, 0, 1, 1, 2])
+        assert t.shape_children == ((), ((0, 2),), ((0, 1),), ((0, 1), (1, 1), (2, 1)))
+
+    def test_table_size_does_not_depend_on_the_relay_count(self):
+        t = TreeFamily("wide_uniform", {"m": 20}).generate(10**5)
+        assert t.shape_children == ((), ((0, 20),), ((1, 100000),))
 
 
 class TestGenerators:
@@ -407,6 +420,11 @@ class TestSubtreeCounts:
 
 
 class TestAnalysis:
+    @pytest.mark.parametrize("cap", [2.5, True, "3"])
+    def test_small_cap_must_be_an_integer(self, cap):
+        with pytest.raises(InvalidParams, match="small_cap is"):
+            analyze_tree(TreeFamily("two_relay").generate(3), cap)
+
     def test_two_relay_stats(self):
         t = TreeFamily("two_relay").generate(3)
         stats = analyze_tree(t, small_cap=2)
