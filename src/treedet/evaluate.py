@@ -14,18 +14,18 @@ memoized on the strategy, one set per pair: calibrating the root threshold
 hands them to the calibrated copy, and they are freed with the strategy.
 
 Monte Carlo runs on counter-based substreams, so a seed reproduces its
-run.  A relay's rule sends a prefix of its sorted sum atoms low, so the
-exact tail split cuts a law at one index, and a simulated sum is decided by
-one comparison with the midpoint between the last atom sent low and the
-first sent high; ties fall as in the exact split, with no tolerance.
-Fringe siblings of one shape send i.i.d. bits, so each such group draws its
-count of high bits with one binomial against its shape's high mass in that
-split, or a two-atom gate law's last mass.  A lone fringe node draws its bit
-with one uniform against the low mass, or the gate law's first; only a gate
-law wider than two atoms is drawn node by node, by CDF search.  Monte Carlo
-thus takes the fringe level's law from the exact engine, and
-`tests/test_oracle.py` checks that level by enumeration; every level above
-sums its children's draws.
+run, and reads only the shape table: each shape's node count, then its
+(child shape, count) runs bottom-up.  A relay's rule sends a prefix of its
+sorted sum atoms low, so a simulated sum is decided by one comparison with
+the midpoint between the last atom sent low and the first sent high; ties
+fall as in the exact split, with no tolerance.  A run of c >= 2 fringe
+siblings sends i.i.d. bits and draws its count of high bits with one
+binomial, a lone fringe node its bit with one uniform, both against the
+exact split or a two-atom gate law; a gate law wider than two atoms is
+drawn node by node, by CDF search.  A run of relays counts the high
+decisions of as many nodes of its shape.  Monte Carlo thus takes the fringe
+level's law from the exact engine, and `tests/test_oracle.py` checks that
+level by enumeration.
 """
 
 from __future__ import annotations
@@ -395,12 +395,13 @@ def fringe_message_laws(
     strategy: Strategy, pair: DistributionPair
 ) -> list[tuple[MessageLaw, int]]:
     """Distinct outgoing-message laws of fringe nodes with multiplicities."""
-    tree = strategy.tree
-    if tree.height < 2:
+    level = strategy.tree.shape_counts.level
+    if level[-1] < 2:
         raise InvalidParams("the fringe of a height-1 tree is the root, which sends no message")
     ctx = _context_for(strategy, pair)
-    shapes, counts = np.unique(tree.shape_ids[tree.fringe], return_counts=True)
-    return [(ctx.out[s], c) for s, c in zip(shapes.tolist(), counts.tolist())]
+    # a fringe node's children are all leaves: its shape is of level 1
+    counts = strategy.tree.shape_multiplicity.tolist()
+    return [(ctx.out[s], counts[s]) for s in np.flatnonzero(level == 1).tolist()]
 
 
 def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
@@ -434,73 +435,52 @@ def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
 def _simulate_error_count(
     ctx: _LawContext, strategy: Strategy, hypothesis: int, trials: int, seed: int
 ) -> int:
-    tree = strategy.tree
-    h = tree.height
-    shape = tree.shape_ids
+    runs, level = strategy.tree.shape_children, strategy.tree.shape_counts.level.tolist()
+    count = strategy.tree.shape_multiplicity.tolist()
     table, wide = _mc_tables(ctx, strategy, hypothesis)
-
-    # fringe siblings of one shape send i.i.d. bits, so a group of c >= 2 draws
-    # its count of high bits from one binomial; a lone fringe node, and every
-    # node under a gate law wider than two atoms, draws its own
-    fringe = tree.nodes_at_depth(h - 1)
-    key = tree.parents[fringe] * len(table) + shape[fringe]
-    _, first, inverse, size = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    multi = (size > 1) & (wide is None)
-    lone, group, c = fringe[~multi[inverse]], fringe[first[multi]], size[multi, None]
-    _, g_low, g_high, _, g_phigh = np.split(table[shape[group]], 5, axis=1)
-    # per depth: rows of the level below in parent order, copied only when
-    # they are not (every family generates them in order), and the nodes'
-    # table rows; a fringe level's rows are its lone nodes, then its groups
-    kin = tree.parents[np.concatenate((lone, group))]
-    stages = []
-    for d in range(h - 1, -1, -1):
-        nodes = tree.nodes_at_depth(d)
-        gather = None
-        if d < h - 1:
-            order = None if np.all(kin[1:] >= kin[:-1]) else np.argsort(kin, kind="stable")
-            gather = (order, np.searchsorted(kin if order is None else kin[order], nodes))
-            kin = tree.parents[nodes]
-        rows = lone if d == h - 1 else nodes
-        stages.append((d, gather, np.split(table[shape[rows]], 5, axis=1)))
+    cut, low, high, plow, phigh = table.T.tolist()
+    # a node's children share one level, so a relay's runs are all fringe runs
+    # or all runs of relays; ascending id order is bottom-up, the root last
+    relays = [s for s in range(len(runs)) if level[s] > 1]
+    # a lone fringe node, and every fringe node under a gate law wider than
+    # two atoms, draws one uniform; a height-1 root draws its own decision
+    uniforms = sum(count[s] * c for s in relays for k, c in runs[s]
+                   if level[k] == 1 and (c == 1 or wide is not None)) if relays else 1
 
     # blocks keep the size they had when fringe nodes drew one column per
     # leaf or gate atom, so the streams of lone and wide-gate fringe nodes
     # stay bit for bit
+    width = np.bincount(level, weights=count)
     atoms = 2 if wide is None else wide[0].size
-    cols = max(fringe.size * atoms, *(tree.nodes_at_depth(d).size for d in range(h)))
+    cols = int(max(width[1] * atoms, *width[1:]))
     block = max(1, min(trials, _MC_BLOCK_FLOATS // cols))
     errors = 0
     for b in range((trials + block - 1) // block):
         nb = min(block, trials - b * block)
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0])
-        )
-        for d, gather, (cut, low, high, plow, _) in stages:
-            if gather is not None:
-                order, starts = gather
-                rows = state if order is None else state[order]
-                # a node over one row (one sibling group) needs no sum
-                sums = rows if starts.size == len(rows) else np.add.reduceat(rows, starts, axis=0)
-                above = sums > cut
-            elif wide is not None:
-                atom, cdf = wide
-                state = atom[np.searchsorted(cdf, rng.random((fringe.size, nb)), side="right")]
-                continue
-            else:
-                # one uniform per lone fringe node decides its bit
-                above = rng.random((lone.size, nb)) >= plow
-                if group.size:
-                    high_bits = rng.binomial(c, g_phigh, (group.size, nb))
-                    state = np.concatenate(
-                        (np.where(above, high, low), c * g_low + high_bits * (g_high - g_low))
-                    )
+        rng = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0]))
+        u, at = rng.random((uniforms, nb)), 0
+        # the decisions of each relay shape not yet summed by a parent
+        bits = {} if relays else {len(runs) - 1: u >= plow[-1]}
+        for s in relays:
+            n, total = count[s], 0.0
+            for k, c in runs[s]:
+                if level[k] > 1:  # the next n * c decisions of shape k
+                    high_bits = bits[k][: n * c].reshape(n, c, nb).sum(1)
+                    bits[k] = bits[k][n * c :]
+                elif wide is not None:  # each node's atom by CDF search
+                    picks = np.searchsorted(wide[1], u[at : at + n * c], side="right")
+                    total += wide[0][picks].reshape(n, c, nb).sum(1)
+                    at += n * c
                     continue
-            if d:
-                state = np.where(above, high, low)
-            else:
-                errors += int(np.count_nonzero(above != bool(hypothesis)))
+                elif c == 1:  # a lone fringe node: one uniform against P(send low)
+                    high_bits = u[at : at + n] >= plow[k]
+                    at += n
+                else:  # same-shape fringe siblings send i.i.d. bits: one binomial
+                    high_bits = rng.binomial(c, phigh[k], (n, nb))
+                # c low messages, raised by the count of high bits
+                total += c * low[k] + high_bits * (high[k] - low[k])
+            bits[s] = total > cut[s]
+        errors += int(np.count_nonzero(bits[len(runs) - 1] != bool(hypothesis)))
     return errors
 
 
@@ -635,7 +615,7 @@ def chebyshev_variance_check(
     Stated for height-2 trees whose fringe nodes all hold at most
     ``small_cap`` leaves.
     """
-    if eta <= 0.0:
+    if not eta > 0.0:  # a NaN eta fails too
         raise InvalidParams("eta must be positive")
     tree = strategy.tree
     if tree.height != 2:

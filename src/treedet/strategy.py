@@ -9,6 +9,7 @@ fan-in fusion rules are compared against threshold rules.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,6 +53,9 @@ class Strategy:
             raise InvalidParams(
                 f"need {h} thresholds for a height-{h} tree, got {len(self.thresholds)}"
             )
+        # a NaN threshold would send every comparison the same way, unannounced
+        if not all(map(math.isfinite, (*self.thresholds, self.root_threshold))):
+            raise InvalidParams("thresholds and the root threshold must be finite")
         gate = self.level1_gate
         if gate is not None:
             if h < 2:

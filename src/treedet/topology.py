@@ -216,6 +216,18 @@ class Tree:
         return ShapeCounts(*(_frozen(np.array(c, dtype=np.int64)) for c in (level, leaves, nodes)))
 
     @cached_property
+    def shape_multiplicity(self) -> np.ndarray:
+        """How many nodes have each shape, indexed by shape id: the root is
+        one, and a run (k, c) of a shape of n nodes holds c * n of shape k."""
+        count = [0] * len(self.shape_children)
+        count[-1] = 1
+        # descending id order is top-down
+        for sid in range(len(count) - 1, 0, -1):
+            for k, c in self.shape_children[sid]:
+                count[k] += c * count[sid]
+        return _frozen(np.array(count, dtype=np.int64))
+
+    @cached_property
     def _shapes(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:
         shape = np.zeros(self.n, dtype=np.int64)
         offsets, flat = self._children_csr

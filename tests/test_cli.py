@@ -482,6 +482,17 @@ class TestLoaderErrors:
             (("analyze", "--family", "two_relay"), "error: provide --tree, --family/--size, "
              "or --family/--sizes"),
             (SIMULATE + ("--family", "two_relay"), "error: --family needs --size"),
+            # a NaN root threshold once declared every sum the alternative and
+            # then broke the JSON report; a NaN threshold under a gate too
+            (
+                SIMULATE + ("--family", "two_relay", "--size", "3", "--root-threshold", "nan"),
+                "error: thresholds and the root threshold must be finite",
+            ),
+            (
+                ("simulate", "--pair", "bern75", "--gamma", "identity", "--thresholds", "nan",
+                 "--family", "two_relay", "--size", "2", "--gate", "or"),
+                "error: thresholds and the root threshold must be finite",
+            ),
             (
                 RATES + ("--family", "two_relay", "--size", "3", "--params", "{bad"),
                 "error: --params is not valid JSON: Expecting property name enclosed in "

@@ -571,7 +571,8 @@ class TestMonteCarlo:
             assert abs(p - q) <= 4.0 * se
 
     def test_matches_exact_on_shuffled_ids(self, pair75, ident, make_uniform_tree):
-        # children stored out of parent order are regrouped before each sum
+        # node ids play no part: Monte Carlo walks the shape table, so a
+        # permuted tree draws as its shapes do, whatever order ids come in
         rng = np.random.default_rng(8)
         for _ in range(4):
             tree = make_uniform_tree(rng, 3, lo=1, hi=6)
@@ -587,6 +588,32 @@ class TestMonteCarlo:
             for p, q in ((exact.type_i, mc.type_i), (exact.type_ii, mc.type_ii)):
                 se = math.sqrt(p * (1.0 - p) / 40000)
                 assert abs(p - q) <= 4.0 * se
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            TreeFamily("wide_uniform", {"m": 3}).generate(6),
+            TreeFamily("parallel").generate(5),
+            Tree(
+                [-1, 0, 0, 1, 1, 1, 2, 2, 2]
+                + [3] * 2 + [4] * 3 + [5] * 2 + [6] * 3 + [7] * 3 + [8] * 2
+            ),
+        ],
+        ids=["family", "height_1", "parents"],
+    )
+    def test_reads_no_per_node_array(self, pair75, ident, tree, monkeypatch):
+        # after calibration, a simulation needs only the shape table
+        s = build_relay_strategy(tree, ident, (0.0,) * tree.height)
+        cal = np_calibrate_root(s, pair75, 0.25)
+
+        def refuse(*args):
+            raise AssertionError("Monte Carlo read a per-node array")
+
+        for name in ("parents", "depth", "n_children", "shape_ids"):
+            monkeypatch.setattr(Tree, name, property(refuse))
+        monkeypatch.setattr(Tree, "nodes_at_depth", refuse)
+        mc = monte_carlo_error(cal, pair75, trials=2000, seed=4)
+        assert 0.0 < mc.type_i < 1.0 and 0.0 <= mc.type_ii < 1.0
 
     def test_trials_validated(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(2)
@@ -629,19 +656,39 @@ class TestMonteCarlo:
                 True, "increasing_leaves", {}, 7, None,
                 {(5, None): (4605, 69), (11, None): (4589, 64), (5, 1024): (4584, 64)},
             ),
+            # a height-1 root is the one fringe node and draws its own decision
+            (
+                False, "parallel", {}, 12, None,
+                {(5, None): (2223, 156), (11, None): (2350, 155), (5, 1024): (2244, 178)},
+            ),
+            # two same-shape relays: one binomial count of high bits
+            (
+                False, "two_relay", {}, 6, None,
+                {(5, None): (1441, 546), (11, None): (1464, 546), (5, 1024): (1443, 587)},
+            ),
+            # three relays of distinct shapes: one uniform each
+            (
+                False, "increasing_leaves", {}, 3, None,
+                {(5, None): (5044, 324), (11, None): (4965, 369), (5, 1024): (4858, 380)},
+            ),
         ],
-        ids=["or_gated_wide", "count_gated_wide", "ternary_increasing"],
+        ids=[
+            "or_gated_wide", "count_gated_wide", "ternary_increasing", "parallel", "two_relay",
+            "binary_increasing",
+        ],
     )
     def test_fringe_streams_are_pinned(
         self, pair75, monkeypatch, ternary, kind, params, size, gate, pinned
     ):
-        # a seed and block size fix every count; lone fringe nodes and a
-        # three-atom gate law draw per node, so those two streams are those of
-        # versions before sibling groups drew binomial counts, bit for bit
+        # a seed and block size fix every count: a height-1 root, a lone
+        # fringe node and each node under a three-atom gate law draw one
+        # uniform, and a run of same-shape fringe siblings one binomial count
         pair = TERNARY if ternary else pair75
         tree = TreeFamily(kind, params).generate(size)
         gated = {"level1_gate": gate} if gate is not None else {}
-        s = build_relay_strategy(tree, identity_map(pair.alphabet), (0.0, 0.0), **gated)
+        s = build_relay_strategy(
+            tree, identity_map(pair.alphabet), (0.0,) * tree.height, **gated
+        )
         cal = np_calibrate_root(s, pair, 0.25)
         for (seed, block), (wrong0, wrong1) in pinned.items():
             if block is not None:
@@ -758,8 +805,9 @@ class TestChebyshev:
         with pytest.raises(InvalidParams, match="small_cap is"):
             chebyshev_variance_check(s, pair75, small_cap=small_cap, eta=0.3)
 
-    def test_eta_must_be_positive(self, pair75, ident):
+    @pytest.mark.parametrize("eta", [0.0, -0.3, math.nan])
+    def test_eta_must_be_positive(self, pair75, ident, eta):
         tree = TreeFamily("wide_uniform", {"m": 2}).generate(5)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
-        with pytest.raises(InvalidParams):
-            chebyshev_variance_check(s, pair75, small_cap=2, eta=0.0)
+        with pytest.raises(InvalidParams, match="eta must be positive"):
+            chebyshev_variance_check(s, pair75, small_cap=2, eta=eta)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestStrategyValidation:
         tree = TreeFamily("parallel").generate(3)
         with pytest.raises(InvalidParams):
             build_relay_strategy(tree, ident, (0.0,), level1_gate=or_gate())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_thresholds_must_be_finite(self, ident, bad):
+        tree = TreeFamily("two_relay").generate(2)
+        with pytest.raises(InvalidParams, match="must be finite"):
+            build_relay_strategy(tree, ident, (0.0, bad))
+        # a gate ignores the first threshold, which must still be a number
+        with pytest.raises(InvalidParams, match="must be finite"):
+            build_relay_strategy(tree, ident, (bad, 0.0), level1_gate=or_gate())
+        s = build_relay_strategy(tree, ident, (0.0, 0.0))
+        with pytest.raises(InvalidParams, match="must be finite"):
+            replace(s, root_threshold=bad)
 
     def test_feasibility_checked_with_pair(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(3)

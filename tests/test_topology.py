@@ -384,6 +384,9 @@ def assert_counts_match_passes(tree):
     assert np.array_equal(tree.shape_counts.level[tree.shape_ids], level)
     assert np.array_equal(tree.subtree_leaf_count, leaves)
     assert np.array_equal(tree.subtree_node_count, nodes)
+    shapes = len(tree.shape_children)
+    assert np.array_equal(tree.shape_multiplicity, np.bincount(tree.shape_ids, minlength=shapes))
+    assert not tree.shape_multiplicity.flags.writeable
     assert not tree.subtree_leaf_count.flags.writeable
     assert not tree.subtree_node_count.flags.writeable
 
