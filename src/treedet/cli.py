@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .channels import (
     TransmissionFunction,
@@ -178,15 +178,14 @@ def _cell(x: object) -> str:
 def _write_csv(
     path: Path,
     header: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    rows: Iterable[Sequence[object]],
     stamp: bool,
 ) -> None:
-    lines = []
-    if stamp:
-        lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(header))
-    lines.extend(",".join(_cell(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        if stamp:
+            f.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(_cell(x) for x in row) + "\n" for row in rows)
 
 
 def _write_json(path: Path, doc: object) -> None:
@@ -282,20 +281,15 @@ def cmd_rates(args: argparse.Namespace) -> int:
     }
     if args.tree or args.family:
         tree = _load_tree(args)
-        if len(tree.fringe) == 0:
+        degrees = tree.shape_counts.fringe_degrees
+        if degrees.size == 0:
             raise InvalidParams("tree has no fringe nodes")
-        n_floor = args.n_floor
-        if n_floor is None:
-            # every child of a fringe node is a leaf
-            n_floor = int(tree.n_children[tree.fringe].min())
+        n_floor = int(degrees.min()) if args.n_floor is None else args.n_floor
         report = chernoff_bound_report(tree, table, n_floor)
         _write_csv(
             out / "bounds.csv",
             ("node_id", "level", "leaf_count", "pred_count", "bound_type", "bound_value"),
-            [
-                (r.node, r.level, r.leaf_count, r.pred_count, r.kind, r.value)
-                for r in report.rows
-            ],
+            report.rows,
             stamp,
         )
         summary["n_floor"] = n_floor

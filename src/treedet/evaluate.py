@@ -41,7 +41,7 @@ from .channels import fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
 from .hypotheses import DistributionPair, _logsumexp, second_moment_null
 from .strategy import Strategy
-from .topology import Tree, TreeFamily, _integer, _node_rows
+from .topology import Tree, TreeFamily, _integer, _NodeRows
 
 STATE_SPACE_CAP = 10**7
 
@@ -374,12 +374,14 @@ class TailRow(NamedTuple):
     log_fa_per_leaf: float
 
 
-def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ...]:
+def tail_report(strategy: Strategy, pair: DistributionPair) -> Sequence[TailRow]:
     """Per-node normalized log tail masses at that node's threshold.
 
     The miss column is (1/l) log P1(normalized sum <= t); the false-alarm
     column is (1/l) log P0(normalized sum > t).  The root row uses the
-    level-h threshold, not the calibrated root threshold.
+    level-h threshold, not the calibrated root threshold.  Tails are
+    computed once per shape; the rows, one per internal node in id order,
+    are a lazy sequence whose length the shape table gives, built on read.
     """
     ctx = _context_for(strategy, pair)
     level, lcount, pcount = strategy.tree.shape_counts
@@ -388,7 +390,7 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> tuple[TailRow, ..
     splits = [*ctx.split[:-1], _split(ctx.root_sum, int(lcount[-1]), strategy.thresholds[-1])]
     kept = np.array([s is not None for s in splits])
     tails = np.array([s[2:4] if s else (0.0, 0.0) for s in splits]) / lcount[:, None]
-    return _node_rows(strategy.tree, TailRow, (level, lcount, pcount, *tails.T), kept)
+    return _NodeRows(strategy.tree, TailRow, (level, lcount, pcount, *tails.T), kept)
 
 
 def fringe_message_laws(
@@ -620,8 +622,7 @@ def chebyshev_variance_check(
     tree = strategy.tree
     if tree.height != 2:
         raise InvalidParams("the concentration check applies to height-2 trees")
-    # every child of a fringe node is a leaf
-    if np.any(tree.n_children[tree.fringe] > _integer(small_cap, "small_cap")):
+    if np.any(tree.shape_counts.fringe_degrees > _integer(small_cap, "small_cap")):
         raise InvalidParams("every fringe node must hold at most small_cap leaves")
     law = _context_for(strategy, pair).root_sum
     l_f = int(tree.shape_counts.leaf_count[-1])

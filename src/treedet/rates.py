@@ -12,6 +12,7 @@ of the domain, as an always-on transcription check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 from .channels import TransmissionFunction, induced_pair
 from .errors import InfeasibleThreshold, InvalidParams, NotUniform
 from .hypotheses import Direction, DistributionPair, _logsumexp, kl_divergence
-from .topology import Tree, _integer, _node_rows
+from .topology import Tree, _integer, _NodeRows
 
 _LAMBDA_TOL = 1e-10
 _MAX_ITER = 200
@@ -186,6 +187,9 @@ def rate_table(
     ts = tuple(float(t) for t in thresholds)
     if not ts:
         raise InvalidParams("need at least one threshold")
+    # a NaN threshold fails every interval check and would read as infeasible
+    if not all(map(math.isfinite, ts)):
+        raise InvalidParams("thresholds and the root threshold must be finite")
     message = induced_pair(pair, gamma)
     lo, hi = _level1_interval(message)
     if not lo < 0.0 < hi:
@@ -232,21 +236,24 @@ class BoundRow(NamedTuple):
 class BoundReport:
     """Per-node exponential bounds on the two tail probabilities.
 
-    ``kind`` is type1/type0 for per-node bounds; root_type1/root_type0 rows
-    come last, and only when every fringe node has at least ``n_floor``
-    leaves.  A bound is informative when negative.
+    ``rows`` is a lazy sequence, its rows built on first read.  ``kind`` is
+    type1/type0 for per-node bounds; the root_type1/root_type0 rows, also
+    held apart in ``roots``, come last, and only when every fringe node has
+    at least ``n_floor`` leaves.  A bound is informative when negative.
     """
 
-    rows: tuple[BoundRow, ...]
+    rows: Sequence[BoundRow]
+    roots: tuple[BoundRow, ...]
 
     def root_rows(self) -> tuple[BoundRow, ...]:
-        return tuple(r for r in self.rows[-2:] if r.kind.startswith("root_"))
+        return self.roots
 
 
 def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundReport:
     """Evaluates the per-node tail bounds -rate + p(v)/l(v) - 1 and, when the
     fringe is uniformly large enough, the root bounds -rate + h/n_floor.
-    Both depend only on a node's shape, so each is computed once per shape.
+    Both depend only on a node's shape, so each is computed once per shape,
+    and the report reads the shape table alone until its rows are read.
     """
     if not tree.is_uniform:
         raise NotUniform("bounds are stated for height-uniform trees")
@@ -262,14 +269,15 @@ def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundRe
     values = -rates + (pcount / lcount)[:, None] - 1.0
     kinds = np.tile(np.array(["type1", "type0"], dtype=object), level.size)
     cols = (*(np.repeat(c, 2) for c in (level, lcount, pcount)), kinds, values.ravel())
-    rows = list(_node_rows(tree, BoundRow, cols))
-    # every child of a fringe node is a leaf
-    if len(tree.fringe) and tree.n_children[tree.fringe].min() >= n_floor:
+    roots, degrees = (), tree.shape_counts.fringe_degrees
+    if degrees.size and degrees.min() >= n_floor:
         h = tree.height
         root = (tree.root, h, int(lcount[-1]), int(pcount[-1]))
-        rows.append(BoundRow(*root, "root_type1", -table.level1(h) + h / n_floor))
-        rows.append(BoundRow(*root, "root_type0", -table.level0(h) + h / n_floor))
-    return BoundReport(rows=tuple(rows))
+        roots = (
+            BoundRow(*root, "root_type1", -table.level1(h) + h / n_floor),
+            BoundRow(*root, "root_type0", -table.level0(h) + h / n_floor),
+        )
+    return BoundReport(rows=_NodeRows(tree, BoundRow, cols, tail=roots), roots=roots)
 
 
 def recipe_threshold(pair: DistributionPair, gamma: TransmissionFunction, epsilon: float) -> float:

@@ -60,8 +60,7 @@ class Strategy:
         if gate is not None:
             if h < 2:
                 raise InvalidParams("a fringe gate needs height at least 2")
-            degrees = self.tree.n_children[self.tree.fringe]
-            if np.any(degrees != gate.arity):
+            if np.any(self.tree.shape_counts.fringe_degrees != gate.arity):
                 raise InvalidParams(
                     f"gate arity {gate.arity} does not match every fringe degree"
                 )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Mapping, Sequence
 from itertools import repeat
+from operator import eq
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,11 @@ class ShapeCounts(NamedTuple):
     level: np.ndarray  # the subtree's height
     leaf_count: np.ndarray
     node_count: np.ndarray  # proper descendants
+
+    @property
+    def fringe_degrees(self) -> np.ndarray:
+        """Each fringe shape's degree: its leaf count, its level being 1."""
+        return self.leaf_count[self.level == 1]
 
 
 class Tree:
@@ -448,19 +454,45 @@ def _layered(layers: Sequence[tuple]) -> Tree:
     return tree
 
 
-def _node_rows(tree: Tree, row: type, cols: Sequence, kept: np.ndarray | None = None) -> tuple:
-    """Per-shape columns expanded to ``row``s of the internal nodes in id
-    order, skipping shapes not ``kept``: a row is the node id, then its
-    shape's entry of each column.  Columns holding r entries per shape id, a
-    shape's entries adjacent, give each node r rows."""
-    nodes = np.flatnonzero(~tree.is_leaf)
-    if kept is not None:
-        nodes = nodes[kept[tree.shape_ids[nodes]]]
-    r = len(cols[0]) // len(tree.shape_children)
-    at = (tree.shape_ids[nodes, None] * r + np.arange(r)).ravel()
-    cols = (np.repeat(nodes, r), *(c[at] for c in cols))
-    # tuple.__new__ builds each row in C, skipping the row type's Python __new__
-    return tuple(map(tuple.__new__, repeat(row), zip(*(c.tolist() for c in cols))))
+class _NodeRows(Sequence):
+    """Per-shape columns read as ``row``s of the internal nodes in id order,
+    skipping shapes not ``kept``, then the rows of ``tail``: a node's row is
+    its id, then its shape's entry of each column; r entries per shape give
+    r rows.  The length comes from the shape table; rows are built on first
+    read and kept.  Equal, row by row, to any sequence of the same rows."""
+
+    def __init__(self, tree: Tree, row: type, cols: Sequence, kept=None, tail: tuple = ()):
+        self._tree, self._row, self._cols, self._tail = tree, row, cols, tail
+        self._r = len(cols[0]) // len(tree.shape_children)
+        # every shape but the leaf's is internal, and the root's, even a one-node tree's
+        internal = np.arange(len(tree.shape_children)) > 0
+        internal[-1] = True
+        self._kept = internal if kept is None else internal & kept
+        self._len = int(tree.shape_multiplicity[self._kept].sum()) * self._r + len(tail)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        sids, r = self._tree.shape_ids, self._r
+        nodes = np.flatnonzero(self._kept[sids])
+        at = (sids[nodes, None] * r + np.arange(r)).ravel()
+        cols = (np.repeat(nodes, r), *(c[at] for c in self._cols))
+        # tuple.__new__ builds each row in C, skipping the row type's Python __new__
+        rows = map(tuple.__new__, repeat(self._row), zip(*(c.tolist() for c in cols)))
+        return (*rows, *self._tail)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and len(self) == len(other) and all(map(eq, self, other))
 
 
 def _gen_parallel(params: Mapping[str, object], size: int) -> Tree:

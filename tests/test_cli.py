@@ -7,6 +7,7 @@ import pytest
 
 from treedet import (
     BINARY,
+    Tree,
     TreeFamily,
     bernoulli_pair,
     chernoff_bound_report,
@@ -494,6 +495,14 @@ class TestLoaderErrors:
                 "error: thresholds and the root threshold must be finite",
             ),
             (
+                RATES[:-1] + ("nan",),
+                "error: thresholds and the root threshold must be finite",
+            ),
+            (
+                RATES[:-1] + ("0,nan",),
+                "error: thresholds and the root threshold must be finite",
+            ),
+            (
                 RATES + ("--family", "two_relay", "--size", "3", "--params", "{bad"),
                 "error: --params is not valid JSON: Expecting property name enclosed in "
                 "double quotes: line 1 column 2 (char 1)",
@@ -627,6 +636,12 @@ class TestLoaderErrors:
                 )
         assert run(*argv, "--out", tmp_path / "out") == 1
         assert _error_line(capsys) == message
+
+    def test_bounds_need_a_fringe(self, tmp_path, capsys):
+        src = tmp_path / "tree.json"
+        src.write_text(Tree([-1]).to_json())
+        assert run(*RATES[:-1], "0", "--tree", src, "--out", tmp_path) == 1
+        assert _error_line(capsys) == "error: tree has no fringe nodes"
 
     def test_non_uniform_tree_exits_two(self, tmp_path, capsys):
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)

@@ -500,6 +500,85 @@ class TestTailReport:
         assert len(calls) == 8 and calls[-2] is calls[-1] is ctx.root_sum
 
 
+def assert_lazy_rows(make):
+    """``make()`` returns a fresh report row sequence; check its sequence
+    contract against its own expansion, and return that expansion."""
+    n = len(make())  # no row is built yet
+    rows = make()
+    expected = tuple(rows)
+    assert n == len(rows) == len(expected) > 0
+    assert tuple(rows) == expected  # a second pass yields the same rows
+    for i in range(-n, n):
+        assert rows[i] == expected[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert rows == expected and rows == list(expected) and make() == rows
+    assert not rows != expected and list(expected) == rows
+    assert rows != expected[:-1] and rows != expected + expected[-1:]
+    if expected[0] != expected[-1]:
+        assert rows != expected[::-1]
+    assert rows != 3 and rows != "rows"
+    with pytest.raises(TypeError):
+        hash(rows)
+    return expected
+
+
+class TestReportRows:
+    def test_rugged_trees(self, pair75, ident, leaf_family, make_rugged_tree):
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            tree = make_rugged_tree(rng, int(rng.integers(1, 5)))
+            s = simple_strategy(tree, pair75, leaf_family, 0.2).strategy
+            rows = assert_lazy_rows(lambda: tail_report(s, pair75))
+            assert rows == tail_rows_by_node(s, pair75)
+            table = rate_table(pair75, ident, (-0.2,) * s.tree.height)
+            floor = int(s.tree.shape_counts.fringe_degrees.min())
+            for n_floor in (floor, floor + 1):
+                rows = assert_lazy_rows(lambda: chernoff_bound_report(s.tree, table, n_floor).rows)
+                roots = chernoff_bound_report(s.tree, table, n_floor).root_rows()
+                assert len(roots) == (2 if n_floor == floor else 0)
+                assert rows[len(rows) - len(roots):] == roots
+                assert len(rows) == 2 * np.count_nonzero(~s.tree.is_leaf) + len(roots)
+
+    def test_gate_drops_the_fringe_shapes(self, pair75, ident):
+        tree = Tree([-1, 0, 0, 1, 1, 2, 2])
+        s = build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
+        rows = assert_lazy_rows(lambda: tail_report(s, pair75))
+        assert rows == tail_rows_by_node(s, pair75) and [r.node for r in rows] == [0]
+
+    def test_height_one_tree(self, pair75, ident):
+        tree = TreeFamily("parallel").generate(6)
+        s = build_relay_strategy(tree, ident, (0.0,))
+        rows = assert_lazy_rows(lambda: tail_report(s, pair75))
+        assert rows == tail_rows_by_node(s, pair75) and [r.node for r in rows] == [0]
+        table = rate_table(pair75, ident, (0.0,))
+        rows = assert_lazy_rows(lambda: chernoff_bound_report(tree, table, 5).rows)
+        assert [r.kind for r in rows] == ["type1", "type0", "root_type1", "root_type0"]
+
+    def test_lengths_read_only_the_shape_table(self, pair75, ident, monkeypatch):
+        # a report whose rows are not read costs a pass over shapes, not nodes
+        relays = 10**5
+        tree = TreeFamily("wide_uniform", {"m": 20}).generate(relays)
+
+        def unread(name):
+            def read(tree):
+                raise AssertionError(f"read Tree.{name}")
+            return property(read)
+
+        for name in ("is_leaf", "shape_ids", "n_children", "fringe"):
+            monkeypatch.setattr(Tree, name, unread(name))
+        s = np_calibrate_root(build_relay_strategy(tree, ident, (0.0, 0.0)), pair75, 0.25)
+        assert len(tail_report(s, pair75)) == relays + 1
+        report = chernoff_bound_report(tree, rate_table(pair75, ident, (0.0, 0.0)), 20)
+        assert len(report.rows) == 2 * (relays + 1) + 2
+        assert [(r.node, r.kind) for r in report.root_rows()] == [
+            (0, "root_type1"), (0, "root_type0")
+        ]
+        with pytest.raises(AssertionError, match="read Tree"):
+            report.rows[0]
+
+
 class TestMonteCarlo:
     def test_reproducible(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(6)
@@ -795,8 +874,9 @@ class TestChebyshev:
     def test_fringe_cap_enforced(self, pair75, ident):
         tree = TreeFamily("wide_uniform", {"m": 3}).generate(5)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^every fringe node must hold at most small_cap leaves$"):
             chebyshev_variance_check(s, pair75, small_cap=2, eta=0.3)
+        assert chebyshev_variance_check(s, pair75, small_cap=3, eta=0.3).holds
 
     @pytest.mark.parametrize("small_cap", [2.5, True, "3"])
     def test_small_cap_must_be_an_integer(self, pair75, ident, small_cap):

@@ -118,6 +118,14 @@ class TestRateTable:
         with pytest.raises(InvalidParams):
             rate_table(pair75, ident, ())
 
+    @pytest.mark.parametrize(
+        "thresholds", [(math.nan,), (0.0, math.nan), (math.inf,), (0.0, -math.inf)]
+    )
+    def test_thresholds_must_be_finite(self, pair75, ident, thresholds):
+        # invalid input, not an infeasible one, whatever the level
+        with pytest.raises(InvalidParams, match="^thresholds and the root threshold must be finite$"):
+            rate_table(pair75, ident, thresholds)
+
 
 def _oracle_rates(p0, p1, t):
     """Level-1 (rate0, rate1) at threshold t, in 50-digit arithmetic.

@@ -12,6 +12,7 @@ from treedet import (
     InvalidParams,
     NotUniform,
     Strategy,
+    Tree,
     TreeFamily,
     and_gate,
     build_relay_strategy,
@@ -46,6 +47,14 @@ class TestStrategyValidation:
         tree = TreeFamily("two_relay").generate(3)
         with pytest.raises(InvalidParams):
             build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
+
+    def test_gate_arity_checked_on_every_fringe_shape(self, ident):
+        # two fringe shapes, of degrees 2 and 3, under a two-input gate
+        tree = Tree([-1, 0, 0, 1, 1, 2, 2, 2])
+        with pytest.raises(InvalidParams, match="^gate arity 2 does not match every fringe degree$"):
+            build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
+        tree = Tree([-1, 0, 0, 1, 1, 2, 2])
+        assert build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate()).tree is tree
 
     def test_gate_needs_two_levels(self, ident):
         tree = TreeFamily("parallel").generate(3)
