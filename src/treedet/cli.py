@@ -167,14 +167,6 @@ def _parse_list(text: str, label: str, cast: Callable[[str], T]) -> tuple[T, ...
 # -- report emission ---------------------------------------------------------
 
 
-def _cell(x: object) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(
     path: Path,
     header: Sequence[str],
@@ -185,7 +177,7 @@ def _write_csv(
         if stamp:
             f.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(_cell(x) for x in row) + "\n" for row in rows)
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, doc: object) -> None:
@@ -644,8 +636,8 @@ def _reproduce_gate_table(out: Path, stamp: bool) -> _Outcome:
     for name, gate, closed in gates:
         fused = fused_pair(pair, [ident, ident], gate)
         value = -kl_divergence(fused, Direction.ZERO_ONE) / 2.0
-        rows.append((name, value, closed, abs(value - closed) <= 1e-6))
         matches.append(abs(value - closed) <= 1e-6)
+        rows.append((name, value, closed, "true" if matches[-1] else "false"))
         above_parallel.append(value > g_parallel)
     _write_csv(
         out / "gate_table.csv",

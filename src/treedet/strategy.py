@@ -130,7 +130,7 @@ def simple_strategy(
     uniformized first, so the returned strategy may live on a larger tree
     in which existing node ids are preserved.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise InvalidParams("epsilon must be positive")
     g_p, best = parallel_exponent(pair, leaf_family)
     if epsilon >= -g_p:

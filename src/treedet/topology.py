@@ -2,11 +2,10 @@
 
 Edges point toward the root (the fusion center).  Node ids are dense
 integers; derived metrics are cached numpy arrays, and trees are treated as
-immutable after construction.  A family lays its tree out depth by depth and
-fills depth, child counts, uniformity and the shape table as it goes;
-``Tree(parents)`` checks its input and derives them in passes vectorized per
-depth.  The shape table stores each shape's children once, as (child shape,
-count) runs, and the subtree counts, so its size follows shapes, not nodes.
+immutable after construction.  The shape table stores each shape's children
+once, as (child shape, count) runs, and the subtree counts, so its size
+follows shapes, not nodes.  A depth-ordered family is its table alone; its
+per-node arrays expand from the table on first read.
 """
 
 from __future__ import annotations
@@ -58,9 +57,9 @@ class Tree:
 
     The root's parent is ``None`` or negative; an integer ndarray is copied whole.
     ``Tree(parents)`` checks every entry and derives depth and shapes on
-    demand; trees from the depth-ordered families arrive with them filled.
-    Subtree counts sum over the runs of ``shape_children``, so reading them
-    labels shapes first; structural diagnostics read leaves and fringe degrees.
+    demand.  Height, uniformity and subtree counts read the runs of
+    ``shape_children``, so their first read labels shapes; a depth-ordered
+    family's ``_TableTree`` holds only the table and expands the rest on read.
     """
 
     def __init__(self, parents: Sequence[int | None] | np.ndarray, root: int | None = None):
@@ -139,7 +138,7 @@ class Tree:
 
     @cached_property
     def height(self) -> int:
-        return int(self.depth.max())
+        return int(self.shape_counts.level[-1])
 
     @cached_property
     def is_leaf(self) -> np.ndarray:
@@ -151,9 +150,8 @@ class Tree:
 
     @cached_property
     def _by_depth(self) -> list[np.ndarray]:
-        order = np.argsort(self.depth, kind="stable")
-        bounds = np.searchsorted(self.depth[order], np.arange(self.height + 2))
-        return [order[bounds[d] : bounds[d + 1]] for d in range(self.height + 1)]
+        order = _frozen(np.argsort(self.depth, kind="stable"))
+        return np.split(order, np.flatnonzero(np.diff(self.depth[order])) + 1)
 
     def nodes_at_depth(self, d: int) -> np.ndarray:
         return self._by_depth[d]
@@ -162,8 +160,6 @@ class Tree:
     def subtree_leaf_count(self) -> np.ndarray:
         """l(v): leaves in the subtree rooted at v (1 for a leaf itself), read
         off the shape table; a one-node tree's root is no leaf and scores 0."""
-        if self.n == 1:
-            return _frozen(np.zeros(1, dtype=np.int64))
         return _frozen(self.shape_counts.leaf_count[self.shape_ids])
 
     @cached_property
@@ -189,8 +185,9 @@ class Tree:
 
     @cached_property
     def is_uniform(self) -> bool:
-        """True when every leaf sits at depth equal to the height."""
-        return bool(np.all(self.depth[self.leaves] == self.height))
+        """True when every leaf sits at the full height: each run is one level below its shape."""
+        level = self.shape_counts.level.tolist()
+        return all(level[k] == lv - 1 for lv, runs in zip(level, self.shape_children) for k, _ in runs)
 
     @property
     def shape_ids(self) -> np.ndarray:
@@ -203,7 +200,7 @@ class Tree:
         """
         return self._shapes[0]
 
-    @property
+    @cached_property
     def shape_children(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each shape's children as (child shape id, count) runs in ascending
         child id, indexed by shape id; entry 0 is the leaf's ``()``."""
@@ -212,8 +209,9 @@ class Tree:
     @cached_property
     def shape_counts(self) -> ShapeCounts:
         """Each shape's level (its height), leaf count and proper-descendant
-        count, indexed by shape id, so the root's are last."""
-        level, leaves, nodes = [0], [1], [0]
+        count, indexed by shape id, so the root's are last; a lone root is no
+        leaf, so its leaf count is 0."""
+        level, leaves, nodes = [0], [int(len(self.shape_children) > 1)], [0]
         # ascending id order is bottom-up
         for runs in self.shape_children[1:]:
             level.append(1 + max(level[k] for k, _ in runs))
@@ -238,7 +236,7 @@ class Tree:
         shape = np.zeros(self.n, dtype=np.int64)
         offsets, flat = self._children_csr
         interned: dict[tuple[tuple[int, int], ...], int] = {}
-        for d in range(self.height - 1, -1, -1):
+        for d in range(len(self._by_depth) - 2, -1, -1):
             nodes = self.nodes_at_depth(d)
             nodes = nodes[self.n_children[nodes] > 0]
             degrees = self.n_children[nodes]
@@ -311,25 +309,27 @@ class TreeStats:
 def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
     """Counts leaves living under fringe nodes with at most ``small_cap`` leaves.
 
-    The returned fraction is 0 when no fringe node is that small.
+    Each count sums over shapes; the fraction is 0 when no fringe node is that small.
     """
     if _integer(small_cap, "small_cap") <= 0:
         raise InvalidParams("small_cap must be positive")
-    # every child of a fringe node is a leaf
-    lcounts = tree.n_children[tree.fringe]
-    small = lcounts[lcounts <= small_cap]
-    total_leaves = len(tree.leaves)
-    covered = int(small.sum())
+    counts, count = tree.shape_counts, tree.shape_multiplicity
+    n_nodes, total_leaves = int(counts.node_count[-1]) + 1, int(counts.leaf_count[-1])
+    # a fringe shape's children are all leaves; a leaf parent's lowest run is of leaves
+    fringe = counts.level == 1
+    small = fringe & (counts.leaf_count <= small_cap)
+    leaf_parents = [s for s, runs in enumerate(tree.shape_children) if runs and runs[0][0] == 0]
+    covered = int((count * counts.leaf_count)[small].sum())
     q = covered / total_leaves if total_leaves else 0.0
     return TreeStats(
         height=tree.height,
-        n_nodes=tree.n,
+        n_nodes=n_nodes,
         n_leaves=total_leaves,
-        n_leaf_parents=len(tree.leaf_parents),
-        n_fringe=len(lcounts),
-        n_small_fringe=len(small),
+        n_leaf_parents=int(count[leaf_parents].sum()),
+        n_fringe=int(count[fringe].sum()),
+        n_small_fringe=int(count[small].sum()),
         small_leaf_fraction=q,
-        leaf_fraction=total_leaves / tree.n,
+        leaf_fraction=total_leaves / n_nodes,
     )
 
 
@@ -372,9 +372,9 @@ def estimate_z(
     curves: dict[int, list[float]] = {_integer(c, "small cap"): [] for c in small_caps}
     for size in sizes:
         tree = family.generate(size)
-        lf = len(tree.leaves)
+        lf = int(tree.shape_counts.leaf_count[-1])
         leaf_counts.append(lf)
-        fractions.append(lf / tree.n)
+        fractions.append(lf / (int(tree.shape_counts.node_count[-1]) + 1))
         for cap in curves:
             curves[cap].append(analyze_tree(tree, cap).small_leaf_fraction)
     z_to_one = _trending_to_zero([1.0 - f for f in fractions])
@@ -426,32 +426,40 @@ def uniformize(tree: Tree) -> UniformizeResult:
     return UniformizeResult(out)
 
 
-def _layered(layers: Sequence[tuple]) -> Tree:
-    """A tree laid out depth by depth, with the metrics ``Tree`` derives filled.
+class _TableTree(Tree):
+    """A tree held as its shape table alone, numbered breadth first: node 0
+    is the root, and a node's children are the next ids a depth down, in the
+    order of its runs.  ``shape_ids`` and ``parents`` expand on first read,
+    and the per-node metrics derive from ``parents``.  The ids must be those
+    AHU interning gives this layout, so the tree reads as ``Tree(parents)``."""
 
-    ``layers[d]`` holds depth d's blocks of like nodes in id order as (count,
-    children per node, shape id), with the ids AHU interning gives; a node's
-    children are the next nodes a depth down.
-    """
-    blocks = [np.broadcast_arrays(*np.atleast_1d(*layer)) for layer in layers]
-    counts, kids, sids = map(np.concatenate, zip(*blocks))
-    bounds = np.cumsum([0] + [int(c.sum()) for c, _, _ in blocks]).tolist()
-    n_children, shape = np.repeat(kids, counts), np.repeat(sids, counts)
-    # a shape's children are those of any of its nodes: take each block's first
-    starts = (1 + np.cumsum(counts * kids) - counts * kids).tolist()
-    kin = {sid: shape[a : a + k] for sid, a, k in zip(sids.tolist(), starts, kids.tolist())}
-    tree = Tree.__new__(Tree)
-    tree._root, tree._parents = 0, np.append(-1, np.repeat(np.arange(bounds[-1]), n_children))
-    depth = np.repeat(np.arange(len(blocks)), np.diff(bounds))
-    by_depth = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
-    for arr in (tree._parents, depth, n_children, shape, *by_depth):
-        _frozen(arr)
-    runs = (np.unique(kin[sid], return_counts=True) for sid in range(len(kin)))
-    shapes = (shape, tuple(tuple(zip(ids.tolist(), n.tolist())) for ids, n in runs))
-    tree.__dict__.update(depth=depth, n_children=n_children, _by_depth=by_depth, _shapes=shapes)
-    # uniform unless some block above the last depth is of leaves
-    tree.__dict__["is_uniform"] = all(np.all(k > 0) for _, k, _ in blocks[:-1])
-    return tree
+    def __init__(self, table: tuple[tuple[tuple[int, int], ...], ...]):
+        # the table is the cached value of ``Tree.shape_children``
+        self._root, self.shape_children = 0, table
+
+    @property
+    def n(self) -> int:
+        return int(self.shape_multiplicity.sum())
+
+    @cached_property
+    def _parents(self) -> np.ndarray:
+        degree = np.array([sum(c for _, c in runs) for runs in self.shape_children])
+        return _frozen(np.append(-1, np.repeat(np.arange(self.n), degree[self.shape_ids])))
+
+    @cached_property
+    def _shapes(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:
+        table = self.shape_children
+        kid, count = np.array([run for runs in table for run in runs], dtype=np.int64).reshape(-1, 2).T
+        n_runs = np.array([len(runs) for runs in table])
+        first = np.cumsum(n_runs) - n_runs
+        levels = [np.array([len(table) - 1])]
+        # only the leaf's shape, 0, has no runs
+        while levels[-1].any():
+            r = n_runs[levels[-1]]
+            # each node's runs, in node order
+            at = np.arange(r.sum()) + np.repeat(first[levels[-1]] - np.cumsum(r) + r, r)
+            levels.append(np.repeat(kid[at], count[at]))
+        return _frozen(np.concatenate(levels)), table
 
 
 class _NodeRows(Sequence):
@@ -498,7 +506,7 @@ class _NodeRows(Sequence):
 def _gen_parallel(params: Mapping[str, object], size: int) -> Tree:
     if size < 2:
         raise InvalidParams("parallel tree needs at least 2 nodes")
-    return _layered([(1, size - 1, 1), (size - 1, 0, 0)])
+    return _TableTree(((), ((0, size - 1),)))
 
 
 def _gen_chain_plus_leaves(params: Mapping[str, object], size: int) -> Tree:
@@ -514,23 +522,22 @@ def _gen_chain_plus_leaves(params: Mapping[str, object], size: int) -> Tree:
 def _gen_two_relay(params: Mapping[str, object], size: int) -> Tree:
     if size < 1:
         raise InvalidParams("need at least one leaf per relay")
-    return _layered([(1, 2, 2), (2, size, 1), (2 * size, 0, 0)])
+    return _TableTree(((), ((0, size),), ((1, 2),)))
 
 
 def _gen_wide_uniform(params: Mapping[str, object], size: int) -> Tree:
     m = _integer(params["m"], "parameter 'm'")
     if m < 1 or size < 1:
         raise InvalidParams("leaves per relay and relay count must be >= 1")
-    return _layered([(1, size, 2), (size, m, 1), (size * m, 0, 0)])
+    return _TableTree(((), ((0, m),), ((1, size),)))
 
 
 def _gen_increasing_leaves(params: Mapping[str, object], size: int) -> Tree:
     if size < 1:
         raise InvalidParams("need at least one relay")
     # relay i has i + 1 leaves and is shape i; the root is the last shape
-    relays = np.arange(1, size + 1)
-    leaves = size * (size + 3) // 2
-    return _layered([(1, size, size + 1), (1, relays + 1, relays), (leaves, 0, 0)])
+    relays = range(1, size + 1)
+    return _TableTree(((), *(((0, i + 1),) for i in relays), tuple((i, 1) for i in relays)))
 
 
 # each kind's generator and the parameters it reads

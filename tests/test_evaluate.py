@@ -439,8 +439,29 @@ class TestTailReport:
         empirical_exponent(family, pair75, (5, 10), factory)
         assert cal.tree is tree and len(family.trees) == 5
         for t in family.trees:
-            assert {"subtree_leaf_count", "subtree_node_count"}.isdisjoint(t.__dict__)
+            assert {"subtree_leaf_count", "subtree_node_count", "_parents", "depth"}.isdisjoint(t.__dict__)
         assert (root.node, root.leaf_count, root.pred_count) == (0, 120, 160)
+
+    def test_a_family_tree_at_scale_expands_no_per_node_array(self, pair75, ident, leaf_family):
+        # a family tree is its shape table, and none of these reads expands a
+        # per-node array: 10^7 relays would need gigabytes of them
+        family = TreeFamily("wide_uniform", {"m": 20})
+        big = family.generate(10**7)
+        assert big.shape_multiplicity.tolist() == [2 * 10**8, 10**7, 1]
+        assert big.shape_counts.node_count[-1] == 21 * 10**7
+        assert big.height == 2 and big.is_uniform
+        assert analyze_tree(big, 20).n_nodes == 21 * 10**7 + 1
+        build_relay_strategy(big, ident, (0.0, 0.0))
+        report = chernoff_bound_report(big, rate_table(pair75, ident, (0.0, 0.0)), 20)
+        assert len(report.rows) == 2 * (10**7 + 1) + 2
+        assert [r.kind for r in report.root_rows()] == ["root_type1", "root_type0"]
+        tree = family.generate(10**6)
+        cal = np_calibrate_root(simple_strategy(tree, pair75, leaf_family, 0.1).strategy, pair75, 0.25)
+        exact_error_probs(cal, pair75)
+        assert len(tail_report(cal, pair75)) == 10**6 + 1
+        monte_carlo_error(cal, pair75, trials=20, seed=0)
+        for t in (big, tree):
+            assert {"_parents", "_shapes", "depth", "n_children", "_by_depth"}.isdisjoint(t.__dict__)
 
     def test_two_relay_rows(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(3)

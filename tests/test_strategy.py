@@ -121,10 +121,11 @@ class TestSimpleStrategy:
         with pytest.raises(EpsilonTooLarge):
             simple_strategy(tree, pair75, leaf_family, 0.6)
 
-    def test_epsilon_must_be_positive(self, pair75, leaf_family):
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan])
+    def test_epsilon_must_be_positive(self, pair75, leaf_family, epsilon):
         tree = TreeFamily("two_relay").generate(3)
-        with pytest.raises(InvalidParams):
-            simple_strategy(tree, pair75, leaf_family, -0.1)
+        with pytest.raises(InvalidParams, match="epsilon must be positive"):
+            simple_strategy(tree, pair75, leaf_family, epsilon)
 
 
 def first_admissible_by_scan(strategy, pair, alpha):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from treedet import (
     estimate_z,
     uniformize,
 )
-from treedet.topology import _layered
+from treedet.topology import _TableTree
 
 BAD_PARENTS = {
     "no_root": [1, 0],
@@ -332,8 +333,6 @@ FAMILY_GRID = [
     *(("increasing_leaves", {}, size) for size in (1, 2, 3, 12)),
     *(("chain_plus_leaves", {"h": 2}, size) for size in (4, 9)),
 ]
-# what a depth-ordered family fills in place of the per-node passes
-LAID_OUT = ("depth", "n_children", "_by_depth", "_shapes", "is_uniform")
 
 
 def assert_matches_the_tree_its_parents_derive(t):
@@ -361,9 +360,9 @@ class TestFamilyLayout:
         assert_matches_the_tree_its_parents_derive(TreeFamily(kind, params).generate(size))
 
     def test_a_leaf_above_the_last_depth_is_not_uniform(self):
-        # the root's children: a relay over one leaf (shape 1), then a leaf
-        t = _layered([(1, 2, 2), ((1, 1), (1, 0), (1, 0)), (1, 0, 0)])
-        assert t.parents.tolist() == [-1, 0, 0, 1]
+        # the root's runs: a leaf, then a relay over one leaf (shape 1)
+        t = _TableTree(((), ((0, 1),), ((0, 1), (1, 1))))
+        assert t.parents.tolist() == [-1, 0, 0, 2]
         assert not t.is_uniform
         assert_matches_the_tree_its_parents_derive(t)
 
@@ -371,12 +370,42 @@ class TestFamilyLayout:
         "kind, params",
         [("parallel", {}), ("two_relay", {}), ("wide_uniform", {"m": 3}), ("increasing_leaves", {})],
     )
-    def test_depth_ordered_families_arrive_laid_out_and_frozen(self, kind, params):
+    def test_depth_ordered_families_arrive_as_their_table(self, kind, params):
         t = TreeFamily(kind, params).generate(5)
-        assert set(LAID_OUT) <= set(t.__dict__)
-        filled = [t.parents, t.depth, t.n_children, t.shape_ids]
-        filled += [t.nodes_at_depth(d) for d in range(t.height + 1)]
-        assert not any(a.flags.writeable for a in filled)
+        assert set(t.__dict__) == {"_root", "shape_children"}
+        expanded = [t.parents, t.depth, t.n_children, t.shape_ids]
+        expanded += [t.nodes_at_depth(d) for d in range(t.height + 1)]
+        assert not any(a.flags.writeable for a in expanded)
+
+
+def assert_table_reads_match_per_node(tree):
+    depth = depth_by_passes(tree.parents, tree.root)
+    assert tree.height == depth.max()
+    assert tree.is_uniform == bool(np.all(depth[tree.leaves] == depth.max()))
+    degrees = tree.n_children[tree.fringe]
+    for cap in (1, 2, 5):
+        small = degrees[degrees <= cap]
+        n_leaves = len(tree.leaves)
+        assert astuple(analyze_tree(tree, cap)) == (
+            tree.height, tree.n, n_leaves, len(tree.leaf_parents), len(degrees), len(small),
+            int(small.sum()) / n_leaves if n_leaves else 0.0, n_leaves / tree.n,
+        )
+
+
+class TestTableReads:
+    """Height, uniformity and the structural counts, read off the shape table,
+    equal what the per-node arrays say."""
+
+    def test_rugged_and_uniform_trees(self, make_rugged_tree, make_uniform_tree):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            assert_table_reads_match_per_node(make_rugged_tree(rng, int(rng.integers(1, 6))))
+            assert_table_reads_match_per_node(make_uniform_tree(rng, int(rng.integers(1, 4))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(recursive_trees)
+    def test_random_recursive_trees(self, t):
+        assert_table_reads_match_per_node(t)
 
 
 def assert_counts_match_passes(tree):
@@ -405,7 +434,8 @@ class TestSubtreeCounts:
         # the lone root is not a leaf
         t = Tree([None])
         assert_counts_match_passes(t)
-        assert t.subtree_leaf_count.tolist() == [0]
+        assert t.subtree_leaf_count.tolist() == t.shape_counts.leaf_count.tolist() == [0]
+        assert_table_reads_match_per_node(t)
         assert t.subtree_node_count.tolist() == [0]
 
     def test_chain(self):
