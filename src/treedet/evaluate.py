@@ -13,19 +13,23 @@ isomorphic branches cost no more than their distinct shapes.  They are
 memoized on the strategy, one set per pair: calibrating the root threshold
 hands them to the calibrated copy, and they are freed with the strategy.
 
-Monte Carlo runs on counter-based substreams, so a seed reproduces its
-run, and reads only the shape table: each shape's node count, then its
-(child shape, count) runs bottom-up.  A relay's rule sends a prefix of its
-sorted sum atoms low, so a simulated sum is decided by one comparison with
-the midpoint between the last atom sent low and the first sent high; ties
-fall as in the exact split, with no tolerance.  A run of c >= 2 fringe
-siblings sends i.i.d. bits and draws its count of high bits with one
-binomial, a lone fringe node its bit with one uniform, both against the
-exact split or a two-atom gate law; a gate law wider than two atoms is
-drawn node by node, by CDF search.  A run of relays counts the high
-decisions of as many nodes of its shape.  Monte Carlo thus takes the fringe
-level's law from the exact engine, and `tests/test_oracle.py` checks that
-level by enumeration.
+Monte Carlo reads only the shape table: each shape's node count, then its
+(child shape, count) runs bottom-up.  Trials run in blocks, each on its own
+counter-based substream per hypothesis, so a seed reproduces its run.  A
+block is sized by the rows it holds, one per node of a relay shape and c
+per node of a run of c fringe siblings drawn node by node: an ungated
+height-2 tree holds one row, so 10^5 trials on 10^6 relays run in one
+substream.  A relay's rule sends a prefix of its sorted sum atoms low, so a
+simulated sum is decided by one comparison with the midpoint between the
+last atom sent low and the first sent high; ties fall as in the exact
+split, with no tolerance.  Each run draws its own numbers when the walk
+reaches it: c >= 2 fringe siblings send i.i.d. bits and draw their count of
+high bits with one binomial, a lone fringe node its bit with one uniform,
+both against the end atoms of its outgoing bit or two-atom gate law; a gate
+law wider than two atoms is drawn node by node, by CDF search.  A run of
+relays counts the high decisions of as many nodes of its shape.  Monte
+Carlo thus takes the fringe level's law from the exact engine, and
+`tests/test_oracle.py` checks that level by enumeration.
 """
 
 from __future__ import annotations
@@ -409,28 +413,26 @@ def fringe_message_laws(
 def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
     """(cut, low, high, P(send low), P(send high)) under ``hypothesis`` by
     shape, and the (atoms, CDF) of a gate law wider than two atoms, else None."""
-    level, lcount, _ = strategy.tree.shape_counts
-    root = _split(ctx.root_sum, int(lcount[-1]), strategy.root_threshold)
+    l_f = int(strategy.tree.shape_counts.leaf_count[-1])
+    root = _split(ctx.root_sum, l_f, strategy.root_threshold)
     table = np.zeros((len(ctx.sums), 5))
     wide = None
     for sid, (law, out, split) in enumerate(zip(ctx.sums, ctx.out, [*ctx.split[:-1], root])):
-        if out is not None:  # the root sends no message
-            table[sid, 1:3] = out.values[[0, -1]]
-        if law is not None:  # the leaf and a gate level have no sum
-            k = split[0]
+        if law is not None:  # a relay cuts between the last atom sent low and the next
             v = np.concatenate(([-np.inf], law.values, [np.inf]))
-            table[sid, 0] = (v[k] + v[k + 1]) / 2.0
-            # each side's own mass in the one split, clamped: a log mass can sum
-            # an ulp above 0, where 1 - P(send low) would fall an ulp below 0
-            table[sid, 3:] = [math.exp(min(split[s + hypothesis], 0.0)) for s in (1, 3)]
-        elif level[sid]:  # a gated fringe node draws its output atom
+            table[sid, 0] = (v[split[0]] + v[split[0] + 1]) / 2.0
+        if out is None:  # the root sends no message; its split gives its decision
+            table[sid, 3] = math.exp(min(split[1 + hypothesis], 0.0))
+            continue
+        # an outgoing law's end atoms and their masses, clamped: a log mass can
+        # sum an ulp above 0, and a binomial refuses a chance above 1
+        logp = out.logp1 if hypothesis else out.logp0
+        table[sid, 1:] = *out.values[[0, -1]], *(math.exp(min(x, 0.0)) for x in logp[[0, -1]])
+        # besides the leaf's, only a gate law has no sum; a wide one is drawn by CDF search
+        if law is None and sid and out.n_atoms > 2:
             # x / x is exactly 1, so no u < 1 searches past the last atom
-            cdf = np.cumsum(out.p0 if hypothesis == 0 else out.p1)
-            cdf /= cdf[-1]
-            high = out.logp1[-1] if hypothesis else out.logp0[-1]
-            table[sid, 3:] = cdf[0], math.exp(min(high, 0.0))
-            if out.n_atoms > 2:
-                wide = out.values, cdf
+            cdf = np.cumsum(np.exp(logp))
+            wide = out.values, cdf / cdf[-1]
     return table, wide
 
 
@@ -444,25 +446,17 @@ def _simulate_error_count(
     # a node's children share one level, so a relay's runs are all fringe runs
     # or all runs of relays; ascending id order is bottom-up, the root last
     relays = [s for s in range(len(runs)) if level[s] > 1]
-    # a lone fringe node, and every fringe node under a gate law wider than
-    # two atoms, draws one uniform; a height-1 root draws its own decision
-    uniforms = sum(count[s] * c for s in relays for k, c in runs[s]
-                   if level[k] == 1 and (c == 1 or wide is not None)) if relays else 1
-
-    # blocks keep the size they had when fringe nodes drew one column per
-    # leaf or gate atom, so the streams of lone and wide-gate fringe nodes
-    # stay bit for bit
-    width = np.bincount(level, weights=count)
-    atoms = 2 if wide is None else wide[0].size
-    cols = int(max(width[1] * atoms, *width[1:]))
-    block = max(1, min(trials, _MC_BLOCK_FLOATS // cols))
+    # a block holds one row per node of a relay shape, and c per node of a
+    # fringe run drawn node by node; a height-1 root holds one
+    rows = max((count[s] * (c if wide and level[k] == 1 else 1)
+                for s in relays for k, c in runs[s]), default=1)
+    block = max(1, min(trials, _MC_BLOCK_FLOATS // rows))
     errors = 0
     for b in range((trials + block - 1) // block):
         nb = min(block, trials - b * block)
         rng = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0]))
-        u, at = rng.random((uniforms, nb)), 0
         # the decisions of each relay shape not yet summed by a parent
-        bits = {} if relays else {len(runs) - 1: u >= plow[-1]}
+        bits = {} if relays else {len(runs) - 1: rng.random(nb) >= plow[-1]}
         for s in relays:
             n, total = count[s], 0.0
             for k, c in runs[s]:
@@ -470,13 +464,11 @@ def _simulate_error_count(
                     high_bits = bits[k][: n * c].reshape(n, c, nb).sum(1)
                     bits[k] = bits[k][n * c :]
                 elif wide is not None:  # each node's atom by CDF search
-                    picks = np.searchsorted(wide[1], u[at : at + n * c], side="right")
+                    picks = np.searchsorted(wide[1], rng.random((n * c, nb)), side="right")
                     total += wide[0][picks].reshape(n, c, nb).sum(1)
-                    at += n * c
                     continue
                 elif c == 1:  # a lone fringe node: one uniform against P(send low)
-                    high_bits = u[at : at + n] >= plow[k]
-                    at += n
+                    high_bits = rng.random((n, nb)) >= plow[k]
                 else:  # same-shape fringe siblings send i.i.d. bits: one binomial
                     high_bits = rng.binomial(c, phigh[k], (n, nb))
                 # c low messages, raised by the count of high bits
@@ -491,9 +483,13 @@ def monte_carlo_error(
 ) -> ErrorEstimate:
     """Simulates both hypotheses with deterministic counter-based streams.
 
-    Strategy, pair, trials, seed and ``_MC_BLOCK_FLOATS`` fix the estimate,
-    whatever the call order; the block size sets which trials share a
-    substream, so it changes the counts.  ``seed`` must lie in [0, 2**63).
+    A block of trials holds at most ``_MC_BLOCK_FLOATS`` floats, its trials
+    times the rows of its largest state, and runs on one Philox substream
+    per hypothesis; each run of siblings draws its own numbers where the
+    walk reads them.  Strategy, pair, trials, seed and ``_MC_BLOCK_FLOATS``
+    fix the estimate, whatever the call order; the block size sets which
+    trials share a substream, so it changes the counts.  ``seed`` must lie
+    in [0, 2**63).
     """
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:

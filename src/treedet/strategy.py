@@ -101,7 +101,8 @@ def build_relay_strategy(
         tree=tree,
         gamma=gamma,
         thresholds=ts,
-        root_threshold=ts[-1],
+        # with no thresholds, Strategy's own checks name the fault
+        root_threshold=ts[-1] if ts else math.nan,
         level1_gate=level1_gate,
     )
     if pair is not None and level1_gate is None:

@@ -18,6 +18,7 @@ from treedet import (
     EnumerationTooLarge,
     InputError,
     InvalidParams,
+    QuantizerFamily,
     TransmissionFunction,
     all_binary_leaf_family,
     and_gate,
@@ -78,6 +79,20 @@ class TestTransmissionFunction:
         ):
             TransmissionFunction(0, (BINARY,), BINARY, table)
 
+    @pytest.mark.parametrize(
+        "arity, inputs, table, message",
+        [
+            (-1, (BINARY,), {(0,): 0, (1,): 1}, "^arity must be >= 0$"),
+            (2, (BINARY,), {(0,): 0, (1,): 1}, r"^arity 2 requires 2 input alphabet\(s\)$"),
+            (0, (BINARY,), {(0,): 0}, r"^table not total: missing \[\(1,\)\]\.\.\.$"),
+            (0, (BINARY,), {(0,): 0, (1,): 2}, r"^outputs \[2\] not in the output alphabet$"),
+        ],
+        ids=["negative_arity", "input_count", "not_total", "output_outside"],
+    )
+    def test_malformed_maps_rejected(self, arity, inputs, table, message):
+        with pytest.raises(InvalidParams, match=message):
+            TransmissionFunction(arity, inputs, BINARY, table)
+
     def test_wrong_input_count(self):
         from treedet import InputError
 
@@ -96,6 +111,10 @@ class TestEnumeration:
         # 2**32 maps from five binary inputs exceed ENUMERATION_CAP
         with pytest.raises(EnumerationTooLarge):
             enumerate_quantizers((BINARY,) * 5, BINARY)
+
+    def test_needs_an_input_alphabet(self):
+        with pytest.raises(InvalidParams, match="^need at least one input alphabet$"):
+            enumerate_quantizers((), BINARY)
 
     def test_arity_two(self):
         maps = enumerate_quantizers((BINARY, BINARY), BINARY)
@@ -243,6 +262,22 @@ class TestParallelExponent:
     def test_degenerate_family(self, pair75):
         with pytest.raises(DegenerateFamily):
             parallel_exponent(pair75, [_constant(0)])
+
+    def test_empty_family(self, pair75):
+        with pytest.raises(InvalidParams, match="^leaf family must be non-empty$"):
+            parallel_exponent(pair75, [])
+
+
+class TestQuantizerFamily:
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [((), "^leaf family must be non-empty$"),
+         ((identity_map(BINARY), or_gate()), "^leaf family entries must have arity 0$")],
+        ids=["empty", "gate_entry"],
+    )
+    def test_refusals(self, leaf, message):
+        with pytest.raises(InvalidParams, match=message):
+            QuantizerFamily(leaf)
 
 
 def _reference_parallel_exponent(pair, gammas):
@@ -393,6 +428,10 @@ class TestInducedMemo:
 
 
 class TestFusedPairPushesOnce:
+    def test_gate_arity_must_match_the_inputs(self, pair75):
+        with pytest.raises(InvalidParams, match="^gate arity 2 != 3 quantized inputs$"):
+            fused_pair(pair75, [identity_map(BINARY)] * 3, or_gate())
+
     def test_repeated_map_matches_distinct_copies(self):
         rng = np.random.default_rng(12)
         gates = enumerate_quantizers((BINARY, BINARY), BINARY)
@@ -421,3 +460,16 @@ class TestFusionLoss:
     def test_requires_matching_arity(self, pair75, leaf_family):
         with pytest.raises(InvalidParams):
             fusion_loss_constant(pair75, leaf_family, [or_gate()], 3)
+
+    def test_k_must_be_positive(self, pair75, leaf_family):
+        with pytest.raises(InvalidParams, match="^k must be >= 1$"):
+            fusion_loss_constant(pair75, leaf_family, [or_gate()], 0)
+
+    def test_combinations_capped(self, pair75):
+        # 16 gates times 256^2 leaf-map pairs exceed ENUMERATION_CAP = 10**6
+        leaf_maps = enumerate_quantizers(Alphabet(tuple(range(8))), BINARY)
+        gates = enumerate_quantizers((BINARY, BINARY), BINARY)
+        with pytest.raises(
+            EnumerationTooLarge, match="^1048576 fused configurations exceed cap 1000000$"
+        ):
+            fusion_loss_constant(pair75, leaf_maps, gates, 2)

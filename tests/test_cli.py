@@ -259,6 +259,18 @@ class TestSimulateCommand:
             assert doc[key]["log_type_i"] is None
             assert doc[key]["log_type_ii"] == 0.0
 
+    def test_uniformize_flag_evaluates_the_uniformized_tree(self, tmp_path):
+        code = run(
+            "simulate", "--pair", "bern75", "--family", "chain_plus_leaves",
+            "--params", '{"h": 2}', "--size", "6", "--gamma", "identity",
+            "--thresholds", "0", "--uniformize", "--out", tmp_path,
+        )
+        assert code == 0
+        doc = read_json(tmp_path / "simulate.json")
+        # the three leaves under the root move below one new relay
+        assert (doc["n_nodes"], doc["leaf_count"]) == (7, 4)
+        assert doc["strategy"]["thresholds"] == [0.0, 0.0]
+
     def test_state_space_blowup_exits_two(self, tmp_path):
         code = run(
             "simulate", "--pair", "bern75", "--family", "increasing_leaves",
@@ -642,6 +654,17 @@ class TestLoaderErrors:
         src.write_text(Tree([-1]).to_json())
         assert run(*RATES[:-1], "0", "--tree", src, "--out", tmp_path) == 1
         assert _error_line(capsys) == "error: tree has no fringe nodes"
+
+    @pytest.mark.parametrize(
+        "strategy", [("--epsilon", "0.1"), ("--gamma", "identity", "--thresholds", "0")],
+        ids=["recipe", "explicit"],
+    )
+    def test_one_node_tree_has_no_strategy(self, tmp_path, capsys, strategy):
+        src = tmp_path / "tree.json"
+        src.write_text('{"n": 1, "root": 0, "parents": [null]}')
+        argv = ("simulate", "--pair", "bern75", "--tree", src, *strategy, "--out", tmp_path)
+        assert run(*argv) == 1
+        assert _error_line(capsys) == "error: tree must have at least one level"
 
     def test_non_uniform_tree_exits_two(self, tmp_path, capsys):
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)

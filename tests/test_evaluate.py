@@ -337,6 +337,16 @@ class TestRootSumLaw:
         ):
             root_sum_law(s, pair75)
 
+    def test_binomial_power_cap(self, pair75, ident, monkeypatch):
+        monkeypatch.setattr(ev, "STATE_SPACE_CAP", 10)
+        s = build_relay_strategy(TreeFamily("wide_uniform", {"m": 10}).generate(2), ident, (0.0, 0.0))
+        with pytest.raises(
+            StateSpaceTooLarge,
+            match=r"^level 1, shape 1: 10 copies of a two-atom law would create 11 atoms, "
+            r"over the cap of 10$",
+        ):
+            root_sum_law(s, pair75)
+
 
 class TestExactErrors:
     def test_log_fields_match_linear(self, pair75, ident):
@@ -625,8 +635,8 @@ class TestMonteCarlo:
             (False, TreeFamily("two_relay").generate(4), (0.0, 0.0), 40000),
             # every relay sends high, so the laws above the leaves have one atom
             (False, TreeFamily("wide_uniform", {"m": 3}).generate(5), (-5.0, 0.0), 40000),
-            # every relay sends low, and the fringe's low log mass sums to
-            # 2.2e-16 under H0: its binomial's P(send high) must stay at 0
+            # every relay sends low: each bit law has one atom, its low and high
+            # end alike, though the fringe split's low log mass sums to 2.2e-16
             (True, TreeFamily("wide_uniform", {"m": 3}).generate(4), (1.0, 0.0), 40000),
             # one group of 40 same-shape fringe siblings: one binomial per trial
             (False, TreeFamily("wide_uniform", {"m": 2}).generate(40), (0.0, 0.0), 10**6),
@@ -715,6 +725,51 @@ class TestMonteCarlo:
         mc = monte_carlo_error(cal, pair75, trials=2000, seed=4)
         assert 0.0 < mc.type_i < 1.0 and 0.0 <= mc.type_ii < 1.0
 
+    @staticmethod
+    def _count_substreams(monkeypatch):
+        # the hypothesis of each Philox substream a simulation opens
+        opened, philox = [], np.random.Philox
+
+        def counted(*args, **kwargs):
+            opened.append(kwargs["counter"][2])
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        return opened
+
+    def test_a_block_holds_every_trial_at_scale(self, pair75, ident, monkeypatch):
+        # 10^6 fringe siblings of one root hold one row: one binomial count
+        # per trial, and one substream per hypothesis for 10^5 trials
+        tree = TreeFamily("wide_uniform", {"m": 20}).generate(10**6)
+        cal = np_calibrate_root(build_relay_strategy(tree, ident, (0.0, 0.0)), pair75, 0.25)
+        exact = exact_error_probs(cal, pair75)
+        opened = self._count_substreams(monkeypatch)
+        mc = monte_carlo_error(cal, pair75, trials=10**5, seed=2)
+        assert opened == [0, 1]
+        for p, q in ((exact.type_i, mc.type_i), (exact.type_ii, mc.type_ii)):
+            assert abs(p - q) <= 4.0 * math.sqrt(p * (1.0 - p) / 10**5)
+
+    def test_block_size_is_floats_over_rows(self, pair75, ident, monkeypatch):
+        # a two_relay root holds one row, so a block takes 1024 trials
+        s = build_relay_strategy(TreeFamily("two_relay").generate(6), ident, (0.0, 0.0))
+        cal = np_calibrate_root(s, pair75, 0.25)
+        monkeypatch.setattr(ev, "_MC_BLOCK_FLOATS", 1024)
+        opened = self._count_substreams(monkeypatch)
+        monte_carlo_error(cal, pair75, trials=5000, seed=0)
+        assert opened == [0] * 5 + [1] * 5
+
+    def test_binomial_before_lone_uniform_matches_exact(self, pair75, ident):
+        # the root's sibling pair has the lower shape id, so its binomial count
+        # is drawn before the lone fringe node's uniform
+        tree = Tree([-1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3])
+        assert [c for _, c in tree.shape_children[-1]] == [2, 1]
+        cal = np_calibrate_root(build_relay_strategy(tree, ident, (0.0, 0.0)), pair75, 0.25)
+        exact = exact_error_probs(cal, pair75)
+        for seed in range(4):
+            mc = monte_carlo_error(cal, pair75, trials=40000, seed=seed)
+            for p, q in ((exact.type_i, mc.type_i), (exact.type_ii, mc.type_ii)):
+                assert abs(p - q) <= 4.0 * math.sqrt(p * (1.0 - p) / 40000)
+
     def test_trials_validated(self, pair75, ident):
         tree = TreeFamily("two_relay").generate(2)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
@@ -740,36 +795,36 @@ class TestMonteCarlo:
         [
             # wrong decisions under (H0, H1) per (seed, floats per block);
             # six same-shape two-atom gated siblings draw one binomial count,
-            # at z = -3.11/-0.72, -0.28/0.81 and -0.60/-0.50 against exact
+            # at z = -3.11/-0.72, -0.28/0.81 and 0.84/-1.05 against exact
             (
                 False, "wide_uniform", {"m": 2}, 6, or_gate(),
-                {(5, None): (4513, 78), (11, None): (4683, 92), (5, 1024): (4664, 80)},
+                {(5, None): (4513, 78), (11, None): (4683, 92), (5, 1024): (4750, 75)},
             ),
             # a three-atom gate law is drawn by CDF search
             (
                 False, "wide_uniform", {"m": 2}, 5, count_gate(),
-                {(5, None): (4421, 65), (11, None): (4421, 76), (5, 1024): (4447, 58)},
+                {(5, None): (4421, 65), (11, None): (4421, 76), (5, 1024): (4508, 76)},
             ),
             # a three-atom leaf law: one uniform per fringe node against the
             # exact split, every count within 2 se of the exact rates
             (
                 True, "increasing_leaves", {}, 7, None,
-                {(5, None): (4605, 69), (11, None): (4589, 64), (5, 1024): (4584, 64)},
+                {(5, None): (4605, 69), (11, None): (4589, 64), (5, 1024): (4699, 59)},
             ),
             # a height-1 root is the one fringe node and draws its own decision
             (
                 False, "parallel", {}, 12, None,
-                {(5, None): (2223, 156), (11, None): (2350, 155), (5, 1024): (2244, 178)},
+                {(5, None): (2223, 156), (11, None): (2350, 155), (5, 1024): (2310, 173)},
             ),
             # two same-shape relays: one binomial count of high bits
             (
                 False, "two_relay", {}, 6, None,
-                {(5, None): (1441, 546), (11, None): (1464, 546), (5, 1024): (1443, 587)},
+                {(5, None): (1441, 546), (11, None): (1464, 546), (5, 1024): (1492, 549)},
             ),
             # three relays of distinct shapes: one uniform each
             (
                 False, "increasing_leaves", {}, 3, None,
-                {(5, None): (5044, 324), (11, None): (4965, 369), (5, 1024): (4858, 380)},
+                {(5, None): (5044, 324), (11, None): (4965, 369), (5, 1024): (4987, 375)},
             ),
         ],
         ids=[

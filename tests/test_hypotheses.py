@@ -93,6 +93,10 @@ class TestDistributionPair:
         with pytest.raises(InputError, match=r"p0 entries must lie in \[0, 1\]"):
             DistributionPair(BINARY, np.array([np.nan, 1.0]), np.array([0.0, 1.0]))
 
+    def test_wrong_length_rejected(self):
+        with pytest.raises(InputError, match="^p0 must have one probability per symbol$"):
+            DistributionPair(BINARY, np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.5]))
+
     def test_one_sided_zero_rejected(self):
         with pytest.raises(EquivalenceViolation):
             DistributionPair(BINARY, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
@@ -116,6 +120,11 @@ class TestDistributionPair:
         ):
             with pytest.raises(InputError, match="malformed pair document"):
                 DistributionPair.from_json(text)
+
+
+    def test_from_json_names_a_missing_field(self):
+        with pytest.raises(InputError, match="^pair document missing field 'p1'$"):
+            DistributionPair.from_json('{"alphabet": [0, 1], "p0": [0.5, 0.5]}')
 
 
 class TestDivergences:

@@ -1,4 +1,5 @@
-"""Every import in the package sits at module level, and the exports hold.
+"""Every import in the package sits at module level, the exports hold, and
+no source line is over 104 columns.
 
 An import inside a function body hides a dependency from the module graph,
 usually to dodge an import cycle; this test keeps the graph honest.  The
@@ -15,6 +16,7 @@ import treedet
 
 PACKAGE = Path(treedet.__file__).parent
 WORKLOADS = PACKAGE.parents[1] / "bench" / "workloads.py"
+MAX_COLUMNS = 104
 
 
 def _nested_imports(tree: ast.Module) -> list[int]:
@@ -60,3 +62,13 @@ def test_benchmark_imports_stay_exported():
     }
     assert imported
     assert imported <= set(treedet.__all__)
+
+
+def test_no_line_over_the_column_limit():
+    long = {
+        f"{path.name}:{i}": len(line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > MAX_COLUMNS
+    }
+    assert long == {}

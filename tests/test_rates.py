@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from treedet import (
+    BINARY,
     Alphabet,
     DistributionPair,
     InfeasibleThreshold,
     InvalidParams,
     NotUniform,
+    TransmissionFunction,
     TreeFamily,
     chernoff_bound_report,
     feasible_threshold_interval,
@@ -109,6 +111,13 @@ class TestRateTable:
     def test_infeasible_first_level(self, pair75, ident):
         with pytest.raises(InfeasibleThreshold):
             rate_table(pair75, ident, (-0.6,))
+
+    def test_uninformative_leaf_map(self, pair75):
+        constant = TransmissionFunction(0, (BINARY,), BINARY, {(0,): 0, (1,): 0})
+        with pytest.raises(InfeasibleThreshold) as exc:
+            rate_table(pair75, constant, (0.0,))
+        assert exc.value.level == 1
+        assert str(exc.value) == "level 1: leaf map is uninformative: empty threshold interval"
 
     def test_infeasible_deep_level(self, pair75, ident):
         with pytest.raises(InfeasibleThreshold):
@@ -283,6 +292,12 @@ class TestChernoffBounds:
             report = chernoff_bound_report(tree, table, n_floor=10**9)
             assert report.rows == tuple(rows)
             assert all(type(r.value) is float for r in report.rows)
+
+    def test_table_height_must_match_the_tree(self, pair75, ident):
+        tree = TreeFamily("two_relay").generate(3)
+        table = rate_table(pair75, ident, (0.0,))
+        with pytest.raises(InvalidParams, match="^rate table has 1 levels, tree height is 2$"):
+            chernoff_bound_report(tree, table, 1)
 
     def test_rejects_non_uniform(self, pair75, ident):
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)

@@ -7,11 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from treedet import (
+    BINARY,
+    Alphabet,
     EpsilonTooLarge,
     InfeasibleThreshold,
     InvalidParams,
     NotUniform,
     Strategy,
+    TransmissionFunction,
     Tree,
     TreeFamily,
     and_gate,
@@ -38,6 +41,19 @@ class TestStrategyValidation:
         with pytest.raises(NotUniform):
             build_relay_strategy(tree, ident, (0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "tree, thresholds, message",
+        [
+            (Tree([None]), (), "^tree must have at least one level$"),
+            (TreeFamily("two_relay").generate(3), (), "^need 2 thresholds for a height-2 tree, got 0$"),
+        ],
+        ids=["one_node", "no_thresholds"],
+    )
+    def test_refusals_come_from_the_strategy_checks(self, ident, tree, thresholds, message):
+        # an empty threshold list has no last entry to make the root threshold
+        with pytest.raises(InvalidParams, match=message):
+            build_relay_strategy(tree, ident, thresholds)
+
     def test_leaf_map_must_be_arity_zero(self):
         tree = TreeFamily("two_relay").generate(2)
         with pytest.raises(InvalidParams):
@@ -55,6 +71,14 @@ class TestStrategyValidation:
             build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate())
         tree = Tree([-1, 0, 0, 1, 1, 2, 2])
         assert build_relay_strategy(tree, ident, (0.0, 0.0), level1_gate=or_gate()).tree is tree
+
+    def test_gate_inputs_must_match_the_leaf_messages(self, pair75):
+        # the leaf map sends "lo" and "hi"; an or gate reads 0 and 1
+        table = {(0,): "lo", (1,): "hi"}
+        gamma = TransmissionFunction(0, (BINARY,), Alphabet(("lo", "hi")), table)
+        tree = TreeFamily("two_relay").generate(2)
+        with pytest.raises(InvalidParams, match="^gate inputs must match the leaf message alphabet$"):
+            build_relay_strategy(tree, gamma, (0.0, 0.0), level1_gate=or_gate())
 
     def test_gate_needs_two_levels(self, ident):
         tree = TreeFamily("parallel").generate(3)
@@ -120,6 +144,10 @@ class TestSimpleStrategy:
         tree = TreeFamily("two_relay").generate(3)
         with pytest.raises(EpsilonTooLarge):
             simple_strategy(tree, pair75, leaf_family, 0.6)
+
+    def test_one_node_tree_is_refused(self, pair75, leaf_family):
+        with pytest.raises(InvalidParams, match="^tree must have at least one level$"):
+            simple_strategy(Tree([None]), pair75, leaf_family, 0.1)
 
     @pytest.mark.parametrize("epsilon", [-0.1, math.nan])
     def test_epsilon_must_be_positive(self, pair75, leaf_family, epsilon):

@@ -81,6 +81,11 @@ class TestTreeValidation:
         assert np.array_equal(depth, depth_by_passes(parents, 0))
         assert (depth < 0).any()
 
+    @pytest.mark.parametrize("parents", [5, []], ids=["scalar", "empty"])
+    def test_parents_must_be_a_non_empty_sequence(self, parents):
+        with pytest.raises(InputError, match="^parents must be a non-empty 1-d sequence$"):
+            Tree(parents)
+
     def test_declared_root_must_match(self):
         with pytest.raises(InputError):
             Tree([-1, 0], root=1)
@@ -262,6 +267,14 @@ class TestShapeIds:
         assert t.shape_children == ((), ((0, 20),), ((1, 100000),))
 
 
+    def test_from_json_names_the_parse_error(self):
+        with pytest.raises(
+            InputError,
+            match="^malformed tree document: Expecting property name enclosed in double quotes",
+        ):
+            Tree.from_json("{")
+
+
 class TestGenerators:
     def test_parallel_counts_nodes(self):
         t = TreeFamily("parallel").generate(5)
@@ -304,6 +317,23 @@ class TestGenerators:
     def test_size_must_be_an_integer(self, size):
         with pytest.raises(InvalidParams, match="size is"):
             TreeFamily("wide_uniform", {"m": 2}).generate(size)
+
+    @pytest.mark.parametrize(
+        "kind, params, size, message",
+        [
+            ("parallel", {}, 1, "parallel tree needs at least 2 nodes"),
+            ("chain_plus_leaves", {"h": 0}, 5, "height must be >= 1"),
+            ("chain_plus_leaves", {"h": 3}, 4, "need at least 5 nodes for height 3"),
+            ("two_relay", {}, 0, "need at least one leaf per relay"),
+            ("wide_uniform", {"m": 0}, 3, "leaves per relay and relay count must be >= 1"),
+            ("increasing_leaves", {}, 0, "need at least one relay"),
+        ],
+        ids=["parallel", "chain_height", "chain_size", "two_relay", "wide_uniform",
+             "increasing_leaves"],
+    )
+    def test_size_and_parameter_refusals(self, kind, params, size, message):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            TreeFamily(kind, params).generate(size)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
@@ -458,6 +488,10 @@ class TestAnalysis:
         with pytest.raises(InvalidParams, match="small_cap is"):
             analyze_tree(TreeFamily("two_relay").generate(3), cap)
 
+    def test_small_cap_must_be_positive(self):
+        with pytest.raises(InvalidParams, match="^small_cap must be positive$"):
+            analyze_tree(TreeFamily("two_relay").generate(3), 0)
+
     def test_two_relay_stats(self):
         t = TreeFamily("two_relay").generate(3)
         stats = analyze_tree(t, small_cap=2)
@@ -484,6 +518,11 @@ class TestAnalysis:
     def test_estimate_z_refuses_non_integers(self, sizes, caps, message):
         with pytest.raises(InvalidParams, match=message):
             estimate_z(TreeFamily("increasing_leaves"), sizes, caps)
+
+    @pytest.mark.parametrize("sizes", [(), (5, 5), (10, 5)], ids=["empty", "repeat", "falling"])
+    def test_estimate_z_needs_an_increasing_grid(self, sizes):
+        with pytest.raises(InvalidParams, match="^size grid must be non-empty and increasing$"):
+            estimate_z(TreeFamily("increasing_leaves"), sizes)
 
     def test_estimate_z_on_increasing_leaves(self):
         growth = estimate_z(TreeFamily("increasing_leaves"), (25, 50, 100, 200))
