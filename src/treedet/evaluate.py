@@ -16,20 +16,20 @@ hands them to the calibrated copy, and they are freed with the strategy.
 Monte Carlo reads only the shape table: each shape's node count, then its
 (child shape, count) runs bottom-up.  Trials run in blocks, each on its own
 counter-based substream per hypothesis, so a seed reproduces its run.  A
-block is sized by the rows it holds, one per node of a relay shape and c
-per node of a run of c fringe siblings drawn node by node: an ungated
-height-2 tree holds one row, so 10^5 trials on 10^6 relays run in one
-substream.  A relay's rule sends a prefix of its sorted sum atoms low, so a
-simulated sum is decided by one comparison with the midpoint between the
-last atom sent low and the first sent high; ties fall as in the exact
-split, with no tolerance.  Each run draws its own numbers when the walk
-reaches it: c >= 2 fringe siblings send i.i.d. bits and draw their count of
-high bits with one binomial, a lone fringe node its bit with one uniform,
-both against the end atoms of its outgoing bit or two-atom gate law; a gate
-law wider than two atoms is drawn node by node, by CDF search.  A run of
-relays counts the high decisions of as many nodes of its shape.  Monte
-Carlo thus takes the fringe level's law from the exact engine, and
-`tests/test_oracle.py` checks that level by enumeration.
+block is sized by the rows it holds: one per relay node, whose decision
+waits for its parent, or c per node of a run of c fringe siblings drawn
+node by node.  An ungated height-2 tree holds one row, so 10^5 trials on
+10^6 relays run in one substream.  A relay's rule sends a prefix of its
+sorted sum atoms low, so a simulated sum is decided by one comparison with
+the midpoint between the last atom sent low and the first sent high; ties
+fall as in the exact split, with no tolerance.  Each run draws its own
+numbers when the walk reaches it: c >= 2 fringe siblings send i.i.d. bits
+and draw their count of high bits with one binomial, a lone fringe node its
+bit with one uniform, both against the end atoms of its outgoing bit or
+two-atom gate law; a gate law wider than two atoms is drawn node by node,
+by CDF search.  A run of relays counts the high decisions of as many nodes
+of its shape.  Monte Carlo thus takes the fringe level's law from the exact
+engine, and `tests/test_oracle.py` checks that level by enumeration.
 """
 
 from __future__ import annotations
@@ -446,10 +446,10 @@ def _simulate_error_count(
     # a node's children share one level, so a relay's runs are all fringe runs
     # or all runs of relays; ascending id order is bottom-up, the root last
     relays = [s for s in range(len(runs)) if level[s] > 1]
-    # a block holds one row per node of a relay shape, and c per node of a
-    # fringe run drawn node by node; a height-1 root holds one
-    rows = max((count[s] * (c if wide and level[k] == 1 else 1)
-                for s in relays for k, c in runs[s]), default=1)
+    # a block keeps one decision per relay node until its parent reads it, and
+    # draws c rows per node of a wide-gated fringe run; a height-1 root holds one
+    rows = max(1, sum(count[s] for s in relays),
+               *(count[s] * c for s in relays for k, c in runs[s] if wide and level[k] == 1))
     block = max(1, min(trials, _MC_BLOCK_FLOATS // rows))
     errors = 0
     for b in range((trials + block - 1) // block):
@@ -483,13 +483,14 @@ def monte_carlo_error(
 ) -> ErrorEstimate:
     """Simulates both hypotheses with deterministic counter-based streams.
 
-    A block of trials holds at most ``_MC_BLOCK_FLOATS`` floats, its trials
-    times the rows of its largest state, and runs on one Philox substream
-    per hypothesis; each run of siblings draws its own numbers where the
-    walk reads them.  Strategy, pair, trials, seed and ``_MC_BLOCK_FLOATS``
-    fix the estimate, whatever the call order; the block size sets which
-    trials share a substream, so it changes the counts.  ``seed`` must lie
-    in [0, 2**63).
+    A block of trials is sized so that its trials times its rows stay
+    within ``_MC_BLOCK_FLOATS``, both for the decisions it keeps, one row
+    per relay node, and for the numbers any one run of siblings draws.  It
+    runs on one Philox substream per hypothesis, and each run of siblings
+    draws its own numbers where the walk reads them.  Strategy, pair,
+    trials, seed and ``_MC_BLOCK_FLOATS`` fix the estimate, whatever the
+    call order; the block size sets which trials share a substream, so it
+    changes the counts.  ``seed`` must lie in [0, 2**63).
     """
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:

@@ -758,6 +758,23 @@ class TestMonteCarlo:
         monte_carlo_error(cal, pair75, trials=5000, seed=0)
         assert opened == [0] * 5 + [1] * 5
 
+    def test_a_block_counts_every_kept_relay_decision(self, pair75, ident, monkeypatch):
+        # six level-2 relays of distinct shapes, each appearing once, keep
+        # their decisions until the root reads them: with the root, a block
+        # holds 7 rows, so takes 1024 // 7 = 146 trials
+        parents, fringe = [-1] + [0] * 6, []
+        for relay in range(1, 7):
+            fringe += list(range(len(parents), len(parents) + relay))
+            parents += [relay] * relay
+        parents += [f for f in fringe for _ in range(2)]
+        tree = Tree(parents)
+        assert tree.shape_multiplicity.tolist() == [42, 21] + [1] * 7
+        cal = np_calibrate_root(build_relay_strategy(tree, ident, (0.0,) * 3), pair75, 0.25)
+        monkeypatch.setattr(ev, "_MC_BLOCK_FLOATS", 1024)
+        opened = self._count_substreams(monkeypatch)
+        monte_carlo_error(cal, pair75, trials=1000, seed=0)
+        assert opened == [0] * 7 + [1] * 7
+
     def test_binomial_before_lone_uniform_matches_exact(self, pair75, ident):
         # the root's sibling pair has the lower shape id, so its binomial count
         # is drawn before the lone fringe node's uniform
