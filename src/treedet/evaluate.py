@@ -35,8 +35,9 @@ engine, and `tests/test_oracle.py` checks that level by enumeration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -109,10 +110,10 @@ class MessageLaw:
                 raise InvalidParams("law atoms must be finite")
             raise InvalidParams("law atoms must be strictly increasing")
         for logs in (self.logp0, self.logp1):
-            total = _logsumexp(logs)
+            total = float(np.exp(logs).sum())
             # written so that a NaN total fails too
-            if not abs(math.expm1(total)) <= _MASS_TOL:
-                raise InvalidParams(f"law mass {math.exp(total)} is not 1")
+            if not abs(total - 1.0) <= _MASS_TOL:
+                raise InvalidParams(f"law mass {total} is not 1")
 
     @property
     def n_atoms(self) -> int:
@@ -310,26 +311,50 @@ def root_sum_law(
     return law.values, law.logp0, law.logp1
 
 
-def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
-    """Smallest root threshold whose exact false-alarm rate is within alpha.
+def _type_i(high0: float) -> float:
+    """The root's reported type I from its split's null log mass sent high,
+    which can sum an ulp above 0 on long convolution chains."""
+    return float(np.exp(min(high0, 0.0)))
 
-    Candidate thresholds are the achievable atoms of the root's normalized
-    incoming sum, so the result is the most powerful root-threshold variant
-    of the given strategy among deterministic tests.  The laws do not depend
-    on the root threshold, so the calibrated copy shares the strategy's.
+
+def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
+    """Smallest root threshold whose type I, as ``exact_error_probs`` reports
+    it, is within alpha: the chosen atom's is, and the next lower atom's is not.
+
+    Candidate thresholds are the root's normalized sum atoms, so the result
+    is the most powerful root-threshold variant of the given strategy among
+    deterministic tests.  A linear cumulative sum of null masses only locates
+    the crossing: an n-term sum errs by up to about n·u relative (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4), so the
+    reported type I settles it.  That type I can wobble by ulps across atoms
+    of almost no mass, and there a lower atom can also be within alpha.
+    The laws do not depend on the root threshold, so the calibrated copy
+    shares them.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
     ctx = _context_for(strategy, pair)
     values, logp0 = ctx.root_sum.values, ctx.root_sum.logp0
-    l_f = int(strategy.tree.shape_counts.leaf_count[-1])
+    l_f, n = int(strategy.tree.shape_counts.leaf_count[-1]), values.size
     # tail[j] is the null mass of the top j + 1 atoms, so atom i has tail[n-2-i]
-    # strictly above it and the top atom none: it is admissible at every alpha.
-    # The accumulate never decreases, so the admissible atoms are a top run
-    tail = np.logaddexp.accumulate(logp0[::-1])
-    np.exp(tail, out=tail)
-    first = values.size - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
-    calibrated = replace(strategy, root_threshold=float(values[first]) / l_f)
+    # strictly above it; the exp runs forward, where numpy vectorizes it
+    tail = np.cumsum(np.exp(logp0)[::-1])
+    i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
+    q = np.divide(values, l_f, out=tail)  # atom j's threshold sends q[:k] low, as _split does
+
+    @cache
+    def within(j: int) -> bool:  # the top atom sends nothing high
+        return j == n - 1 or _type_i(_logsumexp(logp0[np.searchsorted(q, q[j], "right") :])) <= alpha
+
+    # double a bracket out from i until type I exceeds alpha at lo, or lo is below
+    # atom 0, and is within it at hi, then bisect: a run of massless atoms can be long
+    lo, hi = i - 1, i
+    while not within(hi):
+        lo, hi = hi, min(n - 1, 3 * hi - 2 * lo)
+    while lo >= 0 and within(lo):
+        lo, hi = max(-1, 3 * lo - 2 * hi), lo
+    hi = bisect_left(range(n), True, lo + 1, hi, key=within)
+    calibrated = replace(strategy, root_threshold=float(values[hi]) / l_f)
     calibrated._laws.update(strategy._laws)
     return calibrated
 
@@ -357,13 +382,11 @@ def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstima
     ctx = _context_for(strategy, pair)
     l_f = int(strategy.tree.shape_counts.leaf_count[-1])
     _, _, low1, high0, _ = _split(ctx.root_sum, l_f, strategy.root_threshold)
-    # summed log masses can drift an ulp above 0 on long convolution chains
-    high0 = min(high0, 0.0)
     low1 = min(low1, 0.0)
     return ErrorEstimate(
-        type_i=float(np.exp(high0)),
+        type_i=_type_i(high0),
         type_ii=float(np.exp(low1)),
-        log_type_i=high0,
+        log_type_i=min(high0, 0.0),
         log_type_ii=low1,
         method="exact",
     )

@@ -94,6 +94,14 @@ class TestMessageLaw:
                 np.log([0.5, 0.5]),
             )
 
+    @pytest.mark.parametrize("logp", [(np.nan, 0.0), (np.inf, -np.inf), (-np.inf, -np.inf)])
+    def test_mass_faults_are_named(self, logp):
+        # a total of NaN, +inf or 0 is not 1 on either hypothesis
+        half = np.log([0.5, 0.5])
+        for logp0, logp1 in ((np.array(logp), half), (half, np.array(logp))):
+            with pytest.raises(InvalidParams, match=r"^law mass (nan|inf|0\.0) is not 1$"):
+                MessageLaw(np.array([0.0, 1.0]), logp0, logp1)
+
     # each of these is strictly increasing, so only finiteness rejects it
     @pytest.mark.parametrize("values", [(0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0)])
     def test_atoms_must_be_finite(self, values):
@@ -901,7 +909,7 @@ class TestEmpiricalExponent:
         for per_leaf, logb, lf in zip(fit.per_leaf, fit.log_type_ii, fit.leaf_counts):
             assert per_leaf == pytest.approx(logb / lf, rel=1e-12)
         assert fit.slope < 0.0
-        assert all(t <= fit.alpha + 1e-12 for t in fit.type_i)
+        assert all(t <= fit.alpha for t in fit.type_i)
 
     def test_regressor_validation(self, pair75, leaf_family):
         with pytest.raises(InvalidParams):

@@ -25,6 +25,8 @@ from treedet import (
     root_sum_law,
     simple_strategy,
 )
+from treedet.evaluate import MessageLaw, _LawContext
+from treedet.hypotheses import _logsumexp
 
 LOG3 = math.log(3.0)
 D75 = 0.5493061443340549
@@ -156,40 +158,74 @@ class TestSimpleStrategy:
             simple_strategy(tree, pair75, leaf_family, epsilon)
 
 
-def first_admissible_by_scan(strategy, pair, alpha):
-    """Reference calibration: scan the root atoms upward, one at a time."""
-    values, logp0, _ = root_sum_law(strategy, pair)
-    l_f = int(strategy.tree.subtree_leaf_count[strategy.tree.root])
-    above = np.full(values.size, -np.inf)
-    if values.size > 1:
-        above[:-1] = np.logaddexp.accumulate(logp0[::-1])[::-1][1:]
-    for i, s in enumerate(values):
-        if np.exp(above[i]) <= alpha:
-            return float(s) / l_f
+# the trees of the calibration scans: a binomial root, a small one, and
+# increasing_leaves roots of 2^9 and 2^14 atoms
+SCAN_TREES = [
+    ("wide_uniform", {"m": 20}, 300),
+    ("wide_uniform", {"m": 3}, 40),
+    ("increasing_leaves", {}, 9),
+    ("increasing_leaves", {}, 14),
+]
+
+
+def reported_type_i(strategy, pair, threshold):
+    """The type I exact_error_probs reports at a root threshold, on the
+    strategy's laws."""
+    probe = replace(strategy, root_threshold=threshold)
+    probe._laws.update(strategy._laws)
+    return exact_error_probs(probe, pair).type_i
+
+
+@pytest.fixture(scope="module", params=SCAN_TREES, ids=lambda c: f"{c[0]}-{c[2]}")
+def atom_scan(request, pair75, leaf_family):
+    """(strategy, root atom thresholds, reported type I at each), the type I
+    taken once per split index: the count of atoms the threshold sends low."""
+    kind, params, size = request.param
+    s = simple_strategy(TreeFamily(kind, params).generate(size), pair75, leaf_family, 0.1).strategy
+    values, logp0, _ = root_sum_law(s, pair75)
+    thresholds = values / int(s.tree.shape_counts.leaf_count[-1])
+    split = np.searchsorted(thresholds, thresholds, side="right")
+    # exact_error_probs sums the null mass sent high as this does, so a scan
+    # of 2^14 atoms needs no law split per atom; a spread of atoms pins that
+    by_split = {k: float(np.exp(min(_logsumexp(logp0[k:]), 0.0))) for k in set(split.tolist())}
+    type_i = np.array([by_split[k] for k in split.tolist()])
+    for i in np.linspace(0, values.size - 1, 25).astype(int).tolist():
+        assert type_i[i] == reported_type_i(s, pair75, float(thresholds[i]))
+    return s, thresholds, type_i
+
+
+def first_admissible_by_scan(thresholds, type_i, alpha):
+    """Reference calibration: scan the root atoms upward, one at a time, for
+    the first whose reported type I is within alpha."""
+    for t, p in zip(thresholds.tolist(), type_i.tolist()):
+        if p <= alpha:
+            return t
     raise AssertionError("no admissible atom")
 
 
 class TestCalibration:
-    @pytest.mark.parametrize(
-        "kind, params, size",
-        [
-            ("wide_uniform", {"m": 20}, 300),
-            ("wide_uniform", {"m": 3}, 40),
-            ("increasing_leaves", {}, 9),
-            ("increasing_leaves", {}, 14),
-        ],
-    )
-    def test_threshold_matches_atom_scan(self, pair75, leaf_family, kind, params, size):
-        tree = TreeFamily(kind, params).generate(size)
-        s = simple_strategy(tree, pair75, leaf_family, 0.1).strategy
-        # alphas equal to an atom's null tail mass sit exactly on the boundary
-        _, logp0, _ = root_sum_law(s, pair75)
-        tails = np.exp(np.logaddexp.accumulate(logp0[::-1])[::-1][1:])
-        on_atoms = tails[(tails > 0.0) & (tails < 1.0)]
+    def test_threshold_matches_atom_scan(self, pair75, atom_scan):
+        s, thresholds, type_i = atom_scan
+        # alphas equal to an atom's reported type I sit exactly on the boundary
+        on_atoms = type_i[(type_i > 0.0) & (type_i < 1.0)]
         on_atoms = on_atoms[:: max(1, on_atoms.size // 20)].tolist()
         for alpha in [1e-9, 1e-4, 0.01, 0.05, 0.25, 0.5, 0.9, 0.999] + on_atoms:
             cal = np_calibrate_root(s, pair75, alpha)
-            assert cal.root_threshold == first_admissible_by_scan(s, pair75, alpha)
+            assert cal.root_threshold == first_admissible_by_scan(thresholds, type_i, alpha)
+
+    def test_reported_type_i_settles_every_tail(self, pair75, atom_scan):
+        # alpha on each root tail and one ulp either side: the calibrated
+        # threshold's reported type I is within alpha, with no slack, and the
+        # next lower atom's is not.  Every 64th tail of the 2^14-atom root
+        s, thresholds, type_i = atom_scan
+        tails = type_i[(type_i > 0.0) & (type_i < 1.0)][:: 1 if thresholds.size < 2**12 else 64]
+        alphas = np.concatenate([tails, np.nextafter(tails, 0.0), np.nextafter(tails, 1.0)])
+        for alpha in alphas.tolist():
+            cal = np_calibrate_root(s, pair75, alpha)
+            assert exact_error_probs(cal, pair75).type_i <= alpha
+            i = int(np.searchsorted(thresholds, cal.root_threshold, side="left"))
+            assert thresholds[i] == cal.root_threshold
+            assert i == 0 or type_i[i - 1] > alpha
 
     def test_two_leaf_star(self, pair75, ident):
         tree = TreeFamily("parallel").generate(3)
@@ -219,7 +255,31 @@ class TestCalibration:
             s = simple_strategy(tree, pair75, leaf_family, eps).strategy
             cal = np_calibrate_root(s, pair75, alpha)
             est = exact_error_probs(cal, pair75)
-            assert est.type_i <= alpha + 1e-12
+            assert est.type_i <= alpha
+
+    def test_runs_of_massless_atoms_keep_the_contract(self, pair75, ident):
+        # root laws with long runs of atoms of no null mass, set in place of the
+        # strategy's: along a run the reported type I is flat or off by ulps,
+        # and at alpha on a tail, or an ulp off, each calibration still lands
+        # on an atom within alpha whose next lower atom is not
+        rng = np.random.default_rng(5)
+        s = build_relay_strategy(TreeFamily("parallel").generate(4), ident, (0.0,))
+        for _ in range(20):
+            n = int(rng.integers(2, 3000))
+            p0 = rng.dirichlet(np.full(n, rng.choice([0.05, 1.0])))
+            a, b = np.sort(rng.integers(0, n, 2))
+            p0[a:b] = 0.0
+            with np.errstate(divide="ignore"):
+                law = MessageLaw(np.arange(n) * 0.37, np.log(p0 / p0.sum()), np.full(n, -math.log(n)))
+            s._laws[pair75] = _LawContext([None], [law], [None])
+            thresholds = law.values / int(s.tree.shape_counts.leaf_count[-1])
+            tails = [reported_type_i(s, pair75, t) for t in rng.choice(thresholds, 5).tolist()]
+            alphas = np.array([t for t in tails if 0.0 < t < 1.0])
+            for alpha in np.concatenate([alphas, np.nextafter(alphas, 0.0), np.nextafter(alphas, 1.0)]).tolist():
+                cal = np_calibrate_root(s, pair75, alpha)
+                i = int(np.searchsorted(thresholds, cal.root_threshold))
+                assert reported_type_i(s, pair75, cal.root_threshold) <= alpha
+                assert i == 0 or reported_type_i(s, pair75, float(thresholds[i - 1])) > alpha
 
     def test_calibration_is_tight(self, pair75, ident):
         # raising the threshold to the next lower atom must break alpha
