@@ -429,10 +429,9 @@ def uniformize(tree: Tree) -> UniformizeResult:
 class _TableTree(Tree):
     """A tree held as its shape table alone, numbered breadth first: node 0
     is the root, and a node's children are the next ids a depth down, in the
-    order of its runs.  Per-node arrays expand on first read, ``depth`` and
-    ``n_children`` from the levels and shape degrees, the rest from
-    ``parents``.  The ids must be those AHU interning gives this layout, so
-    the tree reads as ``Tree(parents)``."""
+    order of its runs.  ``depth`` and ``n_children`` follow from the levels
+    and shape degrees; the other per-node arrays expand on first read.  The
+    ids must be those AHU interning gives this layout, so it reads as ``Tree(parents)``."""
 
     def __init__(self, table: tuple[tuple[tuple[int, int], ...], ...]):
         # the table is the cached value of ``Tree.shape_children``
