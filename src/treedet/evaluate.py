@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -311,50 +311,37 @@ def root_sum_law(
     return law.values, law.logp0, law.logp1
 
 
-def _type_i(high0: float) -> float:
-    """The root's reported type I from its split's null log mass sent high,
-    which can sum an ulp above 0 on long convolution chains."""
+def _type_i(high0: float) -> float:  # high0 can sum an ulp above 0 on long convolution chains
     return float(np.exp(min(high0, 0.0)))
 
 
 def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
-    """Smallest root threshold whose type I, as ``exact_error_probs`` reports
-    it, is within alpha: the chosen atom's is, and the next lower atom's is not.
+    """A root threshold whose type I, as ``exact_error_probs`` reports it, is
+    within alpha while the next lower atom's is not.
 
     Candidate thresholds are the root's normalized sum atoms, so the result
-    is the most powerful root-threshold variant of the given strategy among
-    deterministic tests.  A linear cumulative sum of null masses only locates
-    the crossing: an n-term sum errs by up to about n·u relative (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4), so the
-    reported type I settles it.  That type I can wobble by ulps across atoms
-    of almost no mass, and there a lower atom can also be within alpha.
-    The laws do not depend on the root threshold, so the calibrated copy
-    shares them.
+    is the most powerful root-threshold variant among deterministic tests, up
+    to ulp wobble of that type I across atoms of almost no mass.  A linear
+    cumulative sum of null masses only locates the crossing: an n-term sum
+    errs by up to about n·u relative (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 4).  The copy shares the strategy's laws.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
     ctx = _context_for(strategy, pair)
     values, logp0 = ctx.root_sum.values, ctx.root_sum.logp0
     l_f, n = int(strategy.tree.shape_counts.leaf_count[-1]), values.size
-    # tail[j] is the null mass of the top j + 1 atoms, so atom i has tail[n-2-i]
-    # strictly above it; the exp runs forward, where numpy vectorizes it
+    # tail[n-2-i] is the null mass strictly above atom i; exp runs forward, where numpy vectorizes
     tail = np.cumsum(np.exp(logp0)[::-1])
     i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
     q = np.divide(values, l_f, out=tail)  # atom j's threshold sends q[:k] low, as _split does
 
-    @cache
     def within(j: int) -> bool:  # the top atom sends nothing high
         return j == n - 1 or _type_i(_logsumexp(logp0[np.searchsorted(q, q[j], "right") :])) <= alpha
 
-    # double a bracket out from i until type I exceeds alpha at lo, or lo is below
-    # atom 0, and is within it at hi, then bisect: a run of massless atoms can be long
-    lo, hi = i - 1, i
-    while not within(hi):
-        lo, hi = hi, min(n - 1, 3 * hi - 2 * lo)
-    while lo >= 0 and within(lo):
-        lo, hi = max(-1, 3 * lo - 2 * hi), lo
-    hi = bisect_left(range(n), True, lo + 1, hi, key=within)
-    calibrated = replace(strategy, root_threshold=float(values[hi]) / l_f)
+    if not within(i) or (i > 0 and within(i - 1)):  # rounding moved the crossing: bisect every atom
+        i = bisect_left(range(n), True, 0, n - 1, key=within)
+    calibrated = replace(strategy, root_threshold=float(values[i]) / l_f)
     calibrated._laws.update(strategy._laws)
     return calibrated
 

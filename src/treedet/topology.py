@@ -429,9 +429,9 @@ def uniformize(tree: Tree) -> UniformizeResult:
 class _TableTree(Tree):
     """A tree held as its shape table alone, numbered breadth first: node 0
     is the root, and a node's children are the next ids a depth down, in the
-    order of its runs.  ``depth`` and ``n_children`` follow from the levels
-    and shape degrees; the other per-node arrays expand on first read.  The
-    ids must be those AHU interning gives this layout, so it reads as ``Tree(parents)``."""
+    order of its runs.  ``shape_ids`` and ``parents`` expand on first read,
+    and the per-node metrics derive from ``parents``.  The ids must be those
+    AHU interning gives this layout, so the tree reads as ``Tree(parents)``."""
 
     def __init__(self, table: tuple[tuple[tuple[int, int], ...], ...]):
         # the table is the cached value of ``Tree.shape_children``
@@ -443,20 +443,11 @@ class _TableTree(Tree):
 
     @cached_property
     def _parents(self) -> np.ndarray:
-        return _frozen(np.append(-1, np.repeat(np.arange(self.n), self.n_children)))
-
-    @cached_property
-    def n_children(self) -> np.ndarray:
         degree = np.array([sum(c for _, c in runs) for runs in self.shape_children])
-        return _frozen(degree[self.shape_ids])
+        return _frozen(np.append(-1, np.repeat(np.arange(self.n), degree[self.shape_ids])))
 
     @cached_property
-    def depth(self) -> np.ndarray:
-        sizes = self._shapes[2]  # each level's ids follow the level above's
-        return _frozen(np.repeat(np.arange(len(sizes)), sizes))
-
-    @cached_property
-    def _shapes(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int], ...], ...], list[int]]:
+    def _shapes(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:
         table = self.shape_children
         kid, count = np.array([run for runs in table for run in runs], dtype=np.int64).reshape(-1, 2).T
         n_runs = np.array([len(runs) for runs in table])
@@ -468,7 +459,7 @@ class _TableTree(Tree):
             # each node's runs, in node order
             at = np.arange(r.sum()) + np.repeat(first[levels[-1]] - np.cumsum(r) + r, r)
             levels.append(np.repeat(kid[at], count[at]))
-        return _frozen(np.concatenate(levels)), table, [lv.size for lv in levels]
+        return _frozen(np.concatenate(levels)), table
 
 
 class _NodeRows(Sequence):

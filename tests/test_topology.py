@@ -407,16 +407,6 @@ class TestFamilyLayout:
         expanded += [t.nodes_at_depth(d) for d in range(t.height + 1)]
         assert not any(a.flags.writeable for a in expanded)
 
-    def test_depth_and_child_counts_at_scale_build_no_parents(self):
-        # a table tree's depths repeat its breadth-first level sizes and its
-        # child counts gather its shapes' degrees, so 10^6 relays read both
-        # without the parent array
-        t = TreeFamily("wide_uniform", {"m": 2}).generate(10**6)
-        assert np.bincount(t.depth).tolist() == [1, 10**6, 2 * 10**6]
-        assert t.n_children[0] == 10**6
-        assert np.all(t.n_children[1 : 10**6 + 1] == 2) and not t.n_children[10**6 + 1 :].any()
-        assert "_parents" not in t.__dict__
-
 
 def assert_table_reads_match_per_node(tree):
     depth = depth_by_passes(tree.parents, tree.root)
