@@ -3,12 +3,14 @@
 Exact evaluation propagates the discrete law of each node's outgoing
 message bottom-up, in the log domain throughout: tail masses reach e^-1000
 scales on wide trees, far below what linear doubles can hold.  Sums of
-identical child laws use closed binomial forms; distinct laws are combined
-by pairwise convolution with atom merging.  A convolution lays its outer
-sum out as one sorted run of the larger law per atom of the smaller, so the
-stable sort of its atoms only merges runs.  A law over `STATE_SPACE_CAP`
-atoms is refused, naming the level, shape and operand sizes.  Laws are
-computed once per structurally distinct subtree, so trees with millions of
+identical child laws use closed binomial forms, whose atoms come sorted;
+distinct laws are combined by pairwise convolution with atom merging.  A
+convolution lays its outer sum out as one sorted run of the larger law per
+atom of the smaller, so the stable sort of its atoms only merges runs.  One
+grid holds each outer sum in turn while it is gathered, then the atom gaps:
+five result-sized columns at the peak.  A law over `STATE_SPACE_CAP` atoms
+is refused, naming the level, shape and operand sizes.  Laws are computed
+once per structurally distinct subtree, so trees with millions of
 isomorphic branches cost no more than their distinct shapes.  They are
 memoized on the strategy, one set per pair: calibrating the root threshold
 hands them to the calibrated copy, and they are freed with the strategy.
@@ -56,21 +58,24 @@ _MASS_TOL = 1e-7
 _MC_BLOCK_FLOATS = 1 << 22
 
 
-def _merged(
-    values: np.ndarray, logp0: np.ndarray, logp1: np.ndarray
+def _sorted(*columns: np.ndarray) -> list[np.ndarray]:
+    order = np.argsort(columns[0], kind="stable")
+    return [c[order] for c in columns]
+
+
+def _merged(  # sorted columns in; ``gaps``, if given, is scratch for v.size - 1 floats
+    v: np.ndarray, a: np.ndarray, b: np.ndarray, gaps: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    a = logp0[order]
-    b = logp1[order]
     if v.size <= 1:
         return v, a, b
-    gaps = np.diff(v)
+    gaps = np.subtract(v[1:], v[:-1], out=gaps)
     # the tolerance grows with |v|, largest at an end of the sorted atoms, so
     # gaps all wider than that tolerance need no check atom by atom
     if gaps.min() > _MERGE_ATOL + _MERGE_RTOL * max(-v[0], v[-1]):
         return v, a, b
     new_group = gaps > (_MERGE_ATOL + _MERGE_RTOL * np.abs(v[1:]))
+    if new_group.all():
+        return v, a, b
     starts = np.flatnonzero(np.concatenate(([True], new_group)))
     return (
         v[starts],
@@ -83,10 +88,10 @@ def _merged(
 class MessageLaw:
     """Discrete law of a log-likelihood statistic under both hypotheses.
 
-    Atoms are sorted and deduplicated; masses are stored as logs and must
-    each total one.  Rounding in the log masses grows with the copies of a
-    binomial power and the length of a convolution chain, hence the loose
-    constructor tolerance; unit tests pin 1e-12 on short chains.
+    Atoms are sorted and deduplicated; log masses must each total one.  All
+    checks run on every law, the engine's included.  Rounding grows with the
+    copies of a binomial power and the length of a convolution chain, hence
+    the loose constructor tolerance; unit tests pin 1e-12 on short chains.
     """
 
     values: np.ndarray
@@ -109,8 +114,8 @@ class MessageLaw:
             if not np.all(np.isfinite(v)):
                 raise InvalidParams("law atoms must be finite")
             raise InvalidParams("law atoms must be strictly increasing")
-        for logs in (self.logp0, self.logp1):
-            total = float(np.exp(logs).sum())
+        scratch = np.exp(self.logp0)  # one buffer serves both totals
+        for total in (float(scratch.sum()), float(np.exp(self.logp1, out=scratch).sum())):
             # written so that a NaN total fails too
             if not abs(total - 1.0) <= _MASS_TOL:
                 raise InvalidParams(f"law mass {total} is not 1")
@@ -131,7 +136,7 @@ class MessageLaw:
 def law_from_pair(pair: DistributionPair) -> MessageLaw:
     """Law of the log-likelihood ratio of one observation of ``pair``."""
     logp0, logp1 = pair._live_logs
-    return MessageLaw(*_merged(logp1 - logp0, logp0, logp1))
+    return MessageLaw(*_merged(*_sorted(logp1 - logp0, logp0, logp1)))
 
 
 def _conv(a: MessageLaw, b: MessageLaw) -> MessageLaw:
@@ -144,10 +149,13 @@ def _conv(a: MessageLaw, b: MessageLaw) -> MessageLaw:
     # the larger law, which the stable sort merges instead of sorting
     if b.n_atoms < a.n_atoms:
         a, b = b, a
-    values = np.add.outer(a.values, b.values).ravel()
-    logp0 = np.add.outer(a.logp0, b.logp0).ravel()
-    logp1 = np.add.outer(a.logp1, b.logp1).ravel()
-    return MessageLaw(*_merged(values, logp0, logp1))
+    grid = np.add.outer(a.values, b.values)
+    order = np.argsort(grid.ravel(), kind="stable")
+    v = grid.ravel()[order]
+    p0, p1 = (np.add.outer(x, y, out=grid).ravel()[order] for x, y in
+              ((a.logp0, b.logp0), (a.logp1, b.logp1)))
+    del order
+    return MessageLaw(*_merged(v, p0, p1, gaps=grid.ravel()[:-1]))
 
 
 # stirlerr(n) = log n! - log(sqrt(2 pi n) (n / e)^n) below 16, from mpmath; n = 0 is unread
@@ -185,7 +193,8 @@ def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
     values = (m - k) * v0 + k * v1
     logp0 = log_comb + (m - k) * law.logp0[0] + k * law.logp0[1]
     logp1 = log_comb + (m - k) * law.logp1[0] + k * law.logp1[1]
-    return MessageLaw(*_merged(values, logp0, logp1))
+    columns = values, logp0, logp1  # a stable sort of non-decreasing atoms is the identity
+    return MessageLaw(*_merged(*(columns if np.all(values[1:] >= values[:-1]) else _sorted(*columns))))
 
 
 def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
@@ -332,9 +341,10 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
     values, logp0 = ctx.root_sum.values, ctx.root_sum.logp0
     l_f, n = int(strategy.tree.shape_counts.leaf_count[-1]), values.size
     # tail[n-2-i] is the null mass strictly above atom i; exp runs forward, where numpy vectorizes
-    tail = np.cumsum(np.exp(logp0)[::-1])
+    buf = np.exp(logp0)
+    tail = np.cumsum(buf[::-1], out=buf[::-1])
     i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
-    q = np.divide(values, l_f, out=tail)  # atom j's threshold sends q[:k] low, as _split does
+    q = np.divide(values, l_f, out=buf)  # atom j's threshold sends q[:k] low, as _split does
 
     def within(j: int) -> bool:  # the top atom sends nothing high
         return j == n - 1 or _type_i(_logsumexp(logp0[np.searchsorted(q, q[j], "right") :])) <= alpha

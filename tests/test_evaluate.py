@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -176,6 +177,10 @@ class TestConvolution:
         yield MessageLaw(np.array([0.1, 0.7]), half, half), MessageLaw(
             np.array([0.2, 0.8]), half, half
         ), True
+        # 4097 atoms on the ternary leaf's lattice: the merge reads its gap
+        # column out of a scratch grid of 12,291 sums
+        ends = MessageLaw(leaf.values[::2], half, half)
+        yield ev._binomial_power(ends, 4096), leaf, True
 
     def test_operand_order_is_bit_identical(self):
         for a, b, _ in self._cases():
@@ -191,6 +196,46 @@ class TestConvolution:
             assert_array_equal(got.values, want[:, 0])
             assert_allclose(got.logp0, want[:, 1], rtol=1e-13, atol=1e-13)
             assert_allclose(got.logp1, want[:, 2], rtol=1e-13, atol=1e-13)
+
+
+def test_binomial_power_sorts_atoms_that_round_out_of_order():
+    # atoms 1e-16 apart: the closed form's sums wobble by an ulp, and all of
+    # them merge into the smallest
+    half = np.log([0.5, 0.5])
+    law = MessageLaw(np.array([0.3, 0.3 + 1e-16]), half, half)
+    k = np.arange(778.0)
+    sums = (777 - k) * 0.3 + k * law.values[1]
+    assert np.any(sums[1:] < sums[:-1])
+    assert ev._binomial_power(law, 777).values.tolist() == [sums.min()]
+
+
+class TestLawMemory:
+    """Peak traced memory of one law build, in float columns of its atom count,
+    with 1 MB allowed for everything else."""
+
+    @staticmethod
+    def _peak_columns(build, atoms):
+        tracemalloc.start()
+        try:
+            law = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law.n_atoms == atoms
+        return (peak - 2**20) / (8 * atoms)
+
+    def test_convolution_holds_five_columns(self):
+        # grid, sort order and three sorted columns; these sums reach the
+        # per-atom tolerance scan and merge none
+        rng = np.random.default_rng(3)
+        a, b = _random_law(rng, 2), _random_law(rng, 2**18)
+        assert self._peak_columns(lambda: ev._conv(a, b), 2**19) <= 5
+
+    def test_binomial_power_holds_six_columns(self):
+        # k, log C(m, k), the three columns and a temporary or the gap column;
+        # sorted atoms skip the argsort and its gathers
+        law = MessageLaw(np.array([-0.4, 0.9]), np.log([0.7, 0.3]), np.log([0.2, 0.8]))
+        assert self._peak_columns(lambda: ev._binomial_power(law, 2**18), 2**18 + 1) <= 6
 
 
 @st.composite
