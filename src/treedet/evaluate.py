@@ -8,12 +8,13 @@ distinct laws are combined by pairwise convolution with atom merging.  A
 convolution lays its outer sum out as one sorted run of the larger law per
 atom of the smaller, so the stable sort of its atoms only merges runs.  One
 grid holds each outer sum in turn while it is gathered, then the atom gaps:
-five result-sized columns at the peak.  A law over `STATE_SPACE_CAP` atoms
-is refused, naming the level, shape and operand sizes.  Laws are computed
-once per structurally distinct subtree, so trees with millions of
-isomorphic branches cost no more than their distinct shapes.  They are
-memoized on the strategy, one set per pair: calibrating the root threshold
-hands them to the calibrated copy, and they are freed with the strategy.
+five result-sized columns at the peak, eight if a gap needs the per-atom
+tolerance check.  A law over `STATE_SPACE_CAP` atoms is refused, naming the
+level, shape and operand sizes.  Laws are computed once per structurally
+distinct subtree, so trees with millions of isomorphic branches cost no
+more than their distinct shapes.  They are memoized on the strategy, one
+set per pair: calibrating the root threshold hands them to the calibrated
+copy, and they are freed with the strategy.
 
 Monte Carlo reads only the shape table: each shape's node count, then its
 (child shape, count) runs bottom-up.  Trials run in blocks, each on its own
@@ -74,8 +75,6 @@ def _merged(  # sorted columns in; ``gaps``, if given, is scratch for v.size - 1
     if gaps.min() > _MERGE_ATOL + _MERGE_RTOL * max(-v[0], v[-1]):
         return v, a, b
     new_group = gaps > (_MERGE_ATOL + _MERGE_RTOL * np.abs(v[1:]))
-    if new_group.all():
-        return v, a, b
     starts = np.flatnonzero(np.concatenate(([True], new_group)))
     return (
         v[starts],
@@ -114,10 +113,10 @@ class MessageLaw:
             if not np.all(np.isfinite(v)):
                 raise InvalidParams("law atoms must be finite")
             raise InvalidParams("law atoms must be strictly increasing")
-        scratch = np.exp(self.logp0)  # one buffer serves both totals
-        for total in (float(scratch.sum()), float(np.exp(self.logp1, out=scratch).sum())):
-            # written so that a NaN total fails too
-            if not abs(total - 1.0) <= _MASS_TOL:
+        scratch = np.empty_like(self.logp0)  # one buffer serves both totals
+        for logs in (self.logp0, self.logp1):
+            total = float(np.exp(logs, out=scratch).sum())
+            if not abs(total - 1.0) <= _MASS_TOL:  # written so that a NaN fails too
                 raise InvalidParams(f"law mass {total} is not 1")
 
     @property
@@ -152,8 +151,8 @@ def _conv(a: MessageLaw, b: MessageLaw) -> MessageLaw:
     grid = np.add.outer(a.values, b.values)
     order = np.argsort(grid.ravel(), kind="stable")
     v = grid.ravel()[order]
-    p0, p1 = (np.add.outer(x, y, out=grid).ravel()[order] for x, y in
-              ((a.logp0, b.logp0), (a.logp1, b.logp1)))
+    p0 = np.add.outer(a.logp0, b.logp0, out=grid).ravel()[order]  # v is a copy: grid is free
+    p1 = np.add.outer(a.logp1, b.logp1, out=grid).ravel()[order]
     del order
     return MessageLaw(*_merged(v, p0, p1, gaps=grid.ravel()[:-1]))
 
@@ -193,8 +192,9 @@ def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
     values = (m - k) * v0 + k * v1
     logp0 = log_comb + (m - k) * law.logp0[0] + k * law.logp0[1]
     logp1 = log_comb + (m - k) * law.logp1[0] + k * law.logp1[1]
-    columns = values, logp0, logp1  # a stable sort of non-decreasing atoms is the identity
-    return MessageLaw(*_merged(*(columns if np.all(values[1:] >= values[:-1]) else _sorted(*columns))))
+    if not np.all(values[1:] >= values[:-1]):  # else a stable sort is the identity
+        values, logp0, logp1 = _sorted(values, logp0, logp1)
+    return MessageLaw(*_merged(values, logp0, logp1))
 
 
 def _conv_power(law: MessageLaw, m: int) -> MessageLaw:

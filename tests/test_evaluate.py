@@ -224,12 +224,30 @@ class TestLawMemory:
         assert law.n_atoms == atoms
         return (peak - 2**20) / (8 * atoms)
 
+    @staticmethod
+    def _clears_gap_check(a, b):
+        # whether every gap of the sorted sums is wider than the largest
+        # tolerance, so the per-atom scan never runs
+        v = np.sort(np.add.outer(a.values, b.values), axis=None)
+        return np.diff(v).min() > ev._MERGE_ATOL + ev._MERGE_RTOL * max(-v[0], v[-1])
+
     def test_convolution_holds_five_columns(self):
-        # grid, sort order and three sorted columns; these sums reach the
-        # per-atom tolerance scan and merge none
+        # grid, sort order and three sorted columns; the gaps reuse the grid
+        rng = np.random.default_rng(3)
+        half = np.log([0.5, 0.5])
+        a = MessageLaw(np.array([0.0, 0.5]), half, half)
+        b = MessageLaw(np.arange(2.0**18), *(np.log(rng.dirichlet(np.ones(2**18))) for _ in "01"))
+        assert self._clears_gap_check(a, b)
+        assert self._peak_columns(lambda: ev._conv(a, b), 2**19) <= 5
+
+    def test_convolution_scanning_atom_by_atom_holds_eight_columns(self):
+        # these sums fail the global gap check, and the per-atom scan merges
+        # none: the five columns, grid kept, plus group starts and three
+        # reduced columns
         rng = np.random.default_rng(3)
         a, b = _random_law(rng, 2), _random_law(rng, 2**18)
-        assert self._peak_columns(lambda: ev._conv(a, b), 2**19) <= 5
+        assert not self._clears_gap_check(a, b)
+        assert self._peak_columns(lambda: ev._conv(a, b), 2**19) <= 8
 
     def test_binomial_power_holds_six_columns(self):
         # k, log C(m, k), the three columns and a temporary or the gap column;
