@@ -285,7 +285,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
             stamp,
         )
         summary["n_floor"] = n_floor
-        summary["root_bounds"] = {r.kind: r.value for r in report.root_rows()}
+        summary["root_bounds"] = {r.kind: r.value for r in report.roots}
         # the root bound holds only when every fringe node has n_floor leaves
         if summary["root_bounds"]:
             summary["exponent_lower_bound"] = summary["root_bounds"]["root_type1"]

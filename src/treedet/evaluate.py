@@ -296,7 +296,7 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
         except StateSpaceTooLarge as exc:
             raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
         sums.append(total)
-        t = strategy.threshold_at_level(level[sid])
+        t = strategy.thresholds[level[sid] - 1]
         split.append(_split(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
         out.append(None if split[-1] is None else _bit_law(split[-1]))
     return _LawContext(out, sums, split)

@@ -245,9 +245,6 @@ class BoundReport:
     rows: Sequence[BoundRow]
     roots: tuple[BoundRow, ...]
 
-    def root_rows(self) -> tuple[BoundRow, ...]:
-        return self.roots
-
 
 def chernoff_bound_report(tree: Tree, table: RateTable, n_floor: int) -> BoundReport:
     """Evaluates the per-node tail bounds -rate + p(v)/l(v) - 1 and, when the

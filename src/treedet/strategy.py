@@ -68,9 +68,6 @@ class Strategy:
             if any(a.symbols != out for a in gate.input_alphabets):
                 raise InvalidParams("gate inputs must match the leaf message alphabet")
 
-    def threshold_at_level(self, k: int) -> float:
-        return self.thresholds[k - 1]
-
     def to_json(self) -> str:
         doc = {
             "gamma": json.loads(self.gamma.to_json()),

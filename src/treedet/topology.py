@@ -1,11 +1,12 @@
 """Rooted in-trees, per-node metrics, and tree-sequence statistics.
 
 Edges point toward the root (the fusion center).  Node ids are dense
-integers; derived metrics are cached numpy arrays, and trees are treated as
-immutable after construction.  The shape table stores each shape's children
-once, as (child shape, count) runs, and the subtree counts, so its size
-follows shapes, not nodes.  A depth-ordered family is its table alone; its
-per-node arrays expand from the table on first read.
+integers, and trees are treated as immutable after construction.  A tree's
+one derived structure is its shape table: each AHU-interned subtree shape's
+children once, as (child shape, count) runs, with its level and subtree
+counts, so its size follows shapes, not nodes.  A per-node array that
+depends only on a node's subtree gathers its shape's entry by ``shape_ids``.
+A depth-ordered family is its table alone until a per-node array is read.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ class Tree:
     """Rooted directed in-tree over dense integer node ids.
 
     The root's parent is ``None`` or negative; an integer ndarray is copied whole.
-    ``Tree(parents)`` checks every entry and derives depth and shapes on
-    demand.  Height, uniformity and subtree counts read the runs of
-    ``shape_children``, so their first read labels shapes; a depth-ordered
-    family's ``_TableTree`` holds only the table and expands the rest on read.
+    ``Tree(parents)`` checks every entry and derives depth, children and
+    shapes on demand.  Height, uniformity and every per-node array that
+    depends only on a node's subtree read the shape table, so on a
+    depth-ordered family's ``_TableTree`` they expand ``shape_ids`` alone.
     """
 
     def __init__(self, parents: Sequence[int | None] | np.ndarray, root: int | None = None):
@@ -106,7 +107,8 @@ class Tree:
     def _children_csr(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.n_children, out=offsets[1:])
+        counts = np.bincount(self._parents[self._parents >= 0], minlength=n)
+        np.cumsum(counts, out=offsets[1:])
         order = np.argsort(self._parents, kind="stable")
         # argsort puts the root (parent -1) first; drop it
         return offsets, order[1:].copy()
@@ -117,8 +119,9 @@ class Tree:
 
     @cached_property
     def n_children(self) -> np.ndarray:
-        counts = np.bincount(self._parents[self._parents >= 0], minlength=self.n)
-        return _frozen(counts.astype(np.int64))
+        """Each node's child count: its shape's degree, the sum of its run counts."""
+        degree = np.array([sum(c for _, c in runs) for runs in self.shape_children], dtype=np.int64)
+        return _frozen(degree[self.shape_ids])
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -169,19 +172,19 @@ class Tree:
         return _frozen(self.shape_counts.node_count[self.shape_ids])
 
     @cached_property
-    def _leaf_child_count(self) -> np.ndarray:
-        return np.bincount(self._parents[self.is_leaf], minlength=self.n)
+    def _leaf_parent_shapes(self) -> np.ndarray:
+        """Per shape: whether it has a leaf child, its lowest run being of leaves."""
+        return np.array([bool(runs) and runs[0][0] == 0 for runs in self.shape_children])
 
     @cached_property
     def leaf_parents(self) -> np.ndarray:
         """Nodes with at least one leaf child."""
-        return _frozen(np.flatnonzero(self._leaf_child_count))
+        return _frozen(np.flatnonzero(self._leaf_parent_shapes[self.shape_ids]))
 
     @cached_property
     def fringe(self) -> np.ndarray:
-        """Non-leaf nodes all of whose children are leaves."""
-        mask = (self.n_children > 0) & (self._leaf_child_count == self.n_children)
-        return _frozen(np.flatnonzero(mask))
+        """Non-leaf nodes all of whose children are leaves: those whose shape has level 1."""
+        return _frozen(np.flatnonzero(self.shape_counts.level[self.shape_ids] == 1))
 
     @cached_property
     def is_uniform(self) -> bool:
@@ -235,11 +238,12 @@ class Tree:
     def _shapes(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:
         shape = np.zeros(self.n, dtype=np.int64)
         offsets, flat = self._children_csr
+        degree = np.diff(offsets)
         interned: dict[tuple[tuple[int, int], ...], int] = {}
         for d in range(len(self._by_depth) - 2, -1, -1):
             nodes = self.nodes_at_depth(d)
-            nodes = nodes[self.n_children[nodes] > 0]
-            degrees = self.n_children[nodes]
+            nodes = nodes[degree[nodes] > 0]
+            degrees = degree[nodes]
             keys, firsts = [], []
             labels = np.empty(nodes.size, dtype=np.int64)
             for k in np.unique(degrees):
@@ -315,17 +319,16 @@ def analyze_tree(tree: Tree, small_cap: int) -> TreeStats:
         raise InvalidParams("small_cap must be positive")
     counts, count = tree.shape_counts, tree.shape_multiplicity
     n_nodes, total_leaves = int(counts.node_count[-1]) + 1, int(counts.leaf_count[-1])
-    # a fringe shape's children are all leaves; a leaf parent's lowest run is of leaves
+    # a fringe shape's children are all leaves
     fringe = counts.level == 1
     small = fringe & (counts.leaf_count <= small_cap)
-    leaf_parents = [s for s, runs in enumerate(tree.shape_children) if runs and runs[0][0] == 0]
     covered = int((count * counts.leaf_count)[small].sum())
     q = covered / total_leaves if total_leaves else 0.0
     return TreeStats(
         height=tree.height,
         n_nodes=n_nodes,
         n_leaves=total_leaves,
-        n_leaf_parents=int(count[leaf_parents].sum()),
+        n_leaf_parents=int(count[tree._leaf_parent_shapes].sum()),
         n_fringe=int(count[fringe].sum()),
         n_small_fringe=int(count[small].sum()),
         small_leaf_fraction=q,
@@ -396,41 +399,34 @@ class UniformizeResult:
 
 def uniformize(tree: Tree) -> UniformizeResult:
     """Re-attaches shallow leaves through relay chains so every leaf sits at
-    the full height.
+    the full height h.
 
-    For each node with leaf children above the bottom level, the whole group
-    of its leaf children is moved through a single new chain.  Existing node
-    ids are preserved; chain nodes take fresh ids at the end.
+    Each leaf parent v above depth h - 1 gets a new chain of h - 1 - depth(v)
+    relays, and all of v's leaf children move to its end.  Existing ids are
+    kept; chain nodes take fresh ids from n on, chain by chain in ascending
+    v, each chain's ids rising from v's new child down to its end.
     """
     if tree.is_uniform:
         return UniformizeResult(tree)
-    h = tree.height
-    parents = tree.parents.tolist()
-    depth = tree.depth
-    is_leaf = tree.is_leaf
-    next_id = tree.n
-    for v in tree.leaf_parents:
-        kids = tree.children(v)
-        leaf_kids = kids[is_leaf[kids]]
-        deficit = h - (int(depth[v]) + 1)
-        if deficit == 0:
-            continue
-        chain_top = int(v)
-        for _ in range(deficit):
-            parents.append(chain_top)
-            chain_top = next_id
-            next_id += 1
-        for c in leaf_kids:
-            parents[int(c)] = chain_top
-    out = Tree(parents)
-    return UniformizeResult(out)
+    v = tree.leaf_parents
+    deficit = tree.height - 1 - tree.depth[v]
+    v, deficit = v[deficit > 0], deficit[deficit > 0]
+    last = tree.n - 1 + np.cumsum(deficit)
+    # each chain node hangs from the id before it, a chain's first from its v
+    chains = np.arange(tree.n - 1, last[-1])
+    chains[last - deficit + 1 - tree.n] = v
+    hang = np.arange(tree.n)
+    hang[v] = last
+    parents = tree.parents.copy()
+    parents[tree.leaves] = hang[parents[tree.leaves]]
+    return UniformizeResult(Tree(np.concatenate((parents, chains))))
 
 
 class _TableTree(Tree):
     """A tree held as its shape table alone, numbered breadth first: node 0
     is the root, and a node's children are the next ids a depth down, in the
     order of its runs.  ``shape_ids`` and ``parents`` expand on first read,
-    and the per-node metrics derive from ``parents``.  The ids must be those
+    and depth and the children derive from ``parents``.  The ids must be those
     AHU interning gives this layout, so the tree reads as ``Tree(parents)``."""
 
     def __init__(self, table: tuple[tuple[tuple[int, int], ...], ...]):
@@ -443,8 +439,7 @@ class _TableTree(Tree):
 
     @cached_property
     def _parents(self) -> np.ndarray:
-        degree = np.array([sum(c for _, c in runs) for runs in self.shape_children])
-        return _frozen(np.append(-1, np.repeat(np.arange(self.n), degree[self.shape_ids])))
+        return _frozen(np.append(-1, np.repeat(np.arange(self.n), self.n_children)))
 
     @cached_property
     def _shapes(self) -> tuple[np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:

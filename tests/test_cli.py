@@ -128,7 +128,7 @@ class TestRatesCommand:
         doc = read_json(tmp_path / "default" / "rates.json")
         table = rate_table(bernoulli_pair(0.75), identity_map(BINARY), (-0.2, -0.1))
         tree = TreeFamily("wide_uniform", {"m": 4}).generate(50)
-        roots = {r.kind: r.value for r in chernoff_bound_report(tree, table, 4).root_rows()}
+        roots = {r.kind: r.value for r in chernoff_bound_report(tree, table, 4).roots}
         # the default floor is the smallest fringe, 4 leaves here
         assert doc["n_floor"] == 4
         assert doc["exponent_lower_bound"] == doc["root_bounds"]["root_type1"]

@@ -465,7 +465,7 @@ def tail_rows_by_node(strategy, pair):
         if law is None:
             continue
         l_v = int(leaves[v])
-        t = strategy.threshold_at_level(level)
+        t = strategy.thresholds[level - 1]
         _, _, low1, high0, _ = ev._split(law, l_v, t)
         p_v = int(nodes[v])
         rows.append(ev.TailRow(int(v), level, l_v, p_v, low1 / l_v, high0 / l_v))
@@ -535,7 +535,7 @@ class TestTailReport:
         build_relay_strategy(big, ident, (0.0, 0.0))
         report = chernoff_bound_report(big, rate_table(pair75, ident, (0.0, 0.0)), 20)
         assert len(report.rows) == 2 * (10**7 + 1) + 2
-        assert [r.kind for r in report.root_rows()] == ["root_type1", "root_type0"]
+        assert [r.kind for r in report.roots] == ["root_type1", "root_type0"]
         tree = family.generate(10**6)
         cal = np_calibrate_root(simple_strategy(tree, pair75, leaf_family, 0.1).strategy, pair75, 0.25)
         exact_error_probs(cal, pair75)
@@ -638,7 +638,7 @@ class TestReportRows:
             floor = int(s.tree.shape_counts.fringe_degrees.min())
             for n_floor in (floor, floor + 1):
                 rows = assert_lazy_rows(lambda: chernoff_bound_report(s.tree, table, n_floor).rows)
-                roots = chernoff_bound_report(s.tree, table, n_floor).root_rows()
+                roots = chernoff_bound_report(s.tree, table, n_floor).roots
                 assert len(roots) == (2 if n_floor == floor else 0)
                 assert rows[len(rows) - len(roots):] == roots
                 assert len(rows) == 2 * np.count_nonzero(~s.tree.is_leaf) + len(roots)
@@ -674,7 +674,7 @@ class TestReportRows:
         assert len(tail_report(s, pair75)) == relays + 1
         report = chernoff_bound_report(tree, rate_table(pair75, ident, (0.0, 0.0)), 20)
         assert len(report.rows) == 2 * (relays + 1) + 2
-        assert [(r.node, r.kind) for r in report.root_rows()] == [
+        assert [(r.node, r.kind) for r in report.roots] == [
             (0, "root_type1"), (0, "root_type0")
         ]
         with pytest.raises(AssertionError, match="read Tree"):

@@ -240,7 +240,7 @@ class TestChernoffBounds:
         tree = TreeFamily("two_relay").generate(100)
         table = rate_table(pair75, ident, (0.0, 0.0))
         report = chernoff_bound_report(tree, table, n_floor=100)
-        roots = {r.kind: r for r in report.root_rows()}
+        roots = {r.kind: r for r in report.roots}
         assert set(roots) == {"root_type1", "root_type0"}
         assert_allclose(roots["root_type1"].value, -0.051920518112945134, rtol=1e-9)
 
@@ -257,7 +257,7 @@ class TestChernoffBounds:
         tree = TreeFamily("two_relay").generate(100)
         table = rate_table(pair75, ident, (0.0, 0.0))
         report = chernoff_bound_report(tree, table, n_floor=101)
-        assert report.root_rows() == ()
+        assert report.roots == ()
 
     @pytest.mark.parametrize("n_floor", [100, 101])
     def test_root_rows_are_the_rows_of_root_kind(self, pair75, ident, n_floor):
@@ -265,7 +265,7 @@ class TestChernoffBounds:
         table = rate_table(pair75, ident, (0.0, 0.0))
         report = chernoff_bound_report(tree, table, n_floor=n_floor)
         expected = tuple(r for r in report.rows if r.kind.startswith("root_"))
-        assert report.root_rows() == expected
+        assert report.roots == expected
         assert len(expected) == (2 if n_floor == 100 else 0)
 
     @pytest.mark.parametrize("n_floor", [2.5, True, "3"])

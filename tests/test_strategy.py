@@ -110,8 +110,8 @@ class TestStrategyValidation:
     def test_threshold_lookup(self, ident):
         tree = TreeFamily("two_relay").generate(2)
         s = build_relay_strategy(tree, ident, (0.1, -0.2))
-        assert s.threshold_at_level(1) == pytest.approx(0.1)
-        assert s.threshold_at_level(2) == pytest.approx(-0.2)
+        assert s.thresholds[0] == pytest.approx(0.1)
+        assert s.thresholds[1] == pytest.approx(-0.2)
         assert s.root_threshold == pytest.approx(-0.2)
 
     def test_to_json(self, ident):

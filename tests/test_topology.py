@@ -50,6 +50,17 @@ def depth_by_passes(parents, root):
         depth[ready] = depth[safe_parents[ready]] + 1
 
 
+def per_node_by_bincount(tree):
+    """Reference child counts, leaf mask, leaf parents and fringe, from
+    ``parents`` alone: a ``bincount`` of children and one of leaf children."""
+    parents = tree.parents
+    n_children = np.bincount(parents[parents >= 0], minlength=tree.n)
+    is_leaf = (n_children == 0) & (np.arange(tree.n) != tree.root)
+    leaf_children = np.bincount(parents[is_leaf], minlength=tree.n)
+    fringe = np.flatnonzero((n_children > 0) & (leaf_children == n_children))
+    return n_children, is_leaf, np.flatnonzero(leaf_children), fringe
+
+
 def unchecked_tree(parents):
     """A Tree that skips the constructor's checks, to read its depth."""
     t = Tree.__new__(Tree)
@@ -138,6 +149,10 @@ class TestTreeStructure:
         rng = np.random.default_rng(7)
         for _ in range(10):
             t = make_rugged_tree(rng, 3)
+            n_children, is_leaf, _, _ = per_node_by_bincount(t)
+            assert np.array_equal(t.n_children, n_children)
+            assert np.array_equal(t.is_leaf, is_leaf)
+            assert np.array_equal(t.leaves, np.flatnonzero(is_leaf))
             assert int(t.is_leaf.sum()) == len(t.leaves)
             # every leaf has a parent in leaf_parents
             assert set(t.parents[t.leaves]) == set(t.leaf_parents)
@@ -146,10 +161,11 @@ class TestTreeStructure:
         rng = np.random.default_rng(19)
         for _ in range(40):
             t = make_rugged_tree(rng, int(rng.integers(1, 6)))
-            expected = np.unique(t.parents[t.is_leaf])
+            n_children, is_leaf, _, _ = per_node_by_bincount(t)
+            expected = np.unique(t.parents[is_leaf])
             assert t.leaf_parents.dtype == expected.dtype
             assert np.array_equal(t.leaf_parents, expected)
-            fringe = [v for v in range(t.n) if t.n_children[v] and t.is_leaf[t.children(v)].all()]
+            fringe = [v for v in range(t.n) if n_children[v] and is_leaf[t.children(v)].all()]
             assert np.array_equal(t.fringe, fringe)
         single = Tree([None])
         assert single.leaf_parents.size == 0 and single.fringe.size == 0
@@ -374,6 +390,8 @@ def assert_matches_the_tree_its_parents_derive(t):
         "depth",
         "n_children",
         "is_leaf",
+        "leaves",
+        "leaf_parents",
         "fringe",
         "is_uniform",
         "shape_ids",
@@ -407,17 +425,28 @@ class TestFamilyLayout:
         expanded += [t.nodes_at_depth(d) for d in range(t.height + 1)]
         assert not any(a.flags.writeable for a in expanded)
 
+    @pytest.mark.parametrize(
+        "kind, params, size", [("wide_uniform", {"m": 20}, 10**4), ("increasing_leaves", {}, 140)]
+    )
+    def test_per_node_reads_expand_only_shape_ids(self, kind, params, size):
+        # each is its shape's entry, so none needs parents, depth or the CSR
+        t = TreeFamily(kind, params).generate(size)
+        for name in ("is_leaf", "leaves", "fringe", "leaf_parents", "n_children"):
+            assert not getattr(t, name).flags.writeable
+        assert {"_parents", "depth", "_children_csr"}.isdisjoint(t.__dict__)
+
 
 def assert_table_reads_match_per_node(tree):
     depth = depth_by_passes(tree.parents, tree.root)
+    n_children, is_leaf, leaf_parents, fringe = per_node_by_bincount(tree)
     assert tree.height == depth.max()
-    assert tree.is_uniform == bool(np.all(depth[tree.leaves] == depth.max()))
-    degrees = tree.n_children[tree.fringe]
+    assert tree.is_uniform == bool(np.all(depth[is_leaf] == depth.max()))
+    degrees = n_children[fringe]
     for cap in (1, 2, 5):
         small = degrees[degrees <= cap]
-        n_leaves = len(tree.leaves)
+        n_leaves = int(is_leaf.sum())
         assert astuple(analyze_tree(tree, cap)) == (
-            tree.height, tree.n, n_leaves, len(tree.leaf_parents), len(degrees), len(small),
+            tree.height, tree.n, n_leaves, len(leaf_parents), len(degrees), len(small),
             int(small.sum()) / n_leaves if n_leaves else 0.0, n_leaves / tree.n,
         )
 
@@ -533,7 +562,33 @@ class TestAnalysis:
         assert growth.consistent
 
 
+def uniformize_by_node(tree):
+    """Reference re-hanging, one leaf parent at a time in id order: a chain
+    of h - 1 - depth(v) fresh ids hangs from v, each id from the one before,
+    and v's leaf children move to the chain's last id."""
+    depth = depth_by_passes(tree.parents, tree.root)
+    _, is_leaf, leaf_parents, _ = per_node_by_bincount(tree)
+    parents = tree.parents.tolist()
+    for v in leaf_parents.tolist():
+        chain_top = v
+        for _ in range(int(depth.max()) - 1 - int(depth[v])):
+            parents.append(chain_top)
+            chain_top = len(parents) - 1
+        kids = tree.children(v)
+        for c in kids[is_leaf[kids]].tolist():
+            parents[c] = chain_top
+    return parents
+
+
 class TestUniformize:
+    def test_ids_match_one_leaf_parent_at_a_time(self, make_rugged_tree):
+        rng = np.random.default_rng(13)
+        trees = [make_rugged_tree(rng, h) for h in range(1, 6) for _ in range(8)]
+        trees += [TreeFamily("chain_plus_leaves", {"h": h}).generate(h + 5) for h in range(1, 5)]
+        trees.append(Tree([-1] + [int(rng.integers(0, i + 1)) for i in range(3000)]))
+        for t in trees:
+            assert uniformize(t).tree.parents.tolist() == uniformize_by_node(t)
+
     def test_preserves_leaves_and_levels_them(self, make_rugged_tree):
         rng = np.random.default_rng(11)
         for _ in range(20):
