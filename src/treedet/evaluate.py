@@ -4,17 +4,18 @@ Exact evaluation propagates the discrete law of each node's outgoing
 message bottom-up, in the log domain throughout: tail masses reach e^-1000
 scales on wide trees, far below what linear doubles can hold.  Sums of
 identical child laws use closed binomial forms, whose atoms come sorted;
-distinct laws are combined by pairwise convolution with atom merging.  A
-convolution lays its outer sum out as one sorted run of the larger law per
-atom of the smaller, so the stable sort of its atoms only merges runs.  One
-grid holds each outer sum in turn while it is gathered, then the atom gaps:
-five result-sized columns at the peak, eight if a gap needs the per-atom
-tolerance check.  A law over `STATE_SPACE_CAP` atoms is refused, naming the
-level, shape and operand sizes.  Laws are computed once per structurally
-distinct subtree, so trees with millions of isomorphic branches cost no
-more than their distinct shapes.  They are memoized on the strategy, one
-set per pair: calibrating the root threshold hands them to the calibrated
-copy, and they are freed with the strategy.
+distinct laws are summed by one left-to-right convolution chain with atom
+merging.  Each step lays its outer sum out as one sorted run of the larger
+law per atom of the smaller, so the stable sort of its atoms only merges
+runs.  One grid holds each outer sum in turn while it is gathered, then the
+gaps, and each partial-sum column is freed as soon as its outer sum has
+read it: a whole chain peaks at five result-sized columns, eight if a gap
+needs the per-atom tolerance check.  A law over `STATE_SPACE_CAP` atoms is
+refused, naming the level, shape and operand sizes.  Laws are computed once
+per structurally distinct subtree, so trees with millions of isomorphic
+branches cost no more than their distinct shapes.  They are memoized on the
+strategy, one set per pair: calibrating the root threshold hands them to
+the calibrated copy, and they are freed with the strategy.
 
 Monte Carlo reads only the shape table: each shape's node count, then its
 (child shape, count) runs bottom-up.  Trials run in blocks, each on its own
@@ -40,14 +41,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import fused_pair, induced_pair
 from .errors import InvalidParams, StateSpaceTooLarge
-from .hypotheses import DistributionPair, _logsumexp, second_moment_null
+from .hypotheses import DistributionPair, _exp, _logsumexp, second_moment_null
 from .strategy import Strategy
 from .topology import Tree, TreeFamily, _integer, _NodeRows
 
@@ -115,7 +115,7 @@ class MessageLaw:
             raise InvalidParams("law atoms must be strictly increasing")
         scratch = np.empty_like(self.logp0)  # one buffer serves both totals
         for logs in (self.logp0, self.logp1):
-            total = float(np.exp(logs, out=scratch).sum())
+            total = float(_exp(logs, out=scratch).sum())
             if not abs(total - 1.0) <= _MASS_TOL:  # written so that a NaN fails too
                 raise InvalidParams(f"law mass {total} is not 1")
 
@@ -125,11 +125,11 @@ class MessageLaw:
 
     @property
     def p0(self) -> np.ndarray:
-        return np.exp(self.logp0)
+        return _exp(self.logp0)
 
     @property
     def p1(self) -> np.ndarray:
-        return np.exp(self.logp1)
+        return _exp(self.logp1)
 
 
 def law_from_pair(pair: DistributionPair) -> MessageLaw:
@@ -138,23 +138,31 @@ def law_from_pair(pair: DistributionPair) -> MessageLaw:
     return MessageLaw(*_merged(*_sorted(logp1 - logp0, logp0, logp1)))
 
 
-def _conv(a: MessageLaw, b: MessageLaw) -> MessageLaw:
-    if a.n_atoms * b.n_atoms > STATE_SPACE_CAP:
-        raise StateSpaceTooLarge(
-            f"convolving laws of {a.n_atoms} and {b.n_atoms} atoms would create "
-            f"{a.n_atoms * b.n_atoms}, over the cap of {STATE_SPACE_CAP}"
-        )
-    # smaller law first: each row of the outer sum is then a sorted run of
-    # the larger law, which the stable sort merges instead of sorting
-    if b.n_atoms < a.n_atoms:
-        a, b = b, a
-    grid = np.add.outer(a.values, b.values)
-    order = np.argsort(grid.ravel(), kind="stable")
-    v = grid.ravel()[order]
-    p0 = np.add.outer(a.logp0, b.logp0, out=grid).ravel()[order]  # v is a copy: grid is free
-    p1 = np.add.outer(a.logp1, b.logp1, out=grid).ravel()[order]
-    del order
-    return MessageLaw(*_merged(v, p0, p1, gaps=grid.ravel()[:-1]))
+def _sum_law(laws: Sequence[MessageLaw]) -> MessageLaw:
+    """Law of the sum of independent laws, convolved left to right; each partial
+    sum is checked, then held as bare columns freed as their outer sums read them."""
+    total = laws[0]
+    for law in laws[1:]:
+        if total.n_atoms * law.n_atoms > STATE_SPACE_CAP:
+            raise StateSpaceTooLarge(
+                f"convolving laws of {total.n_atoms} and {law.n_atoms} atoms would create "
+                f"{total.n_atoms * law.n_atoms}, over the cap of {STATE_SPACE_CAP}"
+            )
+        # smaller law first: each row of the outer sum is then a sorted run of
+        # the larger law, which the stable sort merges instead of sorting
+        law_first = law.n_atoms < total.n_atoms
+        spent, total = [total.values, total.logp0, total.logp1], None
+        grid = order = None
+        cols = []
+        for i, col in enumerate((law.values, law.logp0, law.logp1)):
+            grid = np.add.outer(*((col, spent[i]) if law_first else (spent[i], col)), out=grid)
+            spent[i] = None
+            if order is None:
+                order = np.argsort(grid.ravel(), kind="stable")
+            cols.append(grid.ravel()[order])  # a copy: the grid is free for the next sum
+        del order
+        total = MessageLaw(*_merged(*cols, gaps=grid.ravel()[:-1]))
+    return total
 
 
 # stirlerr(n) = log n! - log(sqrt(2 pi n) (n / e)^n) below 16, from mpmath; n = 0 is unread
@@ -210,10 +218,10 @@ def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
     remaining = m
     while remaining:
         if remaining & 1:
-            result = base if result is None else _conv(result, base)
+            result = base if result is None else _sum_law([result, base])
         remaining >>= 1
         if remaining:
-            base = _conv(base, base)
+            base = _sum_law([base, base])
     assert result is not None
     return result
 
@@ -292,7 +300,7 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
             continue
         try:
             # runs ascend by child id, which fixes the convolution order
-            total = reduce(_conv, [_conv_power(out[k], c) for k, c in table[sid]])
+            total = _sum_law([_conv_power(out[k], c) for k, c in table[sid]])
         except StateSpaceTooLarge as exc:
             raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
         sums.append(total)
@@ -341,7 +349,7 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
     values, logp0 = ctx.root_sum.values, ctx.root_sum.logp0
     l_f, n = int(strategy.tree.shape_counts.leaf_count[-1]), values.size
     # tail[n-2-i] is the null mass strictly above atom i; exp runs forward, where numpy vectorizes
-    buf = np.exp(logp0)
+    buf = _exp(logp0)
     tail = np.cumsum(buf[::-1], out=buf[::-1])
     i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
     q = np.divide(values, l_f, out=buf)  # atom j's threshold sends q[:k] low, as _split does
@@ -451,7 +459,7 @@ def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
         # besides the leaf's, only a gate law has no sum; a wide one is drawn by CDF search
         if law is None and sid and out.n_atoms > 2:
             # x / x is exactly 1, so no u < 1 searches past the last atom
-            cdf = np.cumsum(np.exp(logp))
+            cdf = np.cumsum(_exp(logp))
             wide = out.values, cdf / cdf[-1]
     return table, wide
 

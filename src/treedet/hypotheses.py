@@ -69,12 +69,31 @@ class Direction(Enum):
     ONE_ZERO = "one-zero"  # divergence of the alternative law from the null
 
 
+_EXP_ZERO = -746.0  # np.exp is exactly 0.0 below -745.1332
+
+
+def _exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(x, out=out)`` of a 1-D array, bit for bit.  The runs of lanes
+    below ``_EXP_ZERO`` at either end get 0.0 without an exp: numpy takes a
+    scalar path there, about 15 times a normal lane's cost.  NaN is live."""
+    if x.size == 0 or (x.item(0) >= _EXP_ZERO and x.item(-1) >= _EXP_ZERO):
+        return np.exp(x, out=out)
+    dead = x < _EXP_ZERO  # refilled for the reversed scan, as argmin copies a reversed view
+    lo = int(np.argmin(dead))  # the first live lane, or 0 if none is
+    hi = 0 if dead[lo] else x.size - int(np.argmin(np.less(x[::-1], _EXP_ZERO, out=dead)))
+    out = np.empty_like(x) if out is None else out
+    np.exp(x[lo:hi], out=out[lo:hi])
+    out[:lo] = out[hi:] = 0.0
+    return out
+
+
 def _logsumexp(logs) -> float:
     """log(sum(exp(logs))) with a max shift; -inf for an empty or all -inf input.
 
     Plain numpy rather than ``scipy.special.logsumexp``: most calls sum a
     handful of atoms, where scipy's per-call dispatch costs over ten times
-    the arithmetic.
+    the arithmetic.  The exp runs through ``_exp``, as wide trees' tails reach
+    e^-25000.
     """
     logs = np.asarray(logs, dtype=float)
     if logs.size == 0:
@@ -83,7 +102,7 @@ def _logsumexp(logs) -> float:
     if not math.isfinite(top):
         return top
     shifted = logs - top
-    return top + math.log(float(np.exp(shifted, out=shifted).sum()))
+    return top + math.log(float(_exp(shifted, out=shifted).sum()))
 
 
 def _as_prob_array(values, size: int, label: str) -> np.ndarray:

@@ -145,7 +145,9 @@ class Tree:
 
     @cached_property
     def is_leaf(self) -> np.ndarray:
-        return _frozen((self.n_children == 0) & (np.arange(self.n) != self._root))
+        leaf = self.n_children == 0
+        leaf[self._root] = False  # a one-node tree's root is no leaf
+        return _frozen(leaf)
 
     @cached_property
     def leaves(self) -> np.ndarray:

@@ -7,6 +7,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import mpmath
@@ -161,6 +162,17 @@ def _reference_conv(a, b):
     ]
 
 
+def _pairwise_conv(a, b):
+    """One step of the pairwise convolution whose left fold ``_sum_law`` must
+    reproduce bit for bit: the smaller law's atoms index the outer sum's rows."""
+    if b.n_atoms < a.n_atoms:
+        a, b = b, a
+    sums = [np.add.outer(x, y).ravel() for x, y in zip(
+        (a.values, a.logp0, a.logp1), (b.values, b.logp0, b.logp1))]
+    order = np.argsort(sums[0], kind="stable")
+    return MessageLaw(*ev._merged(*(c[order] for c in sums)))
+
+
 class TestConvolution:
     def _cases(self):
         rng = np.random.default_rng(11)
@@ -184,13 +196,42 @@ class TestConvolution:
 
     def test_operand_order_is_bit_identical(self):
         for a, b, _ in self._cases():
-            ab, ba = ev._conv(a, b), ev._conv(b, a)
+            ab, ba = ev._sum_law([a, b]), ev._sum_law([b, a])
             for f in ("values", "logp0", "logp1"):
                 assert getattr(ab, f).tobytes() == getattr(ba, f).tobytes()
 
+    def test_chain_is_the_pairwise_fold_bit_for_bit(self):
+        def same(got, want):
+            return all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
+                       for f in ("values", "logp0", "logp1"))
+
+        pool = []
+        for a, b, _ in self._cases():
+            assert same(ev._sum_law([a, b]), _pairwise_conv(a, b))
+            pool += [a, b]
+        rng = np.random.default_rng(23)
+        leaf = law_from_pair(TERNARY)
+        pool += [_random_law(rng, n) for n in range(1, 8)]
+        pool += [ev._conv_power(leaf, m) for m in range(1, 6)]
+        chains = 0
+        while chains < 60:
+            laws = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(2, 7)))]
+            if math.prod(law.n_atoms for law in laws) <= 50_000:
+                assert same(ev._sum_law(laws), reduce(_pairwise_conv, laws))
+                chains += 1
+        # square-and-multiply through the chain, merges included
+        for m in range(2, 14):
+            result, base, k = None, leaf, m
+            while k:
+                if k & 1:
+                    result = base if result is None else _pairwise_conv(result, base)
+                k >>= 1
+                base = _pairwise_conv(base, base) if k else base
+            assert same(ev._conv_power(leaf, m), result)
+
     def test_matches_brute_force_merge(self):
         for a, b, merges in self._cases():
-            got = ev._conv(a, b)
+            got = ev._sum_law([a, b])
             want = np.array(_reference_conv(a, b))
             assert (got.n_atoms < a.n_atoms * b.n_atoms) == merges
             assert_array_equal(got.values, want[:, 0])
@@ -238,7 +279,7 @@ class TestLawMemory:
         a = MessageLaw(np.array([0.0, 0.5]), half, half)
         b = MessageLaw(np.arange(2.0**18), *(np.log(rng.dirichlet(np.ones(2**18))) for _ in "01"))
         assert self._clears_gap_check(a, b)
-        assert self._peak_columns(lambda: ev._conv(a, b), 2**19) <= 5
+        assert self._peak_columns(lambda: ev._sum_law([a, b]), 2**19) <= 5
 
     def test_convolution_scanning_atom_by_atom_holds_eight_columns(self):
         # these sums fail the global gap check, and the per-atom scan merges
@@ -247,7 +288,15 @@ class TestLawMemory:
         rng = np.random.default_rng(3)
         a, b = _random_law(rng, 2), _random_law(rng, 2**18)
         assert not self._clears_gap_check(a, b)
-        assert self._peak_columns(lambda: ev._conv(a, b), 2**19) <= 8
+        assert self._peak_columns(lambda: ev._sum_law([a, b]), 2**19) <= 8
+
+    def test_chain_holds_five_columns(self):
+        # each spent partial sum is freed once its outer sum is read, so a
+        # doubling chain peaks at its last step's five columns; keeping the
+        # half-size partial sum through that step would add one and a half
+        laws = [MessageLaw(np.array([0.0, 2.0**i]), np.log([0.3, 0.7]), np.log([0.6, 0.4]))
+                for i in range(18)]
+        assert self._peak_columns(lambda: ev._sum_law(laws), 2**18) <= 5
 
     def test_binomial_power_holds_six_columns(self):
         # k, log C(m, k), the three columns and a temporary or the gap column;
@@ -286,9 +335,9 @@ class TestSplitInvariants:
         law, leaves = leaf, 1
         for op, m, t in steps:
             if op == "conv" or (op == "self" and law.n_atoms > 40):
-                law, leaves = ev._conv(law, leaf), leaves + 1
+                law, leaves = ev._sum_law([law, leaf]), leaves + 1
             elif op == "self":
-                law, leaves = ev._conv(law, law), 2 * leaves
+                law, leaves = ev._sum_law([law, law]), 2 * leaves
             elif op == "power" and law.n_atoms == 2:
                 law, leaves = ev._binomial_power(law, m), m * leaves
             elif op == "relay":

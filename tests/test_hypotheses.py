@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from treedet import (
     kl_divergence,
     second_moment_null,
 )
-from treedet.hypotheses import UnknownSymbol, _logsumexp
+from treedet.hypotheses import _EXP_ZERO, UnknownSymbol, _exp, _logsumexp
 
 LOG3 = math.log(3.0)
 
@@ -72,6 +73,61 @@ class TestLogSumExp:
     def test_returns_python_float(self):
         assert type(_logsumexp(np.log([0.25, 0.75]))) is float
         assert type(_logsumexp(np.array([]))) is float
+
+
+class TestExp:
+    """``_exp`` is ``np.exp`` bit for bit, whichever lanes it leaves out."""
+
+    @staticmethod
+    def _check(x):
+        want = np.exp(x).tobytes()
+        assert _exp(x.copy()).tobytes() == want
+        into = np.full_like(x, 7.0)
+        assert _exp(x.copy(), out=into) is into and into.tobytes() == want
+        same = x.copy()
+        assert _exp(same, out=same) is same and same.tobytes() == want
+
+    def test_dense_grid_across_the_underflow(self):
+        grid = np.linspace(-746.5, -745.0, 30001)
+        self._check(grid)
+        self._check(grid[::-1].copy())
+        ulps = np.nextafter(-745.1332191019411, 0.0) + np.arange(-2000, 2000) * 2.0**-43
+        self._check(np.concatenate(([-750.0], ulps, [-760.0])))
+
+    def test_dead_ends_inner_dead_lanes_and_specials(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            x = rng.uniform(-900.0, 5.0, int(rng.integers(1, 60)))
+            if rng.random() < 0.5:
+                x.sort()
+            specials = rng.random(x.size)
+            x[specials < 0.05] = np.nan
+            x[(specials >= 0.05) & (specials < 0.1)] = np.inf
+            x[(specials >= 0.1) & (specials < 0.15)] = -np.inf
+            self._check(x)
+        for x in ([], [-800.0], [-np.inf, -800.0], [np.nan], [-800.0, np.nan, -900.0],
+                  [-800.0, 0.0, -900.0, 1.0, -np.inf], [np.inf, -800.0], [-746.0, -800.0]):
+            self._check(np.array(x, dtype=float))
+
+    def test_holds_one_byte_mask_beside_its_output(self):
+        x = -np.abs(np.linspace(-2000.0, 2000.0, 2**20))  # dead at both ends
+        out = np.empty_like(x)
+        tracemalloc.start()
+        try:
+            _exp(x, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * x.size  # a float temporary would take 8 bytes a lane
+        assert out.tobytes() == np.exp(x).tobytes()
+
+    def test_numpy_underflows_to_exact_zero_below_the_cut(self):
+        # _exp writes 0.0 for these lanes instead of asking numpy
+        below = _EXP_ZERO - np.concatenate(
+            ([0.0], np.geomspace(1e-13, 1e300, 2000), [np.inf])
+        )
+        below[0] = np.nextafter(_EXP_ZERO, -np.inf)
+        assert np.exp(below).tobytes() == np.zeros_like(below).tobytes()
 
 
 class TestDistributionPair:
