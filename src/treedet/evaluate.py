@@ -27,13 +27,14 @@ node by node.  An ungated height-2 tree holds one row, so 10^5 trials on
 sorted sum atoms low, so a simulated sum is decided by one comparison with
 the midpoint between the last atom sent low and the first sent high; ties
 fall as in the exact split, with no tolerance.  Each run draws its own
-numbers when the walk reaches it: c >= 2 fringe siblings send i.i.d. bits
-and draw their count of high bits with one binomial, a lone fringe node its
-bit with one uniform, both against the end atoms of its outgoing bit or
-two-atom gate law; a gate law wider than two atoms is drawn node by node,
-by CDF search.  A run of relays counts the high decisions of as many nodes
-of its shape.  Monte Carlo thus takes the fringe level's law from the exact
-engine, and `tests/test_oracle.py` checks that level by enumeration.
+numbers when the walk reaches it: a run of fringe siblings one uniform per
+trial, against the end atoms of its outgoing bit or two-atom gate law.  A
+lone node compares it with P(send low); c >= 2 siblings send i.i.d. bits and
+look their count of high bits up in a Bin(c, P(high)) table.  A gate law
+wider than two atoms is looked up in its CDF node by node.  A run of relays
+counts the high decisions of as many nodes of its shape.  Monte Carlo thus
+takes the fringe level's law from the exact engine; `tests/test_oracle.py`
+checks that level by enumeration.
 """
 
 from __future__ import annotations
@@ -438,42 +439,66 @@ def fringe_message_laws(
     return [(ctx.out[s], counts[s]) for s in np.flatnonzero(level == 1).tolist()]
 
 
-def _mc_tables(ctx: _LawContext, strategy: Strategy, hypothesis: int) -> tuple:
-    """(cut, low, high, P(send low), P(send high)) under ``hypothesis`` by
-    shape, and the (atoms, CDF) of a gate law wider than two atoms, else None."""
-    l_f = int(strategy.tree.shape_counts.leaf_count[-1])
-    root = _split(ctx.root_sum, l_f, strategy.root_threshold)
-    table = np.zeros((len(ctx.sums), 5))
-    wide = None
+def _mc_tables(ctx: _LawContext, strategy: Strategy) -> list[tuple]:
+    """Per hypothesis, (cut, low, high, P(send low)) by shape and the (atoms,
+    CDF) of a gate law wider than two atoms, else None, from one root split."""
+    root = _split(ctx.root_sum, int(strategy.tree.shape_counts.leaf_count[-1]), strategy.root_threshold)
+    table, wide = np.zeros((2, len(ctx.sums), 4)), [None, None]
     for sid, (law, out, split) in enumerate(zip(ctx.sums, ctx.out, [*ctx.split[:-1], root])):
         if law is not None:  # a relay cuts between the last atom sent low and the next
-            v = np.concatenate(([-np.inf], law.values, [np.inf]))
-            table[sid, 0] = (v[split[0]] + v[split[0] + 1]) / 2.0
+            k, v = split[0], law.values
+            table[:, sid, 0] = ((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0
         if out is None:  # the root sends no message; its split gives its decision
-            table[sid, 3] = math.exp(min(split[1 + hypothesis], 0.0))
+            table[:, sid, 3] = [math.exp(min(low, 0.0)) for low in split[1:3]]
             continue
-        # an outgoing law's end atoms and their masses, clamped: a log mass can
-        # sum an ulp above 0, and a binomial refuses a chance above 1
-        logp = out.logp1 if hypothesis else out.logp0
-        table[sid, 1:] = *out.values[[0, -1]], *(math.exp(min(x, 0.0)) for x in logp[[0, -1]])
-        # besides the leaf's, only a gate law has no sum; a wide one is drawn by CDF search
-        if law is None and sid and out.n_atoms > 2:
-            # x / x is exactly 1, so no u < 1 searches past the last atom
-            cdf = np.cumsum(_exp(logp))
-            wide = out.values, cdf / cdf[-1]
-    return table, wide
+        # an outgoing law's end atoms and the low one's mass, clamped: a log mass can top 0
+        for h, logp in enumerate((out.logp0, out.logp1)):
+            table[h, sid, 1:] = *out.values[[0, -1]], math.exp(min(logp[0], 0.0))
+            # besides the leaf's, only a gate law has no sum; a wide one is drawn by CDF search
+            if law is None and sid and out.n_atoms > 2:
+                cdf = np.cumsum(_exp(logp))
+                wide[h] = out.values, cdf / cdf[-1]  # x / x is 1: no u < 1 passes the last atom
+    return [(table[h], wide[h]) for h in (0, 1)]
+
+
+def _count_table(c: int, logp: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, CDF) of Bin(c, P(high)) for bits of log masses ``logp``, on c·P(high) ± ⌈√(30c)⌉,
+    past which Hoeffding's bound leaves under 2e^-60.  Built by the pmf's ratio recurrence, not
+    from the exact engine's binomial powers, which Monte Carlo is there to check."""
+    if logp.size == 1 or -np.inf in logp:  # one atom, or a side of no mass: a constant count
+        return (0 if logp[-1] == -np.inf else c), np.ones(1)
+    mean, w = c * math.exp(min(logp[1], 0.0)), math.ceil(math.sqrt(30 * c))
+    j = np.arange(max(math.floor(mean) - w, 0), min(math.ceil(mean) + w, c), dtype=float)
+    # log pmf(j + 1) - log pmf(j) = log((c - j) / (j + 1)) + log P(high) - log P(low)
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log((c - j) / (j + 1)) + (logp[1] - logp[0]))))
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    return int(j[0]), cdf / cdf[-1]  # x / x is exactly 1, as a gate CDF's
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for u in [0, 1) and a CDF ending at 1.0, by a
+    guide table of ``cdf.size`` buckets and one step (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, §III.2.4); lanes still outside their atom's cell search in full."""
+    m = cdf.size
+    k = np.searchsorted(cdf, np.arange(m) / m, side="right").take((u * m).astype(np.intp))
+    k += cdf.take(k) <= u
+    miss = (np.concatenate(([-np.inf], cdf[:-1])).take(k) > u) | (cdf.take(k) <= u)
+    k[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return k
 
 
 def _simulate_error_count(
-    ctx: _LawContext, strategy: Strategy, hypothesis: int, trials: int, seed: int
+    ctx: _LawContext, strategy: Strategy, hypothesis: int, table, wide, trials: int, seed: int
 ) -> int:
     runs, level = strategy.tree.shape_children, strategy.tree.shape_counts.level.tolist()
     count = strategy.tree.shape_multiplicity.tolist()
-    table, wide = _mc_tables(ctx, strategy, hypothesis)
-    cut, low, high, plow, phigh = table.T.tolist()
+    cut, low, high, plow = table.T.tolist()
     # a node's children share one level, so a relay's runs are all fringe runs
     # or all runs of relays; ascending id order is bottom-up, the root last
     relays = [s for s in range(len(runs)) if level[s] > 1]
+    # the count table of each run of c >= 2 fringe siblings under a law of at most two atoms
+    counts = {(k, c): _count_table(c, ctx.out[k].logp1 if hypothesis else ctx.out[k].logp0)
+              for s in relays for k, c in runs[s] if not wide and level[k] == 1 and c > 1}
     # a block keeps one decision per relay node until its parent reads it, and
     # draws c rows per node of a wide-gated fringe run; a height-1 root holds one
     rows = max(1, sum(count[s] for s in relays),
@@ -492,13 +517,14 @@ def _simulate_error_count(
                     high_bits = bits[k][: n * c].reshape(n, c, nb).sum(1)
                     bits[k] = bits[k][n * c :]
                 elif wide is not None:  # each node's atom by CDF search
-                    picks = np.searchsorted(wide[1], rng.random((n * c, nb)), side="right")
+                    picks = _inverse_cdf(wide[1], rng.random((n * c, nb)))
                     total += wide[0][picks].reshape(n, c, nb).sum(1)
                     continue
                 elif c == 1:  # a lone fringe node: one uniform against P(send low)
                     high_bits = rng.random((n, nb)) >= plow[k]
-                else:  # same-shape fringe siblings send i.i.d. bits: one binomial
-                    high_bits = rng.binomial(c, phigh[k], (n, nb))
+                else:  # same-shape fringe siblings send i.i.d. bits: their count by inversion
+                    lo, cdf = counts[k, c]
+                    high_bits = lo + _inverse_cdf(cdf, rng.random((n, nb)))
                 # c low messages, raised by the count of high bits
                 total += c * low[k] + high_bits * (high[k] - low[k])
             bits[s] = total > cut[s]
@@ -515,7 +541,8 @@ def monte_carlo_error(
     within ``_MC_BLOCK_FLOATS``, both for the decisions it keeps, one row
     per relay node, and for the numbers any one run of siblings draws.  It
     runs on one Philox substream per hypothesis, and each run of siblings
-    draws its own numbers where the walk reads them.  Strategy, pair,
+    draws its own numbers where the walk reads them, one uniform per trial,
+    or per node under a gate law wider than two atoms.  Strategy, pair,
     trials, seed and ``_MC_BLOCK_FLOATS`` fix the estimate, whatever the
     call order; the block size sets which trials share a substream, so it
     changes the counts.  ``seed`` must lie in [0, 2**63).
@@ -528,10 +555,8 @@ def monte_carlo_error(
     if not 0 <= seed < 2**63:
         raise InvalidParams("seed must lie in [0, 2**63)")
     ctx = _context_for(strategy, pair)
-    wrong0 = _simulate_error_count(ctx, strategy, 0, trials, seed)
-    wrong1 = _simulate_error_count(ctx, strategy, 1, trials, seed)
-    p_i = wrong0 / trials
-    p_ii = wrong1 / trials
+    p_i, p_ii = (_simulate_error_count(ctx, strategy, h, *tables, trials, seed) / trials
+                 for h, tables in enumerate(_mc_tables(ctx, strategy)))
     return ErrorEstimate(
         type_i=p_i,
         type_ii=p_ii,

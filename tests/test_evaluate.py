@@ -7,6 +7,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import chdtrc
 
 from conftest import count_gate, subtree_counts_by_passes
 from treedet import (
@@ -40,6 +42,7 @@ from treedet import (
     monte_carlo_error,
     np_calibrate_root,
     or_gate,
+    parallel_exponent,
     rate_table,
     root_sum_law,
     second_moment_null,
@@ -647,8 +650,9 @@ class TestTailReport:
         assert len(calls) == 5 and calls[-1] is ctx.root_sum
         tail_report(s, pair75)
         assert len(calls) == 6 and calls[-1] is ctx.root_sum
+        # one root split serves both hypotheses' tables
         monte_carlo_error(s, pair75, trials=100, seed=0)
-        assert len(calls) == 8 and calls[-2] is calls[-1] is ctx.root_sum
+        assert len(calls) == 7 and calls[-1] is ctx.root_sum
 
 
 def assert_lazy_rows(make):
@@ -758,7 +762,8 @@ class TestMonteCarlo:
             # every relay sends low: each bit law has one atom, its low and high
             # end alike, though the fringe split's low log mass sums to 2.2e-16
             (True, TreeFamily("wide_uniform", {"m": 3}).generate(4), (1.0, 0.0), 40000),
-            # one group of 40 same-shape fringe siblings: one binomial per trial
+            # one group of 40 same-shape fringe siblings: one count per trial,
+            # looked up in the Bin(40, P(high)) table
             (False, TreeFamily("wide_uniform", {"m": 2}).generate(40), (0.0, 0.0), 10**6),
             # each level-2 relay holds a two-node sibling group and a lone
             # fringe node of another shape, which in the first relay sits
@@ -858,8 +863,8 @@ class TestMonteCarlo:
         return opened
 
     def test_a_block_holds_every_trial_at_scale(self, pair75, ident, monkeypatch):
-        # 10^6 fringe siblings of one root hold one row: one binomial count
-        # per trial, and one substream per hypothesis for 10^5 trials
+        # 10^6 fringe siblings of one root hold one row: one count of high
+        # bits per trial, and one substream per hypothesis for 10^5 trials
         tree = TreeFamily("wide_uniform", {"m": 20}).generate(10**6)
         cal = np_calibrate_root(build_relay_strategy(tree, ident, (0.0, 0.0)), pair75, 0.25)
         exact = exact_error_probs(cal, pair75)
@@ -896,8 +901,8 @@ class TestMonteCarlo:
         assert opened == [0] * 7 + [1] * 7
 
     def test_binomial_before_lone_uniform_matches_exact(self, pair75, ident):
-        # the root's sibling pair has the lower shape id, so its binomial count
-        # is drawn before the lone fringe node's uniform
+        # the root's sibling pair has the lower shape id, so its count of high
+        # bits is drawn before the lone fringe node's uniform
         tree = Tree([-1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3])
         assert [c for _, c in tree.shape_children[-1]] == [2, 1]
         cal = np_calibrate_root(build_relay_strategy(tree, ident, (0.0, 0.0)), pair75, 0.25)
@@ -931,13 +936,15 @@ class TestMonteCarlo:
         "ternary, kind, params, size, gate, pinned",
         [
             # wrong decisions under (H0, H1) per (seed, floats per block);
-            # six same-shape two-atom gated siblings draw one binomial count,
-            # at z = -3.11/-0.72, -0.28/0.81 and 0.84/-1.05 against exact
+            # six same-shape two-atom gated siblings draw one count of high
+            # bits by inversion, at z = -3.11/0.70, -0.28/0.37 and 0.84/0.48
+            # against exact
             (
                 False, "wide_uniform", {"m": 2}, 6, or_gate(),
-                {(5, None): (4513, 78), (11, None): (4683, 92), (5, 1024): (4750, 75)},
+                {(5, None): (4513, 91), (11, None): (4683, 88), (5, 1024): (4750, 89)},
             ),
-            # a three-atom gate law is drawn by CDF search
+            # a three-atom gate law is drawn by CDF search, through the same
+            # lookup as a count table
             (
                 False, "wide_uniform", {"m": 2}, 5, count_gate(),
                 {(5, None): (4421, 65), (11, None): (4421, 76), (5, 1024): (4508, 76)},
@@ -953,10 +960,11 @@ class TestMonteCarlo:
                 False, "parallel", {}, 12, None,
                 {(5, None): (2223, 156), (11, None): (2350, 155), (5, 1024): (2310, 173)},
             ),
-            # two same-shape relays: one binomial count of high bits
+            # two same-shape relays: one count of high bits by inversion, at
+            # z = -0.94/0.88, -0.31/-0.01 and 0.44/1.60 against exact
             (
                 False, "two_relay", {}, 6, None,
-                {(5, None): (1441, 546), (11, None): (1464, 546), (5, 1024): (1492, 549)},
+                {(5, None): (1441, 595), (11, None): (1464, 574), (5, 1024): (1492, 612)},
             ),
             # three relays of distinct shapes: one uniform each
             (
@@ -974,7 +982,8 @@ class TestMonteCarlo:
     ):
         # a seed and block size fix every count: a height-1 root, a lone
         # fringe node and each node under a three-atom gate law draw one
-        # uniform, and a run of same-shape fringe siblings one binomial count
+        # uniform, and so does a run of same-shape fringe siblings, for its
+        # count of high bits
         pair = TERNARY if ternary else pair75
         tree = TreeFamily(kind, params).generate(size)
         gated = {"level1_gate": gate} if gate is not None else {}
@@ -987,6 +996,149 @@ class TestMonteCarlo:
                 monkeypatch.setattr(ev, "_MC_BLOCK_FLOATS", block)
             mc = monte_carlo_error(cal, pair, trials=20000, seed=seed)
             assert (mc.type_i, mc.type_ii) == (wrong0 / 20000, wrong1 / 20000)
+
+
+class TestCountDraws:
+    """The count table Bin(c, P(high)) of a run of fringe siblings and the
+    inverse-CDF lookup that draws from it and from a wide gate law."""
+
+    @staticmethod
+    def _table(c, p):
+        return ev._count_table(c, np.log([1.0 - p, p]))
+
+    def _cdfs(self, pair75, ident):
+        s = build_relay_strategy(
+            TreeFamily("wide_uniform", {"m": 2}).generate(5), ident, (0.0, 0.0),
+            level1_gate=count_gate(),
+        )
+        ctx = ev._context_for(s, pair75)
+        gate_cdf = ev._mc_tables(ctx, s)[0][1][1]
+        assert gate_cdf.size == 3
+        tables = [np.ones(1), self._table(1, 0.3)[1], self._table(2, 0.3)[1],
+                  self._table(40, 0.5)[1], self._table(10**6, 0.5)[1], gate_cdf]
+        assert [t.size for t in tables] == [1, 2, 3, 41, 10957, 3]
+        return tables
+
+    def test_inverse_cdf_is_searchsorted(self, pair75, ident):
+        rng = np.random.default_rng(0)
+        for cdf in self._cdfs(pair75, ident):
+            assert cdf[-1] == 1.0
+            # every cell edge and its neighbours: the guide's bucket edges
+            # round exactly where a lookup can miss its atom
+            edges = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)))
+            u = np.concatenate(([0.0, 1.0 - 2.0**-53], edges[edges < 1.0], rng.random(10**5)))
+            assert_array_equal(ev._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
+            u = u[: u.size // 4 * 4].reshape(4, -1)  # the draws come as (nodes, trials)
+            assert_array_equal(ev._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97])
+    def test_count_table_is_the_exact_binomial(self, p):
+        # the window's law, renormalized, against exact rationals: the CDF the
+        # lookup reads, and each count's chance where doubles resolve it
+        fp = Fraction(p)
+        for c in (2, 3, 6, 13, 40, 60):
+            lo, cdf = self._table(c, p)
+            assert 0 <= lo and lo + cdf.size - 1 <= c and cdf[-1] == 1.0
+            pmf = [math.comb(c, k) * fp**k * (1 - fp) ** (c - k) for k in range(lo, lo + cdf.size)]
+            total, run, want = sum(pmf), Fraction(0), []
+            assert 1 - total < 2.0 * math.exp(-60.0)  # Hoeffding's bound outside the window
+            for mass in pmf:
+                run += mass
+                want.append(float(run / total))
+            assert_allclose(cdf, want, rtol=1e-12, atol=0.0)
+            want_pmf = np.array([float(m / total) for m in pmf])
+            seen = want_pmf > 1e-3
+            assert_allclose(np.diff(cdf, prepend=0.0)[seen], want_pmf[seen], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1e-9, 0.25, 0.5, 0.999])
+    def test_count_window_at_scale(self, p):
+        c = 10**6
+        lo, cdf = self._table(c, p)
+        w = math.ceil(math.sqrt(30 * c))
+        assert cdf.size <= 2 * w + 2 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        assert lo <= c * p <= lo + cdf.size - 1
+        # each count just outside the window lies in a tail that Hoeffding's
+        # bound holds below e^-60
+        for k in (lo - 1, lo + cdf.size):
+            if 0 <= k <= c:
+                log_pmf = (math.lgamma(c + 1) - math.lgamma(k + 1) - math.lgamma(c - k + 1)
+                           + k * math.log(p) + (c - k) * math.log1p(-p))
+                assert log_pmf < -60.0
+
+    @pytest.mark.parametrize(
+        "thresholds, ternary",
+        [((-5.0, 0.0), False), ((1.0, 0.0), True)],
+        ids=["every_relay_high", "every_relay_low"],
+    )
+    def test_certain_bits_draw_constant_counts(self, pair75, thresholds, ternary):
+        with np.errstate(all="raise"):
+            for logp, want in (([-np.inf, 0.0], 7), ([0.0, -np.inf], 0), ([0.0], 7)):
+                lo, cdf = ev._count_table(7, np.array(logp))
+                assert (lo, cdf.tolist()) == (want, [1.0])
+        # every relay sends one side, so its bit law has one atom
+        pair = TERNARY if ternary else pair75
+        tree = TreeFamily("wide_uniform", {"m": 3}).generate(5)
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), thresholds)
+        cal = np_calibrate_root(s, pair, 0.25)
+        assert ev._context_for(cal, pair).out[1].n_atoms == 1
+        with np.errstate(all="raise"):
+            mc = monte_carlo_error(cal, pair, trials=2000, seed=1)
+        exact = exact_error_probs(cal, pair)
+        assert (mc.type_i, mc.type_ii) == (exact.type_i, exact.type_ii)
+
+    @pytest.mark.parametrize("c, p", [(2, 0.25), (6, 0.75), (40, 0.6)])
+    def test_drawn_counts_pass_chi_square(self, c, p):
+        lo, cdf = self._table(c, p)
+        draws = lo + ev._inverse_cdf(cdf, np.random.default_rng(c).random(10**5))
+        seen = np.bincount(draws, minlength=c + 1)
+        want = 10**5 * np.array([math.comb(c, k) * p**k * (1 - p) ** (c - k) for k in range(c + 1)])
+        # pool the counts expected fewer than 5 times into their neighbours
+        keep = want >= 5.0
+        edges = np.flatnonzero(keep)
+        bins = np.clip(np.searchsorted(edges, np.arange(c + 1)), 0, edges.size - 1)
+        seen, want = np.bincount(bins, seen), np.bincount(bins, want)
+        stat = float(np.sum((seen - want) ** 2 / want))
+        assert chdtrc(seen.size - 1, stat) > 1e-3
+
+
+class TestOneBitCeiling:
+    """C(k): the largest divergence per leaf that one bit of a k-leaf relay
+    (bern75, identity map) carries, over every split of its sum law.  By
+    Stein's lemma it bounds what such relays add to the root's exponent, so
+    it shows why criterion 6's relays of 16..24 leaves fall short of -0.549."""
+
+    @staticmethod
+    def ceiling(pair, k):
+        # every split at once: the log masses of each prefix and each suffix
+        law = ev._conv_power(law_from_pair(pair), k)
+        low0, low1 = (np.logaddexp.accumulate(x)[:-1] for x in (law.logp0, law.logp1))
+        high0, high1 = (np.logaddexp.accumulate(x[::-1])[::-1][1:] for x in (law.logp0, law.logp1))
+        d = np.exp(low0) * (low0 - low1) + np.exp(high0) * (high0 - high1)
+        return float(d.max(initial=0.0)) / k
+
+    @staticmethod
+    def brute_force(k, p=0.75):
+        # every one-bit message of the count of ones, not only threshold splits
+        q0 = np.array([math.comb(k, j) * (1 - p) ** j * p ** (k - j) for j in range(k + 1)])
+        q1 = q0[::-1]
+        sets = (np.arange(2 ** (k + 1))[:, None] >> np.arange(k + 1)) & 1
+        a0, a1 = sets @ q0, sets @ q1
+        inner = (a0 > 0) & (a0 < 1)
+        a0, a1 = a0[inner], a1[inner]
+        return float(np.max(a0 * np.log(a0 / a1) + (1 - a0) * np.log((1 - a0) / (1 - a1)))) / k
+
+    def test_one_leaf_is_the_parallel_exponent(self, pair75, leaf_family):
+        assert abs(self.ceiling(pair75, 1) + parallel_exponent(pair75, leaf_family)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_threshold_splits_are_optimal(self, pair75, k):
+        assert abs(self.ceiling(pair75, k) - self.brute_force(k)) <= 1e-12
+
+    def test_criterion_6_relays_stay_below_the_target_band(self, pair75):
+        # criterion 6 wants -0.549 +- 0.05 from relays of 16..24 leaves
+        ceilings = [self.ceiling(pair75, k) for k in range(16, 25)]
+        assert max(ceilings) < 0.499
+        assert [round(self.ceiling(pair75, k), 3) for k in (16, 20, 24)] == [0.383, 0.384, 0.383]
 
 
 def test_import_loads_no_scipy():
