@@ -13,28 +13,31 @@ read it: a whole chain peaks at five result-sized columns, eight if a gap
 needs the per-atom tolerance check.  A law over `STATE_SPACE_CAP` atoms is
 refused, naming the level, shape and operand sizes.  Laws are computed once
 per structurally distinct subtree, so trees with millions of isomorphic
-branches cost no more than their distinct shapes.  They are memoized on the
+branches cost no more than their distinct shapes.  A relay's sum law is
+read once, by its split (`_split`), and dropped: what is kept per shape is
+its outgoing law and its split, and of the sum laws only the root's, which
+its readers split at their own threshold.  These are memoized on the
 strategy, one set per pair: calibrating the root threshold hands them to
 the calibrated copy, and they are freed with the strategy.
 
-Monte Carlo reads only the shape table: each shape's node count, then its
-(child shape, count) runs bottom-up.  Trials run in blocks, each on its own
-counter-based substream per hypothesis, so a seed reproduces its run.  A
-block is sized by the rows it holds: one per relay node, whose decision
-waits for its parent, or c per node of a run of c fringe siblings drawn
-node by node.  An ungated height-2 tree holds one row, so 10^5 trials on
-10^6 relays run in one substream.  A relay's rule sends a prefix of its
+Monte Carlo reads the tree only through the shape table: each shape's node
+count, then its (child shape, count) runs bottom-up.  Trials run in blocks,
+each on its own counter-based substream per hypothesis, so a seed reproduces
+its run.  A block is sized by the rows it holds: one per relay node, whose
+decision waits for its parent, or c per node of a run of c fringe siblings
+drawn node by node.  An ungated height-2 tree holds one row, so 10^5 trials
+on 10^6 relays run in one substream.  A relay's rule sends a prefix of its
 sorted sum atoms low, so a simulated sum is decided by one comparison with
-the midpoint between the last atom sent low and the first sent high; ties
-fall as in the exact split, with no tolerance.  Each run draws its own
-numbers when the walk reaches it: a run of fringe siblings one uniform per
-trial, against the end atoms of its outgoing bit or two-atom gate law.  A
-lone node compares it with P(send low); c >= 2 siblings send i.i.d. bits and
-look their count of high bits up in a Bin(c, P(high)) table.  A gate law
-wider than two atoms is looked up in its CDF node by node.  A run of relays
-counts the high decisions of as many nodes of its shape.  Monte Carlo thus
-takes the fringe level's law from the exact engine; `tests/test_oracle.py`
-checks that level by enumeration.
+its split's cut, the midpoint between the last atom sent low and the first
+sent high; ties fall as in the exact split, with no tolerance, and no sum
+law is read.  Each run draws its own numbers when the walk reaches it: a run
+of fringe siblings one uniform per trial, against the end atoms of its
+outgoing bit or two-atom gate law.  A lone node compares it with P(send
+low); c >= 2 siblings send i.i.d. bits and look their count of high bits up
+in a Bin(c, P(high)) table.  A gate law wider than two atoms is looked up in
+its CDF node by node.  A run of relays counts the high decisions of as many
+nodes of its shape.  Monte Carlo thus takes the fringe level's law from the
+exact engine; `tests/test_oracle.py` checks that level by enumeration.
 """
 
 from __future__ import annotations
@@ -235,12 +238,16 @@ def _sends_low(sums: np.ndarray, leaf_count: int, threshold: float) -> np.ndarra
 
 
 def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
-    """The relay rule on a sum law: (k, low0, low1, high0, high1).  The rule is
-    monotone in the sum, so it sends the first k sorted atoms low; the rest
-    are the log masses of each side under both hypotheses."""
-    k = int(np.count_nonzero(_sends_low(law.values, leaf_count, threshold)))
+    """The relay rule on a sum law: (k, cut, low0, low1, high0, high1).  The rule
+    is monotone in the sum, so it sends the first k sorted atoms low, and a sum
+    goes high iff it is above ``cut``, the midpoint between the last atom sent
+    low and the first sent high (-inf or inf past an end).  The rest are the log
+    masses of each side under both hypotheses."""
+    v = law.values
+    k = int(np.count_nonzero(_sends_low(v, leaf_count, threshold)))
     return (
         k,
+        float(((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0),
         _logsumexp(law.logp0[:k]),
         _logsumexp(law.logp1[:k]),
         _logsumexp(law.logp0[k:]),
@@ -251,7 +258,7 @@ def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
 def _bit_law(split: tuple) -> MessageLaw:
     """One-bit output law of a relay's split; its atoms are the (low, high)
     output values, or one atom when a side is empty."""
-    _, low0, low1, high0, high1 = split
+    _, _, low0, low1, high0, high1 = split
     if (low0 == low1 == -np.inf) or (high0 == high1 == -np.inf):
         return MessageLaw(np.zeros(1), np.zeros(1), np.zeros(1))
     return MessageLaw(
@@ -265,19 +272,16 @@ def _bit_law(split: tuple) -> MessageLaw:
 class _LawContext:
     """Exact laws indexed by shape id, beside the tree's ``shape_counts``.
 
-    ``sums`` is None for the leaf and for gated fringes, ``out`` for the root.
-    ``split`` is each relay's ``_split`` at its level's threshold, the only
-    use of the relay rule below the root; it is None where ``sums`` is and at
-    the root.
+    ``out`` is each shape's outgoing law, None for the root.  ``split`` is
+    each relay's ``_split`` at its level's threshold, the only use of the
+    relay rule below the root; it is None for the leaf, gated fringes and the
+    root.  A relay's sum law is dropped once split: only the root's is kept,
+    as ``root_sum``, for its readers to split at their own threshold.
     """
 
     out: list
-    sums: list
     split: list
-
-    @property
-    def root_sum(self) -> MessageLaw:
-        return self.sums[-1]
+    root_sum: MessageLaw
 
 
 def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -290,12 +294,10 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
         else None
     )
     out: list = [law_from_pair(induced_pair(pair, strategy.gamma))]
-    sums: list = [None]
     split: list = [None]
     # ascending id order is bottom-up, and the root is the last id
     for sid in range(1, len(table)):
         if level[sid] == 1 and gate_law is not None:
-            sums.append(None)
             split.append(None)
             out.append(gate_law)
             continue
@@ -304,11 +306,10 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
             total = _sum_law([_conv_power(out[k], c) for k, c in table[sid]])
         except StateSpaceTooLarge as exc:
             raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
-        sums.append(total)
-        t = strategy.thresholds[level[sid] - 1]
-        split.append(_split(total, leaf_count[sid], t) if sid < len(table) - 1 else None)
-        out.append(None if split[-1] is None else _bit_law(split[-1]))
-    return _LawContext(out, sums, split)
+        if sid < len(table) - 1:
+            split.append(_split(total, leaf_count[sid], strategy.thresholds[level[sid] - 1]))
+            out.append(_bit_law(split[-1]))
+    return _LawContext(out + [None], split + [None], total)
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -387,7 +388,7 @@ def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstima
     """False-alarm and miss probabilities of the strategy, exactly."""
     ctx = _context_for(strategy, pair)
     l_f = int(strategy.tree.shape_counts.leaf_count[-1])
-    _, _, low1, high0, _ = _split(ctx.root_sum, l_f, strategy.root_threshold)
+    *_, low1, high0, _ = _split(ctx.root_sum, l_f, strategy.root_threshold)
     low1 = min(low1, 0.0)
     return ErrorEstimate(
         type_i=_type_i(high0),
@@ -422,7 +423,7 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> Sequence[TailRow]
     # node; a gate level has no split, and its tails are not threshold tails
     splits = [*ctx.split[:-1], _split(ctx.root_sum, int(lcount[-1]), strategy.thresholds[-1])]
     kept = np.array([s is not None for s in splits])
-    tails = np.array([s[2:4] if s else (0.0, 0.0) for s in splits]) / lcount[:, None]
+    tails = np.array([s[3:5] if s else (0.0, 0.0) for s in splits]) / lcount[:, None]
     return _NodeRows(strategy.tree, TailRow, (level, lcount, pcount, *tails.T), kept)
 
 
@@ -437,28 +438,6 @@ def fringe_message_laws(
     # a fringe node's children are all leaves: its shape is of level 1
     counts = strategy.tree.shape_multiplicity.tolist()
     return [(ctx.out[s], counts[s]) for s in np.flatnonzero(level == 1).tolist()]
-
-
-def _mc_tables(ctx: _LawContext, strategy: Strategy) -> list[tuple]:
-    """Per hypothesis, (cut, low, high, P(send low)) by shape and the (atoms,
-    CDF) of a gate law wider than two atoms, else None, from one root split."""
-    root = _split(ctx.root_sum, int(strategy.tree.shape_counts.leaf_count[-1]), strategy.root_threshold)
-    table, wide = np.zeros((2, len(ctx.sums), 4)), [None, None]
-    for sid, (law, out, split) in enumerate(zip(ctx.sums, ctx.out, [*ctx.split[:-1], root])):
-        if law is not None:  # a relay cuts between the last atom sent low and the next
-            k, v = split[0], law.values
-            table[:, sid, 0] = ((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0
-        if out is None:  # the root sends no message; its split gives its decision
-            table[:, sid, 3] = [math.exp(min(low, 0.0)) for low in split[1:3]]
-            continue
-        # an outgoing law's end atoms and the low one's mass, clamped: a log mass can top 0
-        for h, logp in enumerate((out.logp0, out.logp1)):
-            table[h, sid, 1:] = *out.values[[0, -1]], math.exp(min(logp[0], 0.0))
-            # besides the leaf's, only a gate law has no sum; a wide one is drawn by CDF search
-            if law is None and sid and out.n_atoms > 2:
-                cdf = np.cumsum(_exp(logp))
-                wide[h] = out.values, cdf / cdf[-1]  # x / x is 1: no u < 1 passes the last atom
-    return [(table[h], wide[h]) for h in (0, 1)]
 
 
 def _count_table(c: int, logp: np.ndarray) -> tuple[int, np.ndarray]:
@@ -488,16 +467,25 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _simulate_error_count(
-    ctx: _LawContext, strategy: Strategy, hypothesis: int, table, wide, trials: int, seed: int
+    ctx: _LawContext, strategy: Strategy, hypothesis: int, root: tuple, trials: int, seed: int
 ) -> int:
     runs, level = strategy.tree.shape_children, strategy.tree.shape_counts.level.tolist()
     count = strategy.tree.shape_multiplicity.tolist()
-    cut, low, high, plow = table.T.tolist()
+    splits = [*ctx.split[:-1], root]  # a relay's sum is sent high iff it is above its cut
+    # per shape, its outgoing law's end atoms, log masses under this hypothesis and P(send
+    # low), clamped: a log mass can top 0; the root sends no message, and its split decides
+    ends = [law.values[[0, -1]].tolist() for law in ctx.out[:-1]]
+    logp = [law.logp1 if hypothesis else law.logp0 for law in ctx.out[:-1]]
+    plow = [math.exp(min(lp[0], 0.0)) for lp in logp] + [math.exp(min(root[2 + hypothesis], 0.0))]
+    wide, fringe = None, level.index(1)  # under a gate, every fringe shape sends the gate law
+    if strategy.level1_gate is not None and ctx.out[fringe].n_atoms > 2:  # drawn by CDF search
+        cdf = np.cumsum(_exp(logp[fringe]))
+        wide = ctx.out[fringe].values, cdf / cdf[-1]  # x / x is 1: no u < 1 passes the last atom
     # a node's children share one level, so a relay's runs are all fringe runs
     # or all runs of relays; ascending id order is bottom-up, the root last
     relays = [s for s in range(len(runs)) if level[s] > 1]
     # the count table of each run of c >= 2 fringe siblings under a law of at most two atoms
-    counts = {(k, c): _count_table(c, ctx.out[k].logp1 if hypothesis else ctx.out[k].logp0)
+    counts = {(k, c): _count_table(c, logp[k])
               for s in relays for k, c in runs[s] if not wide and level[k] == 1 and c > 1}
     # a block keeps one decision per relay node until its parent reads it, and
     # draws c rows per node of a wide-gated fringe run; a height-1 root holds one
@@ -526,8 +514,9 @@ def _simulate_error_count(
                     lo, cdf = counts[k, c]
                     high_bits = lo + _inverse_cdf(cdf, rng.random((n, nb)))
                 # c low messages, raised by the count of high bits
-                total += c * low[k] + high_bits * (high[k] - low[k])
-            bits[s] = total > cut[s]
+                low, high = ends[k]
+                total += c * low + high_bits * (high - low)
+            bits[s] = total > splits[s][1]
         errors += int(np.count_nonzero(bits[len(runs) - 1] != bool(hypothesis)))
     return errors
 
@@ -555,8 +544,9 @@ def monte_carlo_error(
     if not 0 <= seed < 2**63:
         raise InvalidParams("seed must lie in [0, 2**63)")
     ctx = _context_for(strategy, pair)
-    p_i, p_ii = (_simulate_error_count(ctx, strategy, h, *tables, trials, seed) / trials
-                 for h, tables in enumerate(_mc_tables(ctx, strategy)))
+    # one root split at the calibrated threshold serves both hypotheses
+    root = _split(ctx.root_sum, int(strategy.tree.shape_counts.leaf_count[-1]), strategy.root_threshold)
+    p_i, p_ii = (_simulate_error_count(ctx, strategy, h, root, trials, seed) / trials for h in (0, 1))
     return ErrorEstimate(
         type_i=p_i,
         type_ii=p_ii,

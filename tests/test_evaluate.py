@@ -345,9 +345,12 @@ class TestSplitInvariants:
                 law, leaves = ev._binomial_power(law, m), m * leaves
             elif op == "relay":
                 split = ev._split(law, leaves, t)
-                k, low0, low1, high0, high1 = split
-                assert np.all(law.values[:k] / leaves <= t)
-                assert np.all(law.values[k:] / leaves > t)
+                k, cut, low0, low1, high0, high1 = split
+                v = law.values
+                assert np.all(v[:k] / leaves <= t)
+                assert np.all(v[k:] / leaves > t)
+                assert (v[k - 1] < cut if k else cut == -np.inf)
+                assert (cut < v[k] if k < v.size else cut == np.inf)
                 for low, high, logp in ((low0, high0, law.logp0), (low1, high1, law.logp1)):
                     total = float(np.logaddexp.reduce(logp))
                     assert abs(np.logaddexp(low, high) - total) <= 1e-12
@@ -513,12 +516,14 @@ def tail_rows_by_node(strategy, pair):
     rows = []
     for v in np.flatnonzero(~tree.is_leaf):
         level = int(tree.height - tree.depth[v])
-        law = ctx.sums[int(tree.shape_ids[v])]
-        if law is None:
+        if level == 1 and strategy.level1_gate is not None:
             continue
+        # the node's own sum law, rebuilt from its shape's runs in the engine's order
+        runs = tree.shape_children[int(tree.shape_ids[v])]
+        law = ev._sum_law([ev._conv_power(ctx.out[k], c) for k, c in runs])
         l_v = int(leaves[v])
         t = strategy.thresholds[level - 1]
-        _, _, low1, high0, _ = ev._split(law, l_v, t)
+        *_, low1, high0, _ = ev._split(law, l_v, t)
         p_v = int(nodes[v])
         rows.append(ev.TailRow(int(v), level, l_v, p_v, low1 / l_v, high0 / l_v))
     return tuple(rows)
@@ -536,6 +541,13 @@ class RecordingFamily:
 
 
 class TestTailReport:
+    # two fringe shapes under two level-2 shapes; every relay has several children,
+    # so no relay's sum law is its one child's outgoing law
+    HEIGHT_3 = Tree(
+        [-1, 0, 0, 1, 1, 1, 2, 2, 2]
+        + [3] * 2 + [4] * 3 + [5] * 2 + [6] * 3 + [7] * 3 + [8] * 2
+    )
+
     def test_matches_node_by_node_rows(
         self, pair75, ident, leaf_family, make_rugged_tree
     ):
@@ -633,26 +645,33 @@ class TestTailReport:
     def test_relay_rule_is_applied_once_per_relay_shape(self, pair75, ident, monkeypatch):
         # each relay shape is split once, while its laws are built; the
         # readers split only the root, at their own threshold
-        calls = []
+        calls = []  # (law, its split)
         split = ev._split
-        monkeypatch.setattr(ev, "_split", lambda *a: calls.append(a[0]) or split(*a))
-        tree = Tree(
-            [-1, 0, 0, 1, 1, 1, 2, 2, 2]
-            + [3] * 2 + [4] * 3 + [5] * 2 + [6] * 3 + [7] * 3 + [8] * 2
-        )
-        s = np_calibrate_root(build_relay_strategy(tree, ident, (0.0, -0.1, 0.1)), pair75, 0.25)
+        monkeypatch.setattr(ev, "_split", lambda *a: calls.append((a[0], split(*a))) or calls[-1][1])
+        s = build_relay_strategy(self.HEIGHT_3, ident, (0.0, -0.1, 0.1))
+        s = np_calibrate_root(s, pair75, 0.25)
         ctx = ev._context_for(s, pair75)
-        relays = [law for law in ctx.sums[:-1] if law is not None]
+        relays = [r for r in ctx.split if r is not None]
         # two fringe shapes and two level-2 shapes
         assert len(relays) == 4
-        assert len(calls) == 4 and all(a is b for a, b in zip(calls, relays))
+        assert len(calls) == 4 and all(got is r for (_, got), r in zip(calls, relays))
         exact_error_probs(s, pair75)
-        assert len(calls) == 5 and calls[-1] is ctx.root_sum
+        assert len(calls) == 5 and calls[-1][0] is ctx.root_sum
         tail_report(s, pair75)
-        assert len(calls) == 6 and calls[-1] is ctx.root_sum
-        # one root split serves both hypotheses' tables
+        assert len(calls) == 6 and calls[-1][0] is ctx.root_sum
+        # one root split serves both hypotheses
         monte_carlo_error(s, pair75, trials=100, seed=0)
-        assert len(calls) == 7 and calls[-1] is ctx.root_sum
+        assert len(calls) == 7 and calls[-1][0] is ctx.root_sum
+
+    def test_only_the_root_sum_law_outlives_the_build(self, pair75, ident, monkeypatch):
+        # a relay's sum law is read once, by its split, and then dropped
+        refs = []
+        split = ev._split
+        monkeypatch.setattr(ev, "_split", lambda *a: refs.append(weakref.ref(a[0])) or split(*a))
+        ctx = ev._context_for(build_relay_strategy(self.HEIGHT_3, ident, (0.0, -0.1, 0.1)), pair75)
+        gc.collect()
+        assert len(refs) == 4
+        assert all(r() is None or r() is ctx.root_sum for r in refs)
 
 
 def assert_lazy_rows(make):
@@ -1011,8 +1030,9 @@ class TestCountDraws:
             TreeFamily("wide_uniform", {"m": 2}).generate(5), ident, (0.0, 0.0),
             level1_gate=count_gate(),
         )
-        ctx = ev._context_for(s, pair75)
-        gate_cdf = ev._mc_tables(ctx, s)[0][1][1]
+        gate = ev._context_for(s, pair75).out[int(np.flatnonzero(s.tree.shape_counts.level == 1)[0])]
+        cdf = np.cumsum(ev._exp(gate.logp0))
+        gate_cdf = cdf / cdf[-1]
         assert gate_cdf.size == 3
         tables = [np.ones(1), self._table(1, 0.3)[1], self._table(2, 0.3)[1],
                   self._table(40, 0.5)[1], self._table(10**6, 0.5)[1], gate_cdf]

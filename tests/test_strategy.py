@@ -271,7 +271,7 @@ class TestCalibration:
             p0[a:b] = 0.0
             with np.errstate(divide="ignore"):
                 law = MessageLaw(np.arange(n) * 0.37, np.log(p0 / p0.sum()), np.full(n, -math.log(n)))
-            s._laws[pair75] = _LawContext([None], [law], [None])
+            s._laws[pair75] = _LawContext([None], [None], law)
             thresholds = law.values / int(s.tree.shape_counts.leaf_count[-1])
             tails = [reported_type_i(s, pair75, t) for t in rng.choice(thresholds, 5).tolist()]
             alphas = np.array([t for t in tails if 0.0 < t < 1.0])
