@@ -990,10 +990,17 @@ class TestMonteCarlo:
                 False, "increasing_leaves", {}, 3, None,
                 {(5, None): (5044, 324), (11, None): (4965, 369), (5, 1024): (4987, 375)},
             ),
+            # 200 OR-gated siblings: count tables of 136 and 91 edges below 1.0,
+            # past those counted edge by edge, read through the guide; type I
+            # at z = -3.08, -0.30 and 0.79 against exact, type II 1e-74
+            (
+                False, "wide_uniform", {"m": 2}, 200, or_gate(),
+                {(5, None): (4567, 0), (11, None): (4734, 0), (5, 1024): (4800, 0)},
+            ),
         ],
         ids=[
             "or_gated_wide", "count_gated_wide", "ternary_increasing", "parallel", "two_relay",
-            "binary_increasing",
+            "binary_increasing", "wide_count_table",
         ],
     )
     def test_fringe_streams_are_pinned(
@@ -1034,9 +1041,15 @@ class TestCountDraws:
         cdf = np.cumsum(ev._exp(gate.logp0))
         gate_cdf = cdf / cdf[-1]
         assert gate_cdf.size == 3
+        # edges at, and one past, the count read edge by edge; a table whose
+        # top edges round to 1.0, which no u < 1 reaches
+        bound = ev._COUNTED_EDGES
         tables = [np.ones(1), self._table(1, 0.3)[1], self._table(2, 0.3)[1],
-                  self._table(40, 0.5)[1], self._table(10**6, 0.5)[1], gate_cdf]
-        assert [t.size for t in tables] == [1, 2, 3, 41, 10957, 3]
+                  self._table(40, 0.5)[1], self._table(10**6, 0.5)[1], gate_cdf,
+                  np.linspace(0.0, 1.0, bound + 2)[1:], np.linspace(0.0, 1.0, bound + 3)[1:],
+                  self._table(60, 0.5)[1]]
+        assert [t.size for t in tables] == [1, 2, 3, 41, 10957, 3, bound + 1, bound + 2, 61]
+        assert [int(np.searchsorted(t, 1.0)) for t in tables[-3:]] == [bound, bound + 1, 58]
         return tables
 
     def test_inverse_cdf_is_searchsorted(self, pair75, ident):
@@ -1047,9 +1060,10 @@ class TestCountDraws:
             # round exactly where a lookup can miss its atom
             edges = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)))
             u = np.concatenate(([0.0, 1.0 - 2.0**-53], edges[edges < 1.0], rng.random(10**5)))
-            assert_array_equal(ev._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
-            u = u[: u.size // 4 * 4].reshape(4, -1)  # the draws come as (nodes, trials)
-            assert_array_equal(ev._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
+            for draws in (u, u[: u.size // 4 * 4].reshape(4, -1)):  # as (nodes, trials)
+                k = ev._inverse_cdf(cdf, draws)
+                assert k.dtype == np.intp  # so lo + k cannot wrap at any count
+                assert_array_equal(k, np.searchsorted(cdf, draws, side="right"))
 
     @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97])
     def test_count_table_is_the_exact_binomial(self, p):
