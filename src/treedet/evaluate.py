@@ -243,17 +243,23 @@ def _sends_low(sums: np.ndarray, leaf_count: int, threshold: float) -> np.ndarra
     return sums / leaf_count <= threshold
 
 
-def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
-    """The relay rule on a sum law: (k, cut, low0, low1, high0, high1).  The rule
-    is monotone in the sum, so it sends the first k sorted atoms low, and a sum
-    goes high iff it is above ``cut``, the midpoint between the last atom sent
-    low and the first sent high (-inf or inf past an end).  The rest are the log
-    masses of each side under both hypotheses."""
+def _cut(law: MessageLaw, leaf_count: int, threshold: float) -> tuple[int, float]:
+    """The relay rule on a sum law's atoms: (k, cut).  The rule is monotone in
+    the sum, so it sends the first k sorted atoms low, and a sum goes high iff
+    it is above ``cut``, the midpoint between the last atom sent low and the
+    first sent high (-inf or inf past an end)."""
     v = law.values
     k = int(np.count_nonzero(_sends_low(v, leaf_count, threshold)))
+    return k, float(((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0)
+
+
+def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
+    """``_cut`` with the log masses of each side under both hypotheses:
+    (k, cut, low0, low1, high0, high1)."""
+    k, cut = _cut(law, leaf_count, threshold)
     return (
         k,
-        float(((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0),
+        cut,
         _logsumexp(law.logp0[:k]),
         _logsumexp(law.logp1[:k]),
         _logsumexp(law.logp0[k:]),
@@ -491,10 +497,12 @@ def _simulate_error_count(
     count = strategy.tree.shape_multiplicity.tolist()
     splits = [*ctx.split[:-1], root]  # a relay's sum is sent high iff it is above its cut
     # per shape, its outgoing law's end atoms, log masses under this hypothesis and P(send
-    # low), clamped: a log mass can top 0; the root sends no message, and its split decides
+    # low), clamped: a log mass can top 0; the root sends no message, and its cut decides
     ends = [law.values[[0, -1]].tolist() for law in ctx.out[:-1]]
     logp = [law.logp1 if hypothesis else law.logp0 for law in ctx.out[:-1]]
-    plow = [math.exp(min(lp[0], 0.0)) for lp in logp] + [math.exp(min(root[2 + hypothesis], 0.0))]
+    plow = [math.exp(min(lp[0], 0.0)) for lp in logp]
+    if len(root) > 2:  # a height-1 root is the one fringe node: its split gives P(send low)
+        plow.append(math.exp(min(root[2 + hypothesis], 0.0)))
     wide, fringe = None, level.index(1)  # under a gate, every fringe shape sends the gate law
     if strategy.level1_gate is not None and ctx.out[fringe].n_atoms > 2:  # drawn by CDF search
         cdf = np.cumsum(_exp(logp[fringe]))
@@ -562,8 +570,10 @@ def monte_carlo_error(
     if not 0 <= seed < 2**63:
         raise InvalidParams("seed must lie in [0, 2**63)")
     ctx = _context_for(strategy, pair)
-    # one root split at the calibrated threshold serves both hypotheses
-    root = _split(ctx.root_sum, int(strategy.tree.shape_counts.leaf_count[-1]), strategy.root_threshold)
+    # one root cut at the calibrated threshold serves both hypotheses; only a
+    # height-1 root, the one fringe node, draws against its low masses too
+    read = _split if strategy.tree.height == 1 else _cut
+    root = read(ctx.root_sum, int(strategy.tree.shape_counts.leaf_count[-1]), strategy.root_threshold)
     p_i, p_ii = (_simulate_error_count(ctx, strategy, h, root, trials, seed) / trials for h in (0, 1))
     return ErrorEstimate(
         type_i=p_i,

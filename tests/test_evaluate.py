@@ -645,9 +645,10 @@ class TestTailReport:
     def test_relay_rule_is_applied_once_per_relay_shape(self, pair75, ident, monkeypatch):
         # each relay shape is split once, while its laws are built; the
         # readers split only the root, at their own threshold
-        calls = []  # (law, its split)
-        split = ev._split
+        calls, cuts = [], []  # (law, its split); each law cut, by a split or alone
+        split, cut = ev._split, ev._cut
         monkeypatch.setattr(ev, "_split", lambda *a: calls.append((a[0], split(*a))) or calls[-1][1])
+        monkeypatch.setattr(ev, "_cut", lambda *a: cuts.append(a[0]) or cut(*a))
         s = build_relay_strategy(self.HEIGHT_3, ident, (0.0, -0.1, 0.1))
         s = np_calibrate_root(s, pair75, 0.25)
         ctx = ev._context_for(s, pair75)
@@ -659,9 +660,9 @@ class TestTailReport:
         assert len(calls) == 5 and calls[-1][0] is ctx.root_sum
         tail_report(s, pair75)
         assert len(calls) == 6 and calls[-1][0] is ctx.root_sum
-        # one root split serves both hypotheses
+        # one root cut serves both hypotheses, and above height 1 no mass is summed
         monte_carlo_error(s, pair75, trials=100, seed=0)
-        assert len(calls) == 7 and calls[-1][0] is ctx.root_sum
+        assert len(calls) == 6 and len(cuts) == 7 and cuts[-1] is ctx.root_sum
 
     def test_only_the_root_sum_law_outlives_the_build(self, pair75, ident, monkeypatch):
         # a relay's sum law is read once, by its split, and then dropped
