@@ -22,11 +22,13 @@ the calibrated copy, and they are freed with the strategy.
 
 Monte Carlo reads the tree only through the shape table: each shape's node
 count, then its (child shape, count) runs bottom-up.  Trials run in blocks,
-each on its own counter-based substream per hypothesis, so a seed reproduces
-its run.  A block is sized by the rows it holds: one per relay node, whose
-decision waits for its parent, or c per node of a run of c fringe siblings
-drawn node by node.  An ungated height-2 tree holds one row, so 10^5 trials
-on 10^6 relays run in one substream.  A relay's rule sends a prefix of its
+each on its own SFC64 substream per hypothesis, seeded by the spawn key
+(block, hypothesis) of the seed's ``SeedSequence``, so a seed reproduces its
+run; no stream is ever jumped, so a counter-based generator buys nothing.  A
+block is sized by the rows it holds: one per relay node, whose decision
+waits for its parent, or c per node of a run of c fringe siblings drawn node
+by node.  An ungated height-2 tree holds one row, so 10^5 trials on 10^6
+relays run in one substream.  A relay's rule sends a prefix of its
 sorted sum atoms low, so a simulated sum is decided by one comparison with
 its split's cut, the midpoint between the last atom sent low and the first
 sent high; ties fall as in the exact split, with no tolerance, and no sum
@@ -521,7 +523,8 @@ def _simulate_error_count(
     errors = 0
     for b in range((trials + block - 1) // block):
         nb = min(block, trials - b * block)
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, b, hypothesis, 0]))
+        stream = np.random.SeedSequence(seed, spawn_key=(b, hypothesis))
+        rng = np.random.Generator(np.random.SFC64(stream))
         # the decisions of each relay shape not yet summed by a parent
         bits = {} if relays else {len(runs) - 1: rng.random(nb) >= plow[-1]}
         for s in relays:
@@ -550,14 +553,15 @@ def _simulate_error_count(
 def monte_carlo_error(
     strategy: Strategy, pair: DistributionPair, trials: int, seed: int
 ) -> ErrorEstimate:
-    """Simulates both hypotheses with deterministic counter-based streams.
+    """Simulates both hypotheses on deterministic substreams of the seed.
 
     A block of trials is sized so that its trials times its rows stay
     within ``_MC_BLOCK_FLOATS``, both for the decisions it keeps, one row
     per relay node, and for the numbers any one run of siblings draws.  It
-    runs on one Philox substream per hypothesis, and each run of siblings
-    draws its own numbers where the walk reads them, one uniform per trial,
-    or per node under a gate law wider than two atoms.  Strategy, pair,
+    runs on one SFC64 substream per hypothesis, seeded by
+    ``SeedSequence(seed, spawn_key=(block, hypothesis))``, and each run of
+    siblings draws its own numbers where the walk reads them, one uniform per
+    trial, or per node under a gate law wider than two atoms.  Strategy, pair,
     trials, seed and ``_MC_BLOCK_FLOATS`` fix the estimate, whatever the
     call order; the block size sets which trials share a substream, so it
     changes the counts.  ``seed`` must lie in [0, 2**63).
@@ -565,8 +569,8 @@ def monte_carlo_error(
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
-    # numpy casts a key list holding a seed outside this range through
-    # float64, so neighbouring seeds would share one stream
+    # the seed range the API and the CLI promise; SeedSequence itself would
+    # take any int >= 0
     if not 0 <= seed < 2**63:
         raise InvalidParams("seed must lie in [0, 2**63)")
     ctx = _context_for(strategy, pair)

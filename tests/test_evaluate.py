@@ -872,15 +872,33 @@ class TestMonteCarlo:
 
     @staticmethod
     def _count_substreams(monkeypatch):
-        # the hypothesis of each Philox substream a simulation opens
-        opened, philox = [], np.random.Philox
+        # the hypothesis of each substream a simulation opens, from its spawn key
+        opened, seed_sequence = [], np.random.SeedSequence
 
         def counted(*args, **kwargs):
-            opened.append(kwargs["counter"][2])
-            return philox(*args, **kwargs)
+            opened.append(kwargs["spawn_key"][1])
+            return seed_sequence(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "Philox", counted)
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
         return opened
+
+    def test_substreams_of_one_seed_draw_apart(self, pair75, ident, monkeypatch):
+        # a two_relay root holds one row, so 2048 trials take two blocks of
+        # 1024 per hypothesis: four (block, hypothesis) substreams of the
+        # seed, here the top of its range, with no uniform in common
+        s = build_relay_strategy(TreeFamily("two_relay").generate(6), ident, (0.0, 0.0))
+        cal = np_calibrate_root(s, pair75, 0.25)
+        monkeypatch.setattr(ev, "_MC_BLOCK_FLOATS", 1024)
+        opened, seed_sequence = [], np.random.SeedSequence
+        monkeypatch.setattr(
+            np.random, "SeedSequence", lambda *a, **k: opened.append(seed_sequence(*a, **k)) or opened[-1]
+        )
+        mc = monte_carlo_error(cal, pair75, trials=2048, seed=2**63 - 1)
+        assert 0.0 < mc.type_i < 1.0 and 0.0 < mc.type_ii < 1.0
+        assert [ss.spawn_key for ss in opened] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert all(ss.entropy == 2**63 - 1 for ss in opened)
+        draws = [np.random.Generator(np.random.SFC64(ss)).random(1024) for ss in opened]
+        assert np.unique(np.concatenate(draws)).size == 4 * 1024
 
     def test_a_block_holds_every_trial_at_scale(self, pair75, ident, monkeypatch):
         # 10^6 fringe siblings of one root hold one row: one count of high
@@ -937,7 +955,7 @@ class TestMonteCarlo:
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
         with pytest.raises(InvalidParams):
             monte_carlo_error(s, pair75, trials=0, seed=0)
-        # 2**63 and 2**63 + 1 would share a stream; 2**64 overflows the key
+        # the seed range is API: SeedSequence would take the first two, not -1
         for seed in (2**63, 2**64, -1):
             with pytest.raises(InvalidParams, match=r"seed must lie in \[0, 2\*\*63\)"):
                 monte_carlo_error(s, pair75, trials=10, seed=seed)
@@ -957,46 +975,46 @@ class TestMonteCarlo:
         [
             # wrong decisions under (H0, H1) per (seed, floats per block);
             # six same-shape two-atom gated siblings draw one count of high
-            # bits by inversion, at z = -3.11/0.70, -0.28/0.37 and 0.84/0.48
+            # bits by inversion, at z = 2.49/-0.50, 0.70/0.37 and -0.31/2.66
             # against exact
             (
                 False, "wide_uniform", {"m": 2}, 6, or_gate(),
-                {(5, None): (4513, 91), (11, None): (4683, 88), (5, 1024): (4750, 89)},
+                {(5, None): (4849, 80), (11, None): (4742, 88), (5, 1024): (4681, 109)},
             ),
             # a three-atom gate law is drawn by CDF search, through the same
             # lookup as a count table
             (
                 False, "wide_uniform", {"m": 2}, 5, count_gate(),
-                {(5, None): (4421, 65), (11, None): (4421, 76), (5, 1024): (4508, 76)},
+                {(5, None): (4547, 68), (11, None): (4611, 81), (5, 1024): (4541, 64)},
             ),
             # a three-atom leaf law: one uniform per fringe node against the
             # exact split, every count within 2 se of the exact rates
             (
                 True, "increasing_leaves", {}, 7, None,
-                {(5, None): (4605, 69), (11, None): (4589, 64), (5, 1024): (4699, 59)},
+                {(5, None): (4721, 52), (11, None): (4662, 60), (5, 1024): (4722, 58)},
             ),
             # a height-1 root is the one fringe node and draws its own decision
             (
                 False, "parallel", {}, 12, None,
-                {(5, None): (2223, 156), (11, None): (2350, 155), (5, 1024): (2310, 173)},
+                {(5, None): (2374, 144), (11, None): (2350, 160), (5, 1024): (2296, 178)},
             ),
             # two same-shape relays: one count of high bits by inversion, at
-            # z = -0.94/0.88, -0.31/-0.01 and 0.44/1.60 against exact
+            # z = 0.90/-0.09, 1.71/-0.01 and -0.15/1.18 against exact
             (
                 False, "two_relay", {}, 6, None,
-                {(5, None): (1441, 595), (11, None): (1464, 574), (5, 1024): (1492, 612)},
+                {(5, None): (1509, 572), (11, None): (1539, 574), (5, 1024): (1470, 602)},
             ),
             # three relays of distinct shapes: one uniform each
             (
                 False, "increasing_leaves", {}, 3, None,
-                {(5, None): (5044, 324), (11, None): (4965, 369), (5, 1024): (4987, 375)},
+                {(5, None): (5040, 331), (11, None): (5007, 365), (5, 1024): (5054, 348)},
             ),
             # 200 OR-gated siblings: count tables of 136 and 91 edges below 1.0,
             # past those counted edge by edge, read through the guide; type I
-            # at z = -3.08, -0.30 and 0.79 against exact, type II 1e-74
+            # at z = 2.47, 0.74 and -0.07 against exact, type II 1e-74
             (
                 False, "wide_uniform", {"m": 2}, 200, or_gate(),
-                {(5, None): (4567, 0), (11, None): (4734, 0), (5, 1024): (4800, 0)},
+                {(5, None): (4901, 0), (11, None): (4797, 0), (5, 1024): (4748, 0)},
             ),
         ],
         ids=[
