@@ -503,8 +503,6 @@ def _simulate_error_count(
     ends = [law.values[[0, -1]].tolist() for law in ctx.out[:-1]]
     logp = [law.logp1 if hypothesis else law.logp0 for law in ctx.out[:-1]]
     plow = [math.exp(min(lp[0], 0.0)) for lp in logp]
-    if len(root) > 2:  # a height-1 root is the one fringe node: its split gives P(send low)
-        plow.append(math.exp(min(root[2 + hypothesis], 0.0)))
     wide, fringe = None, level.index(1)  # under a gate, every fringe shape sends the gate law
     if strategy.level1_gate is not None and ctx.out[fringe].n_atoms > 2:  # drawn by CDF search
         cdf = np.cumsum(_exp(logp[fringe]))
@@ -512,6 +510,8 @@ def _simulate_error_count(
     # a node's children share one level, so a relay's runs are all fringe runs
     # or all runs of relays; ascending id order is bottom-up, the root last
     relays = [s for s in range(len(runs)) if level[s] > 1]
+    if not relays:  # a height-1 root is the one fringe node: its split gives P(send low)
+        plow.append(math.exp(min(root[2 + hypothesis], 0.0)))
     # the count table of each run of c >= 2 fringe siblings under a law of at most two atoms
     counts = {(k, c): _count_table(c, logp[k])
               for s in relays for k, c in runs[s] if not wide and level[k] == 1 and c > 1}
