@@ -499,9 +499,7 @@ def _naive_type_i(delta: float, relays: float) -> float:
     """Type I of declaring the alternative when any of ``relays`` independent
     relays, each of false-alarm rate delta, sends 1.  Stays in the log domain
     so astronomically many relays are fine."""
-    if delta <= 0.0:
-        return 0.0
-    if delta >= 1.0:
+    if delta >= 1.0:  # log1p(-1.0) raises; at delta = 0.0 the form below is 0.0
         return 1.0
     return -math.expm1(relays * math.log1p(-delta))
 

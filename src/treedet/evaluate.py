@@ -5,13 +5,15 @@ message bottom-up, in the log domain throughout: tail masses reach e^-1000
 scales on wide trees, far below what linear doubles can hold.  Sums of
 identical child laws use closed binomial forms, whose atoms come sorted;
 distinct laws are summed by one left-to-right convolution chain with atom
-merging.  Each step lays its outer sum out as one sorted run of the larger
-law per atom of the smaller, so the stable sort of its atoms only merges
-runs.  One grid holds each outer sum in turn while it is gathered, then the
-gaps, and each partial-sum column is freed as soon as its outer sum has
-read it: a whole chain peaks at five result-sized columns, eight if a gap
-needs the per-atom tolerance check.  A law over `STATE_SPACE_CAP` atoms is
-refused, naming the level, shape and operand sizes.  Laws are computed once
+merging.  A law stores its atoms and null log masses only: each atom v is a
+log-likelihood ratio, so the alternative's are log p0 + v.  Each step lays
+its outer sum out as one sorted run of the larger law per atom of the
+smaller, so the stable sort of its atoms only merges runs.  One grid holds
+each outer sum in turn while it is gathered, then the gaps, and each
+partial-sum column is freed as soon as its outer sum has read it: a whole
+chain peaks at four result-sized columns, six if a gap needs the per-atom
+tolerance check.  A law over `STATE_SPACE_CAP` atoms is refused, naming the
+level, shape and operand sizes.  Laws are computed once
 per structurally distinct subtree, so trees with millions of isomorphic
 branches cost no more than their distinct shapes.  A relay's sum law is
 read once, by its split (`_split`), and dropped: what is kept per shape is
@@ -77,44 +79,42 @@ def _sorted(*columns: np.ndarray) -> list[np.ndarray]:
 
 
 def _merged(  # sorted columns in; ``gaps``, if given, is scratch for v.size - 1 floats
-    v: np.ndarray, a: np.ndarray, b: np.ndarray, gaps: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    v: np.ndarray, logp0: np.ndarray, gaps: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     if v.size <= 1:
-        return v, a, b
+        return v, logp0
     gaps = np.subtract(v[1:], v[:-1], out=gaps)
     # the tolerance grows with |v|, largest at an end of the sorted atoms, so
     # gaps all wider than that tolerance need no check atom by atom
     if gaps.min() > _MERGE_ATOL + _MERGE_RTOL * max(-v[0], v[-1]):
-        return v, a, b
+        return v, logp0
     new_group = gaps > (_MERGE_ATOL + _MERGE_RTOL * np.abs(v[1:]))
     starts = np.flatnonzero(np.concatenate(([True], new_group)))
-    return (
-        v[starts],
-        np.logaddexp.reduceat(a, starts),
-        np.logaddexp.reduceat(b, starts),
-    )
+    return v[starts], np.logaddexp.reduceat(logp0, starts)
 
 
 @dataclass(frozen=True, eq=False)
 class MessageLaw:
-    """Discrete law of a log-likelihood statistic under both hypotheses.
+    """Discrete law of a log-likelihood ratio under both hypotheses.
 
-    Atoms are sorted and deduplicated; log masses must each total one.  All
-    checks run on every law, the engine's included.  Rounding grows with the
-    copies of a binomial power and the length of a convolution chain, hence
-    the loose constructor tolerance; unit tests pin 1e-12 on short chains.
+    Each atom v is the log-likelihood ratio of its masses, dP1/dP0 = e^v, so
+    only null log masses are stored and ``logp1`` is ``logp0 + values``.
+    Atoms are sorted and deduplicated; both laws' masses must total one, so
+    atoms off their masses' ratio are refused.  All checks run on every law,
+    the engine's included.  Rounding grows with the copies of a binomial
+    power and the length of a convolution chain, hence the loose constructor
+    tolerance; unit tests pin 1e-12 on short chains.
     """
 
     values: np.ndarray
     logp0: np.ndarray
-    logp1: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("values", "logp0", "logp1"):
+        for name in ("values", "logp0"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.values.size == self.logp0.size == self.logp1.size):
+        if self.values.size != self.logp0.size:
             raise InvalidParams("law arrays must share a length")
         if self.values.size == 0:
             raise InvalidParams("law must have at least one atom")
@@ -126,7 +126,8 @@ class MessageLaw:
                 raise InvalidParams("law atoms must be finite")
             raise InvalidParams("law atoms must be strictly increasing")
         scratch = np.empty_like(self.logp0)  # one buffer serves both totals
-        for logs in (self.logp0, self.logp1):
+        for shift in (None, v):  # the null total, then the alternative's, sum p0 e^v
+            logs = self.logp0 if shift is None else np.add(self.logp0, shift, out=scratch)
             total = float(_exp(logs, out=scratch).sum())
             if not abs(total - 1.0) <= _MASS_TOL:  # written so that a NaN fails too
                 raise InvalidParams(f"law mass {total} is not 1")
@@ -140,6 +141,10 @@ class MessageLaw:
         return _exp(self.logp0)
 
     @property
+    def logp1(self) -> np.ndarray:
+        return self.logp0 + self.values
+
+    @property
     def p1(self) -> np.ndarray:
         return _exp(self.logp1)
 
@@ -147,12 +152,13 @@ class MessageLaw:
 def law_from_pair(pair: DistributionPair) -> MessageLaw:
     """Law of the log-likelihood ratio of one observation of ``pair``."""
     logp0, logp1 = pair._live_logs
-    return MessageLaw(*_merged(*_sorted(logp1 - logp0, logp0, logp1)))
+    return MessageLaw(*_merged(*_sorted(logp1 - logp0, logp0)))
 
 
 def _sum_law(laws: Sequence[MessageLaw]) -> MessageLaw:
     """Law of the sum of independent laws, convolved left to right; each partial
-    sum is checked, then held as bare columns freed as their outer sums read them."""
+    sum is checked, then held as bare columns freed as their outer sums read them.
+    The atoms stay log-likelihood ratios, so a step sums atoms and null masses only."""
     total = laws[0]
     for law in laws[1:]:
         if total.n_atoms * law.n_atoms > STATE_SPACE_CAP:
@@ -163,10 +169,10 @@ def _sum_law(laws: Sequence[MessageLaw]) -> MessageLaw:
         # smaller law first: each row of the outer sum is then a sorted run of
         # the larger law, which the stable sort merges instead of sorting
         law_first = law.n_atoms < total.n_atoms
-        spent, total = [total.values, total.logp0, total.logp1], None
+        spent, total = [total.values, total.logp0], None
         grid = order = None
         cols = []
-        for i, col in enumerate((law.values, law.logp0, law.logp1)):
+        for i, col in enumerate((law.values, law.logp0)):
             grid = np.add.outer(*((col, spent[i]) if law_first else (spent[i], col)), out=grid)
             spent[i] = None
             if order is None:
@@ -211,17 +217,16 @@ def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
     v0, v1 = law.values
     values = (m - k) * v0 + k * v1
     logp0 = log_comb + (m - k) * law.logp0[0] + k * law.logp0[1]
-    logp1 = log_comb + (m - k) * law.logp1[0] + k * law.logp1[1]
     if not np.all(values[1:] >= values[:-1]):  # else a stable sort is the identity
-        values, logp0, logp1 = _sorted(values, logp0, logp1)
-    return MessageLaw(*_merged(values, logp0, logp1))
+        values, logp0 = _sorted(values, logp0)
+    return MessageLaw(*_merged(values, logp0))
 
 
 def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
     if m == 1:
         return law
     if law.n_atoms == 1:
-        return MessageLaw(law.values * m, law.logp0 * m, law.logp1 * m)
+        return MessageLaw(law.values * m, law.logp0 * m)
     if law.n_atoms == 2:
         return _binomial_power(law, m)
     # square-and-multiply keeps the chain logarithmic in m
@@ -257,29 +262,26 @@ def _cut(law: MessageLaw, leaf_count: int, threshold: float) -> tuple[int, float
 
 def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
     """``_cut`` with the log masses of each side under both hypotheses:
-    (k, cut, low0, low1, high0, high1)."""
+    (k, cut, low0, low1, high0, high1).  A side's alternative mass sums
+    p0 e^v over it, one side's temporary at a time."""
     k, cut = _cut(law, leaf_count, threshold)
-    return (
-        k,
-        cut,
-        _logsumexp(law.logp0[:k]),
-        _logsumexp(law.logp1[:k]),
-        _logsumexp(law.logp0[k:]),
-        _logsumexp(law.logp1[k:]),
-    )
+    v, logp0 = law.values, law.logp0
+    # a side that holds every atom has mass exactly one: the law's check fixes its total
+    if k == v.size:
+        return k, cut, 0.0, 0.0, -np.inf, -np.inf
+    if k == 0:
+        return k, cut, -np.inf, -np.inf, 0.0, 0.0
+    return (k, cut, _logsumexp(logp0[:k]), _logsumexp(logp0[:k] + v[:k]),
+            _logsumexp(logp0[k:]), _logsumexp(logp0[k:] + v[k:]))
 
 
 def _bit_law(split: tuple) -> MessageLaw:
     """One-bit output law of a relay's split; its atoms are the (low, high)
     output values, or one atom when a side is empty."""
     _, _, low0, low1, high0, high1 = split
-    if (low0 == low1 == -np.inf) or (high0 == high1 == -np.inf):
-        return MessageLaw(np.zeros(1), np.zeros(1), np.zeros(1))
-    return MessageLaw(
-        np.array([low1 - low0, high1 - high0]),
-        np.array([low0, high0]),
-        np.array([low1, high1]),
-    )
+    if low0 == -np.inf or high0 == -np.inf:  # a side of no null mass has no alternative mass
+        return MessageLaw(np.zeros(1), np.zeros(1))
+    return MessageLaw(np.array([low1 - low0, high1 - high0]), np.array([low0, high0]))
 
 
 @dataclass(frozen=True, eq=False)

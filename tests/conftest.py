@@ -4,6 +4,7 @@ import pytest
 from treedet import (
     BINARY,
     Alphabet,
+    MessageLaw,
     Tree,
     TransmissionFunction,
     all_binary_leaf_family,
@@ -25,6 +26,14 @@ def ident(pair75):
 @pytest.fixture(scope="session")
 def leaf_family(pair75):
     return all_binary_leaf_family(pair75.alphabet)
+
+
+def llr_law(values, logp0):
+    """The law of null log masses ``logp0`` on ``values`` less the constant that
+    makes each atom the log-likelihood ratio of its masses, so that the
+    alternative's masses p0 e^v total one; the gaps between atoms stay."""
+    values = np.asarray(values, dtype=float)
+    return MessageLaw(values - np.logaddexp.reduce(logp0 + values), logp0)
 
 
 def count_gate():

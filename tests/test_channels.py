@@ -337,7 +337,8 @@ def tied_pairs(draw):
     """Pairs from small integer weights, so likelihood ratios repeat, with
     some symbols dead under both hypotheses."""
     k = draw(st.integers(2, 6))
-    w = np.array(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=k, max_size=k)), float)
+    w = np.array(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                               min_size=k, max_size=k)), float)
     dead = draw(st.lists(st.booleans(), min_size=k, max_size=k))
     dead[draw(st.integers(0, k - 1))] = False
     w[dead] = 0.0
@@ -347,7 +348,8 @@ def tied_pairs(draw):
 @st.composite
 def mixed_families(draw, k):
     """Binary and ternary maps over k symbols, repeats allowed, in shuffled order."""
-    picks = draw(st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 10**6)), min_size=1, max_size=30))
+    picks = draw(st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 10**6)),
+                          min_size=1, max_size=30))
     return [_maps(k, width)[i % len(_maps(k, width))] for width, i in picks]
 
 

@@ -15,7 +15,7 @@ from treedet import (
     identity_map,
     rate_table,
 )
-from treedet.cli import _build_parser, main
+from treedet.cli import _build_parser, _naive_type_i, main
 from treedet.topology import analyze_tree
 
 
@@ -357,6 +357,12 @@ class TestReproduceCommand:
         assert doc["verdicts"]["small_fringe_fraction_vanishes"] is True
         assert doc["verdicts"]["slope_matches_parallel_exponent"] is False
         assert doc["all_pass"] is False
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+    def test_naive_type_i_is_one_less_the_chance_no_relay_fires(self, delta):
+        for relays in (1, 7, 10**5):
+            want = 1.0 - (1.0 - delta) ** relays
+            assert _naive_type_i(delta, relays) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestUsageErrors:

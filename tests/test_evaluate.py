@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import chdtrc
 
-from conftest import count_gate, subtree_counts_by_passes
+from conftest import count_gate, llr_law, subtree_counts_by_passes
 from treedet import (
     Alphabet,
     DistributionPair,
@@ -58,6 +58,21 @@ TERNARY = DistributionPair(
 )
 
 
+# bern75's leaf law: atoms -log 3 and log 3, the log-likelihood ratios of
+# null masses 0.75 and 0.25
+BERN75 = (np.array([-LOG3, LOG3]), np.log([0.75, 0.25]))
+# log-likelihood ratios of alternative masses (0.2, 0.3, 0.5) against a
+# uniform null
+UNIFORM3 = np.log([0.6, 0.9, 1.5]).tolist()
+
+
+def _two_atom_law(v0, v1):
+    """The law on atoms v0 < 0 < v1 whose masses have them as log-likelihood
+    ratios: p0 e^v0 + (1 - p0) e^v1 = 1."""
+    low = math.expm1(v1) / (math.expm1(v1) - math.expm1(v0))
+    return MessageLaw(np.array([v0, v1]), np.log([low, 1.0 - low]))
+
+
 class TestMessageLaw:
     def test_from_pair(self, pair75):
         law = law_from_pair(pair75)
@@ -67,88 +82,85 @@ class TestMessageLaw:
         assert_allclose(law.p1, [0.25, 0.75], rtol=1e-14)
 
     def test_atoms_must_increase(self):
+        values, logp0 = BERN75
         with pytest.raises(InvalidParams):
-            MessageLaw(
-                np.array([1.0, 0.0]),
-                np.log([0.5, 0.5]),
-                np.log([0.5, 0.5]),
-            )
+            MessageLaw(values[::-1], logp0[::-1])
 
     def test_mass_must_be_one(self):
+        # the alternative's masses (0.5, 0.5) total one, the null's 0.9
         with pytest.raises(InvalidParams):
-            MessageLaw(
-                np.array([0.0, 1.0]),
-                np.log([0.5, 0.4]),
-                np.log([0.5, 0.5]),
-            )
+            MessageLaw(np.array([0.0, math.log(1.25)]), np.log([0.5, 0.4]))
 
     def test_zero_mass_atom_is_accepted(self):
+        # an atom of no null mass has no alternative mass either
         law = MessageLaw(
-            np.array([0.0, 1.0, 2.0]),
+            np.array([math.log(0.5), 0.0, math.log(1.5)]),
             np.array([math.log(0.5), -np.inf, math.log(0.5)]),
-            np.array([math.log(0.25), math.log(0.75), -np.inf]),
         )
         assert law.n_atoms == 3
-        assert law.p0[1] == 0.0 and law.p1[2] == 0.0
+        assert law.p0[1] == 0.0 and law.p1[1] == 0.0
+        assert_allclose(law.p1, [0.25, 0.0, 0.75], rtol=1e-15)
 
     def test_nan_mass_is_rejected(self):
         with pytest.raises(InvalidParams):
-            MessageLaw(
-                np.array([0.0, 1.0]),
-                np.array([np.nan, 0.0]),
-                np.log([0.5, 0.5]),
-            )
+            MessageLaw(BERN75[0], np.array([np.nan, math.log(0.25)]))
 
     @pytest.mark.parametrize("logp", [(np.nan, 0.0), (np.inf, -np.inf), (-np.inf, -np.inf)])
     def test_mass_faults_are_named(self, logp):
-        # a total of NaN, +inf or 0 is not 1 on either hypothesis
-        half = np.log([0.5, 0.5])
-        for logp0, logp1 in ((np.array(logp), half), (half, np.array(logp))):
-            with pytest.raises(InvalidParams, match=r"^law mass (nan|inf|0\.0) is not 1$"):
-                MessageLaw(np.array([0.0, 1.0]), logp0, logp1)
+        # a null total of NaN, +inf or 0 is not 1
+        with pytest.raises(InvalidParams, match=r"^law mass (nan|inf|0\.0) is not 1$"):
+            MessageLaw(BERN75[0], np.array(logp))
+
+    @pytest.mark.parametrize("shift", [-0.1, 0.1])
+    def test_atoms_off_their_log_likelihood_ratio_are_refused(self, shift):
+        # the null masses total one; the alternative's, p0 e^v, total e^shift
+        values, logp0 = BERN75
+        with pytest.raises(InvalidParams, match=r"^law mass \S+ is not 1$") as info:
+            MessageLaw(values + shift, logp0)
+        assert float(str(info.value).split()[2]) == pytest.approx(math.exp(shift), rel=1e-15)
 
     # each of these is strictly increasing, so only finiteness rejects it
-    @pytest.mark.parametrize("values", [(0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0)])
+    @pytest.mark.parametrize("values", [(-LOG3, np.nan), (-LOG3, np.inf), (-np.inf, LOG3)])
     def test_atoms_must_be_finite(self, values):
         with pytest.raises(InvalidParams):
-            MessageLaw(
-                np.array(values),
-                np.log([0.5, 0.5]),
-                np.log([0.5, 0.5]),
-            )
+            MessageLaw(np.array(values), BERN75[1])
 
     @pytest.mark.parametrize(
         "values, message",
         [
-            ((0.0, np.nan, 2.0), "finite"),
+            ((UNIFORM3[0], np.nan, UNIFORM3[2]), "finite"),
             ((np.nan,), "finite"),
-            ((0.0, 1.0, np.inf), "finite"),
-            ((-np.inf, 1.0, 2.0), "finite"),
-            ((0.0, 1.0, 1.0), "strictly increasing"),
-            ((0.0, 2.0, 1.0), "strictly increasing"),
+            ((UNIFORM3[0], UNIFORM3[1], np.inf), "finite"),
+            ((-np.inf, UNIFORM3[1], UNIFORM3[2]), "finite"),
+            ((UNIFORM3[0], UNIFORM3[1], UNIFORM3[1]), "strictly increasing"),
+            ((UNIFORM3[0], UNIFORM3[2], UNIFORM3[1]), "strictly increasing"),
         ],
     )
     def test_atom_faults_are_named(self, values, message):
         uniform = np.full(len(values), -math.log(len(values)))
         with pytest.raises(InvalidParams, match=f"^law atoms must be {message}$"):
-            MessageLaw(np.array(values), uniform, uniform)
+            MessageLaw(np.array(values), uniform)
 
     def test_lengths_must_agree(self):
         with pytest.raises(InvalidParams):
-            MessageLaw(np.array([0.0]), np.log([1.0]), np.log([0.5, 0.5]))
+            MessageLaw(np.array([0.0]), np.log([0.5, 0.5]))
         # so a root law, and np_calibrate_root's candidate set, is never empty
         with pytest.raises(InvalidParams, match="at least one atom"):
-            MessageLaw(np.array([]), np.array([]), np.array([]))
+            MessageLaw(np.array([]), np.array([]))
 
 
 def _random_law(rng, n):
-    logp = [np.log(rng.dirichlet(np.ones(n))) for _ in range(2)]
-    return MessageLaw(np.sort(rng.normal(size=n)), *logp)
+    # random masses under both hypotheses, on atoms at their log-likelihood ratios
+    logp0, logp1 = (np.log(rng.dirichlet(np.ones(n))) for _ in range(2))
+    order = np.argsort(logp1 - logp0)
+    return MessageLaw((logp1 - logp0)[order], logp0[order])
 
 
 def _reference_conv(a, b):
     """Outer sum in Python, sorted by value, adjacent atoms within the merge
-    tolerance joined into the smallest one with summed masses."""
+    tolerance joined into the smallest one with summed masses.  The null's and
+    the alternative's log masses are summed each on its own, so they check
+    the engine's derived alternative masses."""
     atoms = sorted(
         (x + y, p + q, r + s)
         for x, p, r in zip(a.values, a.logp0, a.logp1)
@@ -170,8 +182,7 @@ def _pairwise_conv(a, b):
     reproduce bit for bit: the smaller law's atoms index the outer sum's rows."""
     if b.n_atoms < a.n_atoms:
         a, b = b, a
-    sums = [np.add.outer(x, y).ravel() for x, y in zip(
-        (a.values, a.logp0, a.logp1), (b.values, b.logp0, b.logp1))]
+    sums = [np.add.outer(x, y).ravel() for x, y in zip((a.values, a.logp0), (b.values, b.logp0))]
     order = np.argsort(sums[0], kind="stable")
     return MessageLaw(*ev._merged(*(c[order] for c in sums)))
 
@@ -186,27 +197,24 @@ class TestConvolution:
         leaf = law_from_pair(TERNARY)
         yield ev._conv_power(leaf, 4), ev._conv_power(leaf, 7), True
         yield ev._conv_power(leaf, 3), leaf, True
-        # 0.1 + 0.8 and 0.7 + 0.2 are distinct floats one ulp apart, and no
+        # -0.2 + 0.5 and 0.4 - 0.1 are distinct floats one ulp apart, and no
         # two sums are equal
-        half = np.log([0.5, 0.5])
-        yield MessageLaw(np.array([0.1, 0.7]), half, half), MessageLaw(
-            np.array([0.2, 0.8]), half, half
-        ), True
+        yield _two_atom_law(-0.2, 0.4), _two_atom_law(-0.1, 0.5), True
         # 4097 atoms on the ternary leaf's lattice: the merge reads its gap
         # column out of a scratch grid of 12,291 sums
-        ends = MessageLaw(leaf.values[::2], half, half)
+        ends = _two_atom_law(*leaf.values[::2])
         yield ev._binomial_power(ends, 4096), leaf, True
 
     def test_operand_order_is_bit_identical(self):
         for a, b, _ in self._cases():
             ab, ba = ev._sum_law([a, b]), ev._sum_law([b, a])
-            for f in ("values", "logp0", "logp1"):
+            for f in ("values", "logp0"):
                 assert getattr(ab, f).tobytes() == getattr(ba, f).tobytes()
 
     def test_chain_is_the_pairwise_fold_bit_for_bit(self):
         def same(got, want):
             return all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
-                       for f in ("values", "logp0", "logp1"))
+                       for f in ("values", "logp0"))
 
         pool = []
         for a, b, _ in self._cases():
@@ -243,12 +251,16 @@ class TestConvolution:
 
 
 def test_binomial_power_sorts_atoms_that_round_out_of_order():
-    # atoms 1e-16 apart: the closed form's sums wobble by an ulp, and all of
-    # them merge into the smallest
-    half = np.log([0.5, 0.5])
-    law = MessageLaw(np.array([0.3, 0.3 + 1e-16]), half, half)
+    # the closed form's sums round out of order only on atoms many copies'
+    # ulps further from 0 than apart; a log-likelihood-ratio law's atoms
+    # straddle 0, so |v| <= v1 - v0 and that takes about 2^50 copies.  The
+    # check's tolerance admits atoms one ulp apart 5e-11 above 0, whose
+    # alternative masses total 1 + 5e-11, and 1 + 3.9e-8 at 777 copies: there
+    # their sums wobble by ulps, and all of them merge into the smallest
+    x = 5e-11
+    law = MessageLaw(np.array([x, np.nextafter(x, 1.0)]), np.log([0.5, 0.5]))
     k = np.arange(778.0)
-    sums = (777 - k) * 0.3 + k * law.values[1]
+    sums = (777 - k) * x + k * law.values[1]
     assert np.any(sums[1:] < sums[:-1])
     assert ev._binomial_power(law, 777).values.tolist() == [sums.min()]
 
@@ -275,36 +287,37 @@ class TestLawMemory:
         v = np.sort(np.add.outer(a.values, b.values), axis=None)
         return np.diff(v).min() > ev._MERGE_ATOL + ev._MERGE_RTOL * max(-v[0], v[-1])
 
-    def test_convolution_holds_five_columns(self):
-        # grid, sort order and three sorted columns; the gaps reuse the grid
+    def test_convolution_holds_four_columns(self):
+        # grid, sort order and two sorted columns; the gaps reuse the grid
         rng = np.random.default_rng(3)
-        half = np.log([0.5, 0.5])
-        a = MessageLaw(np.array([0.0, 0.5]), half, half)
-        b = MessageLaw(np.arange(2.0**18), *(np.log(rng.dirichlet(np.ones(2**18))) for _ in "01"))
+        a = _two_atom_law(-0.25, 0.25)
+        b = llr_law(np.arange(2.0**18), np.log(rng.dirichlet(np.ones(2**18))))
         assert self._clears_gap_check(a, b)
-        assert self._peak_columns(lambda: ev._sum_law([a, b]), 2**19) <= 5
+        assert self._peak_columns(lambda: ev._sum_law([a, b]), 2**19) <= 4
 
-    def test_convolution_scanning_atom_by_atom_holds_eight_columns(self):
-        # these sums fail the global gap check, and the per-atom scan merges
-        # none: the five columns, grid kept, plus group starts and three
-        # reduced columns
+    def test_convolution_scanning_atom_by_atom_holds_six_columns(self):
+        # b's two atoms nearest the middle sit 3e-12 apart, so its sums there
+        # fail the global gap check, whose tolerance reads the largest |sum|,
+        # yet pass the per-atom scan, which merges none: the grid, kept, and
+        # the two sorted columns, plus group starts and two reduced columns
         rng = np.random.default_rng(3)
-        a, b = _random_law(rng, 2), _random_law(rng, 2**18)
+        u = np.sort(rng.normal(size=2**18))
+        u[2**17] = u[2**17 - 1] + 3e-12
+        a, b = _two_atom_law(-0.25, 0.25), llr_law(u, np.log(rng.dirichlet(np.ones(2**18))))
         assert not self._clears_gap_check(a, b)
-        assert self._peak_columns(lambda: ev._sum_law([a, b]), 2**19) <= 8
+        assert self._peak_columns(lambda: ev._sum_law([a, b]), 2**19) <= 6
 
-    def test_chain_holds_five_columns(self):
+    def test_chain_holds_four_columns(self):
         # each spent partial sum is freed once its outer sum is read, so a
-        # doubling chain peaks at its last step's five columns; keeping the
-        # half-size partial sum through that step would add one and a half
-        laws = [MessageLaw(np.array([0.0, 2.0**i]), np.log([0.3, 0.7]), np.log([0.6, 0.4]))
-                for i in range(18)]
-        assert self._peak_columns(lambda: ev._sum_law(laws), 2**18) <= 5
+        # doubling chain peaks at its last step's four columns; keeping the
+        # half-size partial sum through that step would add one
+        laws = [llr_law([0.0, 2.0**i], np.log([0.3, 0.7])) for i in range(18)]
+        assert self._peak_columns(lambda: ev._sum_law(laws), 2**18) <= 4
 
     def test_binomial_power_holds_six_columns(self):
-        # k, log C(m, k), the three columns and a temporary or the gap column;
-        # sorted atoms skip the argsort and its gathers
-        law = MessageLaw(np.array([-0.4, 0.9]), np.log([0.7, 0.3]), np.log([0.2, 0.8]))
+        # k, log C(m, k), the two columns and the temporaries of their closed
+        # forms, or the gap column; sorted atoms skip the argsort and its gathers
+        law = llr_law([-0.4, 0.9], np.log([0.7, 0.3]))
         assert self._peak_columns(lambda: ev._binomial_power(law, 2**18), 2**18 + 1) <= 6
 
 
@@ -506,6 +519,22 @@ class TestExactErrors:
         assert est.type_i == pytest.approx(0.19140625, abs=1e-12)
         assert est.type_ii == pytest.approx(0.12109375, abs=1e-12)
 
+    @pytest.mark.parametrize("pair", [bernoulli_pair(0.75), TERNARY], ids=["bern75", "ternary"])
+    @pytest.mark.parametrize("family, params, size, thresholds", [
+        ("parallel", {}, 5, (0.0,)),
+        ("two_relay", {}, 5, (0.0, 0.0)),
+        ("wide_uniform", {"m": 3}, 4, (0.0, 0.0)),
+    ], ids=["parallel", "two_relay", "wide_uniform"])
+    def test_a_side_of_every_atom_has_log_mass_zero(self, pair, family, params, size, thresholds):
+        # the law's check fixes its total at one, so that side is not summed
+        tree = TreeFamily(family, params).generate(size)
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), thresholds)
+        atoms = root_sum_law(s, pair)[0] / int(tree.shape_counts.leaf_count[-1])
+        above = exact_error_probs(replace(s, root_threshold=float(atoms[-1]) + 1.0), pair)
+        assert (above.type_i, above.type_ii, above.log_type_ii) == (0.0, 1.0, 0.0)
+        below = exact_error_probs(replace(s, root_threshold=float(atoms[0]) - 1.0), pair)
+        assert (below.type_i, below.type_ii, below.log_type_i) == (1.0, 0.0, 0.0)
+
 
 def tail_rows_by_node(strategy, pair):
     """Reference tail report: one node at a time, in node-id order, with
@@ -584,7 +613,8 @@ class TestTailReport:
         empirical_exponent(family, pair75, (5, 10), factory)
         assert cal.tree is tree and len(family.trees) == 5
         for t in family.trees:
-            assert {"subtree_leaf_count", "subtree_node_count", "_parents", "depth"}.isdisjoint(t.__dict__)
+            assert {"subtree_leaf_count", "subtree_node_count", "_parents",
+                    "depth"}.isdisjoint(t.__dict__)
         assert (root.node, root.leaf_count, root.pred_count) == (0, 120, 160)
 
     def test_a_family_tree_at_scale_expands_no_per_node_array(self, pair75, ident, leaf_family):
@@ -891,7 +921,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(ev, "_MC_BLOCK_FLOATS", 1024)
         opened, seed_sequence = [], np.random.SeedSequence
         monkeypatch.setattr(
-            np.random, "SeedSequence", lambda *a, **k: opened.append(seed_sequence(*a, **k)) or opened[-1]
+            np.random, "SeedSequence",
+            lambda *a, **k: opened.append(seed_sequence(*a, **k)) or opened[-1],
         )
         mc = monte_carlo_error(cal, pair75, trials=2048, seed=2**63 - 1)
         assert 0.0 < mc.type_i < 1.0 and 0.0 < mc.type_ii < 1.0
@@ -1292,7 +1323,8 @@ class TestChebyshev:
     def test_fringe_cap_enforced(self, pair75, ident):
         tree = TreeFamily("wide_uniform", {"m": 3}).generate(5)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
-        with pytest.raises(InvalidParams, match="^every fringe node must hold at most small_cap leaves$"):
+        message = "^every fringe node must hold at most small_cap leaves$"
+        with pytest.raises(InvalidParams, match=message):
             chebyshev_variance_check(s, pair75, small_cap=2, eta=0.3)
         assert chebyshev_variance_check(s, pair75, small_cap=3, eta=0.3).holds
 

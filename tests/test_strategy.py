@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import llr_law
 from treedet import (
     BINARY,
     Alphabet,
@@ -25,7 +26,7 @@ from treedet import (
     root_sum_law,
     simple_strategy,
 )
-from treedet.evaluate import MessageLaw, _LawContext
+from treedet.evaluate import _LawContext
 from treedet.hypotheses import _logsumexp
 
 LOG3 = math.log(3.0)
@@ -270,12 +271,13 @@ class TestCalibration:
             a, b = np.sort(rng.integers(0, n, 2))
             p0[a:b] = 0.0
             with np.errstate(divide="ignore"):
-                law = MessageLaw(np.arange(n) * 0.37, np.log(p0 / p0.sum()), np.full(n, -math.log(n)))
+                law = llr_law(np.arange(n) * 0.37, np.log(p0 / p0.sum()))
             s._laws[pair75] = _LawContext([None], [None], law)
             thresholds = law.values / int(s.tree.shape_counts.leaf_count[-1])
             tails = [reported_type_i(s, pair75, t) for t in rng.choice(thresholds, 5).tolist()]
             alphas = np.array([t for t in tails if 0.0 < t < 1.0])
-            for alpha in np.concatenate([alphas, np.nextafter(alphas, 0.0), np.nextafter(alphas, 1.0)]).tolist():
+            near = [alphas, np.nextafter(alphas, 0.0), np.nextafter(alphas, 1.0)]
+            for alpha in np.concatenate(near).tolist():
                 cal = np_calibrate_root(s, pair75, alpha)
                 i = int(np.searchsorted(thresholds, cal.root_threshold))
                 assert reported_type_i(s, pair75, cal.root_threshold) <= alpha
