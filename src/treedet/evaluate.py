@@ -13,14 +13,14 @@ each outer sum in turn while it is gathered, then the gaps, and each
 partial-sum column is freed as soon as its outer sum has read it: a whole
 chain peaks at four result-sized columns, six if a gap needs the per-atom
 tolerance check.  A law over `STATE_SPACE_CAP` atoms is refused, naming the
-level, shape and operand sizes.  Laws are computed once
-per structurally distinct subtree, so trees with millions of isomorphic
-branches cost no more than their distinct shapes.  A relay's sum law is
-read once, by its split (`_split`), and dropped: what is kept per shape is
-its outgoing law and its split, and of the sum laws only the root's, which
-its readers split at their own threshold.  These are memoized on the
-strategy, one set per pair: calibrating the root threshold hands them to
-the calibrated copy, and they are freed with the strategy.
+level, shape and operand sizes.  Laws are computed once per structurally
+distinct subtree, so trees with millions of isomorphic branches cost no more
+than their distinct shapes.  A relay's sum law is read once, by its split
+(`_split`), and dropped: what is kept per shape is its outgoing law and its
+split, and of the sum laws only the root's, which its readers cut at their
+own threshold; only `_cut` turns a threshold into a low count.  These are
+memoized on the strategy, one set per pair: calibrating the root threshold
+hands them to the calibrated copy, and they are freed with the strategy.
 
 Monte Carlo reads the tree only through the shape table: each shape's node
 count, then its (child shape, count) runs bottom-up.  Trials run in blocks,
@@ -71,11 +71,6 @@ _MC_BLOCK_FLOATS = 1 << 22
 # a CDF with at most this many edges below 1.0 is read edge by edge, into a
 # uint8 count: keep it below 256
 _COUNTED_EDGES = 64
-
-
-def _sorted(*columns: np.ndarray) -> list[np.ndarray]:
-    order = np.argsort(columns[0], kind="stable")
-    return [c[order] for c in columns]
 
 
 def _merged(  # sorted columns in; ``gaps``, if given, is scratch for v.size - 1 floats
@@ -152,7 +147,8 @@ class MessageLaw:
 def law_from_pair(pair: DistributionPair) -> MessageLaw:
     """Law of the log-likelihood ratio of one observation of ``pair``."""
     logp0, logp1 = pair._live_logs
-    return MessageLaw(*_merged(*_sorted(logp1 - logp0, logp0)))
+    order = np.argsort(logp1 - logp0, kind="stable")
+    return MessageLaw(*_merged(logp1[order] - logp0[order], logp0[order]))
 
 
 def _sum_law(laws: Sequence[MessageLaw]) -> MessageLaw:
@@ -206,19 +202,18 @@ def _log_comb(m: int) -> np.ndarray:
 
 
 def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
-    # m-fold sum of a two-atom law: closed form, m+1 atoms
+    """m-fold sum of a two-atom law in closed form, m + 1 atoms.  Every two-atom law the engine powers
+    (leaf, gate and bit laws) straddles 0, so atom (m - k) v0 + k v1 rounds by at most about
+    m (v1 - v0) 2^-52: the atoms stay increasing to about 2^50 copies, far past ``STATE_SPACE_CAP``."""
     if m + 1 > STATE_SPACE_CAP:
         raise StateSpaceTooLarge(
             f"{m} copies of a two-atom law would create {m + 1} atoms, "
             f"over the cap of {STATE_SPACE_CAP}"
         )
     k = np.arange(m + 1, dtype=float)
-    log_comb = _log_comb(m)
+    logp0 = _log_comb(m) + (m - k) * law.logp0[0] + k * law.logp0[1]  # first: _log_comb peaks alone
     v0, v1 = law.values
     values = (m - k) * v0 + k * v1
-    logp0 = log_comb + (m - k) * law.logp0[0] + k * law.logp0[1]
-    if not np.all(values[1:] >= values[:-1]):  # else a stable sort is the identity
-        values, logp0 = _sorted(values, logp0)
     return MessageLaw(*_merged(values, logp0))
 
 
@@ -243,7 +238,7 @@ def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
     return result
 
 
-def _sends_low(sums: np.ndarray, leaf_count: int, threshold: float) -> np.ndarray:
+def _sends_low(sums: np.ndarray | float, leaf_count: int, threshold: float) -> np.ndarray | bool:
     """The relay rule: a node sends low iff its incoming sum over its leaf
     count is at most the threshold, so ties go low.  The root declares the
     alternative on the complement."""
@@ -251,19 +246,19 @@ def _sends_low(sums: np.ndarray, leaf_count: int, threshold: float) -> np.ndarra
 
 
 def _cut(law: MessageLaw, leaf_count: int, threshold: float) -> tuple[int, float]:
-    """The relay rule on a sum law's atoms: (k, cut).  The rule is monotone in
-    the sum, so it sends the first k sorted atoms low, and a sum goes high iff
-    it is above ``cut``, the midpoint between the last atom sent low and the
-    first sent high (-inf or inf past an end)."""
+    """The relay rule on a sum law's atoms, the one place a threshold becomes a count
+    of atoms sent low: (k, cut).  The rule is monotone in the sum, so it sends the first
+    k sorted atoms low, found by bisection, and a sum goes high iff it is above ``cut``,
+    the midpoint between the last atom sent low and the first sent high (±inf past an end)."""
     v = law.values
-    k = int(np.count_nonzero(_sends_low(v, leaf_count, threshold)))
+    k = bisect_left(v, True, key=lambda s: not _sends_low(s, leaf_count, threshold))
     return k, float(((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0)
 
 
 def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
     """``_cut`` with the log masses of each side under both hypotheses:
     (k, cut, low0, low1, high0, high1).  A side's alternative mass sums
-    p0 e^v over it, one side's temporary at a time."""
+    p0 e^v over it, one side's temporary at a time, shifted in place."""
     k, cut = _cut(law, leaf_count, threshold)
     v, logp0 = law.values, law.logp0
     # a side that holds every atom has mass exactly one: the law's check fixes its total
@@ -271,8 +266,12 @@ def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
         return k, cut, 0.0, 0.0, -np.inf, -np.inf
     if k == 0:
         return k, cut, -np.inf, -np.inf, 0.0, 0.0
-    return (k, cut, _logsumexp(logp0[:k]), _logsumexp(logp0[:k] + v[:k]),
-            _logsumexp(logp0[k:]), _logsumexp(logp0[k:] + v[k:]))
+
+    def alt(side: slice) -> float:  # one side's temporary, freed before the other's is made
+        logs = np.add(logp0[side], v[side])
+        return _logsumexp(logs, out=logs)
+
+    return k, cut, _logsumexp(logp0[:k]), alt(np.s_[:k]), _logsumexp(logp0[k:]), alt(np.s_[k:])
 
 
 def _bit_law(split: tuple) -> MessageLaw:
@@ -359,21 +358,21 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
     to ulp wobble of that type I across atoms of almost no mass.  A linear
     cumulative sum of null masses only locates the crossing: an n-term sum
     errs by up to about n·u relative (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., ch. 4).  The copy shares the strategy's laws.
+    Numerical Algorithms*, 2nd ed., ch. 4); a candidate's type I sums the atoms
+    ``_cut`` sends high.  The copy shares the strategy's laws.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
-    ctx = _context_for(strategy, pair)
-    values, logp0 = ctx.root_sum.values, ctx.root_sum.logp0
+    root = _context_for(strategy, pair).root_sum
+    values, logp0 = root.values, root.logp0
     l_f, n = int(strategy.tree.shape_counts.leaf_count[-1]), values.size
     # tail[n-2-i] is the null mass strictly above atom i; exp runs forward, where numpy vectorizes
     buf = _exp(logp0)
     tail = np.cumsum(buf[::-1], out=buf[::-1])
     i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
-    q = np.divide(values, l_f, out=buf)  # atom j's threshold sends q[:k] low, as _split does
 
     def within(j: int) -> bool:  # the top atom sends nothing high
-        return j == n - 1 or _type_i(_logsumexp(logp0[np.searchsorted(q, q[j], "right") :])) <= alpha
+        return j == n - 1 or _type_i(_logsumexp(logp0[_cut(root, l_f, values[j] / l_f)[0] :])) <= alpha
 
     if not within(i) or (i > 0 and within(i - 1)):  # rounding moved the crossing: bisect every atom
         i = bisect_left(range(n), True, 0, n - 1, key=within)
@@ -457,11 +456,11 @@ def fringe_message_laws(
 
 
 def _count_table(c: int, logp: np.ndarray) -> tuple[int, np.ndarray]:
-    """(lo, CDF) of Bin(c, P(high)) for bits of log masses ``logp``, on c·P(high) ± ⌈√(30c)⌉,
-    past which Hoeffding's bound leaves under 2e^-60.  Built by the pmf's ratio recurrence, not
-    from the exact engine's binomial powers, which Monte Carlo is there to check."""
-    if logp.size == 1 or -np.inf in logp:  # one atom, or a side of no mass: a constant count
-        return (0 if logp[-1] == -np.inf else c), np.ones(1)
+    """(lo, CDF) of Bin(c, P(high)) for bits of finite log masses ``logp``, on c·P(high) ±
+    ⌈√(30c)⌉, past which Hoeffding's bound leaves under 2e^-60.  Built by the pmf's ratio
+    recurrence, not from the exact engine's binomial powers, which Monte Carlo is there to check."""
+    if logp.size == 1:  # a relay that sends one side has a one-atom bit law: a constant sum
+        return c, np.ones(1)
     mean, w = c * math.exp(min(logp[1], 0.0)), math.ceil(math.sqrt(30 * c))
     j = np.arange(max(math.floor(mean) - w, 0), min(math.ceil(mean) + w, c), dtype=float)
     # log pmf(j + 1) - log pmf(j) = log((c - j) / (j + 1)) + log P(high) - log P(low)

@@ -10,11 +10,12 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import chdtrc
@@ -250,19 +251,21 @@ class TestConvolution:
             assert_allclose(got.logp1, want[:, 2], rtol=1e-13, atol=1e-13)
 
 
-def test_binomial_power_sorts_atoms_that_round_out_of_order():
-    # the closed form's sums round out of order only on atoms many copies'
-    # ulps further from 0 than apart; a log-likelihood-ratio law's atoms
-    # straddle 0, so |v| <= v1 - v0 and that takes about 2^50 copies.  The
-    # check's tolerance admits atoms one ulp apart 5e-11 above 0, whose
-    # alternative masses total 1 + 5e-11, and 1 + 3.9e-8 at 777 copies: there
-    # their sums wobble by ulps, and all of them merge into the smallest
-    x = 5e-11
-    law = MessageLaw(np.array([x, np.nextafter(x, 1.0)]), np.log([0.5, 0.5]))
-    k = np.arange(778.0)
-    sums = (777 - k) * x + k * law.values[1]
-    assert np.any(sums[1:] < sums[:-1])
-    assert ev._binomial_power(law, 777).values.tolist() == [sums.min()]
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-30.0, -1e-300), st.floats(1e-300, 30.0), st.integers(1, 2**16))
+def test_binomial_power_atoms_are_the_closed_form_in_order(v0, v1, m):
+    # a two-atom law whose atoms straddle 0 rounds each closed-form atom by
+    # far less than their spacing v1 - v0, so they come out strictly
+    # increasing, unsorted and unmerged, for any m below about 2^50.  The gap
+    # clears the merge tolerance, which grows with |atom|, twice over; atoms
+    # off 0 by 1e-300 or more keep both masses above 0
+    assume(v1 - v0 > 2 * ev._MERGE_ATOL)
+    scale = math.expm1(v1) - math.expm1(v0)  # p0 e^v0 + p1 e^v1 = 1 with p0 + p1 = 1
+    law = MessageLaw(np.array([v0, v1]), np.log([math.expm1(v1) / scale, -math.expm1(v0) / scale]))
+    k = np.arange(m + 1, dtype=float)
+    values = ev._binomial_power(law, m).values
+    assert values.size == m + 1 and np.all(values[1:] > values[:-1])
+    assert_array_equal(values, (m - k) * v0 + k * v1)
 
 
 class TestLawMemory:
@@ -270,15 +273,21 @@ class TestLawMemory:
     with 1 MB allowed for everything else."""
 
     @staticmethod
-    def _peak_columns(build, atoms):
+    def _traced(build, atoms):
+        """``build()`` and its peak, in float columns of ``atoms``."""
         tracemalloc.start()
         try:
-            law = build()
+            result = build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return result, (peak - 2**20) / (8 * atoms)
+
+    @classmethod
+    def _peak_columns(cls, build, atoms):
+        law, columns = cls._traced(build, atoms)
         assert law.n_atoms == atoms
-        return (peak - 2**20) / (8 * atoms)
+        return columns
 
     @staticmethod
     def _clears_gap_check(a, b):
@@ -316,9 +325,19 @@ class TestLawMemory:
 
     def test_binomial_power_holds_six_columns(self):
         # k, log C(m, k), the two columns and the temporaries of their closed
-        # forms, or the gap column; sorted atoms skip the argsort and its gathers
+        # forms, or the gap column
         law = llr_law([-0.4, 0.9], np.log([0.7, 0.3]))
         assert self._peak_columns(lambda: ev._binomial_power(law, 2**18), 2**18 + 1) <= 6
+
+    def test_split_holds_one_column(self):
+        # a split of all but the top atom low: the alternative side's temporary
+        # is shifted in place, so each side's sum holds one side-sized column
+        # (and the exp's dead-lane mask); a shifted copy of it would hold two
+        rng = np.random.default_rng(3)
+        law = llr_law(np.arange(2.0**18), np.log(rng.dirichlet(np.ones(2**18))))
+        split, columns = self._traced(lambda: ev._split(law, 1, law.values[-2]), 2**18)
+        assert split[0] == 2**18 - 1
+        assert columns <= 1
 
 
 @st.composite
@@ -369,6 +388,21 @@ class TestSplitInvariants:
                     assert abs(np.logaddexp(low, high) - total) <= 1e-12
                 law, leaves = ev._bit_law(split), 1
             self._check_law(law)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12), st.integers(0, 6),
+           st.integers(1, 1000))
+    @example([2.7], 1, 9)  # 2.7 and the next float tie once divided by 9
+    def test_cut_counts_the_atoms_the_rule_sends_low(self, atoms, ulps, leaves):
+        # each atom with up to ``ulps`` next floats above it, so that
+        # neighbours' quotients can tie; thresholds at every quotient and one
+        # ulp either side, past both ends too.  ``_cut`` reads only the atoms,
+        # and no law's masses fit atoms an ulp apart
+        v = np.unique([x for a in atoms for x in np.nextafter.accumulate([a] + [np.inf] * ulps)])
+        q = v / leaves
+        for t in np.concatenate((q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf))).tolist():
+            k, _ = ev._cut(SimpleNamespace(values=v), leaves, t)
+            assert k == np.count_nonzero(ev._sends_low(v, leaves, t))
 
 
 class TestLogComb:
@@ -674,7 +708,7 @@ class TestTailReport:
 
     def test_relay_rule_is_applied_once_per_relay_shape(self, pair75, ident, monkeypatch):
         # each relay shape is split once, while its laws are built; the
-        # readers split only the root, at their own threshold
+        # readers, calibration among them, cut only the root, at their own threshold
         calls, cuts = [], []  # (law, its split); each law cut, by a split or alone
         split, cut = ev._split, ev._cut
         monkeypatch.setattr(ev, "_split", lambda *a: calls.append((a[0], split(*a))) or calls[-1][1])
@@ -683,16 +717,21 @@ class TestTailReport:
         s = np_calibrate_root(s, pair75, 0.25)
         ctx = ev._context_for(s, pair75)
         relays = [r for r in ctx.split if r is not None]
-        # two fringe shapes and two level-2 shapes
+        # two fringe shapes and two level-2 shapes, each cut by its own split
         assert len(relays) == 4
         assert len(calls) == 4 and all(got is r for (_, got), r in zip(calls, relays))
+        assert all(c is law for c, (law, _) in zip(cuts[:4], calls, strict=True))
+        calibration_cuts = len(cuts) - 4
+        assert calibration_cuts >= 1
         exact_error_probs(s, pair75)
         assert len(calls) == 5 and calls[-1][0] is ctx.root_sum
         tail_report(s, pair75)
         assert len(calls) == 6 and calls[-1][0] is ctx.root_sum
         # one root cut serves both hypotheses, and above height 1 no mass is summed
         monte_carlo_error(s, pair75, trials=100, seed=0)
-        assert len(calls) == 6 and len(cuts) == 7 and cuts[-1] is ctx.root_sum
+        assert len(calls) == 6
+        assert len(cuts) == 4 + calibration_cuts + 3
+        assert all(law is ctx.root_sum for law in cuts[4:])
 
     def test_only_the_root_sum_law_outlives_the_build(self, pair75, ident, monkeypatch):
         # a relay's sum law is read once, by its split, and then dropped
@@ -1156,9 +1195,8 @@ class TestCountDraws:
     )
     def test_certain_bits_draw_constant_counts(self, pair75, thresholds, ternary):
         with np.errstate(all="raise"):
-            for logp, want in (([-np.inf, 0.0], 7), ([0.0, -np.inf], 0), ([0.0], 7)):
-                lo, cdf = ev._count_table(7, np.array(logp))
-                assert (lo, cdf.tolist()) == (want, [1.0])
+            lo, cdf = ev._count_table(7, np.array([0.0]))
+            assert (lo, cdf.tolist()) == (7, [1.0])
         # every relay sends one side, so its bit law has one atom
         pair = TERNARY if ternary else pair75
         tree = TreeFamily("wide_uniform", {"m": 3}).generate(5)

@@ -1,11 +1,13 @@
-"""Every import in the package sits at module level, the exports hold, and
-no source line is over 104 columns.
+"""Every import in the package sits at module level, the exports hold, every
+private module-level name is used in the package, and no source line is over
+104 columns.
 
 An import inside a function body hides a dependency from the module graph,
 usually to dodge an import cycle; this test keeps the graph honest.  The
 benchmark imports from the package's top level, so a name it imports must
 stay exported, and ``__all__`` lists exactly the public names the package
-defines, so no deleted function lingers there.
+defines, so no deleted function lingers there.  A private helper that only
+its own definition or the tests read is dead code the tests keep alive.
 """
 
 import ast
@@ -72,3 +74,26 @@ def test_no_line_over_the_column_limit():
         if len(line) > MAX_COLUMNS
     }
     assert long == {}
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_every_private_name_is_used_in_the_package():
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _defined_names(stmt)
+            defined |= {n for n in names if n.startswith("_") and not n.startswith("__")}
+            # a name read only inside its own definition is not used
+            used |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            } - names
+    assert defined
+    assert defined - used == set()
