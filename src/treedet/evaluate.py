@@ -17,8 +17,12 @@ level, shape and operand sizes.  Laws are computed once per structurally
 distinct subtree, so trees with millions of isomorphic branches cost no more
 than their distinct shapes.  A relay's sum law is read once, by its split
 (`_split`), and dropped: what is kept per shape is its outgoing law and its
-split, and of the sum laws only the root's, which its readers cut at their
-own threshold; only `_cut` turns a threshold into a low count.  These are
+split, and of the sum laws only the root's, whose readers cut it at their own
+threshold.  A root of several runs is kept as two halves of its runs, A and B,
+and read without its law: a tail sums p(a) times B's cumulative mass past the
+count of B's atoms sent low beside a, over A (Horowitz & Sahni, *J. ACM* 21(2),
+1974), judging each sum fl(a + b) as the built root holds it, merges included.
+Only `_cut` and `_root_cut` turn a threshold into a low count.  These are
 memoized on the strategy, one set per pair: calibrating the root threshold
 hands them to the calibrated copy, and they are freed with the strategy.
 
@@ -51,7 +55,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -255,23 +261,24 @@ def _cut(law: MessageLaw, leaf_count: int, threshold: float) -> tuple[int, float
     return k, float(((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0)
 
 
+def _side(law: MessageLaw, k: int, high: bool, hypothesis: int) -> float:
+    """Log mass under one hypothesis of one side of a split that sends the first k atoms low.
+    A side that holds every atom has mass exactly one (the law's check fixes its total), and an
+    empty side none; an alternative side sums p0 e^v in its own temporary, shifted in place."""
+    side, atoms = (np.s_[k:], law.n_atoms - k) if high else (np.s_[:k], k)
+    if atoms in (0, law.n_atoms):
+        return 0.0 if atoms else -np.inf
+    if not hypothesis:
+        return _logsumexp(law.logp0[side])
+    logs = np.add(law.logp0[side], law.values[side])
+    return _logsumexp(logs, out=logs)
+
+
 def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
     """``_cut`` with the log masses of each side under both hypotheses:
-    (k, cut, low0, low1, high0, high1).  A side's alternative mass sums
-    p0 e^v over it, one side's temporary at a time, shifted in place."""
+    (k, cut, low0, low1, high0, high1), one side's temporary at a time."""
     k, cut = _cut(law, leaf_count, threshold)
-    v, logp0 = law.values, law.logp0
-    # a side that holds every atom has mass exactly one: the law's check fixes its total
-    if k == v.size:
-        return k, cut, 0.0, 0.0, -np.inf, -np.inf
-    if k == 0:
-        return k, cut, -np.inf, -np.inf, 0.0, 0.0
-
-    def alt(side: slice) -> float:  # one side's temporary, freed before the other's is made
-        logs = np.add(logp0[side], v[side])
-        return _logsumexp(logs, out=logs)
-
-    return k, cut, _logsumexp(logp0[:k]), alt(np.s_[:k]), _logsumexp(logp0[k:]), alt(np.s_[k:])
+    return k, cut, *(_side(law, k, high, h) for high in (False, True) for h in (0, 1))
 
 
 def _bit_law(split: tuple) -> MessageLaw:
@@ -283,6 +290,14 @@ def _bit_law(split: tuple) -> MessageLaw:
     return MessageLaw(np.array([low1 - low0, high1 - high0]), np.array([low0, high0]))
 
 
+@contextmanager
+def _naming(level: int, sid: int):
+    try:
+        yield
+    except StateSpaceTooLarge as exc:
+        raise StateSpaceTooLarge(f"level {level}, shape {sid}: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class _LawContext:
     """Exact laws indexed by shape id, beside the tree's ``shape_counts``.
@@ -290,13 +305,28 @@ class _LawContext:
     ``out`` is each shape's outgoing law, None for the root.  ``split`` is
     each relay's ``_split`` at its level's threshold, the only use of the
     relay rule below the root; it is None for the leaf, gated fringes and the
-    root.  A relay's sum law is dropped once split: only the root's is kept,
-    as ``root_sum``, for its readers to split at their own threshold.
+    root.  A relay's sum law is dropped once split.  The root's is kept as
+    ``halves``: its law when it has one run, else the laws of two halves of
+    its runs, the smaller first, whose outer sum is built only on demand.
     """
 
     out: list
     split: list
-    root_sum: MessageLaw
+    halves: tuple
+
+    @cached_property
+    def root_sum(self) -> MessageLaw:
+        return _sum_law(self.halves)
+
+    @cached_property
+    def larger(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The larger half by low count j: its atoms between -inf and inf, so that entries
+        j and j + 1 are the last atom sent low and the first sent high, and its log masses
+        from atom j up under the null and below atom j under the alternative."""
+        b = self.halves[1]
+        above0 = np.append(np.logaddexp.accumulate(b.logp0[::-1])[::-1], -np.inf)
+        below1 = np.concatenate(([-np.inf], np.logaddexp.accumulate(b.logp1)))
+        return np.concatenate(([-np.inf], b.values, [np.inf])), above0, below1
 
 
 def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -310,21 +340,27 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     )
     out: list = [law_from_pair(induced_pair(pair, strategy.gamma))]
     split: list = [None]
+    root = len(table) - 1
     # ascending id order is bottom-up, and the root is the last id
-    for sid in range(1, len(table)):
+    for sid in range(1, root + 1):
         if level[sid] == 1 and gate_law is not None:
             split.append(None)
             out.append(gate_law)
             continue
-        try:
+        with _naming(level[sid], sid):
             # runs ascend by child id, which fixes the convolution order
-            total = _sum_law([_conv_power(out[k], c) for k, c in table[sid]])
-        except StateSpaceTooLarge as exc:
-            raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
-        if sid < len(table) - 1:
-            split.append(_split(total, leaf_count[sid], strategy.thresholds[level[sid] - 1]))
-            out.append(_bit_law(split[-1]))
-    return _LawContext(out + [None], split + [None], total)
+            laws = [_conv_power(out[k], c) for k, c in table[sid]]
+            if sid < root:
+                t = strategy.thresholds[level[sid] - 1]
+                split.append(_split(_sum_law(laws), leaf_count[sid], t))
+                out.append(_bit_law(split[-1]))
+            elif len(laws) == 1:
+                halves = (laws[0],)
+            else:  # two halves of the runs, in order, whose products of atom counts are closest
+                logs = np.cumsum(np.log([law.n_atoms for law in laws]))
+                i = 1 + int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1])))
+                halves = tuple(sorted(map(_sum_law, (laws[:i], laws[i:])), key=lambda h: h.n_atoms))
+    return _LawContext(out + [None], split + [None], halves)
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -340,13 +376,83 @@ def root_sum_law(
     strategy: Strategy, pair: DistributionPair
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw-sum atoms of the root's incoming log-likelihood mass and their
-    log masses under both hypotheses."""
-    law = _context_for(strategy, pair).root_sum
+    log masses under both hypotheses.  A root of several runs is built here,
+    on first read, as the outer sum of its two halves, and refused past
+    ``STATE_SPACE_CAP``; calibration and every error reader use the halves."""
+    ctx = _context_for(strategy, pair)
+    with _naming(strategy.tree.height, len(strategy.tree.shape_children) - 1):
+        law = ctx.root_sum
     return law.values, law.logp0, law.logp1
+
+
+def _root_cut(ctx: _LawContext, leaf_count: int, threshold: float, merge: bool = True) -> tuple:
+    """``_cut`` on the root: (k, cut) of its law, or of its halves (j, cut), j(a) the count of
+    atoms b of the larger half sent low beside each atom a of the smaller by the rule on
+    fl(a + b) itself; bisection on fl(tL - a) can miss by an atom, so each count steps until
+    the rule agrees.  The built root merges sums within ``_merged``'s tolerance into their
+    least, which the rule reads: so, unless ``merge`` is off, while the least sum sent high
+    would join the largest sent low, the cut moves above it."""
+    if len(ctx.halves) == 1:
+        return _cut(ctx.halves[0], leaf_count, threshold)
+    a, b = ctx.halves[0].values, ctx.larger[0]
+    j = np.searchsorted(b, threshold * leaf_count - a, side="right") - 1
+    while True:
+        below, above = a + b.take(j), a + b.take(j + 1)
+        up, down = _sends_low(above, leaf_count, threshold), ~_sends_low(below, leaf_count, threshold)
+        top, bottom = float(below.max()), float(above.min())
+        if up.any() or down.any():
+            j = j + up - down
+        elif merge and bottom < np.inf and bottom - top <= _MERGE_ATOL + _MERGE_RTOL * abs(bottom):
+            threshold = bottom / leaf_count
+        else:
+            return j, (top + bottom) / 2.0
+
+
+def _root_tail(ctx: _LawContext, k, hypothesis: int) -> float:
+    """The root's error log mass when ``_root_cut`` sends k low: the null's sent high, or the
+    alternative's sent low.  From halves, log sum_a p0(a) P0(B >= j(a)) or log sum_a p1(a)
+    P1(B < j(a)), read off ``larger``; as in ``_side``, a side of every pair has mass one."""
+    if len(ctx.halves) == 1:
+        return _side(ctx.halves[0], k, not hypothesis, hypothesis)
+    a, b = ctx.halves
+    pairs = a.n_atoms * b.n_atoms
+    side = int(k.sum()) if hypothesis else pairs - int(k.sum())
+    if side in (0, pairs):
+        return 0.0 if side else -np.inf
+    logs = np.add(a.logp1 if hypothesis else a.logp0, ctx.larger[1 + hypothesis][k])
+    return _logsumexp(logs, out=logs)
+
+
+def _root_tails(ctx: _LawContext, leaf_count: int, threshold: float) -> tuple[float, float]:
+    """(low1, high0), the miss and false-alarm log masses: the two tails any reader reports."""
+    k = _root_cut(ctx, leaf_count, threshold)[0]
+    return _root_tail(ctx, k, 1), _root_tail(ctx, k, 0)
 
 
 def _type_i(high0: float) -> float:  # high0 can sum an ulp above 0 on long convolution chains
     return float(np.exp(min(high0, 0.0)))
+
+
+def _calibrate_halves(ctx: _LawContext, l_f: int, alpha: float) -> float:
+    """The least pair-sum threshold fl(a + b) / L whose type I is within alpha, by bisection on
+    the pair sums: each row a holds its candidates b between the brackets, and the pivot is the
+    median of the rows' middle candidates weighted by their counts, so at least a quarter of the
+    candidates lie on each side of it (Johnson & Mizoguchi, *SIAM J. Comput.* 7(2), 1978).  The
+    steps are O(log |A||B|), each O(|A| log |B|) with A the smaller half."""
+    a, b = (half.values for half in ctx.halves)
+    lo, hi, best = np.zeros(a.size, np.intp), np.full(a.size, b.size), math.inf
+    while (rows := np.flatnonzero(hi > lo)).size:
+        n = (hi - lo)[rows]
+        mids = (a[rows] + b[lo[rows] + (n - 1) // 2]) / l_f
+        order = np.argsort(mids)
+        weight = np.cumsum(n[order])
+        pivot = float(mids[order[np.searchsorted(weight, weight[-1] / 2)]])
+        j = _root_cut(ctx, l_f, pivot)[0]
+        if _type_i(_root_tail(ctx, j, 0)) <= alpha:  # the pivot and every candidate above it leave
+            best, hi = pivot, _root_cut(ctx, l_f, np.nextafter(pivot, -np.inf), merge=False)[0]
+        else:
+            lo = j
+    return best
 
 
 def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
@@ -355,28 +461,37 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
 
     Candidate thresholds are the root's normalized sum atoms, so the result
     is the most powerful root-threshold variant among deterministic tests, up
-    to ulp wobble of that type I across atoms of almost no mass.  A linear
-    cumulative sum of null masses only locates the crossing: an n-term sum
-    errs by up to about n·u relative (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., ch. 4); a candidate's type I sums the atoms
-    ``_cut`` sends high.  The copy shares the strategy's laws.
+    to ulp wobble of that type I across atoms of almost no mass.  Each
+    candidate is checked by ``_root_tail``, the tail that function reports.
+    On a root of one run, a linear cumulative sum of null masses only locates
+    the crossing: an n-term sum errs by up to about n·u relative (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).  A root
+    of two halves is bisected on its pair sums, whose least sum of each merged
+    group is an atom of ``root_sum_law``; its law is not built.  The copy
+    shares the strategy's laws.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
-    root = _context_for(strategy, pair).root_sum
-    values, logp0 = root.values, root.logp0
-    l_f, n = int(strategy.tree.shape_counts.leaf_count[-1]), values.size
-    # tail[n-2-i] is the null mass strictly above atom i; exp runs forward, where numpy vectorizes
-    buf = _exp(logp0)
-    tail = np.cumsum(buf[::-1], out=buf[::-1])
-    i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
+    ctx = _context_for(strategy, pair)
+    l_f = int(strategy.tree.shape_counts.leaf_count[-1])
+    if len(ctx.halves) == 2:
+        threshold = _calibrate_halves(ctx, l_f, alpha)
+    else:
+        root = ctx.halves[0]
+        values, n = root.values, root.n_atoms
+        # tail[n-2-i] is the null mass strictly above atom i; exp runs forward, where numpy vectorizes
+        buf = _exp(root.logp0)
+        tail = np.cumsum(buf[::-1], out=buf[::-1])
+        i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
 
-    def within(j: int) -> bool:  # the top atom sends nothing high
-        return j == n - 1 or _type_i(_logsumexp(logp0[_cut(root, l_f, values[j] / l_f)[0] :])) <= alpha
+        def within(j: int) -> bool:  # the top atom sends nothing high
+            k = n if j == n - 1 else _cut(root, l_f, values[j] / l_f)[0]
+            return _type_i(_root_tail(ctx, k, 0)) <= alpha
 
-    if not within(i) or (i > 0 and within(i - 1)):  # rounding moved the crossing: bisect every atom
-        i = bisect_left(range(n), True, 0, n - 1, key=within)
-    calibrated = replace(strategy, root_threshold=float(values[i]) / l_f)
+        if not within(i) or (i > 0 and within(i - 1)):  # rounding moved the crossing: bisect every atom
+            i = bisect_left(range(n), True, 0, n - 1, key=within)
+        threshold = float(values[i]) / l_f
+    calibrated = replace(strategy, root_threshold=threshold)
     calibrated._laws.update(strategy._laws)
     return calibrated
 
@@ -401,9 +516,8 @@ class ErrorEstimate:
 
 def exact_error_probs(strategy: Strategy, pair: DistributionPair) -> ErrorEstimate:
     """False-alarm and miss probabilities of the strategy, exactly."""
-    ctx = _context_for(strategy, pair)
     l_f = int(strategy.tree.shape_counts.leaf_count[-1])
-    *_, low1, high0, _ = _split(ctx.root_sum, l_f, strategy.root_threshold)
+    low1, high0 = _root_tails(_context_for(strategy, pair), l_f, strategy.root_threshold)
     low1 = min(low1, 0.0)
     return ErrorEstimate(
         type_i=_type_i(high0),
@@ -436,9 +550,10 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> Sequence[TailRow]
     level, lcount, pcount = strategy.tree.shape_counts
     # one (miss, fa) pair per shape, the split's (low1, high0), expanded per
     # node; a gate level has no split, and its tails are not threshold tails
-    splits = [*ctx.split[:-1], _split(ctx.root_sum, int(lcount[-1]), strategy.thresholds[-1])]
-    kept = np.array([s is not None for s in splits])
-    tails = np.array([s[3:5] if s else (0.0, 0.0) for s in splits]) / lcount[:, None]
+    kept = np.array([s is not None for s in ctx.split[:-1]] + [True])
+    tails = [s[3:5] if s else (0.0, 0.0) for s in ctx.split[:-1]]
+    tails.append(_root_tails(ctx, int(lcount[-1]), strategy.thresholds[-1]))
+    tails = np.array(tails) / lcount[:, None]
     return _NodeRows(strategy.tree, TailRow, (level, lcount, pcount, *tails.T), kept)
 
 
@@ -574,11 +689,13 @@ def monte_carlo_error(
     # take any int >= 0
     if not 0 <= seed < 2**63:
         raise InvalidParams("seed must lie in [0, 2**63)")
-    ctx = _context_for(strategy, pair)
+    ctx, l_f = _context_for(strategy, pair), int(strategy.tree.shape_counts.leaf_count[-1])
     # one root cut at the calibrated threshold serves both hypotheses; only a
-    # height-1 root, the one fringe node, draws against its low masses too
-    read = _split if strategy.tree.height == 1 else _cut
-    root = read(ctx.root_sum, int(strategy.tree.shape_counts.leaf_count[-1]), strategy.root_threshold)
+    # height-1 root, the one fringe node of one run, draws against its low masses too
+    if strategy.tree.height == 1:
+        root = _split(ctx.halves[0], l_f, strategy.root_threshold)
+    else:
+        root = _root_cut(ctx, l_f, strategy.root_threshold)
     p_i, p_ii = (_simulate_error_count(ctx, strategy, h, root, trials, seed) / trials for h in (0, 1))
     return ErrorEstimate(
         type_i=p_i,
@@ -697,11 +814,11 @@ def chebyshev_variance_check(
         raise InvalidParams("the concentration check applies to height-2 trees")
     if np.any(tree.shape_counts.fringe_degrees > _integer(small_cap, "small_cap")):
         raise InvalidParams("every fringe node must hold at most small_cap leaves")
-    law = _context_for(strategy, pair).root_sum
+    values, logp0, _ = root_sum_law(strategy, pair)
     l_f = int(tree.shape_counts.leaf_count[-1])
-    mean = float(np.dot(law.p0, law.values)) / l_f
-    far = np.abs(law.values / l_f - mean) > eta
-    prob = math.exp(_logsumexp(law.logp0[far]))
+    mean = float(np.dot(_exp(logp0), values)) / l_f
+    far = np.abs(values / l_f - mean) > eta
+    prob = math.exp(_logsumexp(logp0[far]))
     bound = (second_moment_null(pair) + 2.0) * (1.0 + small_cap) / (eta * eta * l_f)
     return ChebyshevReport(
         mean_per_leaf=mean,

@@ -274,7 +274,7 @@ class TestSimulateCommand:
     def test_state_space_blowup_exits_two(self, tmp_path):
         code = run(
             "simulate", "--pair", "bern75", "--family", "increasing_leaves",
-            "--size", "40", "--gamma", "identity", "--thresholds", "0",
+            "--size", "48", "--gamma", "identity", "--thresholds", "0",
             "--alpha", "0.25", "--out", tmp_path,
         )
         assert code == 2

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,7 @@ from treedet import (
     StateSpaceTooLarge,
     Tree,
     TreeFamily,
+    all_binary_leaf_family,
     analyze_tree,
     bernoulli_pair,
     build_relay_strategy,
@@ -51,6 +53,7 @@ from treedet import (
     tail_report,
 )
 from treedet import evaluate as ev
+from treedet.hypotheses import _logsumexp
 
 LOG3 = math.log(3.0)
 # leaf log-likelihood ratios -a, 0 and a
@@ -501,12 +504,14 @@ class TestRootSumLaw:
         assert got[0].size != old[0].size or np.any(got[0] != old[0])
 
     def test_state_space_cap(self, pair75, ident, monkeypatch):
+        # the root's halves of 16 atoms each fit; their outer sum, built only
+        # when read, does not
         monkeypatch.setattr(ev, "STATE_SPACE_CAP", 64)
         tree = TreeFamily("increasing_leaves").generate(8)
         s = build_relay_strategy(tree, ident, (0.0, 0.0))
         with pytest.raises(
             StateSpaceTooLarge,
-            match=r"^level 2, shape \d+: convolving laws of 64 and 2 atoms would create 128",
+            match=r"^level 2, shape \d+: convolving laws of 16 and 16 atoms would create 256",
         ):
             root_sum_law(s, pair75)
 
@@ -519,6 +524,158 @@ class TestRootSumLaw:
             r"over the cap of 10$",
         ):
             root_sum_law(s, pair75)
+
+
+def built_tails(law, leaf_count, threshold):
+    """(low1, high0) of a built law by its sorted prefix and suffix sums: the
+    reference for the root's halves.  A side of every atom has mass one."""
+    k = int(np.count_nonzero(law.values / leaf_count <= threshold))
+    sides = (law.logp1[:k], law.logp0[k:])
+    return tuple(0.0 if side.size == law.n_atoms else _logsumexp(side) for side in sides)
+
+
+def assert_tails_close(got, want):
+    # the stated bound: 1e-13 of the log mass, absolute below 1, as the
+    # halves sum a pair's mass in another order than the built root
+    for g, w in zip(got, want, strict=True):
+        assert g == w or abs(g - w) <= 1e-13 * max(1.0, abs(w)), (got, want)
+
+
+@st.composite
+def multi_run_roots(draw):
+    """A bern75 or ternary pair, a height-2 tree of relays of 1..5 leaves with
+    at least two leaf counts, and a relay threshold at a relay sum atom or an
+    ulp beside it."""
+    pair = draw(st.sampled_from((bernoulli_pair(0.75), TERNARY)))
+    counts = draw(st.lists(st.integers(1, 5), min_size=2, max_size=6).filter(lambda c: len(set(c)) > 1))
+    k = draw(st.sampled_from(counts))
+    atoms = ev._conv_power(law_from_pair(pair), k).values / k
+    t = atoms[draw(st.integers(0, atoms.size - 1))]
+    t = float(np.nextafter(t, draw(st.sampled_from((-np.inf, t, np.inf)))))
+    parents = [-1] + [0] * len(counts) + [1 + i for i, c in enumerate(counts) for _ in range(c)]
+    return pair, Tree(parents), t
+
+
+class TestRootHalves:
+    """A root of several runs is read from two halves of its runs, never built."""
+
+    @staticmethod
+    def _built_calibration(strategy, pair, law, alpha):
+        # the one-run path calibrates on the built law, as every root once was
+        one_run = replace(strategy)
+        one_run._laws[pair] = ev._LawContext([], [], (law,))
+        return np_calibrate_root(one_run, pair, alpha).root_threshold
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_run_roots())
+    def test_halves_match_the_built_root(self, case):
+        pair, tree, t = case
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), (t, t))
+        ctx = ev._context_for(s, pair)
+        law = MessageLaw(*root_sum_law(s, pair)[:2])
+        l_f = int(tree.shape_counts.leaf_count[-1])
+        assert len(ctx.halves) == 2
+        atoms = law.values / l_f
+        for q in atoms.tolist():
+            assert_tails_close(ev._root_tails(ctx, l_f, q), built_tails(law, l_f, q))
+        for alpha in (0.05, 0.25, 0.5, 0.95):
+            threshold = np_calibrate_root(s, pair, alpha).root_threshold
+            assert threshold in atoms.tolist()
+            assert threshold == self._built_calibration(s, pair, law, alpha)
+
+    @pytest.mark.parametrize("p, epsilon", [(0.75, 0.4), (0.85, 0.1)])
+    def test_past_the_cap_the_halves_keep_the_built_atom(self, monkeypatch, p, epsilon):
+        # 2^14 root atoms built at the default cap, then read from halves of
+        # 2^7 atoms under a cap of 2^8; at 0.85 the built root merged 5,008
+        # groups of equal sums
+        pair = bernoulli_pair(p)
+        tree = TreeFamily("increasing_leaves").generate(14)
+
+        def strategy():
+            return simple_strategy(tree, pair, all_binary_leaf_family(pair.alphabet), epsilon).strategy
+
+        law = MessageLaw(*root_sum_law(strategy(), pair)[:2])
+        l_f = int(tree.shape_counts.leaf_count[-1])
+        monkeypatch.setattr(ev, "STATE_SPACE_CAP", 2**8)
+        s = strategy()
+        for alpha in (0.01, 0.1, 0.25, 0.5):
+            cal = np_calibrate_root(s, pair, alpha)
+            assert cal.root_threshold == self._built_calibration(s, pair, law, alpha)
+            est = exact_error_probs(cal, pair)
+            want = built_tails(law, l_f, cal.root_threshold)
+            assert (est.log_type_ii, est.log_type_i) == pytest.approx(want, rel=1e-12, abs=0)
+        with pytest.raises(StateSpaceTooLarge):
+            root_sum_law(s, pair)
+
+    def test_25_relays_past_the_cap(self, pair75, leaf_family):
+        # 2^25 root atoms, over the cap; halves of 2^12 and 2^13 atoms
+        tree = TreeFamily("increasing_leaves").generate(25)
+        start = time.perf_counter()
+        cal = np_calibrate_root(simple_strategy(tree, pair75, leaf_family, 0.4).strategy, pair75, 0.25)
+        est = exact_error_probs(cal, pair75)
+        root = tail_report(cal, pair75)[0]
+        elapsed = time.perf_counter() - start
+        assert [h.n_atoms for h in ev._context_for(cal, pair75).halves] == [2**12, 2**13]
+        assert est.type_i <= 0.25 and -200.0 < est.log_type_ii < -100.0
+        assert math.isfinite(root.log_miss_per_leaf) and math.isfinite(root.log_fa_per_leaf)
+        assert elapsed < 0.5
+        refusal = r"^level 2, shape 26: convolving laws of 4096 and 8192 atoms"
+        with pytest.raises(StateSpaceTooLarge, match=refusal):
+            root_sum_law(cal, pair75)
+
+    def test_merged_sums_are_read_by_their_least(self):
+        # sums of ternary leaf laws are multiples of one log-likelihood ratio,
+        # so these halves' 63 pair sums are 21 distinct floats, which the built
+        # root merges into 15 atoms, each its group's least sum.  The rule reads
+        # a group by that sum, so the halves send a group that straddles their
+        # own cut low with it: tails, cut and calibration as the built root's
+        leaf = law_from_pair(TERNARY)
+        ctx = ev._LawContext([], [], (ev._conv_power(leaf, 3), ev._conv_power(leaf, 4)))
+        law = ev._sum_law(ctx.halves)
+        sums = np.add.outer(*(h.values for h in ctx.halves)).ravel()
+        assert (sums.size, np.unique(sums).size, law.n_atoms) == (63, 21, 15)
+        q = sums / 7
+        for t in np.concatenate((q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf))).tolist():
+            assert_tails_close(ev._root_tails(ctx, 7, t), built_tails(law, 7, t))
+            k = int(np.count_nonzero(law.values / 7 <= t))
+            cut = ev._root_cut(ctx, 7, t)[1]
+            assert (law.values[k - 1] < cut if k else cut == -np.inf)
+            assert (cut < law.values[k] if k < law.n_atoms else cut == np.inf)
+        def reported(t):  # type I as exact_error_probs reports it
+            return math.exp(min(ev._root_tails(ctx, 7, t)[1], 0.0))
+
+        tails = np.array([reported(t) for t in (law.values / 7).tolist()])
+        tails = tails[(tails > 0.0) & (tails < 1.0)]
+        alphas = np.concatenate((tails, np.nextafter(tails, 0.0), np.nextafter(tails, 1.0)))
+        for alpha in alphas.tolist():
+            threshold = ev._calibrate_halves(ctx, 7, alpha)
+            i = int(np.searchsorted(law.values / 7, threshold))
+            assert law.values[i] / 7 == threshold and reported(threshold) <= alpha
+            assert i == 0 or reported(law.values[i - 1] / 7) > alpha
+
+    def test_readers_build_no_law_past_the_larger_half(self, pair75, leaf_family, monkeypatch):
+        # calibration, exact errors, the tail report and Monte Carlo on a root
+        # of 12 runs: the largest law any of them makes is a half, and each
+        # relay shape is still split once
+        sizes, splits = [], []
+        post_init, split = ev.MessageLaw.__post_init__, ev._split
+
+        def checked(law):
+            sizes.append(np.size(law.values))
+            post_init(law)
+
+        monkeypatch.setattr(ev.MessageLaw, "__post_init__", checked)
+        monkeypatch.setattr(ev, "_split", lambda *a: splits.append(a[0]) or split(*a))
+        tree = TreeFamily("increasing_leaves").generate(12)
+        s = simple_strategy(tree, pair75, leaf_family, 0.4).strategy
+        cal = np_calibrate_root(s, pair75, 0.25)
+        exact_error_probs(cal, pair75)
+        tail_report(cal, pair75)
+        monte_carlo_error(cal, pair75, trials=1000, seed=0)
+        ctx = ev._context_for(cal, pair75)
+        assert [h.n_atoms for h in ctx.halves] == [64, 64] and max(sizes) == 64
+        assert len(splits) == len(set(map(id, splits))) == 12
+        assert "root_sum" not in vars(ctx)
 
 
 class TestExactErrors:
@@ -592,6 +749,18 @@ def tail_rows_by_node(strategy, pair):
     return tuple(rows)
 
 
+def assert_rows_match(strategy, rows, expected):
+    """``rows`` are the reference rows, but a root of several runs is read from
+    its two halves, not from the law the reference builds: its tails match to
+    1e-12 relative, and a one-run root's bit for bit."""
+    rows, expected = list(rows), list(expected)
+    if len(strategy.tree.shape_children[-1]) > 1:
+        i = [r.node for r in expected].index(strategy.tree.root)
+        root, want = rows.pop(i), expected.pop(i)
+        assert root[:4] == want[:4] and root[4:] == pytest.approx(want[4:], rel=1e-12, abs=0)
+    assert rows == expected
+
+
 class RecordingFamily:
     """A tree family that keeps every tree it generates."""
 
@@ -619,7 +788,7 @@ class TestTailReport:
             tree = make_rugged_tree(rng, int(rng.integers(2, 5)))
             s = simple_strategy(tree, pair75, leaf_family, 0.2).strategy
             rows = tail_report(s, pair75)
-            assert rows == tail_rows_by_node(s, pair75)
+            assert_rows_match(s, rows, tail_rows_by_node(s, pair75))
             # plain Python scalars, as the node-by-node rows held
             assert {type(x) for r in rows for x in tuple(r)} == {int, float}
         tree = TreeFamily("wide_uniform", {"m": 2}).generate(3)
@@ -708,40 +877,41 @@ class TestTailReport:
 
     def test_relay_rule_is_applied_once_per_relay_shape(self, pair75, ident, monkeypatch):
         # each relay shape is split once, while its laws are built; the
-        # readers, calibration among them, cut only the root, at their own threshold
-        calls, cuts = [], []  # (law, its split); each law cut, by a split or alone
-        split, cut = ev._split, ev._cut
+        # readers, calibration among them, cut only the root, at their own
+        # threshold, and cut it through its two halves: no law is cut after the build
+        calls, cuts, counts = [], [], []  # (law, its split); each law cut; each root cut
+        split, cut, root_cut = ev._split, ev._cut, ev._root_cut
         monkeypatch.setattr(ev, "_split", lambda *a: calls.append((a[0], split(*a))) or calls[-1][1])
         monkeypatch.setattr(ev, "_cut", lambda *a: cuts.append(a[0]) or cut(*a))
+        monkeypatch.setattr(ev, "_root_cut", lambda *a, **k: counts.append(a[0]) or root_cut(*a, **k))
         s = build_relay_strategy(self.HEIGHT_3, ident, (0.0, -0.1, 0.1))
         s = np_calibrate_root(s, pair75, 0.25)
         ctx = ev._context_for(s, pair75)
         relays = [r for r in ctx.split if r is not None]
         # two fringe shapes and two level-2 shapes, each cut by its own split
-        assert len(relays) == 4
+        assert len(relays) == 4 and len(ctx.halves) == 2
         assert len(calls) == 4 and all(got is r for (_, got), r in zip(calls, relays))
-        assert all(c is law for c, (law, _) in zip(cuts[:4], calls, strict=True))
-        calibration_cuts = len(cuts) - 4
-        assert calibration_cuts >= 1
+        assert all(c is law for c, (law, _) in zip(cuts, calls, strict=True))
+        calibration_counts = len(counts)
+        assert calibration_counts >= 1
         exact_error_probs(s, pair75)
-        assert len(calls) == 5 and calls[-1][0] is ctx.root_sum
         tail_report(s, pair75)
-        assert len(calls) == 6 and calls[-1][0] is ctx.root_sum
-        # one root cut serves both hypotheses, and above height 1 no mass is summed
         monte_carlo_error(s, pair75, trials=100, seed=0)
-        assert len(calls) == 6
-        assert len(cuts) == 4 + calibration_cuts + 3
-        assert all(law is ctx.root_sum for law in cuts[4:])
+        assert len(calls) == len(cuts) == 4
+        assert len(counts) >= calibration_counts + 3 and all(c is ctx for c in counts)
+        assert "root_sum" not in vars(ctx)
 
     def test_only_the_root_sum_law_outlives_the_build(self, pair75, ident, monkeypatch):
-        # a relay's sum law is read once, by its split, and then dropped
+        # a relay's sum law is read once, by its split, and then dropped; the
+        # root keeps its halves, and its own sum law is not built
         refs = []
         split = ev._split
         monkeypatch.setattr(ev, "_split", lambda *a: refs.append(weakref.ref(a[0])) or split(*a))
         ctx = ev._context_for(build_relay_strategy(self.HEIGHT_3, ident, (0.0, -0.1, 0.1)), pair75)
         gc.collect()
         assert len(refs) == 4
-        assert all(r() is None or r() is ctx.root_sum for r in refs)
+        assert all(r() is None for r in refs)
+        assert len(ctx.halves) == 2 and "root_sum" not in vars(ctx)
 
 
 def assert_lazy_rows(make):
@@ -775,7 +945,7 @@ class TestReportRows:
             tree = make_rugged_tree(rng, int(rng.integers(1, 5)))
             s = simple_strategy(tree, pair75, leaf_family, 0.2).strategy
             rows = assert_lazy_rows(lambda: tail_report(s, pair75))
-            assert rows == tail_rows_by_node(s, pair75)
+            assert_rows_match(s, rows, tail_rows_by_node(s, pair75))
             table = rate_table(pair75, ident, (-0.2,) * s.tree.height)
             floor = int(s.tree.shape_counts.fringe_degrees.min())
             for n_floor in (floor, floor + 1):

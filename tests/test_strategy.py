@@ -26,8 +26,7 @@ from treedet import (
     root_sum_law,
     simple_strategy,
 )
-from treedet.evaluate import _LawContext
-from treedet.hypotheses import _logsumexp
+import treedet.evaluate as ev
 
 LOG3 = math.log(3.0)
 D75 = 0.5493061443340549
@@ -183,14 +182,17 @@ def atom_scan(request, pair75, leaf_family):
     taken once per split index: the count of atoms the threshold sends low."""
     kind, params, size = request.param
     s = simple_strategy(TreeFamily(kind, params).generate(size), pair75, leaf_family, 0.1).strategy
-    values, logp0, _ = root_sum_law(s, pair75)
-    thresholds = values / int(s.tree.shape_counts.leaf_count[-1])
+    l_f = int(s.tree.shape_counts.leaf_count[-1])
+    thresholds = root_sum_law(s, pair75)[0] / l_f
     split = np.searchsorted(thresholds, thresholds, side="right")
-    # exact_error_probs sums the null mass sent high as this does, so a scan
-    # of 2^14 atoms needs no law split per atom; a spread of atoms pins that
-    by_split = {k: float(np.exp(min(_logsumexp(logp0[k:]), 0.0))) for k in set(split.tolist())}
+    # exact_error_probs reads the null mass sent high through _root_tails, as
+    # this does, so a scan of 2^14 atoms needs no strategy per atom; a spread
+    # of atoms pins that
+    ctx = ev._context_for(s, pair75)
+    at = dict(zip(split.tolist(), thresholds.tolist()))
+    by_split = {k: float(np.exp(min(ev._root_tails(ctx, l_f, t)[1], 0.0))) for k, t in at.items()}
     type_i = np.array([by_split[k] for k in split.tolist()])
-    for i in np.linspace(0, values.size - 1, 25).astype(int).tolist():
+    for i in np.linspace(0, thresholds.size - 1, 25).astype(int).tolist():
         assert type_i[i] == reported_type_i(s, pair75, float(thresholds[i]))
     return s, thresholds, type_i
 
@@ -272,7 +274,7 @@ class TestCalibration:
             p0[a:b] = 0.0
             with np.errstate(divide="ignore"):
                 law = llr_law(np.arange(n) * 0.37, np.log(p0 / p0.sum()))
-            s._laws[pair75] = _LawContext([None], [None], law)
+            s._laws[pair75] = ev._LawContext([None], [None], (law,))
             thresholds = law.values / int(s.tree.shape_counts.leaf_count[-1])
             tails = [reported_type_i(s, pair75, t) for t in rng.choice(thresholds, 5).tolist()]
             alphas = np.array([t for t in tails if 0.0 < t < 1.0])
