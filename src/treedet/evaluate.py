@@ -17,12 +17,9 @@ level, shape and operand sizes.  Laws are computed once per structurally
 distinct subtree, so trees with millions of isomorphic branches cost no more
 than their distinct shapes.  A relay's sum law is read once, by its split
 (`_split`), and dropped: what is kept per shape is its outgoing law and its
-split, and of the sum laws only the root's, whose readers cut it at their own
-threshold.  A root of several runs is kept as two halves of its runs, A and B,
-and read without its law: a tail sums p(a) times B's cumulative mass past the
-count of B's atoms sent low beside a, over A (Horowitz & Sahni, *J. ACM* 21(2),
-1974), judging each sum fl(a + b) as the built root holds it, merges included.
-Only `_cut` and `_root_cut` turn a threshold into a low count.  These are
+split, and of the sum laws only the root's, as two halves of its runs, which
+its readers cut pair by pair (Horowitz & Sahni, *J. ACM* 21(2), 1974); only
+`_cut` and `_root_cut` turn a threshold into a low count.  These are
 memoized on the strategy, one set per pair: calibrating the root threshold
 hands them to the calibrated copy, and they are freed with the strategy.
 
@@ -55,7 +52,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -148,6 +144,9 @@ class MessageLaw:
     @property
     def p1(self) -> np.ndarray:
         return _exp(self.logp1)
+
+
+_ZERO = MessageLaw(np.zeros(1), np.zeros(1))  # the law of 0, beside which a root of one run is read
 
 
 def law_from_pair(pair: DistributionPair) -> MessageLaw:
@@ -262,9 +261,8 @@ def _cut(law: MessageLaw, leaf_count: int, threshold: float) -> tuple[int, float
 
 
 def _side(law: MessageLaw, k: int, high: bool, hypothesis: int) -> float:
-    """Log mass under one hypothesis of one side of a split that sends the first k atoms low.
-    A side that holds every atom has mass exactly one (the law's check fixes its total), and an
-    empty side none; an alternative side sums p0 e^v in its own temporary, shifted in place."""
+    """Log mass under one hypothesis of one side of a split sending the first k atoms low: 0.0 on
+    every atom (the law's check fixes it), -inf on none; an alternative side sums p0 e^v in place."""
     side, atoms = (np.s_[k:], law.n_atoms - k) if high else (np.s_[:k], k)
     if atoms in (0, law.n_atoms):
         return 0.0 if atoms else -np.inf
@@ -286,16 +284,8 @@ def _bit_law(split: tuple) -> MessageLaw:
     output values, or one atom when a side is empty."""
     _, _, low0, low1, high0, high1 = split
     if low0 == -np.inf or high0 == -np.inf:  # a side of no null mass has no alternative mass
-        return MessageLaw(np.zeros(1), np.zeros(1))
+        return _ZERO
     return MessageLaw(np.array([low1 - low0, high1 - high0]), np.array([low0, high0]))
-
-
-@contextmanager
-def _naming(level: int, sid: int):
-    try:
-        yield
-    except StateSpaceTooLarge as exc:
-        raise StateSpaceTooLarge(f"level {level}, shape {sid}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,9 +295,8 @@ class _LawContext:
     ``out`` is each shape's outgoing law, None for the root.  ``split`` is
     each relay's ``_split`` at its level's threshold, the only use of the
     relay rule below the root; it is None for the leaf, gated fringes and the
-    root.  A relay's sum law is dropped once split.  The root's is kept as
-    ``halves``: its law when it has one run, else the laws of two halves of
-    its runs, the smaller first, whose outer sum is built only on demand.
+    root.  A relay's sum law is dropped once split; the root's is kept as the
+    laws of two ``halves`` of its runs, smaller first; one run sits beside ``_ZERO``.
     """
 
     out: list
@@ -319,14 +308,16 @@ class _LawContext:
         return _sum_law(self.halves)
 
     @cached_property
-    def larger(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The larger half by low count j: its atoms between -inf and inf, so that entries
-        j and j + 1 are the last atom sent low and the first sent high, and its log masses
-        from atom j up under the null and below atom j under the alternative."""
+    def padded(self) -> np.ndarray:
+        # B between -inf and inf: at low count j, entries j and j + 1 are the last low and first high
+        return np.concatenate(([-np.inf], self.halves[1].values, [np.inf]))
+
+    @cached_property
+    def larger(self) -> tuple[np.ndarray, np.ndarray]:
+        # by low count j: B's null log mass from atom j up, its alternative's below atom j
         b = self.halves[1]
         above0 = np.append(np.logaddexp.accumulate(b.logp0[::-1])[::-1], -np.inf)
-        below1 = np.concatenate(([-np.inf], np.logaddexp.accumulate(b.logp1)))
-        return np.concatenate(([-np.inf], b.values, [np.inf])), above0, below1
+        return above0, np.concatenate(([-np.inf], np.logaddexp.accumulate(b.logp1)))
 
 
 def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -347,20 +338,19 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
             split.append(None)
             out.append(gate_law)
             continue
-        with _naming(level[sid], sid):
-            # runs ascend by child id, which fixes the convolution order
+        try:
+            # runs ascend by child id, which fixes the convolution order; a relay sums them, the
+            # root keeps two halves, in order, whose atom-count products are closest (i may be 0)
             laws = [_conv_power(out[k], c) for k, c in table[sid]]
-            if sid < root:
-                t = strategy.thresholds[level[sid] - 1]
-                split.append(_split(_sum_law(laws), leaf_count[sid], t))
-                out.append(_bit_law(split[-1]))
-            elif len(laws) == 1:
-                halves = (laws[0],)
-            else:  # two halves of the runs, in order, whose products of atom counts are closest
-                logs = np.cumsum(np.log([law.n_atoms for law in laws]))
-                i = 1 + int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1])))
-                halves = tuple(sorted(map(_sum_law, (laws[:i], laws[i:])), key=lambda h: h.n_atoms))
-    return _LawContext(out + [None], split + [None], halves)
+            logs = np.cumsum([0.0] + [math.log(law.n_atoms) for law in laws])
+            i = int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1]))) if sid == root else 0
+            halves = (_sum_law(laws[:i]) if i else _ZERO, _sum_law(laws[i:]))
+        except StateSpaceTooLarge as exc:
+            raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
+        if sid < root:
+            split.append(_split(halves[1], leaf_count[sid], strategy.thresholds[level[sid] - 1]))
+            out.append(_bit_law(split[-1]))
+    return _LawContext(out + [None], split + [None], tuple(sorted(halves, key=lambda h: h.n_atoms)))
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -376,26 +366,22 @@ def root_sum_law(
     strategy: Strategy, pair: DistributionPair
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw-sum atoms of the root's incoming log-likelihood mass and their
-    log masses under both hypotheses.  A root of several runs is built here,
-    on first read, as the outer sum of its two halves, and refused past
-    ``STATE_SPACE_CAP``; calibration and every error reader use the halves."""
+    log masses under both hypotheses, built on first read from its halves."""
     ctx = _context_for(strategy, pair)
-    with _naming(strategy.tree.height, len(strategy.tree.shape_children) - 1):
+    try:
         law = ctx.root_sum
+    except StateSpaceTooLarge as exc:
+        name = f"level {strategy.tree.height}, shape {len(ctx.out) - 1}"
+        raise StateSpaceTooLarge(f"{name}: {exc}") from None
     return law.values, law.logp0, law.logp1
 
 
 def _root_cut(ctx: _LawContext, leaf_count: int, threshold: float, merge: bool = True) -> tuple:
-    """``_cut`` on the root: (k, cut) of its law, or of its halves (j, cut), j(a) the count of
-    atoms b of the larger half sent low beside each atom a of the smaller by the rule on
-    fl(a + b) itself; bisection on fl(tL - a) can miss by an atom, so each count steps until
-    the rule agrees.  The built root merges sums within ``_merged``'s tolerance into their
-    least, which the rule reads: so, unless ``merge`` is off, while the least sum sent high
-    would join the largest sent low, the cut moves above it."""
-    if len(ctx.halves) == 1:
-        return _cut(ctx.halves[0], leaf_count, threshold)
-    a, b = ctx.halves[0].values, ctx.larger[0]
-    j = np.searchsorted(b, threshold * leaf_count - a, side="right") - 1
+    """``_cut`` on the root's halves: (j, cut), j(a) the count of atoms b of the larger half that
+    the rule on fl(a + b) sends low beside atom a of the smaller.  Unless ``merge`` is off, a sum
+    that the built root merges into one sent low (``_merged``'s tolerance) goes low with it."""
+    a, b = ctx.halves[0].values, ctx.padded
+    j = np.searchsorted(ctx.halves[1].values, threshold * leaf_count - a, side="right")
     while True:
         below, above = a + b.take(j), a + b.take(j + 1)
         up, down = _sends_low(above, leaf_count, threshold), ~_sends_low(below, leaf_count, threshold)
@@ -408,51 +394,29 @@ def _root_cut(ctx: _LawContext, leaf_count: int, threshold: float, merge: bool =
             return j, (top + bottom) / 2.0
 
 
-def _root_tail(ctx: _LawContext, k, hypothesis: int) -> float:
-    """The root's error log mass when ``_root_cut`` sends k low: the null's sent high, or the
-    alternative's sent low.  From halves, log sum_a p0(a) P0(B >= j(a)) or log sum_a p1(a)
-    P1(B < j(a)), read off ``larger``; as in ``_side``, a side of every pair has mass one."""
-    if len(ctx.halves) == 1:
-        return _side(ctx.halves[0], k, not hypothesis, hypothesis)
+def _root_tail(ctx: _LawContext, j: np.ndarray, hypothesis: int) -> float:
+    """The root's error log mass when ``_root_cut`` sends j low: log sum_a p0(a) P0(B >= j(a)),
+    or log sum_a p1(a) P1(B < j(a)); a one-atom half reads B as ``_split`` does, bit for bit."""
     a, b = ctx.halves
+    logp = a.logp1 if hypothesis else a.logp0
+    if a.n_atoms == 1:
+        return float(logp[0]) + _side(b, int(j[0]), not hypothesis, hypothesis)
     pairs = a.n_atoms * b.n_atoms
-    side = int(k.sum()) if hypothesis else pairs - int(k.sum())
-    if side in (0, pairs):
+    side = int(j.sum()) if hypothesis else pairs - int(j.sum())
+    if side in (0, pairs):  # as in ``_side``, a side of every pair has mass one
         return 0.0 if side else -np.inf
-    logs = np.add(a.logp1 if hypothesis else a.logp0, ctx.larger[1 + hypothesis][k])
+    logs = np.add(logp, ctx.larger[hypothesis][j])
     return _logsumexp(logs, out=logs)
 
 
 def _root_tails(ctx: _LawContext, leaf_count: int, threshold: float) -> tuple[float, float]:
     """(low1, high0), the miss and false-alarm log masses: the two tails any reader reports."""
-    k = _root_cut(ctx, leaf_count, threshold)[0]
-    return _root_tail(ctx, k, 1), _root_tail(ctx, k, 0)
+    j = _root_cut(ctx, leaf_count, threshold)[0]
+    return _root_tail(ctx, j, 1), _root_tail(ctx, j, 0)
 
 
 def _type_i(high0: float) -> float:  # high0 can sum an ulp above 0 on long convolution chains
     return float(np.exp(min(high0, 0.0)))
-
-
-def _calibrate_halves(ctx: _LawContext, l_f: int, alpha: float) -> float:
-    """The least pair-sum threshold fl(a + b) / L whose type I is within alpha, by bisection on
-    the pair sums: each row a holds its candidates b between the brackets, and the pivot is the
-    median of the rows' middle candidates weighted by their counts, so at least a quarter of the
-    candidates lie on each side of it (Johnson & Mizoguchi, *SIAM J. Comput.* 7(2), 1978).  The
-    steps are O(log |A||B|), each O(|A| log |B|) with A the smaller half."""
-    a, b = (half.values for half in ctx.halves)
-    lo, hi, best = np.zeros(a.size, np.intp), np.full(a.size, b.size), math.inf
-    while (rows := np.flatnonzero(hi > lo)).size:
-        n = (hi - lo)[rows]
-        mids = (a[rows] + b[lo[rows] + (n - 1) // 2]) / l_f
-        order = np.argsort(mids)
-        weight = np.cumsum(n[order])
-        pivot = float(mids[order[np.searchsorted(weight, weight[-1] / 2)]])
-        j = _root_cut(ctx, l_f, pivot)[0]
-        if _type_i(_root_tail(ctx, j, 0)) <= alpha:  # the pivot and every candidate above it leave
-            best, hi = pivot, _root_cut(ctx, l_f, np.nextafter(pivot, -np.inf), merge=False)[0]
-        else:
-            lo = j
-    return best
 
 
 def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) -> Strategy:
@@ -461,36 +425,44 @@ def np_calibrate_root(strategy: Strategy, pair: DistributionPair, alpha: float) 
 
     Candidate thresholds are the root's normalized sum atoms, so the result
     is the most powerful root-threshold variant among deterministic tests, up
-    to ulp wobble of that type I across atoms of almost no mass.  Each
-    candidate is checked by ``_root_tail``, the tail that function reports.
-    On a root of one run, a linear cumulative sum of null masses only locates
-    the crossing: an n-term sum errs by up to about n·u relative (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).  A root
-    of two halves is bisected on its pair sums, whose least sum of each merged
-    group is an atom of ``root_sum_law``; its law is not built.  The copy
-    shares the strategy's laws.
+    to ulp wobble of that type I across atoms of almost no mass.  They are
+    bisected as the halves' pair sums, each pivot the median of the rows'
+    middle candidates weighted by their counts, so that a quarter leave per
+    step (Johnson & Mizoguchi, *SIAM J. Comput.* 7(2), 1978), and checked by
+    ``_root_tail``; the least sum of a merge group is the built root's atom.
+    A root of one run first tries the crossing that a linear cumulative sum
+    of null masses locates, off by rounding of up to about n·u relative (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).  The
+    copy shares the strategy's laws.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParams("alpha must lie in (0, 1)")
     ctx = _context_for(strategy, pair)
     l_f = int(strategy.tree.shape_counts.leaf_count[-1])
-    if len(ctx.halves) == 2:
-        threshold = _calibrate_halves(ctx, l_f, alpha)
-    else:
-        root = ctx.halves[0]
-        values, n = root.values, root.n_atoms
-        # tail[n-2-i] is the null mass strictly above atom i; exp runs forward, where numpy vectorizes
-        buf = _exp(root.logp0)
+
+    def within(t: float) -> tuple[np.ndarray, bool]:  # the low counts at t, and type I <= alpha
+        j = _root_cut(ctx, l_f, t)[0]
+        return j, _type_i(_root_tail(ctx, j, 0)) <= alpha
+
+    a, b = (half.values for half in ctx.halves)
+    lo, hi, threshold = np.zeros(a.size, np.intp), np.full(a.size, b.size), math.inf
+    if a.size == 1:  # tail[n-2-i] is the null mass strictly above atom i
+        buf = _exp(ctx.halves[1].logp0)
         tail = np.cumsum(buf[::-1], out=buf[::-1])
-        i = n - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
-
-        def within(j: int) -> bool:  # the top atom sends nothing high
-            k = n if j == n - 1 else _cut(root, l_f, values[j] / l_f)[0]
-            return _type_i(_root_tail(ctx, k, 0)) <= alpha
-
-        if not within(i) or (i > 0 and within(i - 1)):  # rounding moved the crossing: bisect every atom
-            i = bisect_left(range(n), True, 0, n - 1, key=within)
-        threshold = float(values[i]) / l_f
+        i = b.size - 1 - int(np.count_nonzero(tail[:-1] <= alpha))
+        if within(b[i] / l_f)[1] and not (i and within(b[i - 1] / l_f)[1]):
+            lo, threshold = hi, float(b[i]) / l_f
+    while (rows := np.flatnonzero(hi > lo)).size:
+        n = (hi - lo)[rows]
+        mids = (a[rows] + b[lo[rows] + (n - 1) // 2]) / l_f
+        order = np.argsort(mids)
+        weight = np.cumsum(n[order])
+        pivot = float(mids[order[np.searchsorted(weight, weight[-1] / 2)]])
+        j, ok = within(pivot)
+        if ok:  # the pivot and every candidate above it leave
+            threshold, hi = pivot, _root_cut(ctx, l_f, np.nextafter(pivot, -np.inf), merge=False)[0]
+        else:
+            lo = j
     calibrated = replace(strategy, root_threshold=threshold)
     calibrated._laws.update(strategy._laws)
     return calibrated
@@ -551,9 +523,8 @@ def tail_report(strategy: Strategy, pair: DistributionPair) -> Sequence[TailRow]
     # one (miss, fa) pair per shape, the split's (low1, high0), expanded per
     # node; a gate level has no split, and its tails are not threshold tails
     kept = np.array([s is not None for s in ctx.split[:-1]] + [True])
-    tails = [s[3:5] if s else (0.0, 0.0) for s in ctx.split[:-1]]
-    tails.append(_root_tails(ctx, int(lcount[-1]), strategy.thresholds[-1]))
-    tails = np.array(tails) / lcount[:, None]
+    root = _root_tails(ctx, int(lcount[-1]), strategy.thresholds[-1])
+    tails = np.array([*(s[3:5] if s else (0.0, 0.0) for s in ctx.split[:-1]), root]) / lcount[:, None]
     return _NodeRows(strategy.tree, TailRow, (level, lcount, pcount, *tails.T), kept)
 
 
@@ -692,10 +663,8 @@ def monte_carlo_error(
     ctx, l_f = _context_for(strategy, pair), int(strategy.tree.shape_counts.leaf_count[-1])
     # one root cut at the calibrated threshold serves both hypotheses; only a
     # height-1 root, the one fringe node of one run, draws against its low masses too
-    if strategy.tree.height == 1:
-        root = _split(ctx.halves[0], l_f, strategy.root_threshold)
-    else:
-        root = _root_cut(ctx, l_f, strategy.root_threshold)
+    root = (_split(ctx.halves[1], l_f, strategy.root_threshold) if strategy.tree.height == 1
+            else _root_cut(ctx, l_f, strategy.root_threshold))
     p_i, p_ii = (_simulate_error_count(ctx, strategy, h, root, trials, seed) / trials for h in (0, 1))
     return ErrorEstimate(
         type_i=p_i,

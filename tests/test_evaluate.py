@@ -561,9 +561,9 @@ class TestRootHalves:
 
     @staticmethod
     def _built_calibration(strategy, pair, law, alpha):
-        # the one-run path calibrates on the built law, as every root once was
+        # the built law beside the law of 0 is a root of one run, calibrated on its atoms
         one_run = replace(strategy)
-        one_run._laws[pair] = ev._LawContext([], [], (law,))
+        one_run._laws[pair] = ev._LawContext([], [], (ev._ZERO, law))
         return np_calibrate_root(one_run, pair, alpha).root_threshold
 
     @settings(max_examples=60, deadline=None)
@@ -574,7 +574,6 @@ class TestRootHalves:
         ctx = ev._context_for(s, pair)
         law = MessageLaw(*root_sum_law(s, pair)[:2])
         l_f = int(tree.shape_counts.leaf_count[-1])
-        assert len(ctx.halves) == 2
         atoms = law.values / l_f
         for q in atoms.tolist():
             assert_tails_close(ev._root_tails(ctx, l_f, q), built_tails(law, l_f, q))
@@ -623,6 +622,30 @@ class TestRootHalves:
         with pytest.raises(StateSpaceTooLarge, match=refusal):
             root_sum_law(cal, pair75)
 
+    @pytest.mark.parametrize("t, errors", [(1e308, (0.0, 1.0)), (-1e308, (1.0, 0.0))])
+    def test_thresholds_past_every_pair_sum(self, pair75, ident, t, errors):
+        # t·L overflows to ±inf: every pair sum goes low at 1e308 and high at -1e308,
+        # for exact errors, the tail report's root row and Monte Carlo alike
+        s = build_relay_strategy(TreeFamily("increasing_leaves").generate(6), ident, (0.0, t))
+        assert ev._context_for(s, pair75).halves[0].n_atoms > 1
+        est = exact_error_probs(s, pair75)
+        assert (est.type_i, est.type_ii) == errors
+        row = tail_report(s, pair75)[0]
+        assert (math.exp(row.log_fa_per_leaf), math.exp(row.log_miss_per_leaf)) == errors
+        mc = monte_carlo_error(s, pair75, trials=100, seed=0)
+        assert (mc.type_i, mc.type_ii) == errors
+
+    def test_a_root_of_one_run_builds_no_cumulative_tables(self, pair75, leaf_family):
+        # beside the law of 0, a root of one run is read as a relay's split reads
+        # its law: its readers build none of the larger half's cumulative tables
+        s = simple_strategy(TreeFamily("wide_uniform", {"m": 4}).generate(50), pair75, leaf_family, 0.4).strategy
+        cal = np_calibrate_root(s, pair75, 0.25)
+        exact_error_probs(cal, pair75)
+        tail_report(cal, pair75)
+        monte_carlo_error(cal, pair75, trials=100, seed=0)
+        ctx = ev._context_for(cal, pair75)
+        assert ctx.halves[0] is ev._ZERO and "larger" not in vars(ctx)
+
     def test_merged_sums_are_read_by_their_least(self):
         # sums of ternary leaf laws are multiples of one log-likelihood ratio,
         # so these halves' 63 pair sums are 21 distinct floats, which the built
@@ -647,8 +670,11 @@ class TestRootHalves:
         tails = np.array([reported(t) for t in (law.values / 7).tolist()])
         tails = tails[(tails > 0.0) & (tails < 1.0)]
         alphas = np.concatenate((tails, np.nextafter(tails, 0.0), np.nextafter(tails, 1.0)))
+        s = build_relay_strategy(TreeFamily("parallel").generate(8), identity_map(TERNARY.alphabet), (0.0,))
+        assert int(s.tree.shape_counts.leaf_count[-1]) == 7
+        s._laws[TERNARY] = ctx  # calibrated on these halves, as a root of seven leaves
         for alpha in alphas.tolist():
-            threshold = ev._calibrate_halves(ctx, 7, alpha)
+            threshold = np_calibrate_root(s, TERNARY, alpha).root_threshold
             i = int(np.searchsorted(law.values / 7, threshold))
             assert law.values[i] / 7 == threshold and reported(threshold) <= alpha
             assert i == 0 or reported(law.values[i - 1] / 7) > alpha
@@ -889,7 +915,7 @@ class TestTailReport:
         ctx = ev._context_for(s, pair75)
         relays = [r for r in ctx.split if r is not None]
         # two fringe shapes and two level-2 shapes, each cut by its own split
-        assert len(relays) == 4 and len(ctx.halves) == 2
+        assert len(relays) == 4 and ctx.halves[0].n_atoms > 1
         assert len(calls) == 4 and all(got is r for (_, got), r in zip(calls, relays))
         assert all(c is law for c, (law, _) in zip(cuts, calls, strict=True))
         calibration_counts = len(counts)
@@ -898,7 +924,7 @@ class TestTailReport:
         tail_report(s, pair75)
         monte_carlo_error(s, pair75, trials=100, seed=0)
         assert len(calls) == len(cuts) == 4
-        assert len(counts) >= calibration_counts + 3 and all(c is ctx for c in counts)
+        assert len(counts) == calibration_counts + 3 and all(c is ctx for c in counts)
         assert "root_sum" not in vars(ctx)
 
     def test_only_the_root_sum_law_outlives_the_build(self, pair75, ident, monkeypatch):
@@ -911,7 +937,7 @@ class TestTailReport:
         gc.collect()
         assert len(refs) == 4
         assert all(r() is None for r in refs)
-        assert len(ctx.halves) == 2 and "root_sum" not in vars(ctx)
+        assert ctx.halves[0].n_atoms > 1 and "root_sum" not in vars(ctx)
 
 
 def assert_lazy_rows(make):

@@ -274,7 +274,7 @@ class TestCalibration:
             p0[a:b] = 0.0
             with np.errstate(divide="ignore"):
                 law = llr_law(np.arange(n) * 0.37, np.log(p0 / p0.sum()))
-            s._laws[pair75] = ev._LawContext([None], [None], (law,))
+            s._laws[pair75] = ev._LawContext([None], [None], (ev._ZERO, law))
             thresholds = law.values / int(s.tree.shape_counts.leaf_count[-1])
             tails = [reported_type_i(s, pair75, t) for t in rng.choice(thresholds, 5).tolist()]
             alphas = np.array([t for t in tails if 0.0 < t < 1.0])
