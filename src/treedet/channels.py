@@ -13,9 +13,8 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Hashable
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,10 +27,8 @@ from .errors import (
 from .hypotheses import (
     BINARY,
     Alphabet,
-    Direction,
     DistributionPair,
     Symbol,
-    kl_divergence,
 )
 from .topology import _integer
 
@@ -53,25 +50,26 @@ class TransmissionFunction:
     name: str = ""
 
     def __post_init__(self) -> None:
-        expected_inputs = 1 if self.arity == 0 else self.arity
         if self.arity < 0:
             raise InvalidParams("arity must be >= 0")
+        expected_inputs = max(self.arity, 1)
         if len(self.input_alphabets) != expected_inputs:
-            raise InvalidParams(
-                f"arity {self.arity} requires {expected_inputs} input alphabet(s)"
-            )
+            raise InvalidParams(f"arity {self.arity} requires {expected_inputs} input alphabet(s)")
         domain = list(itertools.product(*[a.symbols for a in self.input_alphabets]))
         table = dict(self.table)
-        missing = [t for t in domain if t not in table]
-        if missing:
-            raise InvalidParams(f"table not total: missing {missing[:3]!r}...")
         inside = set(domain)
-        extra = [t for t in table if t not in inside]
-        if extra:
+        if table.keys() != inside:
+            missing = [t for t in domain if t not in table]
+            if missing:
+                raise InvalidParams(f"table not total: missing {missing[:3]!r}...")
+            extra = [t for t in table if t not in inside]
             raise InvalidParams(f"table has entries outside the domain: {extra[:3]!r}")
-        outputs = set(self.output_alphabet)
-        bad = [y for y in table.values() if not isinstance(y, Hashable) or y not in outputs]
-        if bad:
+        try:
+            valid = set(self.output_alphabet.symbols).issuperset(table.values())
+        except TypeError:  # an unhashable output
+            valid = False
+        if not valid:
+            bad = [y for y in table.values() if y not in self.output_alphabet]
             raise InvalidParams(f"outputs {bad[:3]!r} not in the output alphabet")
         object.__setattr__(self, "table", table)
 
@@ -109,14 +107,8 @@ class TransmissionFunction:
             raise InputError(f"transmission function missing field {exc}") from None
         except (json.JSONDecodeError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed transmission function: {exc}") from None
-        lookup: dict[str, Symbol] = {}
-        for alph in inputs:
-            for s in alph:
-                lookup[str(s)] = s
-        table = {}
-        for key, out in entries:
-            parts = key.split("|")
-            table[tuple(lookup.get(p, p) for p in parts)] = out
+        lookup = {str(s): s for alph in inputs for s in alph}
+        table = {tuple(lookup.get(p, p) for p in key.split("|")): out for key, out in entries}
         return cls(arity, inputs, output, table, doc.get("name", ""))
 
 
@@ -146,18 +138,45 @@ def forward_first_gate() -> TransmissionFunction:
     return _binary_gate({(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1}, "forward")
 
 
+class _MapTable(Sequence):
+    """Every map from one input domain to ``output``: row i of ``rows`` holds
+    map i's output indices, and map i is built, checked, on its first read."""
+
+    def __init__(self, arity: int, inputs: tuple[Alphabet, ...], output: Alphabet) -> None:
+        self.arity, self.inputs, self.output = arity, inputs, output
+        self._domain = list(itertools.product(*[a.symbols for a in inputs]))
+        w, n = len(output), len(self._domain)
+        # row r spells r in base w, most significant digit first: itertools.product order
+        rows = np.arange(w**n)[:, None] // w ** np.arange(n - 1, -1, -1) % w
+        self.rows = rows.astype(np.min_scalar_type(w - 1))
+        self._maps: dict[int, TransmissionFunction] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int | slice) -> TransmissionFunction | tuple[TransmissionFunction, ...]:
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        i = range(len(self))[i]  # negatives count from the end; IndexError past it
+        if i not in self._maps:
+            table = dict(zip(self._domain, (self.output.symbols[j] for j in self.rows[i].tolist())))
+            self._maps[i] = TransmissionFunction(self.arity, self.inputs, self.output, table)
+        return self._maps[i]
+
+
 @dataclass(frozen=True)
 class QuantizerFamily:
-    """Finite menu of candidate leaf maps."""
+    """Finite menu of candidate leaf maps.  A menu from
+    ``enumerate_quantizers`` is checked by its arity, without building a map."""
 
-    leaf: tuple[TransmissionFunction, ...]
+    leaf: Sequence[TransmissionFunction]
 
     def __post_init__(self) -> None:
-        if not self.leaf:
+        leaf = self.leaf
+        if not leaf:
             raise InvalidParams("leaf family must be non-empty")
-        for gamma in self.leaf:
-            if gamma.arity != 0:
-                raise InvalidParams("leaf family entries must have arity 0")
+        if any([leaf.arity] if isinstance(leaf, _MapTable) else [g.arity for g in leaf]):
+            raise InvalidParams("leaf family entries must have arity 0")
 
 
 def all_binary_leaf_family(alphabet: Alphabet) -> QuantizerFamily:
@@ -173,20 +192,20 @@ def _push(index: Sequence[int], masses: Sequence[np.ndarray], k: int) -> np.ndar
     return np.minimum(q, 1.0)
 
 
+def _check_leaf(pair: DistributionPair, arity: int, inputs: tuple[Alphabet, ...]) -> None:
+    """Refuse maps that cannot push ``pair``'s observation forward."""
+    if arity != 0:
+        raise InvalidParams("push-forward of an observation needs an arity-0 map")
+    if inputs[0].symbols != pair.alphabet.symbols:
+        raise InputError("map input alphabet does not match the pair alphabet")
+
+
 def _bins(pair: DistributionPair, tf: TransmissionFunction) -> list[int]:
     """Output index of each pair symbol under a checked arity-0 map."""
-    if tf.arity != 0:
-        raise InvalidParams("push-forward of an observation needs an arity-0 map")
-    if tf.input_alphabets[0].symbols != pair.alphabet.symbols:
-        raise InputError("map input alphabet does not match the pair alphabet")
+    _check_leaf(pair, tf.arity, tf.input_alphabets)
     # the check above makes every (s,) a key of the total table
     index, table = tf.output_alphabet.index, tf.table
     return [index(table[(s,)]) for s in pair.alphabet]
-
-
-def _pushforward(pair: DistributionPair, tf: TransmissionFunction) -> np.ndarray:
-    """Output masses over the full output alphabet (dead symbols kept)."""
-    return _push(_bins(pair, tf), (pair.p0, pair.p1), len(tf.output_alphabet))
 
 
 def _live_pair(output: Alphabet, q: np.ndarray) -> DistributionPair:
@@ -213,21 +232,25 @@ def induced_pair(pair: DistributionPair, tf: TransmissionFunction) -> Distributi
 
 
 def _margins(pair: DistributionPair, leaf_maps: Sequence) -> dict[int, np.ndarray]:
-    """Pushed masses of each distinct leaf map, by id: the caller holds the maps."""
-    distinct = {id(g): g for g in leaf_maps}
-    return {key: _pushforward(pair, g) for key, g in distinct.items()}
+    """Pushed masses of each distinct leaf map, dead outputs kept, by id; the caller holds the maps."""
+    distinct, p = {id(g): g for g in leaf_maps}, (pair.p0, pair.p1)
+    return {key: _push(_bins(pair, g), p, len(g.output_alphabet)) for key, g in distinct.items()}
 
 
-def _fuse(leaf_maps: Sequence, margins: dict, gate: TransmissionFunction) -> DistributionPair:
-    """Law of ``gate`` applied to independent messages of these leaf maps."""
+def _gate_index(gate: TransmissionFunction, messages: tuple[Alphabet, ...]) -> list[int]:
+    """Output index of ``gate`` on each tuple of messages, in itertools.product order."""
+    return [gate.output_alphabet.index(gate(*x)) for x in itertools.product(*messages)]
+
+
+def _fuse(leaf_maps: Sequence, margins: dict, gate: TransmissionFunction, index: list) -> np.ndarray:
+    """Both hypotheses' masses of ``gate`` applied to independent messages of
+    these leaf maps, ``index`` being the gate's ``_gate_index`` on them."""
     # joint masses of the quantized tuples, in itertools.product order
     joint = [
         functools.reduce(np.multiply.outer, [margins[id(g)][hyp] for g in leaf_maps]).ravel()
         for hyp in (0, 1)
     ]
-    inputs = itertools.product(*(g.output_alphabet for g in leaf_maps))
-    index = [gate.output_alphabet.index(gate(*x)) for x in inputs]
-    return _live_pair(gate.output_alphabet, _push(index, joint, len(gate.output_alphabet)))
+    return _push(index, joint, len(gate.output_alphabet))
 
 
 def fused_pair(
@@ -239,35 +262,29 @@ def fused_pair(
     k = len(leaf_maps)
     if gate.arity != k:
         raise InvalidParams(f"gate arity {gate.arity} != {k} quantized inputs")
-    return _fuse(leaf_maps, _margins(pair, leaf_maps), gate)
+    index = _gate_index(gate, tuple(g.output_alphabet for g in leaf_maps))
+    return _live_pair(gate.output_alphabet, _fuse(leaf_maps, _margins(pair, leaf_maps), gate, index))
 
 
 def enumerate_quantizers(
     inputs: Alphabet | Sequence[Alphabet],
     output: Alphabet,
-) -> tuple[TransmissionFunction, ...]:
+) -> Sequence[TransmissionFunction]:
     """All total deterministic maps from the (product) input to ``output``,
     relabelings of the output symbols included: a relabeling changes the
-    message alphabet seen upstream."""
-    if isinstance(inputs, Alphabet):
-        alphabets: tuple[Alphabet, ...] = (inputs,)
-        arity = 0
-    else:
-        alphabets = tuple(inputs)
-        if not alphabets:
-            raise InvalidParams("need at least one input alphabet")
-        arity = len(alphabets)
-    domain = list(itertools.product(*[a.symbols for a in alphabets]))
-    total = len(output) ** len(domain)
+    message alphabet seen upstream.  A read-only sequence in
+    ``itertools.product`` order whose maps are built on first read, so
+    ``parallel_exponent`` builds only the one it returns."""
+    alphabets = (inputs,) if isinstance(inputs, Alphabet) else tuple(inputs)
+    if not alphabets:
+        raise InvalidParams("need at least one input alphabet")
+    arity = 0 if isinstance(inputs, Alphabet) else len(alphabets)
+    total = len(output) ** math.prod(len(a) for a in alphabets)
     if total > ENUMERATION_CAP:
         raise EnumerationTooLarge(
             f"{total} maps exceed the cap of {ENUMERATION_CAP}; restrict the alphabets"
         )
-    out: list[TransmissionFunction] = []
-    for assignment in itertools.product(output.symbols, repeat=len(domain)):
-        table = dict(zip(domain, assignment))
-        out.append(TransmissionFunction(arity, alphabets, output, table))
-    return tuple(out)
+    return _MapTable(arity, alphabets, output)
 
 
 def parallel_exponent(
@@ -278,14 +295,19 @@ def parallel_exponent(
     Equals minus the largest null-to-alternative divergence achievable by a
     single leaf map from the family.  Ties keep the earliest map.
     """
-    gammas = leaf_family.leaf if isinstance(leaf_family, QuantizerFamily) else tuple(leaf_family)
-    if not gammas:
-        raise InvalidParams("leaf family must be non-empty")
+    gammas = leaf_family.leaf if isinstance(leaf_family, QuantizerFamily) else leaf_family
     # one push-forward for the whole family: each map bins into its own
     # slice of the outputs, and bincount still sums every bin in input order
+    if isinstance(gammas, _MapTable):  # never empty; the bins are its rows
+        _check_leaf(pair, gammas.arity, gammas.inputs)
+        bins, widths = gammas.rows, np.full(len(gammas), len(gammas.output))
+    else:
+        gammas = tuple(gammas)
+        if not gammas:
+            raise InvalidParams("leaf family must be non-empty")
+        bins = np.array([_bins(pair, gamma) for gamma in gammas])
+        widths = np.array([len(gamma.output_alphabet) for gamma in gammas])
     m = len(gammas)
-    bins = np.array([_bins(pair, gamma) for gamma in gammas])
-    widths = np.array([len(gamma.output_alphabet) for gamma in gammas])
     ends = np.cumsum(widths)
     tiled = np.array((pair.p0, pair.p1))[:, None].repeat(m, 1).reshape(2, -1)
     q0, q1 = _push((bins + (ends - widths)[:, None]).ravel(), tiled, int(ends[-1]))
@@ -347,9 +369,15 @@ def fusion_loss_constant(
     best = math.inf
     best_xi: tuple[TransmissionFunction, tuple[TransmissionFunction, ...]] | None = None
     for gate in gates:
+        indexes: dict[tuple[Alphabet, ...], list[int]] = {}  # by the leaf maps' messages
         for leafs in itertools.product(gammas, repeat=k):
-            fused = _fuse(leafs, margins, gate)
-            value = -kl_divergence(fused, Direction.ZERO_ONE) / k
+            messages = tuple(g.output_alphabet for g in leafs)
+            if messages not in indexes:
+                indexes[messages] = _gate_index(gate, messages)
+            q = _fuse(leafs, margins, gate, indexes[messages])
+            # kl_divergence of the fused pair, read off its live masses
+            q0, q1 = q[:, q[0] > 0.0]
+            value = -float(np.sum(q0 * (np.log(q0) - np.log(q1)))) / k
             if value < best:
                 best = value
                 best_xi = (gate, leafs)

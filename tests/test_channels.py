@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from treedet.errors import DegenerateFamily
 from treedet.evaluate import _sends_low
 
 LOG3 = math.log(3.0)
+TERNARY = Alphabet((0, 1, 2))
 G_PARALLEL = -0.5493061443340548
 
 
@@ -86,8 +88,11 @@ class TestTransmissionFunction:
             (2, (BINARY,), {(0,): 0, (1,): 1}, r"^arity 2 requires 2 input alphabet\(s\)$"),
             (0, (BINARY,), {(0,): 0}, r"^table not total: missing \[\(1,\)\]\.\.\.$"),
             (0, (BINARY,), {(0,): 0, (1,): 2}, r"^outputs \[2\] not in the output alphabet$"),
+            (0, (BINARY,), {(0,): [0], (1,): 1}, r"^outputs \[\[0\]\] not in the output alphabet$"),
+            (0, (BINARY,), {(0,): 0, (2,): 0}, r"^table not total: missing \[\(1,\)\]\.\.\.$"),
         ],
-        ids=["negative_arity", "input_count", "not_total", "output_outside"],
+        ids=["negative_arity", "input_count", "not_total", "output_outside", "unhashable_output",
+             "missing_before_extra"],
     )
     def test_malformed_maps_rejected(self, arity, inputs, table, message):
         with pytest.raises(InvalidParams, match=message):
@@ -120,6 +125,41 @@ class TestEnumeration:
         maps = enumerate_quantizers((BINARY, BINARY), BINARY)
         assert len(maps) == 16
         assert all(f.arity == 2 for f in maps)
+
+    @pytest.mark.parametrize("arity", [0, 1, 2])
+    @pytest.mark.parametrize("output", [BINARY, TERNARY], ids=["binary", "ternary"])
+    def test_order_is_itertools_product(self, arity, output):
+        inputs = {0: TERNARY, 1: (TERNARY,), 2: (BINARY, TERNARY)}[arity]
+        alphabets = (inputs,) if arity == 0 else inputs
+        domain = list(itertools.product(*[a.symbols for a in alphabets]))
+        want = [dict(zip(domain, outs)) for outs in itertools.product(output.symbols, repeat=len(domain))]
+        maps = enumerate_quantizers(inputs, output)
+        assert len(maps) == len(want)
+        assert [f.table for f in maps] == want
+        assert all((f.arity, f.input_alphabets, f.output_alphabet) == (arity, alphabets, output)
+                   for f in maps)
+
+    def test_maps_are_built_once_and_indexed_like_a_tuple(self):
+        maps = enumerate_quantizers(TERNARY, BINARY)
+        assert maps[3] is maps[3] and maps[-1] is maps[7] and maps[-8] is maps[0]
+        assert all(a is b for a, b in zip(maps[1:7:2], (maps[1], maps[3], maps[5])))
+        assert [f.table for f in maps[::-1]] == [f.table for f in reversed(list(maps))]
+        assert maps[5:2] == () and len(maps[-3:]) == 3
+        for i in (8, -9):
+            with pytest.raises(IndexError):
+                maps[i]
+        assert len(list(maps)) == 8
+
+    def test_cap_refuses_before_allocating(self):
+        # 2**20 maps of 20 outputs each: the refused table would take over 20 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLarge, match="^1048576 maps exceed the cap"):
+                enumerate_quantizers(Alphabet(tuple(range(20))), BINARY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestInducedLaws:
@@ -390,6 +430,50 @@ class TestFamilyScan:
             _same_scan(pair, family)
 
 
+class TestTableScan:
+    """A family from ``enumerate_quantizers`` scans its table of output indices."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tied_pairs(), st.sampled_from((2, 3)))
+    def test_matches_the_scan_of_its_maps(self, pair, width):
+        family = enumerate_quantizers(pair.alphabet, Alphabet(tuple(range(width))))
+        try:
+            g, gamma = parallel_exponent(pair, family)
+        except DegenerateFamily:
+            with pytest.raises(DegenerateFamily):
+                parallel_exponent(pair, list(family))
+            return
+        want_g, want_gamma = parallel_exponent(pair, list(family))
+        assert g.hex() == want_g.hex()
+        assert gamma is want_gamma
+
+    def test_builds_only_the_map_it_returns(self, monkeypatch):
+        built = []
+        check = TransmissionFunction.__post_init__
+        monkeypatch.setattr(TransmissionFunction, "__post_init__",
+                            lambda tf: (built.append(tf), check(tf)))
+        rng = np.random.default_rng(12)
+        pair = DistributionPair(Alphabet(tuple(range(12))), rng.dirichlet(np.ones(12)),
+                                rng.dirichlet(np.ones(12)))
+        family = all_binary_leaf_family(pair.alphabet)
+        assert len(family.leaf) == 4096 and built == []
+        _, gamma = parallel_exponent(pair, family)
+        assert built == [gamma]
+
+    def test_refusals_match_the_map_scan(self, pair75):
+        for family, error in ((enumerate_quantizers((BINARY, BINARY), BINARY), InvalidParams),
+                              (enumerate_quantizers(Alphabet((0, 2)), BINARY), InputError)):
+            with pytest.raises(error) as table:
+                parallel_exponent(pair75, family)
+            with pytest.raises(error) as maps:
+                parallel_exponent(pair75, list(family))
+            assert str(table.value) == str(maps.value)
+
+    def test_family_checks_the_table_arity(self):
+        with pytest.raises(InvalidParams, match="^leaf family entries must have arity 0$"):
+            QuantizerFamily(enumerate_quantizers((BINARY,), BINARY))
+
+
 class TestInducedMemo:
     def test_repeat_returns_one_object(self):
         rng = np.random.default_rng(3)
@@ -450,6 +534,9 @@ class TestFusedPairPushesOnce:
                 assert once.p1.tobytes() == twice.p1.tobytes()
 
 
+_TERNARY_GATES = enumerate_quantizers((TERNARY, TERNARY), BINARY)
+
+
 class TestFusionLoss:
     def test_pairwise_constant(self, pair75, leaf_family):
         gates = enumerate_quantizers((BINARY, BINARY), BINARY)
@@ -466,6 +553,28 @@ class TestFusionLoss:
     def test_k_must_be_positive(self, pair75, leaf_family):
         with pytest.raises(InvalidParams, match="^k must be >= 1$"):
             fusion_loss_constant(pair75, leaf_family, [or_gate()], 0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_fused_pairs_bit_for_bit(self, data):
+        # binary and ternary leaf maps: one gate meets both kinds of message tuple
+        pair = data.draw(tied_pairs())
+        leaf_maps = data.draw(mixed_families(len(pair)))[:4]
+        gates = [_TERNARY_GATES[i] for i in data.draw(st.lists(st.integers(0, 511), min_size=1,
+                                                                 max_size=4))]
+        best, best_xi = math.inf, None
+        for gate in gates:
+            for leafs in itertools.product(leaf_maps, repeat=2):
+                value = -kl_divergence(fused_pair(pair, leafs, gate), Direction.ZERO_ONE) / 2
+                if value < best:
+                    best, best_xi = value, (gate, leafs)
+        try:
+            rep = fusion_loss_constant(pair, leaf_maps, gates, 2)
+        except DegenerateFamily:  # the parallel exponent of an uninformative family
+            return
+        assert rep.constant.hex() == best.hex()
+        assert rep.best_gate is best_xi[0]
+        assert all(a is b for a, b in zip(rep.best_leaf_maps, best_xi[1], strict=True))
 
     def test_combinations_capped(self, pair75):
         # 16 gates times 256^2 leaf-map pairs exceed ENUMERATION_CAP = 10**6
