@@ -333,7 +333,6 @@ def parallel_exponent(
 class FusionLossReport:
     """Best fused divergence rate over k observations, vs the per-leaf optimum."""
 
-    k: int
     constant: float
     best_gate: TransmissionFunction
     best_leaf_maps: tuple[TransmissionFunction, ...]
@@ -384,7 +383,6 @@ def fusion_loss_constant(
     assert best_xi is not None
     g_parallel, _ = parallel_exponent(pair, gammas)
     return FusionLossReport(
-        k=k,
         constant=best,
         best_gate=best_xi[0],
         best_leaf_maps=best_xi[1],

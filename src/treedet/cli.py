@@ -31,7 +31,7 @@ from .channels import (
     parallel_exponent,
     xor_gate,
 )
-from .errors import InfeasibilityError, InputError, InvalidParams, NotUniform
+from .errors import InfeasibilityError, InputError, InvalidParams
 from .evaluate import (
     ErrorEstimate,
     empirical_exponent,
@@ -191,14 +191,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _emit_growth(out: Path, growth: GrowthReport, caps: Sequence[int], stamp: bool) -> None:
+def _emit_growth(
+    out: Path, growth: GrowthReport, sizes: Sequence[int], caps: Sequence[int], stamp: bool
+) -> None:
     header = ["size", "leaf_count", "leaf_fraction"] + [
         f"small_leaf_fraction_{c}" for c in caps
     ]
     rows = [
         [s, growth.leaf_counts[i], growth.leaf_fractions[i]]
         + [growth.small_fraction_curves[c][i] for c in caps]
-        for i, s in enumerate(growth.sizes)
+        for i, s in enumerate(sizes)
     ]
     _write_csv(out / "growth.csv", header, rows, stamp)
 
@@ -230,7 +232,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
         rep = fusion_loss_constant(pair, family, gates, k)
         doc["fusion"].append(
             {
-                "arity": rep.k,
+                "arity": k,
                 "constant": rep.constant,
                 "parallel": rep.parallel,
                 "dominated": rep.dominated,
@@ -276,7 +278,9 @@ def cmd_rates(args: argparse.Namespace) -> int:
         degrees = tree.shape_counts.fringe_degrees
         if degrees.size == 0:
             raise InvalidParams("tree has no fringe nodes")
-        n_floor = int(degrees.min()) if args.n_floor is None else args.n_floor
+        # the least fringe degree is the one floor at which the root bound
+        # -rate + h/n_floor both holds and is tightest
+        n_floor = int(degrees.min())
         report = chernoff_bound_report(tree, table, n_floor)
         _write_csv(
             out / "bounds.csv",
@@ -286,9 +290,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
         )
         summary["n_floor"] = n_floor
         summary["root_bounds"] = {r.kind: r.value for r in report.roots}
-        # the root bound holds only when every fringe node has n_floor leaves
-        if summary["root_bounds"]:
-            summary["exponent_lower_bound"] = summary["root_bounds"]["root_type1"]
+        summary["exponent_lower_bound"] = summary["root_bounds"]["root_type1"]
     _write_json(out / "rates.json", summary)
     print(f"rates for {table.height} levels written to {out / 'rates.csv'}")
     if "exponent_lower_bound" in summary:
@@ -322,11 +324,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise InputError("--sizes needs --family")
         sizes = _parse_list(args.sizes, "--sizes", int)
         growth = estimate_z(_family_from_args(args), sizes, caps)
-        _emit_growth(out, growth, caps, not args.no_timestamp)
+        _emit_growth(out, growth, sizes, caps, not args.no_timestamp)
         doc["growth"] = {
             "z_estimate": growth.z_estimate,
             "consistent": growth.consistent,
-            "sizes": list(growth.sizes),
+            "sizes": list(sizes),
         }
     if not doc:
         raise InputError("provide --tree, --family/--size, or --family/--sizes")
@@ -366,7 +368,7 @@ def _strategy_from_args(
     args: argparse.Namespace, tree: Tree, pair: DistributionPair
 ) -> Strategy:
     if args.epsilon is not None:
-        given = [f"--{k}" for k in ("gamma", "thresholds", "gate", "uniformize") if getattr(args, k)]
+        given = [f"--{k}" for k in ("gamma", "thresholds", "gate") if getattr(args, k)]
         if given:
             raise InputError(f"--epsilon builds the recipe strategy; it cannot take {', '.join(given)}")
         family = all_binary_leaf_family(pair.alphabet)
@@ -375,13 +377,6 @@ def _strategy_from_args(
         raise InputError("provide --epsilon, or --gamma with --thresholds")
     gamma = _load_gamma(args.gamma, pair)
     gate = _load_gate(args.gate)
-    if not tree.is_uniform:
-        if args.uniformize:
-            tree = uniformize(tree).tree
-        else:
-            raise NotUniform(
-                "tree is not height-uniform; pass --uniformize or run uniformize"
-            )
     ts = _parse_list(args.thresholds, "--thresholds", float)
     if len(ts) == 1 and tree.height > 1:
         ts = ts * tree.height
@@ -422,22 +417,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _emit_fit(
-    out: Path, name: str, stamp: bool, target: float | None, tolerance: float, *args, **kwargs
+    out: Path, name: str, stamp: bool, target: float | None, tolerance: float,
+    family: TreeFamily, pair: DistributionPair, sizes: Sequence[int],
+    factory: Callable[[Tree], Strategy], *, alpha: float = 0.25, regress_on: str = "leaves",
 ) -> dict:
-    """Runs ``empirical_exponent(*args, **kwargs)`` and writes the fit to
-    ``name``.csv and ``name``.json."""
-    fit = empirical_exponent(*args, **kwargs)
+    """Runs ``empirical_exponent`` and writes the fit to ``name``.csv and
+    ``name``.json."""
+    fit = empirical_exponent(family, pair, sizes, factory, alpha=alpha, regress_on=regress_on)
     rows = [
-        (
-            fit.sizes[i],
-            fit.node_counts[i],
-            fit.leaf_counts[i],
-            fit.alpha,
-            fit.type_i[i],
-            math.exp(fit.log_type_ii[i]),
-            fit.per_leaf[i],
-        )
-        for i in range(len(fit.sizes))
+        (size, fit.node_counts[i], fit.leaf_counts[i], alpha, fit.type_i[i],
+         math.exp(fit.log_type_ii[i]), fit.per_leaf[i])
+        for i, size in enumerate(sizes)
     ]
     _write_csv(
         out / f"{name}.csv",
@@ -449,9 +439,9 @@ def _emit_fit(
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
-        "regressor": fit.regressor,
-        "sizes": list(fit.sizes),
-        "alpha": fit.alpha,
+        "regressor": regress_on,
+        "sizes": list(sizes),
+        "alpha": alpha,
         "target_exponent": target,
         "tolerance": tolerance if target is not None else None,
         "verdict": (
@@ -504,17 +494,23 @@ def _naive_type_i(delta: float, relays: float) -> float:
     return -math.expm1(relays * math.log1p(-delta))
 
 
-def _reproduce_two_relay(out: Path, stamp: bool) -> _Outcome:
+def _recipe_fit(
+    out: Path, stamp: bool, family: TreeFamily, sizes: Sequence[int], epsilon: float
+) -> dict:
+    """Fits the recipe strategy's slope on ``family`` into fit.csv and
+    fit.json, judged against the parallel exponent of Bernoulli(0.75)."""
     pair = bernoulli_pair(0.75)
-    family = all_binary_leaf_family(pair.alphabet)
-    target, _ = parallel_exponent(pair, family)
-    fam = TreeFamily("two_relay")
-    sizes = (15000, 30000, 60000, 120000)
+    leaf_family = all_binary_leaf_family(pair.alphabet)
+    target, _ = parallel_exponent(pair, leaf_family)
 
     def factory(tree: Tree) -> Strategy:
-        return simple_strategy(tree, pair, family, 0.02).strategy
+        return simple_strategy(tree, pair, leaf_family, epsilon).strategy
 
-    summary = _emit_fit(out, "fit", stamp, target, 0.05, fam, pair, sizes, factory)
+    return _emit_fit(out, "fit", stamp, target, 0.05, family, pair, sizes, factory)
+
+
+def _reproduce_two_relay(out: Path, stamp: bool) -> _Outcome:
+    summary = _recipe_fit(out, stamp, TreeFamily("two_relay"), (15000, 30000, 60000, 120000), 0.02)
     verdicts = {"slope_matches_parallel_exponent": bool(summary["verdict"])}
     return verdicts, {"fit": summary}, ("fit.csv", "fit.json")
 
@@ -667,30 +663,22 @@ def _reproduce_gate_table(out: Path, stamp: bool) -> _Outcome:
 
 
 def _reproduce_increasing_leaves(out: Path, stamp: bool) -> _Outcome:
-    pair = bernoulli_pair(0.75)
-    family = all_binary_leaf_family(pair.alphabet)
-    target, _ = parallel_exponent(pair, family)
     fam = TreeFamily("increasing_leaves")
     caps = (2, 5, 10)
     q_sizes = (25, 50, 100, 200)
     growth = estimate_z(fam, q_sizes, caps)
-    _emit_growth(out, growth, caps, stamp)
+    _emit_growth(out, growth, q_sizes, caps, stamp)
     curves = growth.small_fraction_curves
     vanishing = all(
         all(b < a for a, b in zip(curves[c], curves[c][1:]))
         and curves[c][-1] < 0.02
         for c in caps
     )
-    sizes = (15, 17, 19, 21, 23)
-
     # Exact evaluation caps this family at m=23 (2^m root atoms). The
-    # relay slack below maximizes the fitted slope at that scale; the
+    # relay slack of 0.4 maximizes the fitted slope at that scale; the
     # asymptotic per-leaf rate needs slack -> 0 after leaf counts grow,
     # so the fitted slope stays well short of the parallel exponent.
-    def factory(tree: Tree) -> Strategy:
-        return simple_strategy(tree, pair, family, 0.4).strategy
-
-    fit_summary = _emit_fit(out, "fit", stamp, target, 0.05, fam, pair, sizes, factory)
+    fit_summary = _recipe_fit(out, stamp, fam, (15, 17, 19, 21, 23), 0.4)
     verdicts = {
         "small_fringe_fraction_vanishes": bool(vanishing),
         "slope_matches_parallel_exponent": bool(fit_summary["verdict"]),
@@ -768,7 +756,6 @@ def _build_parser() -> _Parser:
     strategy.add_argument("--gamma", help="leaf map for an explicit strategy")
     strategy.add_argument("--thresholds", help="comma list (a single value repeats per level)")
     strategy.add_argument("--gate", help="fringe gate: or/and/xor/forward or a map JSON file")
-    strategy.add_argument("--uniformize", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func: Callable, about: str, *groups: argparse.ArgumentParser):
@@ -784,7 +771,6 @@ def _build_parser() -> _Parser:
     p = command("rates", cmd_rates, "per-level tail rates and per-node exponential bounds", pair, tree)
     p.add_argument("--gamma", default="identity", help="'identity' or a map JSON file")
     p.add_argument("--thresholds", required=True, help="comma list, one per level")
-    p.add_argument("--n-floor", type=int, default=None, help="fringe size floor")
 
     p = command("analyze", cmd_analyze, "structural statistics and leaf-dominance diagnostics", tree)
     p.add_argument("--sizes", help="comma list for growth curves (needs --family)")

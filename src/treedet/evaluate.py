@@ -680,13 +680,11 @@ def monte_carlo_error(
 
 @dataclass(frozen=True)
 class ExponentFit:
-    """Least-squares decay fit of exact miss probabilities along a grid."""
+    """Least-squares decay fit of exact miss probabilities along a grid,
+    one entry per size in the order given."""
 
-    sizes: tuple[int, ...]
     node_counts: tuple[int, ...]
     leaf_counts: tuple[int, ...]
-    alpha: float
-    regressor: str
     type_i: tuple[float, ...]
     log_type_ii: tuple[float, ...]
     per_leaf: tuple[float, ...]
@@ -741,11 +739,8 @@ def empirical_exponent(
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.dot(resid, resid)) / ss_tot
     return ExponentFit(
-        sizes=tuple(sizes),
         node_counts=tuple(node_counts),
         leaf_counts=tuple(leaf_counts),
-        alpha=alpha,
-        regressor=regress_on,
         type_i=tuple(t1s),
         log_type_ii=tuple(logb),
         per_leaf=tuple(b / l for b, l in zip(logb, leaf_counts)),

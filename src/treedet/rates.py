@@ -189,37 +189,35 @@ def rate_table(
         raise InvalidParams("need at least one threshold")
     # a NaN threshold fails every interval check and would read as infeasible
     if not all(map(math.isfinite, ts)):
-        raise InvalidParams("thresholds and the root threshold must be finite")
+        raise InvalidParams("thresholds must be finite")
     message = induced_pair(pair, gamma)
     lo, hi = _level1_interval(message)
     if not lo < 0.0 < hi:
         raise InfeasibleThreshold(
             1, "leaf map is uninformative: empty threshold interval"
         )
-    if not lo < ts[0] < hi:
-        raise InfeasibleThreshold(
-            1, f"t_1={ts[0]:.6g} outside ({lo:.6g}, {hi:.6g})"
-        )
-    s = _tilt(message, ts[0])
-    rate0 = [s * ts[0] - log_mgf(message, 0, s)]
-    rate1 = [(s - 1.0) * ts[0] - log_mgf(message, 1, s - 1.0)]
-    for k in range(2, len(ts) + 1):
-        tk = ts[k - 1]
-        prev0, prev1 = rate0[-1], rate1[-1]
-        if not -prev1 < tk < prev0:
-            raise InfeasibleThreshold(
-                k, f"t_{k}={tk:.6g} outside ({-prev1:.6g}, {prev0:.6g})"
-            )
-        new0, new1 = _closed_step(prev0, prev1, tk)
-        check1 = _envelope_conjugate(prev0, prev1, 1, tk)
-        check0 = _envelope_conjugate(prev0, prev1, 0, tk)
-        if abs(check1 - new1) > _CROSS_CHECK_TOL or abs(check0 - new0) > _CROSS_CHECK_TOL:
-            raise AssertionError(
-                f"closed-form and envelope-conjugate rates disagree at level {k}: "
-                f"({new0:.12g}, {new1:.12g}) vs ({check0:.12g}, {check1:.12g})"
-            )
+    rate0, rate1 = [], []
+    # each level's threshold must fall in the interval its previous level leaves
+    for k, tk in enumerate(ts, 1):
+        if not lo < tk < hi:
+            raise InfeasibleThreshold(k, f"t_{k}={tk:.6g} outside ({lo:.6g}, {hi:.6g})")
+        if k == 1:
+            s = _tilt(message, tk)
+            new0 = s * tk - log_mgf(message, 0, s)
+            new1 = (s - 1.0) * tk - log_mgf(message, 1, s - 1.0)
+        else:
+            prev0, prev1 = rate0[-1], rate1[-1]
+            new0, new1 = _closed_step(prev0, prev1, tk)
+            check1 = _envelope_conjugate(prev0, prev1, 1, tk)
+            check0 = _envelope_conjugate(prev0, prev1, 0, tk)
+            if abs(check1 - new1) > _CROSS_CHECK_TOL or abs(check0 - new0) > _CROSS_CHECK_TOL:
+                raise AssertionError(
+                    f"closed-form and envelope-conjugate rates disagree at level {k}: "
+                    f"({new0:.12g}, {new1:.12g}) vs ({check0:.12g}, {check1:.12g})"
+                )
         rate0.append(new0)
         rate1.append(new1)
+        lo, hi = -new1, new0
     return RateTable(tuple(rate0), tuple(rate1), ts)
 
 

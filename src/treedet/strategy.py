@@ -87,15 +87,17 @@ def build_relay_strategy(
     pair: DistributionPair | None = None,
     level1_gate: TransmissionFunction | None = None,
 ) -> Strategy:
-    """Assembles the uniform-threshold relay strategy on an h-uniform tree.
+    """Assembles the uniform-threshold relay strategy on ``uniformize(tree)``.
 
-    Passing ``pair`` validates threshold feasibility level by level through
-    the rate recursion (skipped for gate strategies, where the first level is
-    not a threshold rule).
+    This is the one place a strategy's tree is uniformized: a height-uniform
+    tree is used as given, any other gets relay chains, keeping its node ids
+    and its height.  Passing ``pair`` validates threshold feasibility level
+    by level through the rate recursion (skipped for gate strategies, where
+    the first level is not a threshold rule).
     """
     ts = tuple(float(t) for t in thresholds)
     strategy = Strategy(
-        tree=tree,
+        tree=uniformize(tree).tree,
         gamma=gamma,
         thresholds=ts,
         # with no thresholds, Strategy's own checks name the fault
@@ -124,9 +126,8 @@ def simple_strategy(
     The leaf map maximizes the null-to-alternative divergence over the
     family; every level then thresholds at that divergence's negation plus
     half of ``epsilon``, a choice that stays feasible at every level and
-    concedes at most ``epsilon`` of exponent.  Non-uniform input trees are
-    uniformized first, so the returned strategy may live on a larger tree
-    in which existing node ids are preserved.
+    concedes at most ``epsilon`` of exponent.  The strategy lives on the
+    tree ``build_relay_strategy`` uniformizes.
     """
     if not epsilon > 0.0:
         raise InvalidParams("epsilon must be positive")
@@ -136,6 +137,5 @@ def simple_strategy(
             f"epsilon {epsilon:.6g} is not below the exponent magnitude {-g_p:.6g}"
         )
     t = recipe_threshold(pair, best, epsilon)
-    uni = uniformize(tree).tree
-    strat = build_relay_strategy(uni, best, (t,) * uni.height, pair=pair)
+    strat = build_relay_strategy(tree, best, (t,) * tree.height, pair=pair)
     return SimpleStrategyResult(strategy=strat, parallel_exponent=g_p)

@@ -348,9 +348,9 @@ def _trending_to_zero(seq: Sequence[float]) -> bool:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Leaf-dominance diagnostics along a growing size grid."""
+    """Leaf-dominance diagnostics along a growing size grid, one entry per
+    size in the order given."""
 
-    sizes: tuple[int, ...]
     leaf_counts: tuple[int, ...]
     leaf_fractions: tuple[float, ...]
     z_estimate: float
@@ -385,7 +385,6 @@ def estimate_z(
     z_to_one = _trending_to_zero([1.0 - f for f in fractions])
     qs_to_zero = all(_trending_to_zero(c) for c in curves.values())
     return GrowthReport(
-        sizes=tuple(sizes),
         leaf_counts=tuple(leaf_counts),
         leaf_fractions=tuple(fractions),
         z_estimate=fractions[-1],

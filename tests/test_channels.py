@@ -541,7 +541,6 @@ class TestFusionLoss:
     def test_pairwise_constant(self, pair75, leaf_family):
         gates = enumerate_quantizers((BINARY, BINARY), BINARY)
         rep = fusion_loss_constant(pair75, leaf_family, gates, 2)
-        assert rep.k == 2
         assert_allclose(rep.constant, -0.45125127599055304, atol=1e-12)
         assert rep.parallel == pytest.approx(G_PARALLEL, rel=1e-14)
         assert rep.dominated

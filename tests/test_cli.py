@@ -129,16 +129,24 @@ class TestRatesCommand:
         table = rate_table(bernoulli_pair(0.75), identity_map(BINARY), (-0.2, -0.1))
         tree = TreeFamily("wide_uniform", {"m": 4}).generate(50)
         roots = {r.kind: r.value for r in chernoff_bound_report(tree, table, 4).roots}
-        # the default floor is the smallest fringe, 4 leaves here
+        # the floor is the smallest fringe, 4 leaves here
         assert doc["n_floor"] == 4
         assert doc["exponent_lower_bound"] == doc["root_bounds"]["root_type1"]
         assert doc["exponent_lower_bound"] == roots["root_type1"] == -table.rate1[-1] + 2 / 4
-        # no fringe node holds 100 leaves, so the root bound's premise fails
-        assert run(*argv, "--n-floor", "100", "--out", tmp_path / "floor") == 0
-        assert "root miss bound" not in capsys.readouterr().out
-        doc = read_json(tmp_path / "floor" / "rates.json")
-        assert doc["root_bounds"] == {}
-        assert "exponent_lower_bound" not in doc
+
+    def test_floor_is_the_least_fringe_degree(self, tmp_path):
+        # one fringe node with 4 leaves, one with 5
+        tree = Tree([-1, 0, 0] + [1] * 4 + [2] * 5)
+        src = tmp_path / "tree.json"
+        src.write_text(tree.to_json())
+        assert run(*RATES, "--tree", src, "--out", tmp_path, "--no-timestamp") == 0
+        doc = read_json(tmp_path / "rates.json")
+        table = rate_table(bernoulli_pair(0.75), identity_map(BINARY), (0.0, 0.0))
+        roots = {r.kind: r.value for r in chernoff_bound_report(tree, table, 4).roots}
+        assert doc["n_floor"] == 4
+        assert doc["root_bounds"] == roots
+        assert set(roots) == {"root_type1", "root_type0"}
+        assert doc["exponent_lower_bound"] == roots["root_type1"] == -table.rate1[-1] + 2 / 4
 
 
 class TestAnalyzeCommand:
@@ -259,11 +267,11 @@ class TestSimulateCommand:
             assert doc[key]["log_type_i"] is None
             assert doc[key]["log_type_ii"] == 0.0
 
-    def test_uniformize_flag_evaluates_the_uniformized_tree(self, tmp_path):
+    def test_explicit_strategy_evaluates_the_uniformized_tree(self, tmp_path):
         code = run(
             "simulate", "--pair", "bern75", "--family", "chain_plus_leaves",
             "--params", '{"h": 2}', "--size", "6", "--gamma", "identity",
-            "--thresholds", "0", "--uniformize", "--out", tmp_path,
+            "--thresholds", "0", "--out", tmp_path,
         )
         assert code == 0
         doc = read_json(tmp_path / "simulate.json")
@@ -405,11 +413,11 @@ def _subparsers():
 
 COMMON = {"-h", "--help", "--out", "--no-timestamp"}
 TREE_SOURCE = {"--tree", "--family", "--params", "--size"}
-STRATEGY = {"--epsilon", "--gamma", "--thresholds", "--gate", "--uniformize"}
+STRATEGY = {"--epsilon", "--gamma", "--thresholds", "--gate"}
 
 OPTIONS = {
     "exponent": COMMON | {"--pair", "--fusion-arity"},
-    "rates": COMMON | TREE_SOURCE | {"--pair", "--gamma", "--thresholds", "--n-floor"},
+    "rates": COMMON | TREE_SOURCE | {"--pair", "--gamma", "--thresholds"},
     "analyze": COMMON | TREE_SOURCE | {"--sizes", "--small-caps"},
     "uniformize": COMMON | {"--tree", "--out-tree"},
     "simulate": COMMON | TREE_SOURCE | STRATEGY | {
@@ -452,9 +460,9 @@ class TestParserSurface:
         subs = _subparsers()
         parse = {name: sub.parse_args for name, sub in subs.items()}
         rates = parse["rates"](["--pair", "p", "--thresholds", "0"])
-        assert rates.gamma == "identity" and rates.n_floor is None
+        assert rates.gamma == "identity"
         sim = parse["simulate"](["--pair", "p"])
-        assert sim.gamma is None and sim.alpha is None and sim.uniformize is False
+        assert sim.gamma is None and sim.alpha is None
         fit = parse["fit"](["--pair", "p", "--family", "f", "--sizes", "1"])
         assert fit.alpha == 0.25 and fit.gamma is None and fit.tolerance == 0.05
 
@@ -512,14 +520,9 @@ class TestLoaderErrors:
                  "--family", "two_relay", "--size", "2", "--gate", "or"),
                 "error: thresholds and the root threshold must be finite",
             ),
-            (
-                RATES[:-1] + ("nan",),
-                "error: thresholds and the root threshold must be finite",
-            ),
-            (
-                RATES[:-1] + ("0,nan",),
-                "error: thresholds and the root threshold must be finite",
-            ),
+            # rate_table takes no root threshold, so its message names none
+            (RATES[:-1] + ("nan",), "error: thresholds must be finite"),
+            (RATES[:-1] + ("0,nan",), "error: thresholds must be finite"),
             (
                 RATES + ("--family", "two_relay", "--size", "3", "--params", "{bad"),
                 "error: --params is not valid JSON: Expecting property name enclosed in "
@@ -672,12 +675,13 @@ class TestLoaderErrors:
         assert run(*argv) == 1
         assert _error_line(capsys) == "error: tree must have at least one level"
 
-    def test_non_uniform_tree_exits_two(self, tmp_path, capsys):
+    def test_non_uniform_tree_file_is_evaluated_uniformized(self, tmp_path):
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)
         src = tmp_path / "tree.json"
         src.write_text(tree.to_json())
-        assert run(*SIMULATE, "--tree", src, "--out", tmp_path) == 2
-        assert _error_line(capsys).startswith("infeasible: tree is not height-uniform")
+        assert run(*SIMULATE, "--tree", src, "--out", tmp_path) == 0
+        doc = read_json(tmp_path / "simulate.json")
+        assert (doc["n_nodes"], doc["leaf_count"]) == (7, 4)
 
 
 class TestSpecFiles:
@@ -769,10 +773,10 @@ class TestFixedInputErrors:
             (("simulate", "--size", "5", "--gate", "or"), "--gate"),
             (("simulate", "--size", "5", "--thresholds", "0.3", "--gate", "or"),
              "--thresholds, --gate"),
-            (("fit", "--sizes", "5,9", "--gamma", "identity", "--uniformize"),
-             "--gamma, --uniformize"),
+            (("fit", "--sizes", "5,9", "--gamma", "identity", "--thresholds", "0"),
+             "--gamma, --thresholds"),
         ],
-        ids=["simulate_gate", "simulate_thresholds_gate", "fit_gamma_uniformize"],
+        ids=["simulate_gate", "simulate_thresholds_gate", "fit_gamma_thresholds"],
     )
     def test_epsilon_with_explicit_strategy_flags(self, tmp_path, capsys, argv, given):
         # the recipe strategy would silently drop these flags
@@ -783,12 +787,3 @@ class TestFixedInputErrors:
         message = f"error: --epsilon builds the recipe strategy; it cannot take {given}"
         assert _error_line(capsys) == message
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
-
-    @pytest.mark.parametrize("floor", ["0", "-3"])
-    def test_non_positive_n_floor(self, tmp_path, capsys, floor):
-        code = run(
-            *RATES, "--family", "two_relay", "--size", "4",
-            "--n-floor", floor, "--out", tmp_path,
-        )
-        assert code == 1
-        assert _error_line(capsys) == "error: n_floor must be >= 1"

@@ -1485,13 +1485,12 @@ class TestEmpiricalExponent:
             (100, 200),
             self._factory(pair75, leaf_family),
         )
-        assert fit.sizes == (100, 200)
         assert fit.leaf_counts == (200, 400)
-        assert fit.regressor == "leaves"
+        assert len(fit.node_counts) == len(fit.type_i) == 2
         for per_leaf, logb, lf in zip(fit.per_leaf, fit.log_type_ii, fit.leaf_counts):
             assert per_leaf == pytest.approx(logb / lf, rel=1e-12)
         assert fit.slope < 0.0
-        assert all(t <= fit.alpha for t in fit.type_i)
+        assert all(t <= 0.25 for t in fit.type_i)  # the default alpha
 
     def test_regressor_validation(self, pair75, leaf_family):
         with pytest.raises(InvalidParams):

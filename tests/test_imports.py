@@ -5,8 +5,9 @@ private module-level name is used in the package, and no source line is over
 An import inside a function body hides a dependency from the module graph,
 usually to dodge an import cycle; this test keeps the graph honest.  The
 benchmark imports from the package's top level, so a name it imports must
-stay exported, and ``__all__`` lists exactly the public names the package
-defines, so no deleted function lingers there.  A private helper that only
+stay exported; it also reads tree metrics by name, so each of those must
+stay an attribute of ``Tree``.  ``__all__`` lists exactly the public names
+the package defines, so no deleted function lingers there.  A private helper that only
 its own definition or the tests read is dead code the tests keep alive.
 """
 
@@ -64,6 +65,31 @@ def test_benchmark_imports_stay_exported():
     }
     assert imported
     assert imported <= set(treedet.__all__)
+
+
+def test_benchmark_tree_reads_stay_attributes():
+    # the bench reads tree metrics by name, which no import check sees
+    module = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    (touch,) = [
+        node for node in module.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_touch_metrics"
+    ]
+    by_string = {
+        node.value
+        for node in ast.walk(touch)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    by_dot = {
+        node.attr
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "tree"
+    }
+    assert {"depth", "subtree_leaf_count", "subtree_node_count", "fringe", "shape_ids"} <= by_string
+    assert by_dot
+    tree = treedet.Tree([-1, 0, 0, 1])
+    assert {name for name in by_string | by_dot if not hasattr(tree, name)} == set()
 
 
 def test_no_line_over_the_column_limit():

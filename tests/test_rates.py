@@ -132,7 +132,7 @@ class TestRateTable:
     )
     def test_thresholds_must_be_finite(self, pair75, ident, thresholds):
         # invalid input, not an infeasible one, whatever the level
-        with pytest.raises(InvalidParams, match="^thresholds and the root threshold must be finite$"):
+        with pytest.raises(InvalidParams, match="^thresholds must be finite$"):
             rate_table(pair75, ident, thresholds)
 
 
@@ -273,6 +273,13 @@ class TestChernoffBounds:
         tree = TreeFamily("two_relay").generate(3)
         table = rate_table(pair75, ident, (0.0, 0.0))
         with pytest.raises(InvalidParams, match="n_floor is"):
+            chernoff_bound_report(tree, table, n_floor)
+
+    @pytest.mark.parametrize("n_floor", [0, -3])
+    def test_n_floor_must_be_positive(self, pair75, ident, n_floor):
+        tree = TreeFamily("two_relay").generate(4)
+        table = rate_table(pair75, ident, (0.0, 0.0))
+        with pytest.raises(InvalidParams, match="^n_floor must be >= 1$"):
             chernoff_bound_report(tree, table, n_floor)
 
     def test_rows_match_node_by_node_loop(self, pair75, ident, make_rugged_tree):

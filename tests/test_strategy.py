@@ -38,10 +38,15 @@ class TestStrategyValidation:
         with pytest.raises(InvalidParams):
             build_relay_strategy(tree, ident, (0.0,))
 
-    def test_rejects_non_uniform_tree(self, pair75, ident):
+    def test_rejects_non_uniform_tree(self, pair75, ident, leaf_family):
+        # the builder uniformizes, as the recipe does; Strategy itself refuses
         tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)
+        built = build_relay_strategy(tree, ident, (0.0, 0.0)).tree
+        recipe = simple_strategy(tree, pair75, leaf_family, 0.2).strategy.tree
+        assert built.is_uniform
+        assert built.parents.tolist() == recipe.parents.tolist()
         with pytest.raises(NotUniform):
-            build_relay_strategy(tree, ident, (0.0, 0.0))
+            Strategy(tree=tree, gamma=ident, thresholds=(0.0, 0.0), root_threshold=0.0)
 
     @pytest.mark.parametrize(
         "tree, thresholds, message",
