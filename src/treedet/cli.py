@@ -259,6 +259,11 @@ def cmd_rates(args: argparse.Namespace) -> int:
     gamma = _load_gamma(args.gamma, pair)
     thresholds = _parse_list(args.thresholds, "--thresholds", float)
     table = rate_table(pair, gamma, thresholds)
+    # the bounds hold for the tree a strategy is built on, the uniformized one; it is
+    # loaded and checked before anything is written
+    tree = uniformize(_load_tree(args)).tree if args.tree or args.family else None
+    if tree is not None and tree.shape_counts.fringe_degrees.size == 0:
+        raise InvalidParams("tree has no fringe nodes")
     out = _out_dir(args)
     stamp = not args.no_timestamp
     rows = [
@@ -273,14 +278,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
             feasible_threshold_interval(pair, gamma, table)
         ),
     }
-    if args.tree or args.family:
-        tree = _load_tree(args)
-        degrees = tree.shape_counts.fringe_degrees
-        if degrees.size == 0:
-            raise InvalidParams("tree has no fringe nodes")
+    if tree is not None:
         # the least fringe degree is the one floor at which the root bound
         # -rate + h/n_floor both holds and is tightest
-        n_floor = int(degrees.min())
+        n_floor = int(tree.shape_counts.fringe_degrees.min())
         report = chernoff_bound_report(tree, table, n_floor)
         _write_csv(
             out / "bounds.csv",

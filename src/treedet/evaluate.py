@@ -15,13 +15,18 @@ chain peaks at four result-sized columns, six if a gap needs the per-atom
 tolerance check.  A law over `STATE_SPACE_CAP` atoms is refused, naming the
 level, shape and operand sizes.  Laws are computed once per structurally
 distinct subtree, so trees with millions of isomorphic branches cost no more
-than their distinct shapes.  A relay's sum law is read once, by its split
-(`_split`), and dropped: what is kept per shape is its outgoing law and its
-split, and of the sum laws only the root's, as two halves of its runs, which
-its readers cut pair by pair (Horowitz & Sahni, *J. ACM* 21(2), 1974); only
-`_cut` and `_root_cut` turn a threshold into a low count.  These are
-memoized on the strategy, one set per pair: calibrating the root threshold
-hands them to the calibrated copy, and they are freed with the strategy.
+than their distinct shapes, and a tree level at a time, in batches of shapes
+whose laws total at most `_BATCH_ATOMS` atoms (a larger law goes alone): one
+closed form for all the batch's binomial runs, one split of all its relays'
+sum laws (`_splits`) and one check of all its bit laws, each law's numbers
+those it would have built alone (a side is shifted, exponentiated and summed
+on its own slice).  A relay's sum law is read once, by the split, and
+dropped: what is kept per shape is its outgoing law and its split, and of the
+sum laws only the root's, as two halves of its runs, which its readers cut
+pair by pair (Horowitz & Sahni, *J. ACM* 21(2), 1974); only `_splits` and
+`_root_cut` turn a threshold into a low count.  These are memoized on the
+strategy, one set per pair: calibrating the root threshold hands them to the
+calibrated copy, and they are freed with the strategy.
 
 Monte Carlo reads the tree only through the shape table: each shape's node
 count, then its (child shape, count) runs bottom-up.  Trials run in blocks,
@@ -54,7 +59,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +75,10 @@ STATE_SPACE_CAP = 10**7
 _MERGE_ATOL = 1e-12
 _MERGE_RTOL = 1e-12
 _MASS_TOL = 1e-7
+# a tree level's laws are built in batches of shapes whose sum laws total at most this many atoms
+# (a larger law goes alone): enough to spread numpy's per-call cost over many small laws, few
+# enough that a batch's columns stay small beside the largest law
+_BATCH_ATOMS = 1 << 14
 _MC_BLOCK_FLOATS = 1 << 22
 # a CDF with at most this many edges below 1.0 is read edge by edge, into a
 # uint8 count: keep it below 256
@@ -90,6 +100,26 @@ def _merged(  # sorted columns in; ``gaps``, if given, is scratch for v.size - 1
     return v[starts], np.logaddexp.reduceat(logp0, starts)
 
 
+def _check_laws(v: np.ndarray, logp0: np.ndarray, starts: np.ndarray) -> None:
+    """The one check of every law, on laws laid end to end from ``starts``: atoms finite and
+    strictly increasing, both masses totalling one within ``_MASS_TOL``, summed by
+    ``np.add.reduceat`` (not ``np.sum``'s order of additions, which only the tolerance sees)."""
+    # a sum is finite iff every atom is, unless finite atoms overflow it: then scan them
+    if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():
+        raise InvalidParams("law atoms must be finite")
+    rises = v[1:] > v[:-1]
+    rises[starts[1:] - 1] = True  # from one law's last atom to the next law's first
+    if not rises.all():
+        raise InvalidParams("law atoms must be strictly increasing")
+    del rises
+    scratch = np.empty_like(logp0)  # one buffer serves both totals
+    for shift in (None, v):  # the null totals, then the alternative's, sums of p0 e^v
+        logs = logp0 if shift is None else np.add(logp0, shift, out=scratch)
+        for total in np.add.reduceat(_exp(logs, out=scratch), starts).tolist():
+            if not abs(total - 1.0) <= _MASS_TOL:  # written so that a NaN fails too
+                raise InvalidParams(f"law mass {total} is not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class MessageLaw:
     """Discrete law of a log-likelihood ratio under both hypotheses.
@@ -97,10 +127,11 @@ class MessageLaw:
     Each atom v is the log-likelihood ratio of its masses, dP1/dP0 = e^v, so
     only null log masses are stored and ``logp1`` is ``logp0 + values``.
     Atoms are sorted and deduplicated; both laws' masses must total one, so
-    atoms off their masses' ratio are refused.  All checks run on every law,
-    the engine's included.  Rounding grows with the copies of a binomial
-    power and the length of a convolution chain, hence the loose constructor
-    tolerance; unit tests pin 1e-12 on short chains.
+    atoms off their masses' ratio are refused.  Every law passes
+    ``_check_laws``: the constructor checks one, the engine a batch at once
+    (``_checked_laws``).  Rounding grows with the copies of a binomial power
+    and the length of a convolution chain, hence the loose tolerance; unit
+    tests pin 1e-12 on short chains.
     """
 
     values: np.ndarray
@@ -115,19 +146,7 @@ class MessageLaw:
             raise InvalidParams("law arrays must share a length")
         if self.values.size == 0:
             raise InvalidParams("law must have at least one atom")
-        v = self.values
-        # a strictly increasing run between finite ends is finite, and a NaN
-        # fails the comparison; the full scan runs only to name the fault
-        if not (math.isfinite(v[0]) and math.isfinite(v[-1]) and np.all(v[1:] > v[:-1])):
-            if not np.all(np.isfinite(v)):
-                raise InvalidParams("law atoms must be finite")
-            raise InvalidParams("law atoms must be strictly increasing")
-        scratch = np.empty_like(self.logp0)  # one buffer serves both totals
-        for shift in (None, v):  # the null total, then the alternative's, sum p0 e^v
-            logs = self.logp0 if shift is None else np.add(self.logp0, shift, out=scratch)
-            total = float(_exp(logs, out=scratch).sum())
-            if not abs(total - 1.0) <= _MASS_TOL:  # written so that a NaN fails too
-                raise InvalidParams(f"law mass {total} is not 1")
+        _check_laws(self.values, self.logp0, np.zeros(1, np.intp))
 
     @property
     def n_atoms(self) -> int:
@@ -144,6 +163,18 @@ class MessageLaw:
     @property
     def p1(self) -> np.ndarray:
         return _exp(self.logp1)
+
+
+def _checked_laws(v: np.ndarray, logp0: np.ndarray, starts: Sequence[int]) -> list[MessageLaw]:
+    """Laws laid end to end, checked at once by ``_check_laws`` and returned as read-only
+    views: with the constructor, the only way a law is made."""
+    _check_laws(v, logp0, np.array(starts, np.intp))
+    v.setflags(write=False)
+    logp0.setflags(write=False)
+    laws = [object.__new__(MessageLaw) for _ in starts]
+    for law, a, b in zip(laws, starts, [*starts[1:], v.size]):
+        law.__dict__.update(values=v[a:b], logp0=logp0[a:b])  # past the frozen setter
+    return laws
 
 
 _ZERO = MessageLaw(np.zeros(1), np.zeros(1))  # the law of 0, beside which a root of one run is read
@@ -191,35 +222,57 @@ _STIRLERR = np.array([math.nan, 0.08106146679532726, 0.0413406959554093, 0.02767
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
 
 
-def _log_comb(m: int) -> np.ndarray:
-    """log C(m, k) for k = 0..m (m >= 1) to a few ulps, in Loader's Stirling-
-    error form ("Fast and accurate computation of binomial probabilities",
-    2000), built for k <= m/2 and mirrored."""
-    n = np.arange(1.0, m + 1)
+def _log_combs(ms: Sequence[int]) -> np.ndarray:
+    """log C(m, k), k = 0..m, for each m >= 1 of ``ms`` laid end to end, to a few ulps, in Loader's
+    Stirling-error form ("Fast and accurate computation of binomial probabilities", 2000), built
+    for k <= m/2 and mirrored; one Stirling table serves all m, and each row is its own, bit for bit."""
+    n = np.arange(1.0, max(ms) + 1)
     nn = n * n
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-    stirlerr[:15] = _STIRLERR[1 : m + 1]  # stirlerr[n - 1]: the table below 16, the series above
-    h = m // 2
-    k, j = n[:h], m - n[:h]
-    half = (k * np.log(m / k) - j * np.log1p(-k / m) + stirlerr[m - 1] - stirlerr[:h]
-            - stirlerr[m - 1 - h : m - 1][::-1] - 0.5 * np.log(2.0 * math.pi * k * j / m))
-    return np.concatenate(([0.0], half, half[: m - 1 - h][::-1], [0.0]))
+    stirlerr[:15] = _STIRLERR[1 : n.size + 1]  # stirlerr[n - 1]: the table below 16, the series above
+    h = [m // 2 for m in ms]  # k = 1..h, j = m - k
+    k, m = np.concatenate([n[:x] for x in h]), np.array(ms, float).repeat(h)
+    del n, nn
+    j = m - k
+    a = (k * np.log(m / k) - j * np.log1p(-k / m) + stirlerr.take([y - 1 for y in ms]).repeat(h)
+         - np.concatenate([stirlerr[:x] for x in h])
+         - np.concatenate([stirlerr[y - 1 - x : y - 1][::-1] for x, y in zip(h, ms)])
+         - 0.5 * np.log(2.0 * math.pi * k * j / m))
+    ends, nought = [0, *accumulate(h)], np.zeros(1)  # log C(m, 0) = log C(m, m) = 0
+    return np.concatenate([piece for x, y, lo, hi in zip(h, ms, ends, ends[1:])
+                           for piece in (nought, a[lo:hi], a[lo : hi - 1 + y % 2][::-1], nought)])
 
 
-def _binomial_power(law: MessageLaw, m: int) -> MessageLaw:
-    """m-fold sum of a two-atom law in closed form, m + 1 atoms.  Every two-atom law the engine powers
-    (leaf, gate and bit laws) straddles 0, so atom (m - k) v0 + k v1 rounds by at most about
-    m (v1 - v0) 2^-52: the atoms stay increasing to about 2^50 copies, far past ``STATE_SPACE_CAP``."""
-    if m + 1 > STATE_SPACE_CAP:
-        raise StateSpaceTooLarge(
-            f"{m} copies of a two-atom law would create {m + 1} atoms, "
-            f"over the cap of {STATE_SPACE_CAP}"
-        )
-    k = np.arange(m + 1, dtype=float)
-    logp0 = _log_comb(m) + (m - k) * law.logp0[0] + k * law.logp0[1]  # first: _log_comb peaks alone
-    v0, v1 = law.values
-    values = (m - k) * v0 + k * v1
-    return MessageLaw(*_merged(values, logp0))
+def _binomial_powers(runs: Sequence[tuple[MessageLaw, int]]) -> list[MessageLaw]:
+    """m-fold sums of two-atom laws, each (law, m >= 2) of ``runs`` within the cap, in closed form
+    in one pass and checked as one batch.  Atom (m - k) v0 + k v1 rounds by at most 3 m u max|v|,
+    so ``_merged`` can join two only if v1 - v0 is within twice its tolerance: then it merges
+    each law alone.  Every two-atom law the engine powers (leaf, gate, bit) is far wider."""
+    if not runs:
+        return []
+    ms = [m for _, m in runs]
+    ends = [(*law.values.tolist(), *law.logp0.tolist()) for law, _ in runs]  # v0, v1, logp0 of each
+    size = [m + 1 for m in ms]
+    # each run's ends, over its atoms; a batch of one broadcasts them, with no column to fill
+    v0, v1, lp0, lp1 = (col[:1] if len(runs) == 1 else col.repeat(size) for col in np.array(ends).T)
+    logp0 = _log_combs(ms)  # first: it peaks alone
+    ks = np.arange(float(max(size)))
+    values = np.concatenate([ks[m::-1] for m in ms])  # m - k, until multiplied by v0
+    k = np.concatenate([ks[: m + 1] for m in ms])
+    del ks
+    # log C(m, k) + (m - k) logp0[0] + k logp0[1], and (m - k) v0 + k v1, in that order
+    logp0 += lp0 * values
+    logp0 += lp1 * k
+    values *= v0
+    values += np.multiply(k, v1, out=k)
+    del k
+    if not all(b - a > 2 * (_MERGE_ATOL + _MERGE_RTOL * m * max(abs(a), abs(b)))
+               for m, (a, b, *_) in zip(ms, ends)):
+        bounds = [0, *accumulate(size)]
+        cols = [_merged(values[a:b], logp0[a:b]) for a, b in zip(bounds, bounds[1:])]
+        values, logp0 = (np.concatenate(c) for c in zip(*cols))
+        size = [c.size for c, _ in cols]
+    return _checked_laws(values, logp0, [0, *accumulate(size[:-1])])
 
 
 def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
@@ -228,7 +281,10 @@ def _conv_power(law: MessageLaw, m: int) -> MessageLaw:
     if law.n_atoms == 1:
         return MessageLaw(law.values * m, law.logp0 * m)
     if law.n_atoms == 2:
-        return _binomial_power(law, m)
+        if m + 1 > STATE_SPACE_CAP:
+            raise StateSpaceTooLarge(f"{m} copies of a two-atom law would create {m + 1} atoms, "
+                                     f"over the cap of {STATE_SPACE_CAP}")
+        return _binomial_powers([(law, m)])[0]
     # square-and-multiply keeps the chain logarithmic in m
     result: MessageLaw | None = None
     base = law
@@ -250,19 +306,10 @@ def _sends_low(sums: np.ndarray | float, leaf_count: int, threshold: float) -> n
     return sums / leaf_count <= threshold
 
 
-def _cut(law: MessageLaw, leaf_count: int, threshold: float) -> tuple[int, float]:
-    """The relay rule on a sum law's atoms, the one place a threshold becomes a count
-    of atoms sent low: (k, cut).  The rule is monotone in the sum, so it sends the first
-    k sorted atoms low, found by bisection, and a sum goes high iff it is above ``cut``,
-    the midpoint between the last atom sent low and the first sent high (±inf past an end)."""
-    v = law.values
-    k = bisect_left(v, True, key=lambda s: not _sends_low(s, leaf_count, threshold))
-    return k, float(((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0)
-
-
 def _side(law: MessageLaw, k: int, high: bool, hypothesis: int) -> float:
     """Log mass under one hypothesis of one side of a split sending the first k atoms low: 0.0 on
-    every atom (the law's check fixes it), -inf on none; an alternative side sums p0 e^v in place."""
+    every atom (the law's check fixes it), -inf on none; an alternative side sums p0 e^v in place.
+    ``_splits`` sums each side of a batch of laws as this sums one, bit for bit."""
     side, atoms = (np.s_[k:], law.n_atoms - k) if high else (np.s_[:k], k)
     if atoms in (0, law.n_atoms):
         return 0.0 if atoms else -np.inf
@@ -272,20 +319,90 @@ def _side(law: MessageLaw, k: int, high: bool, hypothesis: int) -> float:
     return _logsumexp(logs, out=logs)
 
 
-def _split(law: MessageLaw, leaf_count: int, threshold: float) -> tuple:
-    """``_cut`` with the log masses of each side under both hypotheses:
-    (k, cut, low0, low1, high0, high1), one side's temporary at a time."""
-    k, cut = _cut(law, leaf_count, threshold)
-    return k, cut, *(_side(law, k, high, h) for high in (False, True) for h in (0, 1))
+def _splits(laws: Sequence[MessageLaw], leaf_counts: Sequence[int], threshold: float) -> list[tuple]:
+    """The relay rule on sum laws at their leaf counts, the one place below the root where a
+    threshold becomes a count: per law (k, cut, low0, low1, high0, high1).  The rule is monotone,
+    so it sends the first k atoms low, found by bisection, and a sum goes high iff it is above
+    ``cut``, the midpoint of the last atom sent low and the first sent high (±inf past an end).
+    The laws are laid end to end (a law alone is not copied) and the maxima of all their sides
+    taken in one pass; each side is then shifted, exponentiated and summed in place, on its own
+    slice of one scratch column, as ``_side`` sums it."""
+    v, logp0 = (getattr(laws[0], f) if len(laws) == 1
+                else np.concatenate([getattr(law, f) for law in laws]) for f in ("values", "logp0"))
+    splits, starts, cuts, a = [], [], [], 0
+    for law, count in zip(laws, leaf_counts):
+        w, n = law.values, law.n_atoms
+        k = bisect_left(w, True, key=lambda s: not _sends_low(s, count, threshold))
+        cut = ((w.item(k - 1) if k else -math.inf) + (w.item(k) if k < n else math.inf)) / 2
+        splits.append([k, cut, *([0.0] * 2 + [-math.inf] * 2 if k else [-math.inf] * 2 + [0.0] * 2)])
+        if 0 < k < n:  # (its splits entry, the index of its low side's start, its three bounds)
+            cuts.append((splits[-1], len(starts), a, a + k, a + n))
+        starts += [a, a + k] if 0 < k < n else [a]
+        a += n
+    buf = np.empty(v.size)
+    for h in (0, 1):  # the null log masses, then the alternative's, logp0 + v
+        src = np.add(logp0, v, out=buf) if h else logp0
+        tops = np.maximum.reduceat(src, starts).tolist()
+        for split, j, *bounds in cuts:
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):  # its low side, then its high side
+                t = tops[j + i]
+                if math.isfinite(t):
+                    side = np.subtract(src[a:b], t, out=buf[a:b])
+                    t += math.log(np.add.reduce(_exp(side, out=side)))
+                split[2 + 2 * i + h] = t
+    return [tuple(split) for split in splits]
 
 
-def _bit_law(split: tuple) -> MessageLaw:
-    """One-bit output law of a relay's split; its atoms are the (low, high)
-    output values, or one atom when a side is empty."""
-    _, _, low0, low1, high0, high1 = split
-    if low0 == -np.inf or high0 == -np.inf:  # a side of no null mass has no alternative mass
-        return _ZERO
-    return MessageLaw(np.array([low1 - low0, high1 - high0]), np.array([low0, high0]))
+def _bit_laws(splits: Sequence[tuple]) -> list[MessageLaw]:
+    """One-bit output law of each relay's split, checked as one batch: atoms the (low, high)
+    output values, or ``_ZERO`` when a side has no null mass, and so no alternative mass."""
+    dead = [s[2] == -math.inf or s[4] == -math.inf for s in splits]
+    live = [s for s, d in zip(splits, dead) if not d]
+    values = np.array([(s[3] - s[2], s[5] - s[4]) for s in live]).reshape(-1)
+    logp0 = np.array([(s[2], s[4]) for s in live]).reshape(-1)
+    laws = iter(_checked_laws(values, logp0, list(range(0, values.size, 2))))
+    return [_ZERO if d else next(laws) for d in dead]
+
+
+def _batches(out: list, table: Sequence, sids: list) -> Iterator[list]:
+    """``sids`` in order, in batches whose sum laws total at most ``_BATCH_ATOMS`` atoms, each
+    bounded by counting every sum of copies as a distinct atom; a larger law goes alone."""
+    batch, atoms = [], 0
+    for sid in sids:
+        size = math.prod(math.comb(c + out[k].n_atoms - 1, c) for k, c in table[sid])
+        if batch and atoms + size > _BATCH_ATOMS:
+            yield batch
+            batch, atoms = [], 0
+        batch.append(sid)
+        atoms += size
+    if batch:
+        yield batch
+
+
+def _batch_halves(out: list, table: Sequence, level: list, batch: list) -> list[tuple]:
+    """Per shape of ``batch``, the sum laws of two parts of its runs, in order: a relay's none and
+    all, the root's two halves whose atom-count products are closest.  Every run of several copies
+    of a two-atom law within the cap takes its closed form in one ``_binomial_powers`` pass, the
+    rest ``_conv_power``; the shapes are summed in order, so a refusal names the first that fails."""
+    def closed(law: MessageLaw, c: int) -> bool:
+        return law.n_atoms == 2 and 1 < c < STATE_SPACE_CAP
+
+    runs = [(out[k], c) for sid in batch for k, c in table[sid] if closed(out[k], c)]
+    powers = iter(_binomial_powers(runs))
+    halves = []
+    try:
+        for sid in batch:
+            # runs ascend by child id, which fixes the convolution order
+            laws = [next(powers) if closed(out[k], c) else _conv_power(out[k], c)
+                    for k, c in table[sid]]
+            i = 0
+            if sid == len(table) - 1:  # the root, whose halves may leave the first empty
+                logs = np.cumsum([0.0] + [math.log(law.n_atoms) for law in laws])
+                i = int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1])))
+            halves.append((_sum_law(laws[:i]) if i else _ZERO, _sum_law(laws[i:])))
+    except StateSpaceTooLarge as exc:
+        raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
+    return halves
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,10 +410,12 @@ class _LawContext:
     """Exact laws indexed by shape id, beside the tree's ``shape_counts``.
 
     ``out`` is each shape's outgoing law, None for the root.  ``split`` is
-    each relay's ``_split`` at its level's threshold, the only use of the
-    relay rule below the root; it is None for the leaf, gated fringes and the
-    root.  A relay's sum law is dropped once split; the root's is kept as the
-    laws of two ``halves`` of its runs, smaller first; one run sits beside ``_ZERO``.
+    each relay's ``_splits`` entry at its level's threshold, the only use of
+    the relay rule below the root; it is None for the leaf, gated fringes and
+    the root.  The laws are built a level at a time, in array passes over
+    batches of its shapes (``_batches``), and a relay's sum law is dropped once
+    its batch is split; the root's is kept as the laws of two ``halves`` of its
+    runs, smaller first; one run sits beside ``_ZERO``.
     """
 
     out: list
@@ -323,34 +442,27 @@ class _LawContext:
 def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
     table = strategy.tree.shape_children
     level, leaf_count = (c.tolist() for c in strategy.tree.shape_counts[:2])
-    gate = strategy.level1_gate
-    gate_law = (
-        law_from_pair(fused_pair(pair, [strategy.gamma] * gate.arity, gate))
-        if gate is not None
-        else None
-    )
-    out: list = [law_from_pair(induced_pair(pair, strategy.gamma))]
-    split: list = [None]
     root = len(table) - 1
-    # ascending id order is bottom-up, and the root is the last id
-    for sid in range(1, root + 1):
-        if level[sid] == 1 and gate_law is not None:
-            split.append(None)
-            out.append(gate_law)
-            continue
-        try:
-            # runs ascend by child id, which fixes the convolution order; a relay sums them, the
-            # root keeps two halves, in order, whose atom-count products are closest (i may be 0)
-            laws = [_conv_power(out[k], c) for k, c in table[sid]]
-            logs = np.cumsum([0.0] + [math.log(law.n_atoms) for law in laws])
-            i = int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1]))) if sid == root else 0
-            halves = (_sum_law(laws[:i]) if i else _ZERO, _sum_law(laws[i:]))
-        except StateSpaceTooLarge as exc:
-            raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
-        if sid < root:
-            split.append(_split(halves[1], leaf_count[sid], strategy.thresholds[level[sid] - 1]))
-            out.append(_bit_law(split[-1]))
-    return _LawContext(out + [None], split + [None], tuple(sorted(halves, key=lambda h: h.n_atoms)))
+    out: list = [law_from_pair(induced_pair(pair, strategy.gamma))] + [None] * root
+    split: list = [None] * (root + 1)
+    # ascending id order is bottom-up, and the root is the last id, alone on its level
+    shapes = [[s for s in range(1, root) if level[s] == lv] for lv in range(level[root])]
+    gate = strategy.level1_gate
+    if gate is not None:  # every gated fringe shape sends the gate's law
+        gate_law = law_from_pair(fused_pair(pair, [strategy.gamma] * gate.arity, gate))
+        for sid in shapes[1]:
+            out[sid] = gate_law
+    for lv in range(1 + (gate is not None), level[root]):  # relay levels, bottom-up
+        for batch in _batches(out, table, shapes[lv]):  # each sum law is read once, by its split
+            splits = _splits([law for _, law in _batch_halves(out, table, level, batch)],
+                             [leaf_count[s] for s in batch], strategy.thresholds[lv - 1])
+            for sid, s, law in zip(batch, splits, _bit_laws(splits)):
+                split[sid], out[sid] = s, law
+    # a half of one closed-form run is a view of its batch: copied, so that it keeps no other run
+    halves = [MessageLaw(h.values.copy(), h.logp0.copy())
+              if h.values.base is not None and h.values.base.size > h.n_atoms else h
+              for h in _batch_halves(out, table, level, [root])[0]]
+    return _LawContext(out[:root] + [None], split, tuple(sorted(halves, key=lambda h: h.n_atoms)))
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:
@@ -663,7 +775,7 @@ def monte_carlo_error(
     ctx, l_f = _context_for(strategy, pair), int(strategy.tree.shape_counts.leaf_count[-1])
     # one root cut at the calibrated threshold serves both hypotheses; only a
     # height-1 root, the one fringe node of one run, draws against its low masses too
-    root = (_split(ctx.halves[1], l_f, strategy.root_threshold) if strategy.tree.height == 1
+    root = (_splits([ctx.halves[1]], [l_f], strategy.root_threshold)[0] if strategy.tree.height == 1
             else _root_cut(ctx, l_f, strategy.root_threshold))
     p_i, p_ii = (_simulate_error_count(ctx, strategy, h, root, trials, seed) / trials for h in (0, 1))
     return ErrorEstimate(

@@ -14,6 +14,7 @@ from treedet import (
     cli,
     identity_map,
     rate_table,
+    uniformize,
 )
 from treedet.cli import _build_parser, _naive_type_i, main
 from treedet.topology import analyze_tree
@@ -100,6 +101,22 @@ class TestRatesCommand:
         root_rows = [r for r in rows if r[4] == "root_type1"]
         assert len(root_rows) == 1
         assert float(root_rows[0][5]) == pytest.approx(-0.05192051811294513, rel=1e-8)
+
+    def test_non_uniform_tree_is_bounded_uniformized(self, tmp_path):
+        # as simulate and fit evaluate it: both root bounds of the uniformized tree
+        tree = TreeFamily("chain_plus_leaves", {"h": 2}).generate(6)
+        assert not tree.is_uniform
+        src = tmp_path / "tree.json"
+        src.write_text(tree.to_json())
+        argv = ("rates", "--pair", "bern75", "--thresholds", "0,0", "--tree", src, "--no-timestamp")
+        assert run(*argv, "--out", tmp_path / "out") == 0
+        doc = read_json(tmp_path / "out" / "rates.json")
+        table = rate_table(bernoulli_pair(0.75), identity_map(BINARY), (0.0, 0.0))
+        uniform = uniformize(tree).tree
+        n_floor = int(uniform.shape_counts.fringe_degrees.min())
+        want = {r.kind: r.value for r in chernoff_bound_report(uniform, table, n_floor).roots}
+        assert len(want) == 2 and doc["root_bounds"] == pytest.approx(want, rel=1e-15)
+        assert doc["n_floor"] == n_floor
 
     def test_infeasible_threshold_exits_two(self, tmp_path):
         assert run(
@@ -663,6 +680,7 @@ class TestLoaderErrors:
         src.write_text(Tree([-1]).to_json())
         assert run(*RATES[:-1], "0", "--tree", src, "--out", tmp_path) == 1
         assert _error_line(capsys) == "error: tree has no fringe nodes"
+        assert not (tmp_path / "rates.csv").exists()  # refused before any report is written
 
     @pytest.mark.parametrize(
         "strategy", [("--epsilon", "0.1"), ("--gamma", "identity", "--thresholds", "0")],

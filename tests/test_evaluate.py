@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 import weakref
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -75,6 +76,21 @@ def _two_atom_law(v0, v1):
     ratios: p0 e^v0 + (1 - p0) e^v1 = 1."""
     low = math.expm1(v1) / (math.expm1(v1) - math.expm1(v0))
     return MessageLaw(np.array([v0, v1]), np.log([low, 1.0 - low]))
+
+
+def reference_split(law, leaf_count, threshold):
+    """The relay rule on one law built alone, as the engine's batched split must give it bit for
+    bit: the low count by bisection on ``_sends_low``, the cut between the last atom sent low and
+    the first sent high, and each side's log masses by ``_logsumexp`` (0.0 on every atom, -inf on none)."""
+    v = law.values
+    k = bisect_left(v, True, key=lambda s: not ev._sends_low(s, leaf_count, threshold))
+    cut = float(((v[k - 1] if k else -np.inf) + (v[k] if k < v.size else np.inf)) / 2.0)
+
+    def side(logs):
+        return _logsumexp(logs) if 0 < logs.size < v.size else (0.0 if logs.size else -math.inf)
+
+    logp1 = law.logp0 + v
+    return k, cut, side(law.logp0[:k]), side(logp1[:k]), side(law.logp0[k:]), side(logp1[k:])
 
 
 class TestMessageLaw:
@@ -207,7 +223,7 @@ class TestConvolution:
         # 4097 atoms on the ternary leaf's lattice: the merge reads its gap
         # column out of a scratch grid of 12,291 sums
         ends = _two_atom_law(*leaf.values[::2])
-        yield ev._binomial_power(ends, 4096), leaf, True
+        yield ev._conv_power(ends, 4096), leaf, True
 
     def test_operand_order_is_bit_identical(self):
         for a, b, _ in self._cases():
@@ -266,7 +282,7 @@ def test_binomial_power_atoms_are_the_closed_form_in_order(v0, v1, m):
     scale = math.expm1(v1) - math.expm1(v0)  # p0 e^v0 + p1 e^v1 = 1 with p0 + p1 = 1
     law = MessageLaw(np.array([v0, v1]), np.log([math.expm1(v1) / scale, -math.expm1(v0) / scale]))
     k = np.arange(m + 1, dtype=float)
-    values = ev._binomial_power(law, m).values
+    values = ev._conv_power(law, m).values
     assert values.size == m + 1 and np.all(values[1:] > values[:-1])
     assert_array_equal(values, (m - k) * v0 + k * v1)
 
@@ -330,7 +346,7 @@ class TestLawMemory:
         # k, log C(m, k), the two columns and the temporaries of their closed
         # forms, or the gap column
         law = llr_law([-0.4, 0.9], np.log([0.7, 0.3]))
-        assert self._peak_columns(lambda: ev._binomial_power(law, 2**18), 2**18 + 1) <= 6
+        assert self._peak_columns(lambda: ev._conv_power(law, 2**18), 2**18 + 1) <= 6
 
     def test_split_holds_one_column(self):
         # a split of all but the top atom low: the alternative side's temporary
@@ -338,7 +354,7 @@ class TestLawMemory:
         # (and the exp's dead-lane mask); a shifted copy of it would hold two
         rng = np.random.default_rng(3)
         law = llr_law(np.arange(2.0**18), np.log(rng.dirichlet(np.ones(2**18))))
-        split, columns = self._traced(lambda: ev._split(law, 1, law.values[-2]), 2**18)
+        (split,), columns = self._traced(lambda: ev._splits([law], [1], law.values[-2]), 2**18)
         assert split[0] == 2**18 - 1
         assert columns <= 1
 
@@ -377,9 +393,9 @@ class TestSplitInvariants:
             elif op == "self":
                 law, leaves = ev._sum_law([law, law]), 2 * leaves
             elif op == "power" and law.n_atoms == 2:
-                law, leaves = ev._binomial_power(law, m), m * leaves
+                law, leaves = ev._conv_power(law, m), m * leaves
             elif op == "relay":
-                split = ev._split(law, leaves, t)
+                split = ev._splits([law], [leaves], t)[0]
                 k, cut, low0, low1, high0, high1 = split
                 v = law.values
                 assert np.all(v[:k] / leaves <= t)
@@ -389,7 +405,7 @@ class TestSplitInvariants:
                 for low, high, logp in ((low0, high0, law.logp0), (low1, high1, law.logp1)):
                     total = float(np.logaddexp.reduce(logp))
                     assert abs(np.logaddexp(low, high) - total) <= 1e-12
-                law, leaves = ev._bit_law(split), 1
+                law, leaves = ev._bit_laws([split])[0], 1
             self._check_law(law)
 
     @settings(max_examples=150, deadline=None)
@@ -399,21 +415,36 @@ class TestSplitInvariants:
     def test_cut_counts_the_atoms_the_rule_sends_low(self, atoms, ulps, leaves):
         # each atom with up to ``ulps`` next floats above it, so that
         # neighbours' quotients can tie; thresholds at every quotient and one
-        # ulp either side, past both ends too.  ``_cut`` reads only the atoms,
+        # ulp either side, past both ends too.  The count reads only the atoms,
         # and no law's masses fit atoms an ulp apart
         v = np.unique([x for a in atoms for x in np.nextafter.accumulate([a] + [np.inf] * ulps)])
+        law = SimpleNamespace(values=v, logp0=np.zeros(v.size), n_atoms=v.size)
         q = v / leaves
         for t in np.concatenate((q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf))).tolist():
-            k, _ = ev._cut(SimpleNamespace(values=v), leaves, t)
+            k = ev._splits([law], [leaves], t)[0][0]
             assert k == np.count_nonzero(ev._sends_low(v, leaves, t))
 
 
+def log_comb_alone(m):
+    """log C(m, k), k = 0..m, for one m: Loader's form as built one m at a time, the reference
+    the batched ``_log_combs`` must match bit for bit."""
+    n = np.arange(1.0, m + 1)
+    nn = n * n
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+    stirlerr[:15] = ev._STIRLERR[1 : m + 1]
+    h = m // 2
+    k, j = n[:h], m - n[:h]
+    half = (k * np.log(m / k) - j * np.log1p(-k / m) + stirlerr[m - 1] - stirlerr[:h]
+            - stirlerr[m - 1 - h : m - 1][::-1] - 0.5 * np.log(2.0 * math.pi * k * j / m))
+    return np.concatenate(([0.0], half, half[: m - 1 - h][::-1], [0.0]))
+
+
 class TestLogComb:
-    """``_log_comb`` against 40-digit binomial coefficients."""
+    """``_log_combs`` against 40-digit binomial coefficients, and batched against one m alone."""
 
     @staticmethod
     def _check(m, ks):
-        got = ev._log_comb(m)
+        got = ev._log_combs([m])
         assert got.size == m + 1
         assert_array_equal(got, got[::-1])
         assert got[0] == got[m] == 0.0
@@ -431,6 +462,191 @@ class TestLogComb:
     def test_large_m(self, m):
         fixed = [1, 2, 3, m // 3, m // 2, m - 2, m - 1]
         self._check(m, fixed + np.random.default_rng(m).integers(1, m, size=20).tolist())
+
+    def test_batch_matches_each_m_alone_bit_for_bit(self):
+        # each m's row is its own, whatever shares the batch: alone, with all m up to 64, and
+        # beside the largest, in a shuffled order
+        ms = [*range(1, 65), 1_000, 25_000]
+        alone = {m: log_comb_alone(m) for m in ms}
+        order = np.random.default_rng(5).permutation(ms).tolist()
+        for batch in ([[m] for m in ms], [ms], [order], [[25_000, 1, 64, 2]]):
+            for group in batch:
+                got = ev._log_combs(group)
+                want = np.concatenate([alone[m] for m in group])
+                assert got.tobytes() == want.tobytes(), group
+
+
+def _hexes(xs):
+    return [float(x).hex() for x in xs]
+
+
+@st.composite
+def level_trees(draw):
+    """A binary pair, gated or not, or the commensurate ternary pair, whose sums merge; a
+    uniform tree of height 2 or 3 whose relays hold 1..40 leaves (2 under the or gate), so that
+    level-2 relays mix one run and several; and a threshold per level."""
+    pair = draw(st.sampled_from((bernoulli_pair(0.75), bernoulli_pair(0.6), TERNARY)))
+    gated = pair is not TERNARY and draw(st.booleans())
+    leaves = st.just(2) if gated else st.integers(1, 40)
+    height = draw(st.integers(2, 3))
+    if height == 2:
+        groups = [draw(st.lists(leaves, min_size=1, max_size=6))]
+    else:
+        groups = draw(st.lists(st.lists(leaves, min_size=1, max_size=4), min_size=1, max_size=4))
+    parents = [-1]
+    for group in groups:  # under the root, or under a level-2 relay of its own
+        above = 0 if height == 2 else len(parents)
+        parents += [] if height == 2 else [0]
+        for count in group:
+            parents += [above] + [len(parents)] * count
+    tree = Tree(parents)
+    thresholds = draw(st.lists(st.floats(-1.5, 1.5), min_size=tree.height, max_size=tree.height))
+    return pair, gated, tree, tuple(thresholds)
+
+
+class TestLevelPass:
+    """Each relay level is built in one array pass over its shapes; every shape's split and bit
+    law must be those of its sum law built alone, split one law at a time, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_trees())
+    def test_splits_and_bit_laws_match_each_law_alone(self, case):
+        pair, gated, tree, thresholds = case
+        gate = or_gate() if gated else None
+        s = build_relay_strategy(tree, identity_map(pair.alphabet), thresholds, level1_gate=gate)
+        ctx = ev._context_for(s, pair)
+        level, leaves = (c.tolist() for c in tree.shape_counts[:2])
+        relays = [sid for sid, split in enumerate(ctx.split) if split is not None]
+        assert len(relays) == sum(1 for lv in level[1:-1] if lv > (gate is not None))
+        for sid in relays:
+            runs = tree.shape_children[sid]
+            law = ev._sum_law([ev._conv_power(ctx.out[k], c) for k, c in runs])
+            k, cut, *masses = reference_split(law, leaves[sid], thresholds[level[sid] - 1])
+            got = ctx.split[sid]
+            assert got[0] == k and _hexes(got[1:]) == _hexes([cut, *masses]), sid
+            low0, low1, high0, high1 = masses
+            bit = ctx.out[sid]
+            if low0 == -math.inf or high0 == -math.inf:
+                assert bit is ev._ZERO
+            else:
+                assert _hexes(bit.values) == _hexes([low1 - low0, high1 - high0])
+                assert _hexes(bit.logp0) == _hexes([low0, high0])
+
+    def test_one_pass_per_relay_level(self, pair75, leaf_family, ident, monkeypatch):
+        # increasing_leaves(21): one relay level of 21 shapes, split and checked at once
+        calls = {"_splits": [], "_bit_laws": [], "_binomial_powers": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(ev, name, lambda batch, *a, f=getattr(ev, name), seen=seen:
+                                seen.append(len(batch)) or f(batch, *a))
+        s = simple_strategy(TreeFamily("increasing_leaves").generate(21), pair75, leaf_family, 0.4)
+        ev._context_for(s.strategy, pair75)
+        # the fringe level's 21 powers, then the root's runs, of one copy each: an empty batch
+        assert calls == {"_splits": [21], "_bit_laws": [21], "_binomial_powers": [21, 0]}
+        for seen in calls.values():
+            seen.clear()
+        ev._context_for(build_relay_strategy(TestTailReport.HEIGHT_3, ident, (0.0, -0.1, 0.1)), pair75)
+        assert calls["_splits"] == calls["_bit_laws"] == [2, 2]
+
+    def test_a_level_of_large_laws_holds_one_at_a_time(self, pair75, ident):
+        # five fringe relays of 2^16 + i leaves: each sum law is too large to share a batch, so
+        # the level peaks at one power's closed form (six columns), not at all five laid end to end
+        sizes = [2**16 + i for i in range(5)]
+        parents = [-1]
+        for size in sizes:
+            parents += [0] + [len(parents)] * size
+        tree = Tree(parents)
+        tree.shape_children, tree.shape_counts  # built before the trace
+        s = build_relay_strategy(tree, ident, (0.0, 0.0))
+        ctx, columns = TestLawMemory._traced(lambda: ev._build_context(s, pair75), max(sizes) + 1)
+        assert sum(r is not None for r in ctx.split) == 5
+        assert columns <= 6  # 23 with the five laid end to end
+
+    def test_a_refusal_names_the_first_shape_that_fails(self, pair75, ident, monkeypatch):
+        # at a cap of 20 atoms, level 2 holds two relays that fail, in one batch: one over six
+        # distinct fringe relays, whose sum law passes the cap, and one over 30 copies of a
+        # one-leaf relay, whose closed-form power does.  The refusal names the one of lower id,
+        # as a build shape by shape would, with that shape's own message
+        parents = [-1]
+        for group in ([1, 2, 3, 4, 5, 6], [1] * 30):
+            above = len(parents)
+            parents += [0]
+            for count in group:
+                parents += [above] + [len(parents)] * count
+        tree = Tree(parents)
+        s = build_relay_strategy(tree, ident, (0.0, 0.0, 0.0))
+        out = ev._build_context(s, pair75).out  # built under the default cap
+        monkeypatch.setattr(ev, "STATE_SPACE_CAP", 20)
+        failing = []
+        for sid, lv in enumerate(tree.shape_counts.level.tolist()):
+            if lv == 2:
+                try:
+                    ev._sum_law([ev._conv_power(out[k], c) for k, c in tree.shape_children[sid]])
+                except StateSpaceTooLarge as exc:
+                    failing.append(f"level 2, shape {sid}: {exc}")
+        assert len(failing) == 2
+        with pytest.raises(StateSpaceTooLarge) as refusal:
+            ev._build_context(s, pair75)
+        assert str(refusal.value) == failing[0]
+
+    def test_a_root_half_of_one_run_keeps_no_other_run(self, pair75, ident):
+        # the root's runs, 3 copies of one relay's bit law and 50 of another's, take their
+        # closed forms in one batch; each half is one run, copied out of that batch's columns
+        parents = [-1]
+        for leaves, copies in ((1, 3), (2, 50)):
+            for _ in range(copies):
+                parents += [0] + [len(parents)] * leaves
+        tree = Tree(parents)
+        ctx = ev._context_for(build_relay_strategy(tree, ident, (0.0, 0.0)), pair75)
+        runs = tree.shape_children[-1]
+        assert [c for _, c in runs] == [3, 50]
+        for half, (k, c) in zip(ctx.halves, runs):
+            assert half.values.base is None or half.values.base.size == half.n_atoms
+            alone = ev._conv_power(ctx.out[k], c)
+            assert half.values.tobytes() == alone.values.tobytes()
+            assert half.logp0.tobytes() == alone.logp0.tobytes()
+
+    def test_a_narrow_power_is_merged_alone(self):
+        # atoms 2e-13 apart: the closed form's neighbours fall within the merge tolerance, so
+        # that law is merged as it would be alone, beside a wide law the batch leaves as it is
+        narrow, wide = _two_atom_law(-1e-13, 1e-13), _two_atom_law(-0.3, 0.2)
+
+        def alone(law, m):
+            k = np.arange(m + 1.0)
+            return ev._merged((m - k) * law.values[0] + k * law.values[1],
+                              log_comb_alone(m) + (m - k) * law.logp0[0] + k * law.logp0[1])
+
+        got = ev._binomial_powers([(wide, 5), (narrow, 8), (wide, 3)])
+        assert got[1].n_atoms < 9 and got[0].n_atoms == 6
+        for law, (base, m) in zip(got, [(wide, 5), (narrow, 8), (wide, 3)]):
+            want = alone(base, m)
+            assert law.values.tobytes() == want[0].tobytes()
+            assert law.logp0.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("order", "^law atoms must be strictly increasing$"),
+        ("nan", "^law atoms must be finite$"),
+        ("mass", r"^law mass 1\.000001\d* is not 1$"),
+    ])
+    def test_a_batch_with_one_bad_law_is_refused(self, fault, message):
+        # the batch's laws descend from one to the next, which is no fault; the third is broken
+        laws = [_two_atom_law(-0.2 * i - 0.1, 0.5 - 0.1 * i) for i in range(5)]
+        laws[1] = ev._conv_power(laws[1], 5)
+        values, logp0 = (np.concatenate([getattr(law, f) for law in laws]) for f in ("values", "logp0"))
+        starts = [0, *np.cumsum([law.n_atoms for law in laws])[:-1].tolist()]
+        good = ev._checked_laws(values.copy(), logp0.copy(), starts)
+        assert [(g.values.tobytes(), g.logp0.tobytes()) for g in good] == [
+            (law.values.tobytes(), law.logp0.tobytes()) for law in laws]
+        i = starts[2]
+        if fault == "order":
+            values[i : i + 2] = values[i : i + 2][::-1].copy()
+        elif fault == "nan":
+            values[i + 1] = np.nan
+        else:
+            logp0[i : i + 2] += math.log1p(1e-6)
+        with pytest.raises(InvalidParams, match=message):
+            ev._checked_laws(values, logp0, starts)
+        with pytest.raises(InvalidParams, match=message):
+            MessageLaw(values[i : i + 2], logp0[i : i + 2])
 
 
 class TestRootSumLaw:
@@ -684,14 +900,14 @@ class TestRootHalves:
         # of 12 runs: the largest law any of them makes is a half, and each
         # relay shape is still split once
         sizes, splits = [], []
-        post_init, split = ev.MessageLaw.__post_init__, ev._split
+        check, split = ev._check_laws, ev._splits
 
-        def checked(law):
-            sizes.append(np.size(law.values))
-            post_init(law)
+        def checked(v, logp0, starts):  # the largest law of each checked batch
+            sizes.append(int(np.diff(starts, append=v.size).max()))
+            check(v, logp0, starts)
 
-        monkeypatch.setattr(ev.MessageLaw, "__post_init__", checked)
-        monkeypatch.setattr(ev, "_split", lambda *a: splits.append(a[0]) or split(*a))
+        monkeypatch.setattr(ev, "_check_laws", checked)
+        monkeypatch.setattr(ev, "_splits", lambda *a: splits.extend(a[0]) or split(*a))
         tree = TreeFamily("increasing_leaves").generate(12)
         s = simple_strategy(tree, pair75, leaf_family, 0.4).strategy
         cal = np_calibrate_root(s, pair75, 0.25)
@@ -769,7 +985,7 @@ def tail_rows_by_node(strategy, pair):
         law = ev._sum_law([ev._conv_power(ctx.out[k], c) for k, c in runs])
         l_v = int(leaves[v])
         t = strategy.thresholds[level - 1]
-        *_, low1, high0, _ = ev._split(law, l_v, t)
+        *_, low1, high0, _ = reference_split(law, l_v, t)
         p_v = int(nodes[v])
         rows.append(ev.TailRow(int(v), level, l_v, p_v, low1 / l_v, high0 / l_v))
     return tuple(rows)
@@ -902,28 +1118,28 @@ class TestTailReport:
             fringe_message_laws(star, pair75)
 
     def test_relay_rule_is_applied_once_per_relay_shape(self, pair75, ident, monkeypatch):
-        # each relay shape is split once, while its laws are built; the
-        # readers, calibration among them, cut only the root, at their own
-        # threshold, and cut it through its two halves: no law is cut after the build
-        calls, cuts, counts = [], [], []  # (law, its split); each law cut; each root cut
-        split, cut, root_cut = ev._split, ev._cut, ev._root_cut
-        monkeypatch.setattr(ev, "_split", lambda *a: calls.append((a[0], split(*a))) or calls[-1][1])
-        monkeypatch.setattr(ev, "_cut", lambda *a: cuts.append(a[0]) or cut(*a))
+        # each relay level is split once, while its laws are built, in one
+        # batch of its shapes' sum laws; the readers, calibration among them,
+        # cut only the root, at their own threshold, and cut it through its
+        # two halves: no law is cut after the build
+        calls, counts = [], []  # (laws, their splits) per batch; each root cut
+        split, root_cut = ev._splits, ev._root_cut
+        monkeypatch.setattr(ev, "_splits", lambda *a: calls.append((a[0], split(*a))) or calls[-1][1])
         monkeypatch.setattr(ev, "_root_cut", lambda *a, **k: counts.append(a[0]) or root_cut(*a, **k))
         s = build_relay_strategy(self.HEIGHT_3, ident, (0.0, -0.1, 0.1))
         s = np_calibrate_root(s, pair75, 0.25)
         ctx = ev._context_for(s, pair75)
         relays = [r for r in ctx.split if r is not None]
-        # two fringe shapes and two level-2 shapes, each cut by its own split
+        # two fringe shapes, then two level-2 shapes, each level split in one batch
         assert len(relays) == 4 and ctx.halves[0].n_atoms > 1
-        assert len(calls) == 4 and all(got is r for (_, got), r in zip(calls, relays))
-        assert all(c is law for c, (law, _) in zip(cuts, calls, strict=True))
+        assert [len(laws) for laws, _ in calls] == [2, 2]
+        assert all(got is r for got, r in zip((g for _, got in calls for g in got), relays, strict=True))
         calibration_counts = len(counts)
         assert calibration_counts >= 1
         exact_error_probs(s, pair75)
         tail_report(s, pair75)
         monte_carlo_error(s, pair75, trials=100, seed=0)
-        assert len(calls) == len(cuts) == 4
+        assert len(calls) == 2
         assert len(counts) == calibration_counts + 3 and all(c is ctx for c in counts)
         assert "root_sum" not in vars(ctx)
 
@@ -931,8 +1147,8 @@ class TestTailReport:
         # a relay's sum law is read once, by its split, and then dropped; the
         # root keeps its halves, and its own sum law is not built
         refs = []
-        split = ev._split
-        monkeypatch.setattr(ev, "_split", lambda *a: refs.append(weakref.ref(a[0])) or split(*a))
+        split = ev._splits
+        monkeypatch.setattr(ev, "_splits", lambda *a: refs.extend(map(weakref.ref, a[0])) or split(*a))
         ctx = ev._context_for(build_relay_strategy(self.HEIGHT_3, ident, (0.0, -0.1, 0.1)), pair75)
         gc.collect()
         assert len(refs) == 4
