@@ -19,14 +19,15 @@ than their distinct shapes, and a tree level at a time, in batches of shapes
 whose laws total at most `_BATCH_ATOMS` atoms (a larger law goes alone): one
 closed form for all the batch's binomial runs, one split of all its relays'
 sum laws (`_splits`) and one check of all its bit laws, each law's numbers
-those it would have built alone (a side is shifted, exponentiated and summed
-on its own slice).  A relay's sum law is read once, by the split, and
-dropped: what is kept per shape is its outgoing law and its split, and of the
-sum laws only the root's, as two halves of its runs, which its readers cut
-pair by pair (Horowitz & Sahni, *J. ACM* 21(2), 1974); only `_splits` and
-`_root_cut` turn a threshold into a low count.  These are memoized on the
-strategy, one set per pair: calibrating the root threshold hands them to the
-calibrated copy, and they are freed with the strategy.
+those it would have built alone (each side is summed by `_logsumexp` on its
+own slice, from the maxima of all sides taken in one pass).  A relay's sum
+law is read once, by the split, and dropped: what is kept per shape is its
+outgoing law and its split, and of the sum laws only the root's, as two
+halves of its runs, which its readers cut pair by pair (Horowitz & Sahni,
+*J. ACM* 21(2), 1974); only `_splits` and `_root_cut` turn a threshold into a
+low count.  These are memoized on the strategy, one set per pair:
+calibrating the root threshold hands them to the calibrated copy, and they
+are freed with the strategy.
 
 Monte Carlo reads the tree only through the shape table: each shape's node
 count, then its (child shape, count) runs bottom-up.  Trials run in blocks,
@@ -306,27 +307,14 @@ def _sends_low(sums: np.ndarray | float, leaf_count: int, threshold: float) -> n
     return sums / leaf_count <= threshold
 
 
-def _side(law: MessageLaw, k: int, high: bool, hypothesis: int) -> float:
-    """Log mass under one hypothesis of one side of a split sending the first k atoms low: 0.0 on
-    every atom (the law's check fixes it), -inf on none; an alternative side sums p0 e^v in place.
-    ``_splits`` sums each side of a batch of laws as this sums one, bit for bit."""
-    side, atoms = (np.s_[k:], law.n_atoms - k) if high else (np.s_[:k], k)
-    if atoms in (0, law.n_atoms):
-        return 0.0 if atoms else -np.inf
-    if not hypothesis:
-        return _logsumexp(law.logp0[side])
-    logs = np.add(law.logp0[side], law.values[side])
-    return _logsumexp(logs, out=logs)
-
-
 def _splits(laws: Sequence[MessageLaw], leaf_counts: Sequence[int], threshold: float) -> list[tuple]:
     """The relay rule on sum laws at their leaf counts, the one place below the root where a
     threshold becomes a count: per law (k, cut, low0, low1, high0, high1).  The rule is monotone,
     so it sends the first k atoms low, found by bisection, and a sum goes high iff it is above
     ``cut``, the midpoint of the last atom sent low and the first sent high (±inf past an end).
     The laws are laid end to end (a law alone is not copied) and the maxima of all their sides
-    taken in one pass; each side is then shifted, exponentiated and summed in place, on its own
-    slice of one scratch column, as ``_side`` sums it."""
+    taken in one pass; each side is then summed by ``_logsumexp`` from its maximum, in place on
+    its own slice of one scratch column."""
     v, logp0 = (getattr(laws[0], f) if len(laws) == 1
                 else np.concatenate([getattr(law, f) for law in laws]) for f in ("values", "logp0"))
     splits, starts, cuts, a = [], [], [], 0
@@ -345,11 +333,7 @@ def _splits(laws: Sequence[MessageLaw], leaf_counts: Sequence[int], threshold: f
         tops = np.maximum.reduceat(src, starts).tolist()
         for split, j, *bounds in cuts:
             for i, (a, b) in enumerate(zip(bounds, bounds[1:])):  # its low side, then its high side
-                t = tops[j + i]
-                if math.isfinite(t):
-                    side = np.subtract(src[a:b], t, out=buf[a:b])
-                    t += math.log(np.add.reduce(_exp(side, out=side)))
-                split[2 + 2 * i + h] = t
+                split[2 + 2 * i + h] = _logsumexp(src[a:b], out=buf[a:b], top=tops[j + i])
     return [tuple(split) for split in splits]
 
 
@@ -489,9 +473,9 @@ def root_sum_law(
 
 
 def _root_cut(ctx: _LawContext, leaf_count: int, threshold: float, merge: bool = True) -> tuple:
-    """``_cut`` on the root's halves: (j, cut), j(a) the count of atoms b of the larger half that
-    the rule on fl(a + b) sends low beside atom a of the smaller.  Unless ``merge`` is off, a sum
-    that the built root merges into one sent low (``_merged``'s tolerance) goes low with it."""
+    """``_splits``' cut on the root's halves: (j, cut), j(a) the count of atoms b of the larger
+    half that the rule on fl(a + b) sends low beside atom a of the smaller.  Unless ``merge`` is
+    off, a sum the built root merges into one sent low (``_merged``'s tolerance) goes low with it."""
     a, b = ctx.halves[0].values, ctx.padded
     j = np.searchsorted(ctx.halves[1].values, threshold * leaf_count - a, side="right")
     while True:
@@ -508,16 +492,17 @@ def _root_cut(ctx: _LawContext, leaf_count: int, threshold: float, merge: bool =
 
 def _root_tail(ctx: _LawContext, j: np.ndarray, hypothesis: int) -> float:
     """The root's error log mass when ``_root_cut`` sends j low: log sum_a p0(a) P0(B >= j(a)),
-    or log sum_a p1(a) P1(B < j(a)); a one-atom half reads B as ``_split`` does, bit for bit."""
+    or log sum_a p1(a) P1(B < j(a)).  A one-atom half is the law of 0 (``_ZERO``): B's side is
+    then summed as ``_splits`` sums it, bit for bit."""
     a, b = ctx.halves
-    logp = a.logp1 if hypothesis else a.logp0
-    if a.n_atoms == 1:
-        return float(logp[0]) + _side(b, int(j[0]), not hypothesis, hypothesis)
     pairs = a.n_atoms * b.n_atoms
     side = int(j.sum()) if hypothesis else pairs - int(j.sum())
-    if side in (0, pairs):  # as in ``_side``, a side of every pair has mass one
+    if side in (0, pairs):  # a side of every pair has mass one
         return 0.0 if side else -np.inf
-    logs = np.add(logp, ctx.larger[hypothesis][j])
+    if a.n_atoms > 1:
+        logs = np.add(a.logp1 if hypothesis else a.logp0, ctx.larger[hypothesis][j])
+    else:  # beside ``_ZERO``, B's side alone: j[0] atoms low
+        logs = np.add(b.logp0[: j[0]], b.values[: j[0]]) if hypothesis else b.logp0[j[0] :].copy()
     return _logsumexp(logs, out=logs)
 
 

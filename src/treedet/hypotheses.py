@@ -87,22 +87,24 @@ def _exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _logsumexp(logs, out: np.ndarray | None = None) -> float:
+def _logsumexp(logs, out: np.ndarray | None = None, top: float | None = None) -> float:
     """log(sum(exp(logs))) with a max shift; -inf for an empty or all -inf input.
 
     Plain numpy rather than ``scipy.special.logsumexp``: most calls sum a
     handful of atoms, where scipy's per-call dispatch costs over ten times
     the arithmetic.  The exp runs through ``_exp``, as wide trees' tails reach
     e^-25000.  ``out``, if given, is scratch for the shifted logs, and may be ``logs``.
+    ``top``, if the caller has it, is the max of the non-empty ``logs``: the same bits either way.
     """
-    logs = np.asarray(logs, dtype=float)
-    if logs.size == 0:
-        return -math.inf
-    top = float(logs.max())
+    if top is None:
+        logs = np.asarray(logs, dtype=float)
+        if logs.size == 0:
+            return -math.inf
+        top = float(logs.max())
     if not math.isfinite(top):
         return top
     shifted = np.subtract(logs, top, out=out)
-    return top + math.log(float(_exp(shifted, out=shifted).sum()))
+    return top + math.log(np.add.reduce(_exp(shifted, out=shifted)))
 
 
 def _as_prob_array(values, size: int, label: str) -> np.ndarray:

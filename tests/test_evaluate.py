@@ -862,6 +862,24 @@ class TestRootHalves:
         ctx = ev._context_for(cal, pair75)
         assert ctx.halves[0] is ev._ZERO and "larger" not in vars(ctx)
 
+    @pytest.mark.parametrize("kind, params, size, thresholds", [
+        ("parallel", {}, 12, (0.0,)),
+        ("wide_uniform", {"m": 4}, 50, (0.1, 0.0)),
+        ("two_relay", {}, 30, (0.0, 0.0)),
+        ("wide_uniform", {"m": 4}, 50, (1e308, 0.0)),  # every relay sends low: B is one atom
+    ])
+    def test_a_root_of_one_run_sums_its_sides_as_splits_does(self, pair75, ident, kind, params, size,
+                                                              thresholds):
+        tree = TreeFamily(kind, params).generate(size)
+        ctx = ev._context_for(build_relay_strategy(tree, ident, thresholds), pair75)
+        b = ctx.halves[1]
+        assert ctx.halves[0] is ev._ZERO and (b.n_atoms == 1) == (thresholds[0] == 1e308)
+        l_f = int(tree.shape_counts.leaf_count[-1])
+        atoms = b.values / l_f
+        for t in [*atoms.tolist(), *((atoms[1:] + atoms[:-1]) / 2).tolist(), 1e308, -1e308]:
+            want = ev._splits([b], [l_f], t)[0][3:5]
+            assert _hexes(ev._root_tails(ctx, l_f, t)) == _hexes(want), t
+
     def test_merged_sums_are_read_by_their_least(self):
         # sums of ternary leaf laws are multiples of one log-likelihood ratio,
         # so these halves' 63 pair sums are 21 distinct floats, which the built

@@ -74,6 +74,24 @@ class TestLogSumExp:
         assert type(_logsumexp(np.log([0.25, 0.75]))) is float
         assert type(_logsumexp(np.array([]))) is float
 
+    def test_a_given_top_gives_the_same_bits(self):
+        # the exact engine's splits pass each side's maximum from one pass over all sides
+        rng = np.random.default_rng(23)
+        cases = [np.full(n, -np.inf) for n in (1, 4)]
+        for _ in range(300):
+            n = int(rng.integers(1, 50))
+            logs = rng.normal(rng.choice([0.0, -700.0, -2e4]), rng.choice([0.1, 1.0, 30.0]), n)
+            if rng.random() < 0.5:
+                logs[rng.random(n) < 0.3] = -np.inf
+            cases.append(logs)
+        for logs in cases:
+            want = _logsumexp(logs).hex()
+            top = float(logs.max())
+            assert _logsumexp(logs, top=top).hex() == want
+            scratch = logs.copy()
+            assert _logsumexp(scratch, out=scratch, top=top).hex() == want
+        assert _logsumexp(np.full(3, -np.inf), top=-math.inf) == -math.inf
+
 
 class TestExp:
     """``_exp`` is ``np.exp`` bit for bit, whichever lanes it leaves out."""

@@ -1,6 +1,6 @@
 """Every import in the package sits at module level, the exports hold, every
-private module-level name is used in the package, and no source line is over
-104 columns.
+private module-level name is used in the package, every private name a
+docstring or comment quotes is defined, and no source line is over 104 columns.
 
 An import inside a function body hides a dependency from the module graph,
 usually to dodge an import cycle; this test keeps the graph honest.  The
@@ -8,10 +8,14 @@ benchmark imports from the package's top level, so a name it imports must
 stay exported; it also reads tree metrics by name, so each of those must
 stay an attribute of ``Tree``.  ``__all__`` lists exactly the public names
 the package defines, so no deleted function lingers there.  A private helper that only
-its own definition or the tests read is dead code the tests keep alive.
+its own definition or the tests read is dead code the tests keep alive, and a
+docstring that quotes a deleted helper points its reader at nothing.
 """
 
 import ast
+import io
+import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -123,3 +127,39 @@ def test_every_private_name_is_used_in_the_package():
             } - names
     assert defined
     assert defined - used == set()
+
+
+def _prose(text: str, module: ast.Module) -> list[str]:
+    """The docstrings and comments of one module."""
+    docs = [
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(module)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return [d for d in docs if d] + [t.string for t in tokens if t.type == tokenize.COMMENT]
+
+
+def test_every_quoted_private_name_is_defined():
+    # a backticked ``_name``, alone or in a dotted path, must be a function, class, name,
+    # attribute or argument somewhere in the package
+    defined, quoted = set(), {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        module = ast.parse(text, filename=str(path))
+        for node in ast.walk(module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+        for chunk in _prose(text, module):
+            for ticked in re.findall(r"`+([A-Za-z_][\w.]*)", chunk):
+                for part in ticked.split("."):
+                    if part.startswith("_"):
+                        quoted.setdefault(part, set()).add(path.name)
+    assert len(quoted) > 10
+    assert {name: files for name, files in quoted.items() if name not in defined} == {}
