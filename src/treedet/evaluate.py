@@ -16,18 +16,18 @@ tolerance check.  A law over `STATE_SPACE_CAP` atoms is refused, naming the
 level, shape and operand sizes.  Laws are computed once per structurally
 distinct subtree, so trees with millions of isomorphic branches cost no more
 than their distinct shapes, and a tree level at a time, in batches of shapes
-whose laws total at most `_BATCH_ATOMS` atoms (a larger law goes alone): one
-closed form for all the batch's binomial runs, one split of all its relays'
-sum laws (`_splits`) and one check of all its bit laws, each law's numbers
-those it would have built alone (each side is summed by `_logsumexp` on its
-own slice, from the maxima of all sides taken in one pass).  A relay's sum
-law is read once, by the split, and dropped: what is kept per shape is its
-outgoing law and its split, and of the sum laws only the root's, as two
-halves of its runs, which its readers cut pair by pair (Horowitz & Sahni,
-*J. ACM* 21(2), 1974); only `_splits` and `_root_cut` turn a threshold into a
-low count.  These are memoized on the strategy, one set per pair:
-calibrating the root threshold hands them to the calibrated copy, and they
-are freed with the strategy.
+of at most `_BATCH_ATOMS` planned atoms (`_planned_atoms`; a larger law goes
+alone): one `_sum_laws` call with one closed form for all its binomial runs,
+one split of its relays' sum laws (`_splits`) and one check of its bit laws,
+each law's numbers those it would have built alone (each side is summed by
+`_logsumexp` on its own slice, from the maxima of all sides taken in one
+pass).  A relay's sum law is read once, by the split, and dropped: what is
+kept per shape is its outgoing law and its split, and of the sum laws only the
+root's, as two halves of its runs split by planned counts, each summed alone,
+which its readers cut pair by pair (Horowitz & Sahni, *J. ACM* 21(2), 1974);
+only `_splits` and `_root_cut` turn a threshold into a count.  These are
+memoized on the strategy, one set per pair: calibrating the root threshold
+hands them to the calibrated copy, and they are freed with the strategy.
 
 Monte Carlo reads the tree only through the shape table: each shape's node
 count, then its (child shape, count) runs bottom-up.  Trials run in blocks,
@@ -182,8 +182,9 @@ _ZERO = MessageLaw(np.zeros(1), np.zeros(1))  # the law of 0, beside which a roo
 
 
 def law_from_pair(pair: DistributionPair) -> MessageLaw:
-    """Law of the log-likelihood ratio of one observation of ``pair``."""
-    logp0, logp1 = pair._live_logs
+    """Law of the log-likelihood ratio of one observation of ``pair``, each hypothesis's masses scaled
+    to total one: a pair's may miss one by its sum tolerance, a miss m copies' power takes m-fold."""
+    logp0, logp1 = (logs - math.log(p.sum()) for logs, p in zip(pair._live_logs, (pair.p0, pair.p1)))
     order = np.argsort(logp1 - logp0, kind="stable")
     return MessageLaw(*_merged(logp1[order] - logp0[order], logp0[order]))
 
@@ -348,12 +349,18 @@ def _bit_laws(splits: Sequence[tuple]) -> list[MessageLaw]:
     return [_ZERO if d else next(laws) for d in dead]
 
 
+def _planned_atoms(out: list, runs: Sequence) -> list[int]:
+    """Per (child shape, count) run of c copies of an n-atom law, C(c + n - 1, c): its atoms if every
+    sum were distinct, never fewer than built and as many if c = 1, n = 1 or n = 2 with no merge."""
+    return [math.comb(c + out[k].n_atoms - 1, c) for k, c in runs]
+
+
 def _batches(out: list, table: Sequence, sids: list) -> Iterator[list]:
-    """``sids`` in order, in batches whose sum laws total at most ``_BATCH_ATOMS`` atoms, each
-    bounded by counting every sum of copies as a distinct atom; a larger law goes alone."""
+    """``sids`` in order, in batches whose sum laws total at most ``_BATCH_ATOMS`` planned atoms
+    (``_planned_atoms``); a larger law goes alone."""
     batch, atoms = [], 0
     for sid in sids:
-        size = math.prod(math.comb(c + out[k].n_atoms - 1, c) for k, c in table[sid])
+        size = math.prod(_planned_atoms(out, table[sid]))
         if batch and atoms + size > _BATCH_ATOMS:
             yield batch
             batch, atoms = [], 0
@@ -363,30 +370,22 @@ def _batches(out: list, table: Sequence, sids: list) -> Iterator[list]:
         yield batch
 
 
-def _batch_halves(out: list, table: Sequence, level: list, batch: list) -> list[tuple]:
-    """Per shape of ``batch``, the sum laws of two parts of its runs, in order: a relay's none and
-    all, the root's two halves whose atom-count products are closest.  Every run of several copies
-    of a two-atom law within the cap takes its closed form in one ``_binomial_powers`` pass, the
-    rest ``_conv_power``; the shapes are summed in order, so a refusal names the first that fails."""
+def _sum_laws(out: list, level: list, parts: Sequence[tuple[int, Sequence]]) -> list[MessageLaw]:
+    """The sum law of each (shape id, runs) part, in order.  Every run of several copies of a
+    two-atom law within the cap takes its closed form in one ``_binomial_powers`` pass, the rest
+    ``_conv_power``; the parts are summed in order, so a refusal names the first shape that fails."""
     def closed(law: MessageLaw, c: int) -> bool:
         return law.n_atoms == 2 and 1 < c < STATE_SPACE_CAP
 
-    runs = [(out[k], c) for sid in batch for k, c in table[sid] if closed(out[k], c)]
-    powers = iter(_binomial_powers(runs))
-    halves = []
+    powers = iter(_binomial_powers([(out[k], c) for _, r in parts for k, c in r if closed(out[k], c)]))
+    laws = []
     try:
-        for sid in batch:
-            # runs ascend by child id, which fixes the convolution order
-            laws = [next(powers) if closed(out[k], c) else _conv_power(out[k], c)
-                    for k, c in table[sid]]
-            i = 0
-            if sid == len(table) - 1:  # the root, whose halves may leave the first empty
-                logs = np.cumsum([0.0] + [math.log(law.n_atoms) for law in laws])
-                i = int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1])))
-            halves.append((_sum_law(laws[:i]) if i else _ZERO, _sum_law(laws[i:])))
+        for sid, runs in parts:  # runs ascend by child id, which fixes the convolution order
+            laws.append(_sum_law([next(powers) if closed(out[k], c) else _conv_power(out[k], c)
+                                  for k, c in runs]))
     except StateSpaceTooLarge as exc:
         raise StateSpaceTooLarge(f"level {level[sid]}, shape {sid}: {exc}") from None
-    return halves
+    return laws
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,10 +395,10 @@ class _LawContext:
     ``out`` is each shape's outgoing law, None for the root.  ``split`` is
     each relay's ``_splits`` entry at its level's threshold, the only use of
     the relay rule below the root; it is None for the leaf, gated fringes and
-    the root.  The laws are built a level at a time, in array passes over
-    batches of its shapes (``_batches``), and a relay's sum law is dropped once
-    its batch is split; the root's is kept as the laws of two ``halves`` of its
-    runs, smaller first; one run sits beside ``_ZERO``.
+    the root.  The laws are built a level at a time, one ``_sum_laws`` call per
+    batch (``_batches``), and a relay's sum law is dropped once split; the root's
+    is kept as two ``halves`` of its runs split by ``_planned_atoms``, each built
+    by its own call, smaller first; one run sits beside ``_ZERO``.
     """
 
     out: list
@@ -438,15 +437,17 @@ def _build_context(strategy: Strategy, pair: DistributionPair) -> _LawContext:
             out[sid] = gate_law
     for lv in range(1 + (gate is not None), level[root]):  # relay levels, bottom-up
         for batch in _batches(out, table, shapes[lv]):  # each sum law is read once, by its split
-            splits = _splits([law for _, law in _batch_halves(out, table, level, batch)],
+            splits = _splits(_sum_laws(out, level, [(sid, table[sid]) for sid in batch]),
                              [leaf_count[s] for s in batch], strategy.thresholds[lv - 1])
             for sid, s, law in zip(batch, splits, _bit_laws(splits)):
                 split[sid], out[sid] = s, law
-    # a half of one closed-form run is a view of its batch: copied, so that it keeps no other run
-    halves = [MessageLaw(h.values.copy(), h.logp0.copy())
-              if h.values.base is not None and h.values.base.size > h.n_atoms else h
-              for h in _batch_halves(out, table, level, [root])[0]]
-    return _LawContext(out[:root] + [None], split, tuple(sorted(halves, key=lambda h: h.n_atoms)))
+    # the root's halves: its runs split where planned atom-count products are closest, each summed alone
+    runs = table[root]
+    logs = np.cumsum([0.0] + [math.log(n) for n in _planned_atoms(out, runs)])
+    i = int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1])))
+    halves = [_sum_laws(out, level, [(root, part)])[0] if part else _ZERO
+              for part in (runs[:i], runs[i:])]
+    return _LawContext(out, split, tuple(sorted(halves, key=lambda h: h.n_atoms)))
 
 
 def _context_for(strategy: Strategy, pair: DistributionPair) -> _LawContext:

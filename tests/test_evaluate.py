@@ -101,6 +101,16 @@ class TestMessageLaw:
         assert_allclose(law.p0, [0.75, 0.25], rtol=1e-14)
         assert_allclose(law.p1, [0.25, 0.75], rtol=1e-14)
 
+    def test_a_pair_short_of_one_is_scaled_to_one(self):
+        # masses 1e-13 short of one, within the pair's sum tolerance; a fringe power of 10^6 copies
+        # would raise the shortfall past the law check's, unless the leaf law totals one
+        p0, p1 = np.array([0.7499999999999, 0.25]), np.array([0.25, 0.7499999999999])
+        tree, binary = TreeFamily("wide_uniform", {"m": 1_000_000}).generate(2), Alphabet((0, 1))
+        s = build_relay_strategy(tree, identity_map(binary), (0.0, 0.0))
+        short, full = (exact_error_probs(s, DistributionPair(binary, *pair)).log_type_ii
+                       for pair in ((p0, p1), (p0 / p0.sum(), p1 / p1.sum())))
+        assert_allclose(short, full, rtol=1e-12)
+
     def test_atoms_must_increase(self):
         values, logp0 = BERN75
         with pytest.raises(InvalidParams):
@@ -531,6 +541,32 @@ class TestLevelPass:
             else:
                 assert _hexes(bit.values) == _hexes([low1 - low0, high1 - high0])
                 assert _hexes(bit.logp0) == _hexes([low0, high0])
+            assert math.prod(ev._planned_atoms(ctx.out, runs)) >= law.n_atoms
+        # the root's planned counts, which split its halves, are those its runs are built with
+        runs = tree.shape_children[-1]
+        assert ev._planned_atoms(ctx.out, runs) == [ev._conv_power(ctx.out[k], c).n_atoms for k, c in runs]
+        assert math.prod(ev._planned_atoms(ctx.out, runs)) >= ctx.root_sum.n_atoms
+
+    @pytest.mark.parametrize("kind, params, size", [
+        *(("increasing_leaves", {}, n) for n in range(1, 22)),
+        ("wide_uniform", {"m": 3}, 16), ("wide_uniform", {"m": 20}, 50), ("two_relay", {}, 30)])
+    def test_planned_counts_split_the_root_as_built_counts_would(
+            self, pair75, leaf_family, kind, params, size):
+        s = simple_strategy(TreeFamily(kind, params).generate(size), pair75, leaf_family, 0.4).strategy
+        ctx = ev._context_for(s, pair75)
+        table = s.tree.shape_children
+        for runs in table[1:-1]:
+            law = ev._sum_law([ev._conv_power(ctx.out[k], c) for k, c in runs])
+            assert math.prod(ev._planned_atoms(ctx.out, runs)) >= law.n_atoms
+        parts = [ev._conv_power(ctx.out[k], c) for k, c in table[-1]]
+        assert ev._planned_atoms(ctx.out, table[-1]) == [law.n_atoms for law in parts]
+        logs = np.cumsum([0.0] + [math.log(law.n_atoms) for law in parts])
+        i = int(np.argmin(np.maximum(logs[:-1], logs[-1] - logs[:-1])))
+        halves = sorted([ev._sum_law(parts[:i]) if i else ev._ZERO, ev._sum_law(parts[i:])],
+                        key=lambda h: h.n_atoms)
+        for got, want in zip(ctx.halves, halves):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.logp0.tobytes() == want.logp0.tobytes()
 
     def test_one_pass_per_relay_level(self, pair75, leaf_family, ident, monkeypatch):
         # increasing_leaves(21): one relay level of 21 shapes, split and checked at once
@@ -540,8 +576,8 @@ class TestLevelPass:
                                 seen.append(len(batch)) or f(batch, *a))
         s = simple_strategy(TreeFamily("increasing_leaves").generate(21), pair75, leaf_family, 0.4)
         ev._context_for(s.strategy, pair75)
-        # the fringe level's 21 powers, then the root's runs, of one copy each: an empty batch
-        assert calls == {"_splits": [21], "_bit_laws": [21], "_binomial_powers": [21, 0]}
+        # the fringe level's 21 powers, then each root half's runs, of one copy each: an empty batch
+        assert calls == {"_splits": [21], "_bit_laws": [21], "_binomial_powers": [21, 0, 0]}
         for seen in calls.values():
             seen.clear()
         ev._context_for(build_relay_strategy(TestTailReport.HEIGHT_3, ident, (0.0, -0.1, 0.1)), pair75)
@@ -589,8 +625,8 @@ class TestLevelPass:
         assert str(refusal.value) == failing[0]
 
     def test_a_root_half_of_one_run_keeps_no_other_run(self, pair75, ident):
-        # the root's runs, 3 copies of one relay's bit law and 50 of another's, take their
-        # closed forms in one batch; each half is one run, copied out of that batch's columns
+        # the root's runs, 3 copies of one relay's bit law and 50 of another's, fall one to a
+        # half; each half takes its closed form in a batch of its own, whose columns it alone holds
         parents = [-1]
         for leaves, copies in ((1, 3), (2, 50)):
             for _ in range(copies):
